@@ -26,8 +26,8 @@ from .exceptions import (
     SingularModelWarning,
 )
 from .numdiff import speed_and_acceleration
+from .quantum import SUPPORT_TOL
 
-SUPPORT_TOL = 1e-12
 # |v| or |a| below this counts as zero: finite-difference noise at the
 # default step h = 1e-3 sits around 1e-8, well under the cut.
 SPEED_TOL = 1e-6

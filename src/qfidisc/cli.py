@@ -241,10 +241,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _attach_grid_values(argv: list[str]) -> list[str]:
+    """Rewrite '--grid VALUE' as '--grid=VALUE'.
+
+    argparse reads a separate value with a leading '-' that is not a plain
+    number, such as '-0.4:0.4:2', as an option; attached, it stays a value.
+    """
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--grid" else None
+        out.append(arg if value is None else f"--grid={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else list(argv)))
         if args.command == "qfi-scan":
             cfg = SweepConfig(
                 model=args.model,

@@ -151,6 +151,8 @@ class DiscontinuityReport:
 
     def to_json(self) -> dict:
         def enc(x):
+            if isinstance(x, list):
+                return [enc(v) for v in x]
             if isinstance(x, float) and math.isinf(x):
                 return "inf" if x > 0 else "-inf"
             return x
@@ -165,7 +167,7 @@ class DiscontinuityReport:
             "qfi_at_bar": self.qfi_at_bar,
             "qfi_limit": enc(self.qfi_limit),
         }
-        out.update({k: v for k, v in self.evidence.items() if np.isscalar(v)})
+        out.update({k: enc(v) for k, v in self.evidence.items()})
         return out
 
 

@@ -35,7 +35,10 @@ with coefficients (xi = sqrt(kappa^2 - 4 theta^2), real for |theta| < kappa/2)
 
 Grouping index pairs (s, sbar) turns the full matrix into a direct sum of
 2x2 blocks, one per m = 0..floor(N/2), each repeated binomial(N, m) times
-(half that for the central block when N is even).
+(half that for the central block when N is even).  The GHZ models (and
+``transverse-qubit``, their N = 1 member) hand this direct sum to the
+QFI and the Bures metric through ``ParametricModel.blocks_fn``, so those
+never assemble the 2^N matrix.
 """
 
 from __future__ import annotations
@@ -49,14 +52,24 @@ import numpy as np
 from .exceptions import DomainError, InvalidInputError, StepSizeError
 
 
+# (multiplicity, block, d block / d theta) for each block of a direct sum.
+Block = tuple[int, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class ParametricModel:
-    """A named family theta -> rho_theta with optional analytic derivative."""
+    """A named family theta -> rho_theta with optional analytic derivative.
+
+    ``blocks_fn``, when given, returns rho_theta as a direct sum: each
+    block with its multiplicity and its theta-derivative, with the
+    multiplicity-weighted block traces summing to 1.
+    """
 
     name: str
     dim: int
     state_fn: Callable[[float], np.ndarray]
     derivative_fn: Callable[[float], np.ndarray] | None = None
+    blocks_fn: Callable[[float], list[Block]] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
     context: dict = field(default_factory=dict)
@@ -214,6 +227,23 @@ def ghz_blocks(n_qubits: int, theta: float, kappa: float, t: float) -> GhzBlockS
         mat = np.array([[diag, cross], [np.conj(cross), diag]], dtype=complex)
         blocks.append(GhzBlock(m, _block_multiplicity(m, n_qubits), mat))
     return GhzBlockSet(n_qubits, tuple(blocks), coeffs)
+
+
+def ghz_block_terms(n_qubits: int, theta: float, kappa: float, t: float) -> list[Block]:
+    """(multiplicity, block, block derivative) for each 2x2 GHZ block.
+
+    The diagonal of a block does not depend on theta, so its derivative is
+    [[0, dc], [conj dc, 0]] with dc the derivative of the cross element.
+    """
+    blockset = ghz_blocks(n_qubits, theta, kappa, t)
+    _, _, b, f, c = blockset.coefficients
+    db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
+    terms = []
+    for blk in blockset.blocks:
+        dcross = _cross_element_derivative(blk.m, n_qubits, b, f, c, db, df, dc)
+        dmat = np.array([[0.0, dcross], [np.conj(dcross), 0.0]], dtype=complex)
+        terms.append((blk.multiplicity, blk.matrix, dmat))
+    return terms
 
 
 def _assemble_cross_diagonal(n_qubits: int, diag_of_m, cross_of_m) -> np.ndarray:
@@ -452,6 +482,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
             dim=2**n,
             state_fn=lambda th: ghz_state(n, th, kappa, t),
             derivative_fn=lambda th: ghz_state_derivative(n, th, kappa, t),
+            blocks_fn=lambda th: ghz_block_terms(n, th, kappa, t),
             domain=(-kappa / 2.0, kappa / 2.0),
             open_domain=True,
             context={"kappa": kappa, "t": t, "n_qubits": n},

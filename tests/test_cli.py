@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qfidisc import cli
+from qfidisc import cli, models
 
 
 def run_cli(args, capsys):
@@ -37,6 +37,19 @@ class TestGridParsing:
     def test_malformed(self):
         with pytest.raises(cli._UsageError):
             cli.parse_grid("0:1")
+
+    def test_negative_start_as_separate_argument(self, capsys):
+        code, stdout, _ = run_cli(
+            ["qfi-scan", "--model", "transverse-qubit", "--grid", "-0.4:0.4:3"], capsys
+        )
+        assert code == 0
+        thetas = [float(row.split(",")[0]) for row in stdout.splitlines()[1:]]
+        assert thetas == [-0.4, 0.0, 0.4]
+        # ghz-scan reads the same value and rejects negative times as a
+        # domain error, not as a usage error.
+        code, _, err = run_cli(["ghz-scan", "--qubits", "1", "--grid", "-1:1:3"], capsys)
+        assert code == 2
+        assert err.startswith("domain error")
 
 
 class TestQfiScan:
@@ -111,6 +124,19 @@ class TestQfiScan:
         assert good and bad
         assert all("DomainError" in r["qfi"] for r in bad)
 
+    def test_ghz_beyond_dense_cap(self, capsys):
+        # N = 16 is past the 2^N matrix cap of 10; the scan runs on blocks,
+        # and its theta = 0 row reports the continuous metric.
+        code, stdout, _ = run_cli(
+            ["qfi-scan", "--model", "ghz", "--qubits", "16", "--grid=-0.2:0.2:3"], capsys
+        )
+        assert code == 0
+        assert "error(" not in stdout
+        zero = [r for r in csv.DictReader(stdout.splitlines()) if float(r["theta"]) == 0.0][0]
+        assert 4.0 * float(zero["bures_metric"]) == pytest.approx(
+            models.ghz_qfi_continuous(16, 1.0, 1.0), rel=1e-3
+        )
+
     def test_json_format(self, capsys):
         code, stdout, _ = run_cli(
             ["qfi-scan", "--model", "trig", "--grid", "0.3:0.9:3", "--format", "json"], capsys
@@ -134,6 +160,8 @@ class TestDiscontinuityCommand:
         payload = json.loads(stdout)
         assert payload["kind"] == "second-kind"
         assert payload["qfi_limit"] == "inf"
+        samples = payload["qfi_samples"]
+        assert len(samples) == 6 and all(b > 1.9 * a for a, b in zip(samples, samples[1:]))
 
     def test_trig_upper_endpoint_jump(self, capsys):
         code, stdout, _ = run_cli(
@@ -164,6 +192,12 @@ class TestDiscontinuityCommand:
         assert payload["kind"] == "jump"
         expected = 2.0 * math.exp(-1.0) - 4.0 * math.exp(-1.0) * math.sinh(0.5) ** 2
         assert payload["delta_q_measured"] == pytest.approx(expected, rel=1e-3)
+        # The evidence behind the verdict: the vanishing eigenvalue at
+        # offsets -h..h, zero at theta_bar and growing quadratically.
+        branch = payload["branch_values"]
+        assert len(branch) == 7
+        assert abs(branch[3]) < 1e-12
+        assert branch[0] == pytest.approx(16.0 * branch[2], rel=1e-3)
 
     def test_regular_point_distinct_exit(self, capsys):
         code, _, err = run_cli(

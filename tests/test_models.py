@@ -286,6 +286,10 @@ class TestRegistry:
             return
         fd = (model.state_fn(theta + h) - model.state_fn(theta - h)) / (2.0 * h)
         assert np.max(np.abs(model.derivative_fn(theta) - fd)) < 1e-6
+        if model.blocks_fn is not None:
+            below, at, above = (model.blocks_fn(theta + k * h) for k in (-1, 0, 1))
+            for (_, lo_blk, _), (_, _, dblk), (_, hi_blk, _) in zip(below, at, above):
+                assert np.max(np.abs(dblk - (hi_blk - lo_blk) / (2.0 * h))) < 1e-6
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):

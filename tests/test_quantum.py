@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import sqrtm
+from scipy.linalg import block_diag, sqrtm
 
 from helpers import random_density, random_hermitian, rotation_model
 from qfidisc import models, quantum
@@ -76,6 +76,16 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             quantum.fidelity(np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3)
+
+    @given(seed=st.integers(0, 10_000))
+    def test_qubit_closed_form_against_matrix_sqrt_oracle(self, seed):
+        # 2x2 inputs take the closed form sqrt(tr AB + 2 sqrt(det A det B));
+        # the oracle is tr sqrt(sqrt(rho) sigma sqrt(rho)) by scipy sqrtm.
+        rng = np.random.default_rng(seed)
+        rho, sigma = random_density(2, rng), random_density(2, rng)
+        s = sqrtm(rho)
+        oracle = float(np.real(np.trace(sqrtm(s @ sigma @ s))))
+        assert quantum.fidelity(rho, sigma) == pytest.approx(oracle, abs=1e-10)
 
     @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3, 4]))
     def test_symmetric_and_discriminating(self, seed, dim):
@@ -219,3 +229,95 @@ class TestQfiLimit:
     def test_bad_side_rejected(self):
         with pytest.raises(InvalidInputError):
             quantum.qfi_limit(models.make_model("trig"), 0.5, side="sideways")
+
+
+def block_model(parts, name="block-model"):
+    """Direct-sum model from (multiplicity, weight, fixed-rank family) parts,
+    and its dense twin.
+
+    The block of a part is weight * family.state_fn(theta); the twin's
+    state and derivative are block-diagonal with every block repeated.
+    """
+
+    def blocks(theta):
+        return [
+            (mult, w * fam.state_fn(theta), w * fam.derivative_fn(theta)) for mult, w, fam in parts
+        ]
+
+    def dense(theta, which):
+        return block_diag(*[blk[which] for blk in blocks(theta) for _ in range(blk[0])])
+
+    def state(theta):
+        return dense(theta, 1)
+
+    dim = sum(mult * fam.dim for mult, _, fam in parts)
+    return (
+        models.ParametricModel(name=name, dim=dim, state_fn=state, blocks_fn=blocks),
+        models.ParametricModel(
+            name=f"{name}-dense", dim=dim, state_fn=state, derivative_fn=lambda th: dense(th, 2)
+        ),
+    )
+
+
+class TestDirectSum:
+    @given(
+        n=st.integers(1, 8),
+        theta_over_kappa=st.floats(0.03, 0.499),
+        sign=st.sampled_from([-1.0, 1.0]),
+        kappa=st.floats(0.5, 1.5),
+        kappa_t=st.floats(1.0, 2.5),
+    )
+    @settings(max_examples=40)
+    def test_ghz_blocks_match_dense_path(self, n, theta_over_kappa, sign, kappa, kappa_t):
+        theta, t = sign * theta_over_kappa * kappa, kappa_t / kappa
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+        q = quantum.model_qfi(model, theta)
+        dense = quantum.qfi(
+            models.ghz_state(n, theta, kappa, t), models.ghz_state_derivative(n, theta, kappa, t)
+        )
+        assert q == pytest.approx(dense, rel=1e-9)
+        assert abs(4.0 * quantum.bures_metric_fd(model, theta) - q) <= 1e-3 * q
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 24])
+    @pytest.mark.parametrize("kappa,t", [(1.0, 1.0), (0.5, 2.0), (1.5, 1.0 / 1.5), (2.0, 0.3)])
+    def test_ghz_jump_at_zero_is_the_closed_form(self, n, kappa, t):
+        # Q(0) is the discontinuous value; the metric is continuous, so
+        # 4g(0) is the theta -> 0 limit and 4g - Q is the paper's jump.
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+        q0 = quantum.model_qfi(model, 0.0)
+        assert q0 == pytest.approx(models.ghz_qfi_discontinuous(n, kappa, t), rel=1e-10)
+        four_g = 4.0 * quantum.bures_metric_fd(model, 0.0)
+        assert four_g == pytest.approx(models.ghz_qfi_continuous(n, kappa, t), rel=1e-3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weighted_blocks_match_block_diagonal_state(self, seed):
+        # A 2x2 block (closed-form fidelity) and a 3x3 block (eigen route),
+        # the second repeated twice, against the assembled 7x7 state.
+        model, dense = block_model(
+            [(1, 0.4, rotation_model(2, seed)), (2, 0.3, rotation_model(3, seed + 100))]
+        )
+        for theta in (-0.7, 0.2, 1.1):
+            assert quantum.model_qfi(model, theta) == pytest.approx(
+                quantum.model_qfi(dense, theta), rel=1e-12
+            )
+            assert quantum.bures_metric_fd(model, theta) == pytest.approx(
+                quantum.bures_metric_fd(dense, theta), rel=1e-5
+            )
+
+    def test_block_traces_must_sum_to_one(self):
+        model, _ = block_model([(1, 0.5, rotation_model(2, 0)), (2, 0.2, rotation_model(2, 1))])
+        with pytest.raises(InvalidInputError):
+            quantum.model_qfi(model, 0.3)
+        with pytest.raises(InvalidInputError):
+            quantum.bures_metric_fd(model, 0.3)
+
+    def test_non_hermitian_block_rejected(self):
+        bad = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        model = models.ParametricModel(
+            name="bad-block",
+            dim=2,
+            state_fn=lambda theta: bad,
+            blocks_fn=lambda theta: [(1, bad, np.zeros((2, 2), dtype=complex))],
+        )
+        with pytest.raises(InvalidInputError):
+            quantum.model_qfi(model, 0.0)
