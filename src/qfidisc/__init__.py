@@ -18,7 +18,6 @@ from .estimation import (
     EstimationReport,
     ProjectiveMeasurement,
     born_probabilities,
-    canonical_measurement,
     mle,
     run_cr_experiment,
     sample_outcomes,
@@ -67,7 +66,6 @@ __all__ = [
     "SpectralData",
     "born_probabilities",
     "bures_metric_fd",
-    "canonical_measurement",
     "classical_bit_state",
     "classical_discontinuity",
     "classify",

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,18 +63,6 @@ def _json_cell(x):
     return x
 
 
-@dataclass
-class SweepConfig:
-    model: str
-    grid: np.ndarray
-    kappa: float
-    t: float
-    n_qubits: int
-    output: str | None
-    fmt: str
-    eps: float = 1e-4
-
-
 def parse_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:points[:log]' into a grid of at least 2 points."""
     parts = text.split(":")
@@ -118,16 +105,17 @@ def _build_model(args) -> models.ParametricModel:
     )
 
 
-def cmd_qfi_scan(cfg: SweepConfig) -> int:
-    model = models.make_model(cfg.model, kappa=cfg.kappa, t=cfg.t, n_qubits=cfg.n_qubits)
+def cmd_qfi_scan(args) -> int:
+    grid = parse_grid(args.grid)
+    model = _build_model(args)
     columns = ["theta", "qfi", "bures_metric", "four_g_minus_qfi"]
     rows = []
     failed = False
-    for theta in cfg.grid:
+    for theta in grid:
         theta = float(theta)
         try:
             q = quantum.model_qfi(model, theta)
-            g = quantum.bures_metric_fd(model, theta, eps=cfg.eps)
+            g = quantum.bures_metric_fd(model, theta, eps=args.eps)
             rows.append(
                 {"theta": theta, "qfi": q, "bures_metric": g, "four_g_minus_qfi": 4.0 * g - q}
             )
@@ -137,7 +125,7 @@ def cmd_qfi_scan(cfg: SweepConfig) -> int:
             rows.append(
                 {"theta": theta, "qfi": marker, "bures_metric": marker, "four_g_minus_qfi": marker}
             )
-    _emit_table(rows, columns, cfg.fmt, cfg.output)
+    _emit_table(rows, columns, args.format, args.output)
     return EXIT_DOMAIN if failed else EXIT_OK
 
 
@@ -193,13 +181,12 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, grid_required=False, grid_default=None):
+def _add_model_options(sub) -> None:
+    """The model selection and output file shared by the model subcommands."""
     sub.add_argument("--model", required=True, choices=models.MODEL_NAMES)
-    sub.add_argument("--grid", required=grid_required, default=grid_default)
     sub.add_argument("--kappa", type=float, default=1.0)
     sub.add_argument("--time", type=float, default=1.0)
     sub.add_argument("--qubits", type=int, default=1)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", default=None)
 
 
@@ -208,16 +195,14 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     scan = subs.add_parser("qfi-scan", help="QFI and Bures metric over a parameter grid")
-    _add_common(scan, grid_required=True)
+    _add_model_options(scan)
+    scan.add_argument("--grid", required=True)
+    scan.add_argument("--format", choices=("csv", "json"), default="csv")
     scan.add_argument("--eps", type=float, default=1e-4, help="fidelity finite-difference step")
 
     disc = subs.add_parser("discontinuity", help="classify a rank-change point")
-    disc.add_argument("--model", required=True, choices=models.MODEL_NAMES)
+    _add_model_options(disc)
     disc.add_argument("--theta-bar", type=float, required=True)
-    disc.add_argument("--kappa", type=float, default=1.0)
-    disc.add_argument("--time", type=float, default=1.0)
-    disc.add_argument("--qubits", type=int, default=1)
-    disc.add_argument("--output", default=None)
 
     ghz = subs.add_parser("ghz-scan", help="closed-form GHZ QFIs over a time grid")
     ghz.add_argument("--qubits", required=True, help="comma-separated qubit counts")
@@ -227,16 +212,12 @@ def build_parser() -> _Parser:
     ghz.add_argument("--output", default=None)
 
     mc = subs.add_parser("mc", help="Monte Carlo Cramér-Rao experiment")
-    mc.add_argument("--model", required=True, choices=models.MODEL_NAMES)
+    _add_model_options(mc)
     mc.add_argument("--theta-bar", type=float, required=True, help="true parameter value")
-    mc.add_argument("--kappa", type=float, default=1.0)
-    mc.add_argument("--time", type=float, default=1.0)
-    mc.add_argument("--qubits", type=int, default=1)
     mc.add_argument("--samples", type=int, default=100)
     mc.add_argument("--replicates", type=int, default=1000)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--expect-violation", action="store_true")
-    mc.add_argument("--output", default=None)
 
     return parser
 
@@ -260,17 +241,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else list(argv)))
         if args.command == "qfi-scan":
-            cfg = SweepConfig(
-                model=args.model,
-                grid=parse_grid(args.grid),
-                kappa=args.kappa,
-                t=args.time,
-                n_qubits=args.qubits,
-                output=args.output,
-                fmt=args.format,
-                eps=args.eps,
-            )
-            return cmd_qfi_scan(cfg)
+            return cmd_qfi_scan(args)
         if args.command == "discontinuity":
             return cmd_discontinuity(args)
         if args.command == "ghz-scan":

@@ -185,10 +185,9 @@ def classify(
     speed, accel = speed_and_acceleration(branch.h, branch.as_dict())
     qfi_at_bar = quantum.model_qfi(model, theta_bar, support_tol)
 
-    side = "above" if model.in_domain(theta_bar + 1e-2) else "below"
     evidence: dict = {"h": branch.h, "branch_values": list(branch.values)}
     try:
-        limit = quantum.qfi_limit(model, theta_bar, side=side, support_tol=support_tol)
+        limit = quantum.qfi_limit(model, theta_bar, support_tol=support_tol)
         qfi_lim = limit.value
         evidence["qfi_limit_error"] = limit.error
         diverged = False

@@ -1,7 +1,9 @@
 """Monte Carlo estimation experiments against the Cramér-Rao prediction.
 
-Replicated projective-measurement sampling with per-model maximum
-likelihood estimators.  The replicate variance is compared with the
+Replicated sampling of a model's two-outcome projective measurement
+(``ParametricModel.measurement``), with the maximum-likelihood estimate
+taken from the observed frequency of the first outcome
+(``ParametricModel.estimate``).  The replicate variance is compared with the
 fixed-rank bound 1/(M Q); at rank-changing parameter values the bound is
 deliberately still reported so its violation is visible.
 
@@ -13,22 +15,17 @@ the replicates produce identical reports, bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import quantum
 from .classical import Distribution
-from .exceptions import (
-    BoundarySolutionWarning,
-    InsufficientReplicatesError,
-    InvalidInputError,
-    UnsupportedModelError,
-)
-from .models import ParametricModel
+from .exceptions import InsufficientReplicatesError, InvalidInputError, UnsupportedModelError
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+if TYPE_CHECKING:  # models builds its measurements from this module
+    from .models import ParametricModel
 
 
 @dataclass(frozen=True)
@@ -71,19 +68,6 @@ def pauli_x_measurement() -> ProjectiveMeasurement:
     )
 
 
-def canonical_measurement(model_name: str) -> ProjectiveMeasurement:
-    """The fixed measurement used by the estimation experiments.
-
-    Computational basis for the diagonal families; the x-Pauli eigenbasis
-    for the transverse-noise qubit (optimal at the rank-change point).
-    """
-    if model_name in ("classical-bit", "trig"):
-        return computational_basis_measurement(2)
-    if model_name == "transverse-qubit":
-        return pauli_x_measurement()
-    raise UnsupportedModelError(f"no canonical measurement registered for {model_name!r}")
-
-
 def born_probabilities(rho: np.ndarray, meas: ProjectiveMeasurement) -> Distribution:
     """Outcome distribution tr(P_x rho), clamped and renormalized."""
     rho = np.asarray(rho, dtype=complex)
@@ -106,68 +90,20 @@ def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
     return rng.multinomial(n_samples, dist.probs)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Argmax of a unimodal function on [lo, hi] by golden-section search."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    x = (a + b) / 2.0
-    if x - lo < 2.0 * tol or hi - x < 2.0 * tol:
-        warnings.warn(
-            f"likelihood maximizer {x:.6g} sits on the bracket edge [{lo:g}, {hi:g}]",
-            BoundarySolutionWarning,
-            stacklevel=2,
-        )
-    return x
+def mle(model: ParametricModel, counts) -> float:
+    """Maximum-likelihood estimate from counts of the model's measurement.
 
-
-def _transverse_log_likelihood(model: ParametricModel, counts: np.ndarray):
-    kappa = model.context["kappa"]
-
-    def loglik(theta: float) -> float:
-        rho = model.state_fn(theta)
-        # p(+) = <+|rho|+>: closed form avoids rebuilding the projectors.
-        p_plus = float(np.real(rho[0, 0] + rho[0, 1] + rho[1, 0] + rho[1, 1])) / 2.0
-        p_plus = min(max(p_plus, 0.0), 1.0)
-        total = 0.0
-        for count, prob in zip(counts, (p_plus, 1.0 - p_plus)):
-            if count > 0:
-                total += count * math.log(max(prob, 1e-300))
-        return total
-
-    return loglik, kappa
-
-
-def mle(model: ParametricModel, counts, bracket: tuple[float, float] | None = None) -> float:
-    """Maximum-likelihood estimate from canonical-measurement counts.
-
-    Closed forms for the diagonal families; a bracketed golden-section
-    search (tolerance 1e-8) of the log likelihood for the transverse
-    qubit, over [0, 0.49 kappa] unless a bracket is supplied.
+    A two-outcome likelihood depends on the counts only through the
+    frequency k/M of the first outcome, which ``model.estimate`` maps to
+    the estimate.
     """
     counts = np.asarray(counts)
     total = int(counts.sum())
     if total < 1:
         raise InvalidInputError("counts are empty")
-    if model.name == "classical-bit":
-        return float(counts[0] / total)
-    if model.name == "trig":
-        return float(math.asin(math.sqrt(counts[0] / total)))
-    if model.name == "transverse-qubit":
-        loglik, kappa = _transverse_log_likelihood(model, counts)
-        lo, hi = bracket if bracket is not None else (0.0, 0.49 * kappa)
-        return golden_section_max(loglik, lo, hi)
-    raise UnsupportedModelError(f"no estimator registered for model {model.name!r}")
+    if model.estimate is None:
+        raise UnsupportedModelError(f"no canonical measurement or estimator for {model.name!r}")
+    return float(model.estimate(counts[0] / total))
 
 
 @dataclass
@@ -221,9 +157,8 @@ def _rank_change_note(model: ParametricModel, theta: float) -> str:
             f"rank changes at theta_true={theta} (effective rank {r0} vs {max(neighbors)} "
             "nearby); the fixed-rank Cramér-Rao bound is not valid here"
         )
-        side = "above" if model.in_domain(theta + 1e-2) else "below"
         try:
-            lim = quantum.qfi_limit(model, theta, side=side)
+            lim = quantum.qfi_limit(model, theta)
             note += f"; continuous-limit qfi = {lim.value:.6g} (reported, not asserted attainable)"
         except Exception:
             note += "; continuous-limit qfi diverges"
@@ -237,26 +172,29 @@ def run_cr_experiment(
     n_samples: int,
     n_replicates: int,
     seed: int,
-    meas: ProjectiveMeasurement | None = None,
-    bracket: tuple[float, float] | None = None,
 ) -> EstimationReport:
     """R replicates of M-sample estimation, compared against 1/(M Q).
 
-    The violation flag is set when the replicate variance falls more than
-    three standard errors of the variance below the bound, with
-    Var(s^2) ~ 2 s^4 / (R - 1).
+    Each replicate samples the model's measurement from its own stream;
+    the estimate is solved once per distinct count vector, since it
+    depends on nothing else.  The violation flag is set when the
+    replicate variance falls more than three standard errors of the
+    variance below the bound, with Var(s^2) ~ 2 s^4 / (R - 1).
     """
     if n_replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {n_replicates}")
-    if meas is None:
-        meas = canonical_measurement(model.name)
-    rho = model.state_fn(theta_true)
-    dist = born_probabilities(rho, meas)
+    if model.measurement is None:
+        raise UnsupportedModelError(f"no canonical measurement or estimator for {model.name!r}")
+    dist = born_probabilities(model.state_fn(theta_true), model.measurement)
 
     estimates = np.empty(n_replicates)
+    solved: dict[bytes, float] = {}
     for r in range(n_replicates):
         counts = sample_outcomes(dist, n_samples, seed=(seed, r))
-        estimates[r] = mle(model, counts, bracket=bracket)
+        key = counts.tobytes()
+        if key not in solved:
+            solved[key] = mle(model, counts)
+        estimates[r] = solved[key]
 
     # Shifted two-pass variance: identical replicate estimates must give
     # exactly zero, which the unshifted mean subtraction misses by rounding.

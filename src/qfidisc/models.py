@@ -44,12 +44,14 @@ never assemble the 2^N matrix.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidInputError, StepSizeError
+from .estimation import ProjectiveMeasurement, computational_basis_measurement, pauli_x_measurement
+from .exceptions import BoundarySolutionWarning, DomainError, InvalidInputError, StepSizeError
 
 
 # (multiplicity, block, d block / d theta) for each block of a direct sum.
@@ -63,6 +65,11 @@ class ParametricModel:
     ``blocks_fn``, when given, returns rho_theta as a direct sum: each
     block with its multiplicity and its theta-derivative, with the
     multiplicity-weighted block traces summing to 1.
+
+    ``measurement`` is the two-outcome measurement the Monte Carlo
+    experiments sample, and ``estimate`` maps the observed frequency of
+    its first outcome to the maximum-likelihood theta; both are None for
+    a model without one.
     """
 
     name: str
@@ -73,6 +80,8 @@ class ParametricModel:
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
     context: dict = field(default_factory=dict)
+    measurement: ProjectiveMeasurement | None = None
+    estimate: Callable[[float], float] | None = None
 
     def in_domain(self, theta: float) -> bool:
         lo, hi = self.domain
@@ -447,6 +456,46 @@ def lindblad_integrate(
 
 
 # ---------------------------------------------------------------------------
+# Maximum-likelihood estimator of the transverse qubit
+# ---------------------------------------------------------------------------
+
+
+def _transverse_estimator(kappa: float, t: float) -> Callable[[float], float]:
+    """theta in [0, 0.49 kappa] with p(+) = the observed frequency.
+
+    p(+) = 1/2 + Re rho_01 falls in |theta|, so the likelihood peaks where
+    p(+) equals the frequency; bisection runs until the midpoint equals an
+    endpoint.  A frequency outside p(+)'s range on the bracket gives the
+    nearer edge and a ``BoundarySolutionWarning``.
+    """
+
+    def p_plus(theta: float) -> float:
+        _, _, b, f, c = ghz_coefficients(theta, kappa, t)
+        return min(0.5 + _cross_element(0, 1, b, f, c).real, 1.0)  # clamped like Born
+
+    def estimate(freq: float) -> float:
+        lo, hi = 0.0, 0.49 * kappa
+        if freq >= p_plus(lo) or freq <= p_plus(hi):
+            edge = lo if freq >= p_plus(lo) else hi
+            warnings.warn(
+                f"likelihood maximizer {edge:.6g} sits on the bracket edge [{lo:g}, {hi:g}]",
+                BoundarySolutionWarning,
+                stacklevel=2,
+            )
+            return edge
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return mid
+            if p_plus(mid) > freq:
+                lo = mid
+            else:
+                hi = mid
+
+    return estimate
+
+
+# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -462,6 +511,8 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
             state_fn=classical_bit_state,
             derivative_fn=classical_bit_derivative,
             domain=(0.0, 1.0),
+            measurement=computational_basis_measurement(2),
+            estimate=lambda p_hat: p_hat,
         )
     if name == "trig":
         return ParametricModel(
@@ -470,6 +521,8 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
             state_fn=trig_model_state,
             derivative_fn=trig_model_derivative,
             domain=(0.0, math.pi / 2),
+            measurement=computational_basis_measurement(2),
+            estimate=lambda p_hat: math.asin(math.sqrt(p_hat)),
         )
     if name in ("transverse-qubit", "ghz"):
         n = 1 if name == "transverse-qubit" else n_qubits
@@ -486,5 +539,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
             domain=(-kappa / 2.0, kappa / 2.0),
             open_domain=True,
             context={"kappa": kappa, "t": t, "n_qubits": n},
+            measurement=pauli_x_measurement() if n == 1 else None,
+            estimate=_transverse_estimator(kappa, t) if n == 1 else None,
         )
     raise InvalidInputError(f"unknown model {name!r}; registered: {MODEL_NAMES}")

@@ -32,7 +32,8 @@ def richardson_limit(values: np.ndarray) -> np.ndarray:
 def central_speed_accel(h: float, values: dict[float, float]) -> tuple[float, float]:
     """First and second derivative at the center of a symmetric sample set.
 
-    ``values`` maps offsets (in units of h, per BRANCH_OFFSETS) to samples.
+    ``values`` maps the offsets 0, +/-1/4, +/-1/2 and +/-1 (in units of h)
+    to samples.
     Central differences at steps h, h/2, h/4 are combined with two
     Richardson levels (the error series is even in the step).
     """

@@ -329,6 +329,13 @@ class TestMcCommand:
         assert code == 1
         assert "canonical measurement" in err
 
+    def test_one_qubit_ghz_estimates_as_the_transverse_qubit(self, capsys):
+        # Same state, so the same measurement, estimator and estimates.
+        args = ["--theta-bar", "0.15", "--samples", "80", "--replicates", "60", "--seed", "3"]
+        _, ghz, _ = run_cli(["mc", "--model", "ghz", "--qubits", "1"] + args, capsys)
+        _, qubit, _ = run_cli(["mc", "--model", "transverse-qubit"] + args, capsys)
+        assert json.loads(ghz)["estimates"] == json.loads(qubit)["estimates"]
+
     def test_single_replicate_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             ["mc", "--model", "classical-bit", "--theta-bar", "0.3", "--replicates", "1"],
@@ -360,6 +367,19 @@ class TestMcCommand:
         _, first, _ = run_cli(args, capsys)
         _, second, _ = run_cli(args, capsys)
         assert first == second
+
+
+def test_subcommand_option_sets():
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    common = {"-h", "--help", "--model", "--kappa", "--time", "--qubits", "--output"}
+    expected = {
+        "qfi-scan": common | {"--grid", "--format", "--eps"},
+        "discontinuity": common | {"--theta-bar"},
+        "ghz-scan": {"-h", "--help", "--qubits", "--grid", "--kappa", "--format", "--output"},
+        "mc": common
+        | {"--theta-bar", "--samples", "--replicates", "--seed", "--expect-violation"},
+    }
+    assert {name: set(sub._option_string_actions) for name, sub in subs.items()} == expected
 
 
 def test_console_entry_point_runs():

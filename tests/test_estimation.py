@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfidisc import classical, estimation, models, quantum
 from qfidisc.exceptions import (
@@ -29,8 +31,10 @@ class TestProjectiveMeasurement:
             estimation.ProjectiveMeasurement((p0, p0), ("a", "b"))
 
     def test_unknown_model_has_no_canonical_measurement(self):
+        model = models.make_model("ghz", n_qubits=2)
+        assert model.measurement is None and model.estimate is None
         with pytest.raises(UnsupportedModelError):
-            estimation.canonical_measurement("ghz")
+            estimation.run_cr_experiment(model, 0.1, n_samples=10, n_replicates=5, seed=0)
 
 
 class TestBornProbabilities:
@@ -115,6 +119,24 @@ class TestMle:
             theta_hat = estimation.mle(model, [100, 0])
         assert theta_hat == pytest.approx(0.0, abs=1e-6)
 
+    @given(theta=st.floats(0.0, 1.0), name=st.sampled_from(["classical-bit", "trig", "transverse-qubit"]))
+    @settings(max_examples=60)
+    def test_estimate_inverts_the_measurement(self, theta, name):
+        # theta scaled onto each identifiable branch, clear of the ends
+        # where the inverse is ill-conditioned (trig: pi/2; transverse: 0).
+        kappa = 0.8
+        model = models.make_model(name, kappa=kappa, t=1.7)
+        lo, hi = {
+            "classical-bit": (0.0, 1.0),
+            "trig": (0.0, 1.57),
+            "transverse-qubit": (0.01 * kappa, 0.49 * kappa),
+        }[name]
+        theta = lo + theta * (hi - lo)
+        p_first = estimation.born_probabilities(model.state_fn(theta), model.measurement).probs[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundarySolutionWarning)  # theta on a bracket edge
+            assert model.estimate(p_first) == pytest.approx(theta, abs=1e-9)
+
     def test_unsupported_model(self):
         model = models.make_model("ghz", n_qubits=2)
         with pytest.raises(UnsupportedModelError):
@@ -168,6 +190,21 @@ class TestRunCrExperiment:
         assert a.sample_variance == b.sample_variance
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize(
+        "name, theta", [("classical-bit", 0.4), ("transverse-qubit", 0.2 * 1.3)]
+    )
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_estimates_are_the_per_replicate_mle(self, name, theta):
+        model = models.make_model(name, kappa=1.3, t=1.0)
+        seed, m_total = 17, 60
+        report = estimation.run_cr_experiment(
+            model, theta, n_samples=m_total, n_replicates=200, seed=seed
+        )
+        dist = estimation.born_probabilities(model.state_fn(theta), model.measurement)
+        for r, estimate in enumerate(report.estimates):
+            counts = estimation.sample_outcomes(dist, m_total, seed=(seed, r))
+            assert estimate == estimation.mle(model, counts)
+
     def test_insufficient_replicates(self):
         model = models.make_model("classical-bit")
         with pytest.raises(InsufficientReplicatesError):
@@ -185,9 +222,7 @@ class TestRunCrExperiment:
         # Bernoulli(sin^2 theta) family whose information equals the QFI.
         model = models.make_model("trig")
         theta = 0.7
-        dist = estimation.born_probabilities(
-            model.state_fn(theta), estimation.canonical_measurement("trig")
-        )
+        dist = estimation.born_probabilities(model.state_fn(theta), model.measurement)
         assert dist.probs[0] == pytest.approx(math.sin(theta) ** 2, abs=1e-14)
         dp = math.sin(2 * theta) * np.array([1.0, -1.0])
         fisher = classical.fisher_information(dist, dp)

@@ -192,6 +192,14 @@ class TestBuresMetric:
         for theta in (0.3, 1.0, math.pi / 2, 0.0):
             assert quantum.bures_metric_fd(model, theta, eps=1e-4) == pytest.approx(1.0, rel=1e-3)
 
+    def test_two_sided_extrapolation_removes_the_even_error(self):
+        # The two-sided quotient's error is even in eps; a first-order
+        # Richardson step leaves 1.6e-7 (trig) and 6.2e-6 (classical bit).
+        for name, theta in (("trig", 0.7), ("classical-bit", 0.3)):
+            model = models.make_model(name)
+            g = quantum.bures_metric_fd(model, theta, eps=1e-3)
+            assert abs(4.0 * g - quantum.model_qfi(model, theta)) <= 1e-8
+
     def test_underflow_raises_step_size_error(self):
         constant = models.ParametricModel(
             name="constant", dim=2, state_fn=lambda theta: np.eye(2, dtype=complex) / 2
@@ -209,6 +217,8 @@ class TestQfiLimit:
         model = models.make_model("trig")
         limit = quantum.qfi_limit(model, math.pi / 2, side="below")
         assert limit.value == pytest.approx(4.0, rel=1e-6)
+        # Without a side, the domain edge picks the one that exists.
+        assert quantum.qfi_limit(model, math.pi / 2).value == limit.value
 
     def test_classical_bit_diverges(self):
         model = models.make_model("classical-bit")

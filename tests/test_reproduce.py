@@ -1,0 +1,25 @@
+import runpy
+import warnings
+from pathlib import Path
+
+from qfidisc.exceptions import BoundarySolutionWarning
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.py"
+RANK_CHANGE_CASES = ["classical_bit_p0", "classical_bit_p1", "trig_theta0", "trig_theta_pi_half"]
+RESULT_FILES = (
+    ["classical_bit_scan.csv", "trig_scan.csv", "ghz_qfi_per_time.csv"]
+    + [f"discontinuity_{case}.json" for case in RANK_CHANGE_CASES]
+    + [f"discontinuity_transverse_t{t}.json" for t in ("0.5", "1.0", "2.0")]
+    + [f"cr_experiment_{case}.json" for case in RANK_CHANGE_CASES]
+    + ["cr_experiment_transverse_t1.json", "cr_experiment_classical_bit_regular_p03.json"]
+)
+
+
+def test_reproduce_writes_every_result_file(tmp_path):
+    main = runpy.run_path(str(SCRIPT))["main"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundarySolutionWarning)  # transverse MLE at theta = 0
+        assert main(["--output-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(RESULT_FILES)
+    for name in RESULT_FILES:
+        assert (tmp_path / name).stat().st_size > 0
