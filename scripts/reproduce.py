@@ -7,8 +7,9 @@ Writes, under --output-dir (default results/):
   the diagonal families; four_g_minus_qfi sits at numerical zero at every
   regular point.
 * discontinuity_<case>.json: every built-in rank-change point classified
-  (second kind for the classical bit, jumps for the trig family and the
-  transverse-noise qubit at three evolution times).
+  (second kind for the classical bit, jumps for the trig family, the
+  transverse-noise qubit at three evolution times, and the N = 2, 3, 4
+  GHZ states at theta = 0, where every block loses rank at once).
 * ghz_qfi_per_time.csv: GHZ QFI per unit time, continuous limit against
   the rank-change value, for N = 1..4.
 * cr_experiment_<case>.json: Monte Carlo Cramér-Rao experiments with zero
@@ -34,6 +35,7 @@ RANK_CHANGE_POINTS = [
     ("trig_theta_pi_half", ["--model", "trig", "--theta-bar", PI_HALF]),
 ]
 TRANSVERSE = ["--model", "transverse-qubit", "--theta-bar", "0", "--kappa", "1.0"]
+GHZ = ["--model", "ghz", "--theta-bar", "0", "--kappa", "1.0", "--time", "1.0"]
 MC = ["--samples", "100", "--replicates", "1000", "--seed", "1234"]
 
 JOBS = (
@@ -45,6 +47,10 @@ JOBS = (
     + [
         (f"discontinuity_transverse_t{t}.json", ["discontinuity"] + TRANSVERSE + ["--time", t])
         for t in ("0.5", "1.0", "2.0")
+    ]
+    + [
+        (f"discontinuity_ghz_n{n}_t1.json", ["discontinuity"] + GHZ + ["--qubits", n])
+        for n in ("2", "3", "4")
     ]
     + [("ghz_qfi_per_time.csv", ["ghz-scan", "--qubits", "1,2,3,4", "--grid", "0.1:12:60"])]
     + [(f"cr_experiment_{tag}.json", ["mc"] + args + MC) for tag, args in RANK_CHANGE_POINTS]

@@ -40,12 +40,11 @@ class Distribution:
 
     Probabilities are clamped at zero from below (floor -1e-12) and must
     sum to one within 1e-10; the support is the set of outcomes with
-    probability above ``support_tol``.
+    probability above ``SUPPORT_TOL``.
     """
 
     outcomes: tuple
     probs: np.ndarray
-    support_tol: float = SUPPORT_TOL
 
     def __post_init__(self):
         self.outcomes = tuple(self.outcomes)
@@ -60,7 +59,7 @@ class Distribution:
         self.probs = probs
 
     def support(self) -> np.ndarray:
-        return self.probs > self.support_tol
+        return self.probs > SUPPORT_TOL
 
     def prob_of(self, outcome) -> float:
         try:
@@ -101,7 +100,7 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     if p.outcomes != q.outcomes:
         raise InvalidInputError("outcome sets differ")
     on = p.support()
-    if np.any(q.probs[on] <= q.support_tol):
+    if np.any(q.probs[on] <= SUPPORT_TOL):
         return math.inf
     return float(np.sum(p.probs[on] * np.log(p.probs[on] / q.probs[on])))
 

@@ -1,9 +1,12 @@
 """Quantum-side discontinuity analysis at rank-changing parameter values.
 
-Tracks the eigenvalue branch that vanishes at theta_bar, estimates its
-speed v and acceleration a by finite differences, and classifies the QFI
-behaviour: continuous (v = a = 0), a jump of size 2a (v = 0, a != 0), or
-a discontinuity of the second kind (v != 0, divergent limit).  The jump
+Samples the vanishing weight w(theta), the sum of the eigenvalues that
+vanish at theta_bar, from the blocks of the model's direct sum: each block
+gives its k smallest eigenvalues, k its kernel dimension at theta_bar,
+times its multiplicity.  Jumps of eigenvalues that vanish together add, so
+the speed v and acceleration a of w, by finite differences, classify the
+QFI behaviour: continuous (v = a = 0), a jump of size 2a (v = 0, a != 0),
+or a discontinuity of the second kind (v != 0, divergent limit).  The jump
 prediction 2a is checked against the directly measured difference between
 the one-sided QFI limit and the QFI evaluated exactly at theta_bar.
 """
@@ -16,26 +19,64 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantum
-from .classical import classify_from_derivatives
+from .classical import SPEED_TOL, classify_from_derivatives
 from .exceptions import (
     DivergenceError,
     DomainError,
     MultiBranchError,
     NotADiscontinuityError,
+    NumericalError,
 )
 from .numdiff import speed_and_acceleration
 
-# Eigenvalue-branch matching threshold between adjacent grid points:
-# smooth families have overlap -> 1, accidental crossings stay near 0.
-OVERLAP_MIN = 0.5
+# A sampled vanishing eigenvalue above this fraction of its block's smallest
+# non-vanishing eigenvalue at theta_bar cannot be told apart from it.
+GAP_FRACTION = 0.5
+# Largest relative difference between the predicted and the measured jump.
+JUMP_AGREEMENT = 1e-2
+
+
+def _block_spectra(model, theta: float) -> list:
+    blocks = quantum._model_blocks(model, theta, derivative=False)
+    return [(mult, quantum._decompose(block)) for mult, block, _ in blocks]
+
+
+def _rank(spectra: list) -> int:
+    return sum(mult * sp.effective_rank for mult, sp in spectra)
+
+
+def rank_change(model, theta_bar: float, h: float):
+    """Block spectra and effective ranks at theta_bar and theta_bar +/- h.
+
+    Returns (spectra at theta_bar, {side: spectra at theta_bar + side * h},
+    rank at theta_bar, highest rank beside) over the sides +/-1 inside the
+    domain; spectra list (multiplicity, SpectralData) per block, and ranks
+    are weighted by multiplicity.  Raises ``DomainError`` when no side is
+    inside, and ``NotADiscontinuityError`` unless the rank rises on every
+    side.
+    """
+    sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
+    if not sides:
+        raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
+    at_bar = _block_spectra(model, theta_bar)
+    beside = {s: _block_spectra(model, theta_bar + s * h) for s in sides}
+    r0 = _rank(at_bar)
+    side_ranks = {s: _rank(spectra) for s, spectra in beside.items()}
+    if any(r <= r0 for r in side_ranks.values()):
+        raise NotADiscontinuityError(
+            f"effective rank {r0} at theta_bar={theta_bar} does not increase "
+            f"on the sampled sides (ranks {side_ranks})"
+        )
+    return at_bar, beside, r0, max(side_ranks.values())
 
 
 @dataclass(frozen=True)
 class BranchSamples:
-    """The vanishing eigenvalue sampled around theta_bar.
+    """The vanishing weight sampled around theta_bar.
 
     ``offsets`` are in units of the base step h and include 0; values are
-    the matched eigenvalue at theta_bar + offset * h.
+    w(theta_bar + offset * h), the multiplicity-weighted sum of the
+    eigenvalues that vanish at theta_bar.
     """
 
     theta_bar: float
@@ -49,90 +90,39 @@ class BranchSamples:
         return dict(zip(self.offsets, self.values))
 
 
-def vanishing_eigenvalue_branch(
-    model,
-    theta_bar: float,
-    h: float | None = None,
-    support_tol: float = quantum.SUPPORT_TOL,
-) -> BranchSamples:
-    """Sample the eigenvalue branch that vanishes at theta_bar.
+def vanishing_eigenvalue_branch(model, theta_bar: float, h: float | None = None) -> BranchSamples:
+    """Sample the vanishing weight at theta_bar + {0, +/-1/4, +/-1/2, +/-1} h.
 
-    The model's effective rank at theta_bar must be strictly smaller than
-    at theta_bar +/- h (on every side that lies inside the domain); the
-    branch is followed outward from the kernel direction by eigenvector
-    overlap between adjacent grid points.
+    Only sides inside the domain are sampled, and the rank must rise on
+    each (``rank_change``).  Raises ``MultiBranchError`` when a sampled
+    vanishing eigenvalue exceeds GAP_FRACTION of its block's smallest
+    non-vanishing eigenvalue at theta_bar.
     """
     if h is None:
         h = 1e-3 * max(1.0, abs(theta_bar))
-    spect_bar = quantum.spectral_decompose(model.state_fn(theta_bar), support_tol)
-    r0 = spect_bar.effective_rank
-    dim = spect_bar.dim
+    at_bar, beside, r0, r_beside = rank_change(model, theta_bar, h)
+    spectra = {0.0: at_bar}
+    for s, outer in beside.items():
+        spectra[s] = outer
+        for frac in (0.25, 0.5):
+            spectra[frac * s] = _block_spectra(model, theta_bar + frac * s * h)
 
-    sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
-    if not sides:
-        raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
-
-    side_ranks = {}
-    side_spectra = {}
-    for s in sides:
-        sp = quantum.spectral_decompose(model.state_fn(theta_bar + s * h), support_tol)
-        side_ranks[s] = sp.effective_rank
-        side_spectra[s] = sp
-    if any(side_ranks[s] <= r0 for s in sides):
-        raise NotADiscontinuityError(
-            f"effective rank {r0} at theta_bar={theta_bar} does not increase "
-            f"on the sampled sides (ranks {side_ranks})"
-        )
-    deficit = min(side_ranks[s] for s in sides) - r0
-    if deficit > 1:
-        raise MultiBranchError(
-            f"{deficit} eigenvalues vanish simultaneously at theta_bar={theta_bar}; "
-            "only a single vanishing branch is supported"
-        )
-
-    kernel_dim = dim - r0
-    offsets = {0.0: float(spect_bar.eigenvalues[-1])}
-    for s in sides:
-        if kernel_dim == 1:
-            # Walk outward from the kernel direction.
-            current = spect_bar.eigenvectors[:, -1]
-            walk = [0.25 * s, 0.5 * s, 1.0 * s]
-        else:
-            # Persistent kernel: seed on the outermost point with the
-            # smallest above-tolerance eigenvalue and walk inward.
-            sp = side_spectra[s]
-            above = np.flatnonzero(sp.eigenvalues > support_tol)
-            k = above[-1]
-            current = sp.eigenvectors[:, k]
-            offsets[1.0 * s] = float(sp.eigenvalues[k])
-            walk = [0.5 * s, 0.25 * s]
-        for off in walk:
-            sp = (
-                side_spectra[s]
-                if off == 1.0 * s and kernel_dim == 1
-                else quantum.spectral_decompose(
-                    model.state_fn(theta_bar + off * h), support_tol
-                )
-            )
-            overlaps = np.abs(sp.eigenvectors.conj().T @ current)
-            k = int(np.argmax(overlaps))
-            if overlaps[k] <= OVERLAP_MIN:
+    def weight(offset: float) -> float:
+        w = 0.0
+        for (mult, bar), (_, sp) in zip(at_bar, spectra[offset]):
+            r = bar.effective_rank
+            tail = sp.eigenvalues[r:]
+            if 0 < r < bar.dim and tail[0] > GAP_FRACTION * bar.eigenvalues[r - 1]:
                 raise MultiBranchError(
-                    f"eigenvector overlap {overlaps[k]:.3f} <= {OVERLAP_MIN} at offset "
-                    f"{off}; branch matching is ambiguous"
+                    f"vanishing eigenvalue {tail[0]:.3e} at offset {offset} exceeds {GAP_FRACTION} "
+                    f"of its block's smallest non-vanishing one at theta_bar={theta_bar}"
                 )
-            current = sp.eigenvectors[:, k]
-            offsets[off] = float(sp.eigenvalues[k])
+            w += mult * float(np.sum(tail))
+        return w
 
-    ordered = tuple(sorted(offsets))
-    return BranchSamples(
-        theta_bar=theta_bar,
-        h=h,
-        offsets=ordered,
-        values=tuple(offsets[o] for o in ordered),
-        rank_at_bar=r0,
-        rank_beside=max(side_ranks.values()),
-    )
+    offsets = tuple(sorted(spectra))
+    values = tuple(weight(o) for o in offsets)
+    return BranchSamples(theta_bar, h, offsets, values, r0, r_beside)
 
 
 @dataclass
@@ -171,23 +161,21 @@ class DiscontinuityReport:
         return out
 
 
-def classify(
-    model,
-    theta_bar: float,
-    h: float | None = None,
-    support_tol: float = quantum.SUPPORT_TOL,
-) -> DiscontinuityReport:
+def classify(model, theta_bar: float, h: float | None = None) -> DiscontinuityReport:
     """Full discontinuity analysis of a model at theta_bar.
 
-    Raises ``NotADiscontinuityError`` when the rank does not change.
+    Raises ``NotADiscontinuityError`` when the rank does not change, and
+    ``NumericalError`` when the QFI limit diverges although the vanishing
+    weight has no speed, or when the predicted jump 2a and the measured
+    one differ by more than JUMP_AGREEMENT relative.
     """
-    branch = vanishing_eigenvalue_branch(model, theta_bar, h, support_tol)
+    branch = vanishing_eigenvalue_branch(model, theta_bar, h)
     speed, accel = speed_and_acceleration(branch.h, branch.as_dict())
-    qfi_at_bar = quantum.model_qfi(model, theta_bar, support_tol)
+    qfi_at_bar = quantum.model_qfi(model, theta_bar)
 
     evidence: dict = {"h": branch.h, "branch_values": list(branch.values)}
     try:
-        limit = quantum.qfi_limit(model, theta_bar, support_tol=support_tol)
+        limit = quantum.qfi_limit(model, theta_bar)
         qfi_lim = limit.value
         evidence["qfi_limit_error"] = limit.error
         diverged = False
@@ -197,14 +185,22 @@ def classify(
         diverged = True
 
     kind = classify_from_derivatives(speed, accel)
-    if diverged:
-        kind = "second-kind"
+    if diverged and kind != "second-kind":
+        raise NumericalError(
+            f"QFI limit at theta_bar={theta_bar} diverges, but the vanishing weight "
+            f"has speed {speed:.3e}, below {SPEED_TOL:g}"
+        )
     if kind == "second-kind":
         predicted = math.inf
         measured = math.inf if diverged else qfi_lim - qfi_at_bar
     else:
         predicted = 2.0 * accel
         measured = qfi_lim - qfi_at_bar
+        if kind == "jump" and abs(predicted - measured) > JUMP_AGREEMENT * abs(measured):
+            raise NumericalError(
+                f"predicted jump 2a = {predicted:.6g} and measured jump {measured:.6g} "
+                f"at theta_bar={theta_bar} differ by more than {JUMP_AGREEMENT:g} relative"
+            )
     return DiscontinuityReport(
         theta_bar=theta_bar,
         speed=float(speed),

@@ -20,9 +20,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import quantum
+from . import discontinuity, quantum
 from .classical import Distribution
-from .exceptions import InsufficientReplicatesError, InvalidInputError, UnsupportedModelError
+from .exceptions import (
+    DivergenceError,
+    DomainError,
+    InsufficientReplicatesError,
+    InvalidInputError,
+    NotADiscontinuityError,
+    UnsupportedModelError,
+)
 
 if TYPE_CHECKING:  # models builds its measurements from this module
     from .models import ParametricModel
@@ -142,28 +149,22 @@ class EstimationReport:
 
 
 def _rank_change_note(model: ParametricModel, theta: float) -> str:
-    probe = 1e-3 * max(1.0, abs(theta))
     try:
-        r0 = quantum.spectral_decompose(model.state_fn(theta)).effective_rank
-        neighbors = [
-            quantum.spectral_decompose(model.state_fn(theta + s * probe)).effective_rank
-            for s in (+1.0, -1.0)
-            if model.in_domain(theta + s * probe)
-        ]
-    except Exception:  # pragma: no cover - diagnostics only
+        _, _, r0, r_beside = discontinuity.rank_change(model, theta, 1e-3 * max(1.0, abs(theta)))
+    except (NotADiscontinuityError, DomainError):
         return ""
-    if neighbors and max(neighbors) > r0:
-        note = (
-            f"rank changes at theta_true={theta} (effective rank {r0} vs {max(neighbors)} "
-            "nearby); the fixed-rank Cramér-Rao bound is not valid here"
-        )
-        try:
-            lim = quantum.qfi_limit(model, theta)
-            note += f"; continuous-limit qfi = {lim.value:.6g} (reported, not asserted attainable)"
-        except Exception:
-            note += "; continuous-limit qfi diverges"
-        return note
-    return ""
+    note = (
+        f"rank changes at theta_true={theta} (effective rank {r0} vs {r_beside} nearby); "
+        "the fixed-rank Cramér-Rao bound is not valid here"
+    )
+    try:
+        lim = quantum.qfi_limit(model, theta)
+        note += f"; continuous-limit qfi = {lim.value:.6g} (reported, not asserted attainable)"
+    except DivergenceError:
+        note += "; continuous-limit qfi diverges"
+    except DomainError as err:
+        note += f"; continuous-limit qfi not computed ({err})"
+    return note
 
 
 def run_cr_experiment(

@@ -39,7 +39,7 @@ class NotADiscontinuityError(ValueError):
 
 
 class MultiBranchError(ValueError):
-    """More than one eigenvalue vanishes simultaneously; analysis unsupported."""
+    """A vanishing eigenvalue cannot be told apart from a non-vanishing one."""
 
 
 class UnsupportedModelError(ValueError):

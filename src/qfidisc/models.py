@@ -37,15 +37,15 @@ Grouping index pairs (s, sbar) turns the full matrix into a direct sum of
 2x2 blocks, one per m = 0..floor(N/2), each repeated binomial(N, m) times
 (half that for the central block when N is even).  The GHZ models (and
 ``transverse-qubit``, their N = 1 member) hand this direct sum to the
-QFI and the Bures metric through ``ParametricModel.blocks_fn``, so those
-never assemble the 2^N matrix.
+QFI, the Bures metric and the discontinuity analysis through
+``ParametricModel.blocks_fn``, so those never assemble the 2^N matrix.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,7 +64,9 @@ class ParametricModel:
 
     ``blocks_fn``, when given, returns rho_theta as a direct sum: each
     block with its multiplicity and its theta-derivative, with the
-    multiplicity-weighted block traces summing to 1.
+    multiplicity-weighted block traces summing to 1.  The QFI, the Bures
+    metric and the discontinuity analysis then read the blocks in place of
+    ``state_fn`` and ``derivative_fn``.
 
     ``measurement`` is the two-outcome measurement the Monte Carlo
     experiments sample, and ``estimate`` maps the observed frequency of
@@ -79,7 +81,6 @@ class ParametricModel:
     blocks_fn: Callable[[float], list[Block]] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
-    context: dict = field(default_factory=dict)
     measurement: ProjectiveMeasurement | None = None
     estimate: Callable[[float], float] | None = None
 
@@ -534,11 +535,9 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
             name=name,
             dim=2**n,
             state_fn=lambda th: ghz_state(n, th, kappa, t),
-            derivative_fn=lambda th: ghz_state_derivative(n, th, kappa, t),
             blocks_fn=lambda th: ghz_block_terms(n, th, kappa, t),
             domain=(-kappa / 2.0, kappa / 2.0),
             open_domain=True,
-            context={"kappa": kappa, "t": t, "n_qubits": n},
             measurement=pauli_x_measurement() if n == 1 else None,
             estimate=_transverse_estimator(kappa, t) if n == 1 else None,
         )

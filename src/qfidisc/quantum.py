@@ -66,12 +66,12 @@ class SpectralData:
     """Eigendecomposition of a density matrix with an effective-rank cut.
 
     ``eigenvalues`` are clamped to >= 0 and sorted descending;
-    ``eigenvectors[:, k]`` is the unit eigenvector of ``eigenvalues[k]``.
+    ``eigenvectors[:, k]`` is the unit eigenvector of ``eigenvalues[k]``;
+    ``effective_rank`` counts the eigenvalues above ``SUPPORT_TOL``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    support_tol: float
     effective_rank: int
 
     @property
@@ -111,18 +111,12 @@ def validate_density_matrix(rho: np.ndarray, check_psd: bool = False) -> np.ndar
     return rho
 
 
-def spectral_decompose(rho: np.ndarray, support_tol: float = SUPPORT_TOL) -> SpectralData:
+def spectral_decompose(rho: np.ndarray) -> SpectralData:
     """Eigendecompose a density matrix, descending order, clamped spectrum."""
-    _check_support_tol(support_tol)
-    return _decompose(validate_density_matrix(rho), support_tol)
+    return _decompose(validate_density_matrix(rho))
 
 
-def _check_support_tol(support_tol: float) -> None:
-    if support_tol < 0:
-        raise InvalidInputError("support_tol must be >= 0")
-
-
-def _decompose(rho: np.ndarray, support_tol: float) -> SpectralData:
+def _decompose(rho: np.ndarray) -> SpectralData:
     """Eigendecompose a Hermitian PSD matrix of any trace (a state or a block)."""
     try:
         lam, vecs = np.linalg.eigh(rho)
@@ -131,8 +125,8 @@ def _decompose(rho: np.ndarray, support_tol: float) -> SpectralData:
     order = np.argsort(lam)[::-1]
     lam = np.maximum(lam[order], 0.0)
     vecs = vecs[:, order]
-    rank = int(np.count_nonzero(lam > support_tol))
-    return SpectralData(lam, vecs, support_tol, rank)
+    rank = int(np.count_nonzero(lam > SUPPORT_TOL))
+    return SpectralData(lam, vecs, rank)
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
@@ -173,34 +167,34 @@ def _overlaps(spect: SpectralData, drho: np.ndarray):
     """drho in the eigenbasis, the eigenvalue pair sums, and the pairs on the support."""
     d_eig = spect.eigenvectors.conj().T @ drho @ spect.eigenvectors
     denom = spect.eigenvalues[:, None] + spect.eigenvalues[None, :]
-    return d_eig, denom, denom > spect.support_tol
+    return d_eig, denom, denom > SUPPORT_TOL
 
 
 def _qfi_sum(d_eig, denom, mask) -> float:
     return float(2.0 * np.sum(np.abs(d_eig[mask]) ** 2 / denom[mask]))
 
 
-def _spectral_overlaps(rho, drho, support_tol):
+def _spectral_overlaps(rho, drho):
     drho = validate_hermitian(drho, 1e-10, "state derivative")
     if np.shape(rho) != drho.shape:
         raise InvalidInputError("state and derivative dimensions differ")
-    if np.max(np.abs(rho)) <= support_tol:
+    if np.max(np.abs(rho)) <= SUPPORT_TOL:
         raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
-    spect = spectral_decompose(rho, support_tol)
+    spect = spectral_decompose(rho)
     d_eig, denom, mask = _overlaps(spect, drho)
     if not mask.any():
         raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
     return spect, d_eig, denom, mask
 
 
-def sld(rho: np.ndarray, drho: np.ndarray, support_tol: float = SUPPORT_TOL) -> np.ndarray:
+def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative, kernel block set to zero.
 
-    Components on eigenvalue pairs with lk + ll <= support_tol are left
+    Components on eigenvalue pairs with lk + ll <= SUPPORT_TOL are left
     unspecified by the defining equation; zero is the minimal-norm choice
     and does not affect the Fisher information.
     """
-    spect, d_eig, denom, mask = _spectral_overlaps(rho, drho, support_tol)
+    spect, d_eig, denom, mask = _spectral_overlaps(rho, drho)
     l_eig = np.zeros_like(d_eig)
     l_eig[mask] = 2.0 * d_eig[mask] / denom[mask]
     v = spect.eigenvectors
@@ -208,9 +202,9 @@ def sld(rho: np.ndarray, drho: np.ndarray, support_tol: float = SUPPORT_TOL) -> 
     return (l_op + l_op.conj().T) / 2.0
 
 
-def qfi(rho: np.ndarray, drho: np.ndarray, support_tol: float = SUPPORT_TOL) -> float:
+def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """Quantum Fisher information via the spectral sum over the support."""
-    _, d_eig, denom, mask = _spectral_overlaps(rho, drho, support_tol)
+    _, d_eig, denom, mask = _spectral_overlaps(rho, drho)
     return _qfi_sum(d_eig, denom, mask)
 
 
@@ -273,13 +267,12 @@ def _model_blocks(model, theta: float, derivative: bool = True) -> list:
     return blocks
 
 
-def model_qfi(model, theta: float, support_tol: float = SUPPORT_TOL) -> float:
+def model_qfi(model, theta: float) -> float:
     """QFI of a parametric model at a point: sum_j m_j Q(B_j, dB_j) over its blocks."""
-    _check_support_tol(support_tol)
     total = 0.0
     weighted = False
     for mult, block, dblock in _model_blocks(model, theta):
-        d_eig, denom, mask = _overlaps(_decompose(block, support_tol), dblock)
+        d_eig, denom, mask = _overlaps(_decompose(block), dblock)
         if mask.any():
             total += mult * _qfi_sum(d_eig, denom, mask)
             weighted = True
@@ -353,7 +346,6 @@ def qfi_limit(
     steps: int = 6,
     h0: float = 1e-2,
     rel_tol: float = 1e-3,
-    support_tol: float = SUPPORT_TOL,
 ) -> LimitEstimate:
     """Limit of the QFI as theta -> theta_bar from one side.
 
@@ -375,7 +367,7 @@ def qfi_limit(
     for th in thetas:
         if not model.in_domain(th):
             raise DomainError(f"theta={th} outside the domain of {model.name} (side={side})")
-    values = np.array([model_qfi(model, th, support_tol) for th in thetas])
+    values = np.array([model_qfi(model, th) for th in thetas])
     extrapolants = richardson_limit(values)
     diff = abs(extrapolants[-1] - extrapolants[-2])
     scale = max(abs(extrapolants[-1]), 1e-6)

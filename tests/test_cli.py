@@ -199,6 +199,22 @@ class TestDiscontinuityCommand:
         assert abs(branch[3]) < 1e-12
         assert branch[0] == pytest.approx(16.0 * branch[2], rel=1e-3)
 
+    def test_ghz_up_to_the_block_cap(self, capsys):
+        # Every block loses rank at theta = 0; the blocks classify past the
+        # dense cap of N = 10, and N = 24 is refused, not misreported.
+        def run(n):
+            return run_cli(
+                ["discontinuity", "--model", "ghz", "--qubits", str(n), "--theta-bar", "0"], capsys
+            )
+
+        code, stdout, _ = run(2)
+        assert code == 0
+        assert json.loads(stdout)["kind"] == "jump"
+        assert run(12)[0] == 0
+        code, _, err = run(24)
+        assert code == 3
+        assert "numerical failure" in err
+
     def test_regular_point_distinct_exit(self, capsys):
         code, _, err = run_cli(
             ["discontinuity", "--model", "classical-bit", "--theta-bar", "0.5"], capsys
@@ -342,13 +358,6 @@ class TestMcCommand:
             capsys,
         )
         assert code == 1
-
-    def test_simultaneous_vanishing_is_numerical_failure(self, capsys):
-        code, _, err = run_cli(
-            ["discontinuity", "--model", "ghz", "--qubits", "2", "--theta-bar", "0"], capsys
-        )
-        assert code == 3
-        assert "vanish simultaneously" in err
 
     def test_reports_are_deterministic(self, capsys):
         args = [

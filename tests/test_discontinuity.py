@@ -6,8 +6,26 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import diagonal_branch_model
 from qfidisc import discontinuity, models
-from qfidisc.exceptions import DomainError, MultiBranchError, NotADiscontinuityError
+from qfidisc.classical import SPEED_TOL
+from qfidisc.exceptions import (
+    DomainError,
+    MultiBranchError,
+    NotADiscontinuityError,
+    NumericalError,
+)
 from qfidisc.models import ParametricModel
+
+
+def ghz_dense_twin(n, kappa, t):
+    """The GHZ model as one dense 2^N block, without its direct sum."""
+    return ParametricModel(
+        name=f"ghz-{n}-dense",
+        dim=2**n,
+        state_fn=lambda th: models.ghz_state(n, th, kappa, t),
+        derivative_fn=lambda th: models.ghz_state_derivative(n, th, kappa, t),
+        domain=(-kappa / 2.0, kappa / 2.0),
+        open_domain=True,
+    )
 
 
 class TestVanishingEigenvalueBranch:
@@ -40,6 +58,11 @@ class TestVanishingEigenvalueBranch:
         with pytest.raises(NotADiscontinuityError):
             discontinuity.vanishing_eigenvalue_branch(model, 0.5)
 
+    def test_rank_rising_on_one_side_only_rejected(self):
+        model = diagonal_branch_model(lambda theta: max(theta, 0.0) ** 2)
+        with pytest.raises(NotADiscontinuityError):
+            discontinuity.vanishing_eigenvalue_branch(model, 0.0)
+
     def test_full_rank_model_rejected(self):
         def state(theta):
             base = models.trig_model_state(theta)
@@ -51,11 +74,53 @@ class TestVanishingEigenvalueBranch:
         with pytest.raises(NotADiscontinuityError):
             discontinuity.vanishing_eigenvalue_branch(depolarized, 0.0)
 
-    def test_simultaneous_vanishing_rejected(self):
-        # The 2-qubit GHZ family drops from rank 4 to rank 2 at theta = 0.
-        model = models.make_model("ghz", kappa=1.0, t=1.0, n_qubits=2)
+    def test_simultaneous_vanishing_adds_up(self):
+        # The 2-qubit GHZ family drops from rank 4 to rank 2 at theta = 0:
+        # each of its two blocks loses one eigenvalue, and the weight is
+        # their sum.
+        kappa, t = 1.0, 1.0
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=2)
+        branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
+        assert (branch.rank_at_bar, branch.rank_beside) == (2, 4)
+        for off, val in zip(branch.offsets, branch.values):
+            blocks = models.ghz_blocks(2, off * branch.h, kappa, t).blocks
+            expected = sum(
+                blk.multiplicity * max(np.linalg.eigvalsh(blk.matrix)[0], 0.0) for blk in blocks
+            )
+            assert val == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kappa,t", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.3)])
+    def test_ghz_blocks_match_the_dense_state(self, n, kappa, t):
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+        dense = ghz_dense_twin(n, kappa, t)
+        branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
+        twin = discontinuity.vanishing_eigenvalue_branch(dense, 0.0)
+        assert branch.offsets == twin.offsets
+        assert np.max(np.abs(np.subtract(branch.values, twin.values))) <= 1e-14
+        assert (branch.rank_at_bar, branch.rank_beside) == (twin.rank_at_bar, twin.rank_beside)
+        report = discontinuity.classify(model, 0.0)
+        twin_report = discontinuity.classify(dense, 0.0)
+        assert report.kind == twin_report.kind
+        assert report.delta_q_predicted == pytest.approx(twin_report.delta_q_predicted, rel=1e-5)
+        assert report.delta_q_measured == pytest.approx(twin_report.delta_q_measured, rel=1e-5)
+
+    def test_eigenvalue_near_the_kernel_is_refused(self):
+        # diag(theta^2, eps, 1 - theta^2 - eps) at theta = 0.  With
+        # eps = 1e-9 the non-vanishing eigenvalue eps sits below theta^2 at
+        # the sampled offsets, so the vanishing one cannot be picked out.
+        def model(eps):
+            return ParametricModel(
+                name="near-kernel",
+                dim=3,
+                state_fn=lambda th: np.diag([th**2, eps, 1.0 - th**2 - eps]).astype(complex),
+            )
+
+        report = discontinuity.classify(model(1e-4), 0.0)
+        assert report.kind == "jump"
+        assert report.delta_q_predicted == pytest.approx(4.0, rel=1e-6)
         with pytest.raises(MultiBranchError):
-            discontinuity.vanishing_eigenvalue_branch(model, 0.0)
+            discontinuity.vanishing_eigenvalue_branch(model(1e-9), 0.0)
 
     def test_no_room_in_domain(self):
         model = models.make_model("classical-bit")
@@ -64,8 +129,8 @@ class TestVanishingEigenvalueBranch:
 
     def test_persistent_kernel_walks_inward(self):
         # One permanent zero eigenvalue plus one vanishing branch: the
-        # kernel at theta_bar is two-dimensional, so matching starts from
-        # the outermost grid point instead.
+        # kernel at theta_bar is two-dimensional, and the permanent zero
+        # adds nothing to the vanishing weight.
         def state(theta):
             q = math.sin(theta) ** 2
             return np.diag([q, 1.0 - q, 0.0]).astype(complex)
@@ -110,6 +175,41 @@ class TestClassify:
             )
             assert report.delta_q_measured == pytest.approx(expected_delta, rel=1e-3)
             assert report.delta_q_predicted == pytest.approx(report.delta_q_measured, rel=1e-2)
+
+    @pytest.mark.parametrize(
+        "n,kappa,t",
+        [(n, kappa, t) for n in (2, 3, 4, 8, 10, 16) for kappa, t in ((1.0, 1.0), (0.5, 2.0))]
+        + [(n, 2.0, 0.3) for n in (2, 3, 4, 8, 10)],
+    )
+    def test_ghz_jump_at_zero_is_the_closed_form(self, n, kappa, t):
+        # Every block becomes pure at theta = 0; their jumps add up to the
+        # paper's gap between the continuous limit and the value at 0.
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+        report = discontinuity.classify(model, 0.0)
+        jump = models.ghz_qfi_continuous(n, kappa, t) - models.ghz_qfi_discontinuous(n, kappa, t)
+        assert report.kind == "jump"
+        assert abs(report.speed) < SPEED_TOL
+        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-2)
+        assert report.delta_q_measured == pytest.approx(jump, rel=1e-2)
+        assert report.qfi_at_bar == pytest.approx(
+            models.ghz_qfi_discontinuous(n, kappa, t), rel=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "kappa,t,message",
+        [
+            # The limit diverges while the weight has no speed.
+            (1.0, 1.0, "diverges"),
+            # 2a = 0.2697 against a measured jump of -0.0080.
+            (2.0, 0.3, "differ"),
+        ],
+    )
+    def test_unresolved_ghz_jump_raises(self, kappa, t, message):
+        # At N = 24 the absolute support cut drops blocks of tiny weight,
+        # so neither the weight nor the limit can be trusted.
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=24)
+        with pytest.raises(NumericalError, match=message):
+            discontinuity.classify(model, 0.0)
 
     def test_measured_jump_is_limit_minus_value(self):
         report = discontinuity.classify(models.make_model("trig"), 0.0)

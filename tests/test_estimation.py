@@ -217,6 +217,22 @@ class TestRunCrExperiment:
         assert report.violated is True
         assert "continuous-limit qfi" in report.notes
 
+    @pytest.mark.parametrize(
+        "name, kappa, expected",
+        [
+            ("classical-bit", 1.0, "continuous-limit qfi diverges"),
+            # The limit's first sample at theta = -0.01 lies outside the
+            # domain (-0.005, 0.005): not computed, which is not divergent.
+            ("transverse-qubit", 0.01, "continuous-limit qfi not computed (theta=-0.01 outside"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_limit_note_names_why_it_has_no_value(self, name, kappa, expected):
+        model = models.make_model(name, kappa=kappa, t=1.0)
+        report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
+        assert "rank changes" in report.notes
+        assert expected in report.notes
+
     def test_canonical_trig_measurement_is_optimal(self):
         # Sampling the trig family in its canonical basis gives the
         # Bernoulli(sin^2 theta) family whose information equals the QFI.

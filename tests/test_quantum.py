@@ -23,7 +23,7 @@ class TestSpectralDecompose:
 
     def test_pure_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        spect = quantum.spectral_decompose(rho, support_tol=1e-12)
+        spect = quantum.spectral_decompose(rho)
         assert np.allclose(spect.eigenvalues, [1.0, 0.0])
         assert spect.effective_rank == 1
 
@@ -35,10 +35,6 @@ class TestSpectralDecompose:
         bad = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidInputError):
             quantum.spectral_decompose(bad)
-
-    def test_negative_support_tol_rejected(self):
-        with pytest.raises(InvalidInputError):
-            quantum.spectral_decompose(np.eye(2, dtype=complex) / 2, support_tol=-1.0)
 
     @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3, 4, 8, 16]))
     def test_reconstruction_and_orthonormality(self, seed, dim):

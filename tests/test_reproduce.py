@@ -10,6 +10,7 @@ RESULT_FILES = (
     ["classical_bit_scan.csv", "trig_scan.csv", "ghz_qfi_per_time.csv"]
     + [f"discontinuity_{case}.json" for case in RANK_CHANGE_CASES]
     + [f"discontinuity_transverse_t{t}.json" for t in ("0.5", "1.0", "2.0")]
+    + [f"discontinuity_ghz_n{n}_t1.json" for n in (2, 3, 4)]
     + [f"cr_experiment_{case}.json" for case in RANK_CHANGE_CASES]
     + ["cr_experiment_transverse_t1.json", "cr_experiment_classical_bit_regular_p03.json"]
 )
