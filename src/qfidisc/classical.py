@@ -25,7 +25,7 @@ from .exceptions import (
     MisidentifiedOutcomeError,
     SingularModelWarning,
 )
-from .numdiff import speed_and_acceleration
+from .numdiff import base_step, speed_and_acceleration
 from .quantum import SUPPORT_TOL
 
 # |v| or |a| below this counts as zero: finite-difference noise at the
@@ -158,7 +158,7 @@ def classical_discontinuity(
     that probability (one-sided at a domain edge).
     """
     if h is None:
-        h = 1e-3 * max(1.0, abs(theta_bar))
+        h = base_step(theta_bar)
 
     def q(theta: float) -> float:
         return family(theta).prob_of(vanishing_outcome)

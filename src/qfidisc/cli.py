@@ -11,6 +11,7 @@ their full flag set; no environment variables are read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -222,6 +223,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parse_args leaves the parser as it was and returns a new namespace, so
+# one parser, built on the first call, serves every later call.
+_parser = functools.cache(build_parser)
+
+
 def _attach_grid_values(argv: list[str]) -> list[str]:
     """Rewrite '--grid VALUE' as '--grid=VALUE'.
 
@@ -237,9 +243,14 @@ def _attach_grid_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command (``argv``, default ``sys.argv[1:]``); returns its exit code.
+
+    ``main`` may be called repeatedly in one process: the parser is built
+    on the first call and reused, and each call depends only on its argv.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else list(argv)))
+        args = _parser().parse_args(_attach_grid_values(argv))
         if args.command == "qfi-scan":
             return cmd_qfi_scan(args)
         if args.command == "discontinuity":

@@ -27,7 +27,7 @@ from .exceptions import (
     NotADiscontinuityError,
     NumericalError,
 )
-from .numdiff import speed_and_acceleration
+from .numdiff import base_step, speed_and_acceleration
 
 # A sampled vanishing eigenvalue above this fraction of its block's smallest
 # non-vanishing eigenvalue at theta_bar cannot be told apart from it.
@@ -45,8 +45,11 @@ def _rank(spectra: list) -> int:
     return sum(mult * sp.effective_rank for mult, sp in spectra)
 
 
-def rank_change(model, theta_bar: float, h: float):
+def rank_change(model, theta_bar: float, h: float | None = None):
     """Block spectra and effective ranks at theta_bar and theta_bar +/- h.
+
+    ``h`` defaults to ``numdiff.base_step(theta_bar)``, the base step of
+    ``vanishing_eigenvalue_branch``.
 
     Returns (spectra at theta_bar, {side: spectra at theta_bar + side * h},
     rank at theta_bar, highest rank beside) over the sides +/-1 inside the
@@ -55,6 +58,8 @@ def rank_change(model, theta_bar: float, h: float):
     inside, and ``NotADiscontinuityError`` unless the rank rises on every
     side.
     """
+    if h is None:
+        h = base_step(theta_bar)
     sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
     if not sides:
         raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
@@ -99,7 +104,7 @@ def vanishing_eigenvalue_branch(model, theta_bar: float, h: float | None = None)
     non-vanishing eigenvalue at theta_bar.
     """
     if h is None:
-        h = 1e-3 * max(1.0, abs(theta_bar))
+        h = base_step(theta_bar)
     at_bar, beside, r0, r_beside = rank_change(model, theta_bar, h)
     spectra = {0.0: at_bar}
     for s, outer in beside.items():

@@ -150,7 +150,7 @@ class EstimationReport:
 
 def _rank_change_note(model: ParametricModel, theta: float) -> str:
     try:
-        _, _, r0, r_beside = discontinuity.rank_change(model, theta, 1e-3 * max(1.0, abs(theta)))
+        _, _, r0, r_beside = discontinuity.rank_change(model, theta)
     except (NotADiscontinuityError, DomainError):
         return ""
     note = (

@@ -256,21 +256,20 @@ def ghz_block_terms(n_qubits: int, theta: float, kappa: float, t: float) -> list
     return terms
 
 
-def _assemble_cross_diagonal(n_qubits: int, diag_of_m, cross_of_m) -> np.ndarray:
+def _assemble_cross_diagonal(n_qubits: int, diag, cross) -> np.ndarray:
     """Build the 2^N x 2^N cross-diagonal matrix from per-m entry values.
 
-    ``diag_of_m(m)`` fills entry (s, s) for popcount(s) = m;
-    ``cross_of_m(m)`` fills entry (s, sbar).
+    ``diag[m]`` fills entry (s, s) and ``cross[m]`` entry (s, sbar) for
+    every s with popcount(s) = m, m = 0..N.
     """
     if n_qubits > 10:
         raise DomainError(f"full 2^{n_qubits} matrix assembly capped at N = 10")
     dim = 2**n_qubits
+    s = np.arange(dim)
+    m = ((s[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
     full = np.zeros((dim, dim), dtype=complex)
-    mask = dim - 1
-    for s in range(dim):
-        m = bin(s).count("1")
-        full[s, s] = diag_of_m(m)
-        full[s, s ^ mask] = cross_of_m(m)
+    full[s, s] = np.asarray(diag)[m]
+    full[s, s ^ (dim - 1)] = np.asarray(cross)[m]
     return full
 
 
@@ -283,18 +282,10 @@ def ghz_full_matrix(blockset: GhzBlockSet) -> np.ndarray:
     """
     n = blockset.n_qubits
     by_m = {blk.m: blk.matrix for blk in blockset.blocks}
-
-    def diag_of(m: int) -> float:
-        key = min(m, n - m)
-        return by_m[key][0, 0].real
-
-    def cross_of(m: int) -> complex:
-        key = min(m, n - m)
-        if m <= n - m:
-            return by_m[key][0, 1]
-        return by_m[key][1, 0]
-
-    return _assemble_cross_diagonal(n, diag_of, cross_of)
+    blocks = [by_m[min(m, n - m)] for m in range(n + 1)]
+    diag = [blk[0, 0].real for blk in blocks]
+    cross = [blk[0, 1] if m <= n - m else blk[1, 0] for m, blk in enumerate(blocks)]
+    return _assemble_cross_diagonal(n, diag, cross)
 
 
 def ghz_state(n_qubits: int, theta: float, kappa: float, t: float) -> np.ndarray:
@@ -310,7 +301,7 @@ def ghz_state_derivative(n_qubits: int, theta: float, kappa: float, t: float) ->
     derivs = [
         _cross_element_derivative(m, n_qubits, b, f, c, db, df, dc) for m in range(n_qubits + 1)
     ]
-    return _assemble_cross_diagonal(n_qubits, lambda m: 0.0, lambda m: derivs[m])
+    return _assemble_cross_diagonal(n_qubits, np.zeros(n_qubits + 1), derivs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def base_step(theta_bar: float) -> float:
+    """Default base step h of the branch samples around theta_bar."""
+    return 1e-3 * max(1.0, abs(theta_bar))
+
+
 def richardson_limit(values: np.ndarray) -> np.ndarray:
     """Diagonal extrapolants for samples on a step-halving sequence.
 

@@ -378,6 +378,45 @@ class TestMcCommand:
         assert first == second
 
 
+# One call of each command, plus a usage error and a domain error; ghz-scan
+# rewrites fields of its namespace, and the first grid starts with a minus.
+REPEATED_CALLS = [
+    ("scan.csv", ["qfi-scan", "--model", "transverse-qubit", "--grid", "-0.4:0.4:2"]),
+    ("scan.json", ["qfi-scan", "--model", "trig", "--grid=0.2:0.6:3", "--format", "json"]),
+    ("disc.json", ["discontinuity", "--model", "transverse-qubit", "--theta-bar", "0"]),
+    ("ghz.csv", ["ghz-scan", "--qubits", "1,2", "--grid", "0.5:2:3"]),
+    ("mc.json", ["mc", "--model", "classical-bit", "--theta-bar", "0.3", "--replicates", "20"]),
+    ("usage.csv", ["qfi-scan", "--model", "trig", "--grid", "0:1"]),
+    ("domain.csv", ["ghz-scan", "--qubits", "1", "--grid", "-1:1:3"]),
+]
+
+
+def run_all(directory, capsys):
+    directory.mkdir()
+    results = []
+    for name, argv in REPEATED_CALLS:
+        out = directory / name
+        code, stdout, err = run_cli([*argv, "--output", str(out)], capsys)
+        results.append((name, code, stdout, err, out.read_bytes() if out.exists() else None))
+    return results
+
+
+def test_repeated_calls_share_one_parser_and_no_state(tmp_path, capsys, monkeypatch):
+    first = run_all(tmp_path / "first", capsys)
+    second = run_all(tmp_path / "second", capsys)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_all(tmp_path / "fresh", capsys)
+    assert [r[1] for r in first] == [0, 0, 0, 0, 0, 1, 2]
+    assert all(r[4] for r in first[:5])
+    assert second == first
+    assert fresh == first
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_subcommand_option_sets():
     subs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
     common = {"-h", "--help", "--model", "--kappa", "--time", "--qubits", "--output"}

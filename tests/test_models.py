@@ -43,6 +43,34 @@ def brute_force_qfi_continuous(n, kappa, t):
     return -total.real
 
 
+def reference_cross_diagonal(n, diag_of_m, cross_of_m):
+    """Entry-by-entry assembly: (s, s) <- diag_of_m(popcount s), (s, sbar) <- cross_of_m(...)."""
+    dim = 2**n
+    full = np.zeros((dim, dim), dtype=complex)
+    for s in range(dim):
+        m = bin(s).count("1")
+        full[s, s] = diag_of_m(m)
+        full[s, s ^ (dim - 1)] = cross_of_m(m)
+    return full
+
+
+def reference_ghz_state(n, theta, kappa, t):
+    by_m = {blk.m: blk.matrix for blk in models.ghz_blocks(n, theta, kappa, t).blocks}
+    return reference_cross_diagonal(
+        n,
+        lambda m: by_m[min(m, n - m)][0, 0].real,
+        lambda m: by_m[min(m, n - m)][0, 1] if m <= n - m else by_m[min(m, n - m)][1, 0],
+    )
+
+
+def reference_ghz_state_derivative(n, theta, kappa, t):
+    _, _, b, f, c = models.ghz_coefficients(theta, kappa, t)
+    db, df, dc = models.ghz_coefficient_derivatives(theta, kappa, t)
+    return reference_cross_diagonal(
+        n, lambda m: 0.0, lambda m: models._cross_element_derivative(m, n, b, f, c, db, df, dc)
+    )
+
+
 class TestDiagonalFamilies:
     def test_classical_bit_boundaries(self):
         assert np.allclose(models.classical_bit_state(0.0), np.diag([0.0, 1.0]))
@@ -164,6 +192,16 @@ class TestGhzBlocks:
     def test_assembled_matrix_is_a_state(self, n, theta, kappa, t):
         full = models.ghz_state(n, theta, kappa, t)
         quantum.validate_density_matrix(full, check_psd=True)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_assembly_matches_reference_loop_bit_for_bit(self, n):
+        for theta, kappa, t in ((0.0, 1.0, 1.0), (0.13, 0.7, 0.4), (-0.2, 1.5, 2.0)):
+            for fast, slow in (
+                (models.ghz_state, reference_ghz_state),
+                (models.ghz_state_derivative, reference_ghz_state_derivative),
+            ):
+                got, want = fast(n, theta, kappa, t), slow(n, theta, kappa, t)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_block_count_guards(self):
         with pytest.raises(DomainError):
