@@ -13,8 +13,10 @@ Writes, under --output-dir (default results/):
 * ghz_qfi_per_time.csv: GHZ QFI per unit time, continuous limit against
   the rank-change value, for N = 1..4.
 * cr_experiment_<case>.json: Monte Carlo Cramér-Rao experiments with zero
-  replicate variance at every rank-change point, and a regular point of
-  the classical bit where the bound holds at the usual 1/(M Q) scale.
+  replicate variance at every rank-change point (the GHZ states with
+  N = 2, 4, 8 included, measured by their parity), and regular points of
+  the classical bit and of those GHZ states (theta = 0.1) where the bound
+  holds at the usual 1/(M Q) scale.
 
 Run as ``python scripts/reproduce.py [--output-dir DIR]``; exits 1 when
 any command fails.
@@ -37,6 +39,8 @@ RANK_CHANGE_POINTS = [
 TRANSVERSE = ["--model", "transverse-qubit", "--theta-bar", "0", "--kappa", "1.0"]
 GHZ = ["--model", "ghz", "--theta-bar", "0", "--kappa", "1.0", "--time", "1.0"]
 MC = ["--samples", "100", "--replicates", "1000", "--seed", "1234"]
+MC_REGULAR = ["--samples", "10000", "--replicates", "1000", "--seed", "1234"]
+GHZ_REGULAR = ["--model", "ghz", "--theta-bar", "0.1", "--kappa", "1.0", "--time", "1.0"]
 
 JOBS = (
     [
@@ -58,9 +62,19 @@ JOBS = (
         ("cr_experiment_transverse_t1.json", ["mc"] + TRANSVERSE + ["--time", "1.0"] + MC),
         (
             "cr_experiment_classical_bit_regular_p03.json",
-            ["mc", "--model", "classical-bit", "--theta-bar", "0.3"]
-            + ["--samples", "10000", "--replicates", "1000", "--seed", "1234"],
+            ["mc", "--model", "classical-bit", "--theta-bar", "0.3"] + MC_REGULAR,
         ),
+    ]
+    + [
+        (f"cr_experiment_ghz_n{n}_t1.json", ["mc"] + GHZ + ["--qubits", n] + MC)
+        for n in ("2", "4", "8")
+    ]
+    + [
+        (
+            f"cr_experiment_ghz_n{n}_regular_t1.json",
+            ["mc"] + GHZ_REGULAR + ["--qubits", n] + MC_REGULAR,
+        )
+        for n in ("2", "4", "8")
     ]
 )
 

@@ -16,8 +16,6 @@ from .discontinuity import (
 )
 from .estimation import (
     EstimationReport,
-    ProjectiveMeasurement,
-    born_probabilities,
     mle,
     run_cr_experiment,
     sample_outcomes,
@@ -62,9 +60,7 @@ __all__ = [
     "GhzBlockSet",
     "LimitEstimate",
     "ParametricModel",
-    "ProjectiveMeasurement",
     "SpectralData",
-    "born_probabilities",
     "bures_metric_fd",
     "classical_bit_state",
     "classical_discontinuity",

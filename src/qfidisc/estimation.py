@@ -1,11 +1,13 @@
 """Monte Carlo estimation experiments against the Cramér-Rao prediction.
 
-Replicated sampling of a model's two-outcome projective measurement
-(``ParametricModel.measurement``), with the maximum-likelihood estimate
-taken from the observed frequency of the first outcome
-(``ParametricModel.estimate``).  The replicate variance is compared with the
-fixed-rank bound 1/(M Q); at rank-changing parameter values the bound is
-deliberately still reported so its violation is visible.
+Replicated sampling of a model's two-outcome measurement, given by the
+closed-form probability of its first outcome (``ParametricModel.p_first``),
+with the maximum-likelihood estimate taken from the observed frequency of
+that outcome (``ParametricModel.estimate``).  Neither reads the density
+matrix, so the sampling costs the same for every GHZ N.  The replicate
+variance is compared with the fixed-rank bound 1/(M Q); at rank-changing
+parameter values the bound is deliberately still reported so its
+violation is visible.
 
 Randomness: NumPy PCG64 generators seeded through SeedSequence with the
 entropy pair (seed, replicate_index), so serial and parallel execution of
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,59 +31,7 @@ from .exceptions import (
     NotADiscontinuityError,
     UnsupportedModelError,
 )
-
-if TYPE_CHECKING:  # models builds its measurements from this module
-    from .models import ParametricModel
-
-
-@dataclass(frozen=True)
-class ProjectiveMeasurement:
-    """A complete set of orthogonal projectors with outcome labels."""
-
-    projectors: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.projectors) != len(self.labels):
-            raise InvalidInputError("one label per projector required")
-        dim = self.projectors[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for p in self.projectors:
-            if np.max(np.abs(p @ p - p)) > 1e-10:
-                raise InvalidInputError("projector is not idempotent within 1e-10")
-            if np.max(np.abs(p - p.conj().T)) > 1e-10:
-                raise InvalidInputError("projector is not Hermitian within 1e-10")
-            total += p
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
-            raise InvalidInputError("projectors do not sum to the identity within 1e-10")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-
-def computational_basis_measurement(dim: int = 2) -> ProjectiveMeasurement:
-    eye = np.eye(dim, dtype=complex)
-    projectors = tuple(np.outer(eye[:, k], eye[:, k].conj()) for k in range(dim))
-    return ProjectiveMeasurement(projectors, tuple(str(k) for k in range(dim)))
-
-
-def pauli_x_measurement() -> ProjectiveMeasurement:
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-    return ProjectiveMeasurement(
-        (np.outer(plus, plus.conj()), np.outer(minus, minus.conj())), ("+", "-")
-    )
-
-
-def born_probabilities(rho: np.ndarray, meas: ProjectiveMeasurement) -> Distribution:
-    """Outcome distribution tr(P_x rho), clamped and renormalized."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (meas.dim, meas.dim):
-        raise InvalidInputError(f"state dim {rho.shape} does not match measurement dim {meas.dim}")
-    probs = np.array([float(np.real(np.trace(p @ rho))) for p in meas.projectors])
-    probs = np.clip(probs, 0.0, 1.0)
-    return Distribution(meas.labels, probs / probs.sum())
+from .models import ParametricModel
 
 
 def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
@@ -109,7 +58,7 @@ def mle(model: ParametricModel, counts) -> float:
     if total < 1:
         raise InvalidInputError("counts are empty")
     if model.estimate is None:
-        raise UnsupportedModelError(f"no canonical measurement or estimator for {model.name!r}")
+        raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
     return float(model.estimate(counts[0] / total))
 
 
@@ -176,17 +125,24 @@ def run_cr_experiment(
 ) -> EstimationReport:
     """R replicates of M-sample estimation, compared against 1/(M Q).
 
-    Each replicate samples the model's measurement from its own stream;
-    the estimate is solved once per distinct count vector, since it
-    depends on nothing else.  The violation flag is set when the
+    Each replicate samples the model's two outcomes, with probabilities
+    p_first(theta_true) and 1 - p_first(theta_true) clamped to [0, 1] and
+    renormalized, from its own stream; the estimate is solved once per
+    distinct count vector, since it depends on nothing else.  Neither
+    step calls ``state_fn``; the QFI and the rank-change note read the
+    model's blocks where it has them.  The violation flag is set when the
     replicate variance falls more than three standard errors of the
     variance below the bound, with Var(s^2) ~ 2 s^4 / (R - 1).
     """
     if n_replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {n_replicates}")
-    if model.measurement is None:
-        raise UnsupportedModelError(f"no canonical measurement or estimator for {model.name!r}")
-    dist = born_probabilities(model.state_fn(theta_true), model.measurement)
+    if model.p_first is None or model.estimate is None:
+        raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
+    if not model.in_domain(theta_true):
+        raise DomainError(f"theta={theta_true} outside the domain {model.domain} of {model.name!r}")
+    p = model.p_first(theta_true)
+    probs = np.clip([p, 1.0 - p], 0.0, 1.0)
+    dist = Distribution(("first", "second"), probs / probs.sum())
 
     estimates = np.empty(n_replicates)
     solved: dict[bytes, float] = {}

@@ -39,10 +39,13 @@ Grouping index pairs (s, sbar) turns the full matrix into a direct sum of
 ``transverse-qubit``, their N = 1 member) hand this direct sum to the
 QFI, the Bures metric and the discontinuity analysis through
 ``ParametricModel.blocks_fn``, so those never assemble the 2^N matrix.
+The Monte Carlo experiments measure the parity X on every qubit, whose +
+probability (1 + Re (b + f + i c)^N) / 2 needs no matrix either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,7 +53,6 @@ from typing import Callable
 
 import numpy as np
 
-from .estimation import ProjectiveMeasurement, computational_basis_measurement, pauli_x_measurement
 from .exceptions import BoundarySolutionWarning, DomainError, InvalidInputError, StepSizeError
 
 
@@ -68,20 +70,19 @@ class ParametricModel:
     metric and the discontinuity analysis then read the blocks in place of
     ``state_fn`` and ``derivative_fn``.
 
-    ``measurement`` is the two-outcome measurement the Monte Carlo
-    experiments sample, and ``estimate`` maps the observed frequency of
-    its first outcome to the maximum-likelihood theta; both are None for
-    a model without one.
+    ``p_first`` is the probability of the first outcome of the
+    two-outcome measurement the Monte Carlo experiments sample, and
+    ``estimate`` maps the observed frequency of that outcome to the
+    maximum-likelihood theta; both are None for a model without one.
     """
 
     name: str
-    dim: int
     state_fn: Callable[[float], np.ndarray]
     derivative_fn: Callable[[float], np.ndarray] | None = None
     blocks_fn: Callable[[float], list[Block]] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
-    measurement: ProjectiveMeasurement | None = None
+    p_first: Callable[[float], float] | None = None
     estimate: Callable[[float], float] | None = None
 
     def in_domain(self, theta: float) -> bool:
@@ -448,25 +449,75 @@ def lindblad_integrate(
 
 
 # ---------------------------------------------------------------------------
-# Maximum-likelihood estimator of the transverse qubit
+# Parity measurement of the GHZ family and its maximum-likelihood estimator
 # ---------------------------------------------------------------------------
 
 
-def _transverse_estimator(kappa: float, t: float) -> Callable[[float], float]:
-    """theta in [0, 0.49 kappa] with p(+) = the observed frequency.
+def ghz_parity_probability(n_qubits: int, theta: float, kappa: float, t: float) -> float:
+    """Probability of the + outcome of the parity X (x) ... (x) X.
 
-    p(+) = 1/2 + Re rho_01 falls in |theta|, so the likelihood peaks where
-    p(+) equals the frequency; bisection runs until the midpoint equals an
-    endpoint.  A frequency outside p(+)'s range on the bracket gives the
-    nearer edge and a ``BoundarySolutionWarning``.
+    The parity reads the entries (s, sbar); summed with their binomial
+    weights, the cross elements give <X^(x)N> = Re (b + f + i c)^N, so
+    p(+) = (1 + Re (b + f + i c)^N) / 2, clamped at 1 like a Born
+    probability.  For N = 1 this is the X measurement of the transverse
+    qubit.
+    """
+    _, _, b, f, c = ghz_coefficients(theta, kappa, t)
+    return min(0.5 * (1.0 + (complex(b + f, c) ** n_qubits).real), 1.0)
+
+
+def _bisect(go_right: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Halve [lo, hi] until its midpoint equals an endpoint, and return that.
+
+    ``go_right(mid)`` moves lo up to mid; otherwise hi moves down to mid.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if go_right(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _parity_turning_point(n_qubits: int, kappa: float, t: float, points: int = 256) -> float:
+    """First zero of dp(+)/dtheta on (0, 0.49 kappa], or 0.49 kappa without one.
+
+    The first sign change on a grid of ``points`` steps is bisected.
+    """
+
+    def falling(theta: float) -> bool:  # dp(+)/dtheta < 0
+        _, _, b, f, c = ghz_coefficients(theta, kappa, t)
+        db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
+        return (complex(b + f, c) ** (n_qubits - 1) * complex(db + df, dc)).real < 0.0
+
+    grid = [0.49 * kappa * k / points for k in range(points + 1)]
+    for lo, hi in zip(grid, grid[1:]):
+        if not falling(hi):
+            return _bisect(falling, lo, hi)
+    return grid[-1]
+
+
+def _ghz_estimator(n_qubits: int, kappa: float, t: float) -> Callable[[float], float]:
+    """theta in [0, theta*] with p(+) = the observed frequency.
+
+    p(+) is 1 at theta = 0 and falls in |theta| up to its first stationary
+    point theta* (0.49 kappa for N = 1, searched for on the first estimate
+    for N >= 2), so on that branch the likelihood peaks where p(+) equals
+    the frequency.  A frequency outside p(+)'s range on the bracket gives
+    the nearer edge and a ``BoundarySolutionWarning``.
     """
 
     def p_plus(theta: float) -> float:
-        _, _, b, f, c = ghz_coefficients(theta, kappa, t)
-        return min(0.5 + _cross_element(0, 1, b, f, c).real, 1.0)  # clamped like Born
+        return ghz_parity_probability(n_qubits, theta, kappa, t)
+
+    @functools.cache
+    def upper() -> float:
+        return 0.49 * kappa if n_qubits == 1 else _parity_turning_point(n_qubits, kappa, t)
 
     def estimate(freq: float) -> float:
-        lo, hi = 0.0, 0.49 * kappa
+        lo, hi = 0.0, upper()
         if freq >= p_plus(lo) or freq <= p_plus(hi):
             edge = lo if freq >= p_plus(lo) else hi
             warnings.warn(
@@ -475,14 +526,7 @@ def _transverse_estimator(kappa: float, t: float) -> Callable[[float], float]:
                 stacklevel=2,
             )
             return edge
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                return mid
-            if p_plus(mid) > freq:
-                lo = mid
-            else:
-                hi = mid
+        return _bisect(lambda theta: p_plus(theta) > freq, lo, hi)
 
     return estimate
 
@@ -499,21 +543,19 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
     if name == "classical-bit":
         return ParametricModel(
             name=name,
-            dim=2,
             state_fn=classical_bit_state,
             derivative_fn=classical_bit_derivative,
             domain=(0.0, 1.0),
-            measurement=computational_basis_measurement(2),
+            p_first=lambda p: p,
             estimate=lambda p_hat: p_hat,
         )
     if name == "trig":
         return ParametricModel(
             name=name,
-            dim=2,
             state_fn=trig_model_state,
             derivative_fn=trig_model_derivative,
             domain=(0.0, math.pi / 2),
-            measurement=computational_basis_measurement(2),
+            p_first=lambda theta: math.sin(theta) ** 2,
             estimate=lambda p_hat: math.asin(math.sqrt(p_hat)),
         )
     if name in ("transverse-qubit", "ghz"):
@@ -524,12 +566,11 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
             raise DomainError(f"t={t} must be nonnegative")
         return ParametricModel(
             name=name,
-            dim=2**n,
             state_fn=lambda th: ghz_state(n, th, kappa, t),
             blocks_fn=lambda th: ghz_block_terms(n, th, kappa, t),
             domain=(-kappa / 2.0, kappa / 2.0),
             open_domain=True,
-            measurement=pauli_x_measurement() if n == 1 else None,
-            estimate=_transverse_estimator(kappa, t) if n == 1 else None,
+            p_first=lambda th: ghz_parity_probability(n, th, kappa, t),
+            estimate=_ghz_estimator(n, kappa, t),
         )
     raise InvalidInputError(f"unknown model {name!r}; registered: {MODEL_NAMES}")

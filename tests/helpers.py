@@ -33,7 +33,7 @@ def rotation_model(dim: int, seed: int) -> ParametricModel:
         rho = state(theta)
         return -1j * (ham @ rho - rho @ ham)
 
-    return ParametricModel(name=f"rotation-{dim}d", dim=dim, state_fn=state, derivative_fn=derivative)
+    return ParametricModel(name=f"rotation-{dim}d", state_fn=state, derivative_fn=derivative)
 
 
 def diagonal_branch_model(branch, name="diagonal-branch") -> ParametricModel:
@@ -45,7 +45,7 @@ def diagonal_branch_model(branch, name="diagonal-branch") -> ParametricModel:
             raise DomainError(f"branch value {q} outside [0, 1]")
         return np.diag([q, 1.0 - q]).astype(complex)
 
-    return ParametricModel(name=name, dim=2, state_fn=state)
+    return ParametricModel(name=name, state_fn=state)
 
 
 def bernoulli_family(theta: float):

@@ -168,6 +168,7 @@ def test_criterion_09_cramer_rao_violation_at_rank_changes():
         (models.make_model("trig"), 0.0),
         (models.make_model("trig"), math.pi / 2),
         (models.make_model("transverse-qubit", kappa=1.0, t=1.0), 0.0),
+        (models.make_model("ghz", kappa=1.0, t=1.0, n_qubits=4), 0.0),
     ]
     ok = True
     details = []

@@ -338,12 +338,28 @@ class TestMcCommand:
         assert code == 4
         assert "expected" in err
 
-    def test_unsupported_estimator_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            ["mc", "--model", "ghz", "--qubits", "2", "--theta-bar", "0"], capsys
+    @pytest.mark.parametrize("n", ["2", "24"])
+    def test_ghz_rank_change_has_zero_variance(self, capsys, n):
+        code, out, _ = run_cli(
+            ["mc", "--model", "ghz", "--qubits", n, "--theta-bar", "0", "--replicates", "200"],
+            capsys,
         )
-        assert code == 1
-        assert "canonical measurement" in err
+        assert code == 0
+        report = json.loads(out)
+        assert report["sample_variance"] == 0.0
+        assert report["violated"] is True
+
+    @pytest.mark.parametrize(
+        "model, theta",
+        [("classical-bit", "1.5"), ("trig", "-0.1"), ("transverse-qubit", "0.5"), ("ghz", "-0.6")],
+    )
+    def test_theta_outside_the_domain_is_domain_error(self, capsys, model, theta):
+        code, out, err = run_cli(
+            ["mc", "--model", model, "--qubits", "3", f"--theta-bar={theta}"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err
 
     def test_one_qubit_ghz_estimates_as_the_transverse_qubit(self, capsys):
         # Same state, so the same measurement, estimator and estimates.

@@ -20,7 +20,6 @@ def ghz_dense_twin(n, kappa, t):
     """The GHZ model as one dense 2^N block, without its direct sum."""
     return ParametricModel(
         name=f"ghz-{n}-dense",
-        dim=2**n,
         state_fn=lambda th: models.ghz_state(n, th, kappa, t),
         derivative_fn=lambda th: models.ghz_state_derivative(n, th, kappa, t),
         domain=(-kappa / 2.0, kappa / 2.0),
@@ -69,7 +68,7 @@ class TestVanishingEigenvalueBranch:
             return 0.9 * base + 0.1 * np.eye(2, dtype=complex) / 2
 
         depolarized = ParametricModel(
-            name="depolarized-trig", dim=2, state_fn=state, domain=(0.0, math.pi / 2)
+            name="depolarized-trig", state_fn=state, domain=(0.0, math.pi / 2)
         )
         with pytest.raises(NotADiscontinuityError):
             discontinuity.vanishing_eigenvalue_branch(depolarized, 0.0)
@@ -112,7 +111,6 @@ class TestVanishingEigenvalueBranch:
         def model(eps):
             return ParametricModel(
                 name="near-kernel",
-                dim=3,
                 state_fn=lambda th: np.diag([th**2, eps, 1.0 - th**2 - eps]).astype(complex),
             )
 
@@ -135,7 +133,7 @@ class TestVanishingEigenvalueBranch:
             q = math.sin(theta) ** 2
             return np.diag([q, 1.0 - q, 0.0]).astype(complex)
 
-        model = ParametricModel(name="qutrit-with-kernel", dim=3, state_fn=state)
+        model = ParametricModel(name="qutrit-with-kernel", state_fn=state)
         branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
         for off, val in zip(branch.offsets, branch.values):
             assert val == pytest.approx(math.sin(off * branch.h) ** 2, abs=1e-13)

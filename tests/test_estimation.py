@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,58 +9,52 @@ from hypothesis import given, settings, strategies as st
 from qfidisc import classical, estimation, models, quantum
 from qfidisc.exceptions import (
     BoundarySolutionWarning,
+    DomainError,
     InsufficientReplicatesError,
     InvalidInputError,
     UnsupportedModelError,
 )
 
-
-class TestProjectiveMeasurement:
-    def test_computational_basis_is_valid(self):
-        meas = estimation.computational_basis_measurement(4)
-        assert meas.dim == 4
-        assert meas.labels == ("0", "1", "2", "3")
-
-    def test_non_idempotent_rejected(self):
-        half = np.eye(2, dtype=complex) / 2
-        with pytest.raises(InvalidInputError):
-            estimation.ProjectiveMeasurement((half, half), ("a", "b"))
-
-    def test_incomplete_set_rejected(self):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(InvalidInputError):
-            estimation.ProjectiveMeasurement((p0, p0), ("a", "b"))
-
-    def test_unknown_model_has_no_canonical_measurement(self):
-        model = models.make_model("ghz", n_qubits=2)
-        assert model.measurement is None and model.estimate is None
-        with pytest.raises(UnsupportedModelError):
-            estimation.run_cr_experiment(model, 0.1, n_samples=10, n_replicates=5, seed=0)
+from helpers import diagonal_branch_model
 
 
-class TestBornProbabilities:
-    def test_diagonal_state_computational_basis(self):
-        dist = estimation.born_probabilities(
-            models.classical_bit_state(0.3), estimation.computational_basis_measurement(2)
-        )
-        assert dist.probs == pytest.approx([0.3, 0.7], abs=1e-14)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-    def test_plus_state_in_its_eigenbasis(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        dist = estimation.born_probabilities(plus, estimation.pauli_x_measurement())
-        assert dist.probs == pytest.approx([1.0, 0.0], abs=1e-14)
 
-    def test_transverse_qubit_at_zero_frequency(self):
+def dense_parity_probability(rho: np.ndarray, n_qubits: int) -> float:
+    """(1 + tr(X^(x)N rho)) / 2 from the 2^N density matrix."""
+    parity = np.ones((1, 1), dtype=complex)
+    for _ in range(n_qubits):
+        parity = np.kron(parity, PAULI_X)
+    return 0.5 * (1.0 + float(np.trace(parity @ rho).real))
+
+
+def raising_state(theta):
+    raise AssertionError(f"state_fn called at theta={theta}")
+
+
+class TestFirstOutcomeProbability:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "theta, kappa, t", [(0.0, 1.0, 1.0), (0.1, 1.0, 1.0), (-0.2, 0.8, 1.7), (0.3, 2.0, 0.5)]
+    )
+    def test_ghz_parity_matches_the_dense_trace(self, n, theta, kappa, t):
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+        dense = dense_parity_probability(models.ghz_state(n, theta, kappa, t), n)
+        assert model.p_first(theta) == pytest.approx(dense, abs=1e-14)
+
+    @pytest.mark.parametrize("name, theta", [("classical-bit", 0.3), ("trig", 0.7), ("trig", 1.2)])
+    def test_diagonal_families_read_the_first_basis_state(self, name, theta):
+        model = models.make_model(name)
+        assert model.p_first(theta) == model.state_fn(theta)[0, 0].real
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 24])
+    def test_parity_is_one_at_zero_frequency(self, n):
+        # b + f = 1 at theta = 0 up to one rounding (1 - 2^-53 at
+        # kappa t = 1), which the N-th power multiplies by N.
         for t in (0.3, 1.0, 4.0):
-            rho = models.ghz_state(1, 0.0, 1.0, t)
-            dist = estimation.born_probabilities(rho, estimation.pauli_x_measurement())
-            assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            estimation.born_probabilities(
-                np.eye(4, dtype=complex) / 4, estimation.pauli_x_measurement()
-            )
+            model = models.make_model("ghz", kappa=1.0, t=t, n_qubits=n)
+            assert 1.0 - n * 2.0**-53 <= model.p_first(0.0) <= 1.0
 
 
 class TestSampleOutcomes:
@@ -105,11 +100,9 @@ class TestMle:
     def test_transverse_recovers_generating_parameter(self):
         kappa, t, theta = 1.0, 1.0, 0.2
         model = models.make_model("transverse-qubit", kappa=kappa, t=t)
-        dist = estimation.born_probabilities(
-            model.state_fn(theta), estimation.pauli_x_measurement()
-        )
+        p = model.p_first(theta)
         m_total = 10**6
-        counts = np.round(dist.probs * m_total).astype(int)  # noiseless counts
+        counts = np.round(np.array([p, 1.0 - p]) * m_total).astype(int)  # noiseless counts
         theta_hat = estimation.mle(model, counts)
         assert theta_hat == pytest.approx(theta, abs=1e-3)
 
@@ -119,28 +112,39 @@ class TestMle:
             theta_hat = estimation.mle(model, [100, 0])
         assert theta_hat == pytest.approx(0.0, abs=1e-6)
 
-    @given(theta=st.floats(0.0, 1.0), name=st.sampled_from(["classical-bit", "trig", "transverse-qubit"]))
-    @settings(max_examples=60)
-    def test_estimate_inverts_the_measurement(self, theta, name):
+    @given(
+        theta=st.floats(0.0, 1.0),
+        case=st.sampled_from(
+            [("classical-bit", 1), ("trig", 1), ("transverse-qubit", 1)]
+            + [("ghz", 2), ("ghz", 8), ("ghz", 24)]
+        ),
+    )
+    @settings(max_examples=90)
+    def test_estimate_inverts_the_measurement(self, theta, case):
         # theta scaled onto each identifiable branch, clear of the ends
-        # where the inverse is ill-conditioned (trig: pi/2; transverse: 0).
-        kappa = 0.8
-        model = models.make_model(name, kappa=kappa, t=1.7)
+        # where the inverse is ill-conditioned (trig: pi/2; parity: 0 and
+        # the first stationary point theta* of p(+)).
+        name, n = case
+        kappa, t = 0.8, 1.7
+        model = models.make_model(name, kappa=kappa, t=t, n_qubits=n)
         lo, hi = {
             "classical-bit": (0.0, 1.0),
             "trig": (0.0, 1.57),
             "transverse-qubit": (0.01 * kappa, 0.49 * kappa),
+            "ghz": (0.01 * kappa, 0.99 * models._parity_turning_point(n, kappa, t)),
         }[name]
         theta = lo + theta * (hi - lo)
-        p_first = estimation.born_probabilities(model.state_fn(theta), model.measurement).probs[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundarySolutionWarning)  # theta on a bracket edge
-            assert model.estimate(p_first) == pytest.approx(theta, abs=1e-9)
+            assert model.estimate(model.p_first(theta)) == pytest.approx(theta, abs=1e-9)
 
-    def test_unsupported_model(self):
-        model = models.make_model("ghz", n_qubits=2)
+    def test_model_without_measurement_is_unsupported(self):
+        model = diagonal_branch_model(lambda theta: theta)
+        assert model.p_first is None and model.estimate is None
         with pytest.raises(UnsupportedModelError):
-            estimation.mle(model, [1, 0, 0, 0])
+            estimation.mle(model, [1, 0])
+        with pytest.raises(UnsupportedModelError):
+            estimation.run_cr_experiment(model, 0.1, n_samples=10, n_replicates=5, seed=0)
 
 
 class TestRunCrExperiment:
@@ -191,19 +195,41 @@ class TestRunCrExperiment:
         assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize(
-        "name, theta", [("classical-bit", 0.4), ("transverse-qubit", 0.2 * 1.3)]
+        "name, n, theta",
+        [("classical-bit", 1, 0.4), ("transverse-qubit", 1, 0.2 * 1.3), ("ghz", 3, 0.1)],
     )
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
-    def test_estimates_are_the_per_replicate_mle(self, name, theta):
-        model = models.make_model(name, kappa=1.3, t=1.0)
+    def test_estimates_are_the_per_replicate_mle(self, name, n, theta):
+        model = models.make_model(name, kappa=1.3, t=1.0, n_qubits=n)
         seed, m_total = 17, 60
         report = estimation.run_cr_experiment(
             model, theta, n_samples=m_total, n_replicates=200, seed=seed
         )
-        dist = estimation.born_probabilities(model.state_fn(theta), model.measurement)
+        p = model.p_first(theta)
+        dist = classical.Distribution(("first", "second"), np.array([p, 1.0 - p]))
         for r, estimate in enumerate(report.estimates):
             counts = estimation.sample_outcomes(dist, m_total, seed=(seed, r))
             assert estimate == estimation.mle(model, counts)
+
+    @pytest.mark.parametrize("name, n", [("transverse-qubit", 1), ("ghz", 3), ("ghz", 24)])
+    @pytest.mark.parametrize("theta", [0.0, 0.1])
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_never_reads_the_dense_state(self, name, n, theta):
+        model = models.make_model(name, kappa=1.0, t=1.0, n_qubits=n)
+        blind = dataclasses.replace(model, state_fn=raising_state)
+        args = dict(n_samples=200, n_replicates=50, seed=8)
+        report = estimation.run_cr_experiment(blind, theta, **args)
+        assert report.to_json() == estimation.run_cr_experiment(model, theta, **args).to_json()
+
+    @pytest.mark.parametrize(
+        "name, theta",
+        [("classical-bit", 1.5), ("trig", -0.1), ("transverse-qubit", 0.5), ("ghz", -0.6)],
+    )
+    def test_domain_is_checked_before_anything_else(self, name, theta):
+        model = models.make_model(name, kappa=1.0, t=1.0, n_qubits=3)
+        blind = dataclasses.replace(model, state_fn=raising_state)
+        with pytest.raises(DomainError):
+            estimation.run_cr_experiment(blind, theta, n_samples=10, n_replicates=5, seed=0)
 
     def test_insufficient_replicates(self):
         model = models.make_model("classical-bit")
@@ -238,8 +264,9 @@ class TestRunCrExperiment:
         # Bernoulli(sin^2 theta) family whose information equals the QFI.
         model = models.make_model("trig")
         theta = 0.7
-        dist = estimation.born_probabilities(model.state_fn(theta), model.measurement)
-        assert dist.probs[0] == pytest.approx(math.sin(theta) ** 2, abs=1e-14)
+        p = model.p_first(theta)
+        assert p == pytest.approx(math.sin(theta) ** 2, abs=1e-14)
+        dist = classical.Distribution(("first", "second"), np.array([p, 1.0 - p]))
         dp = math.sin(2 * theta) * np.array([1.0, -1.0])
         fisher = classical.fisher_information(dist, dp)
         assert fisher == pytest.approx(quantum.model_qfi(model, theta), rel=1e-10)

@@ -336,5 +336,5 @@ class TestRegistry:
 
     def test_transverse_is_single_qubit(self):
         model = models.make_model("transverse-qubit", kappa=2.0, t=0.5, n_qubits=4)
-        assert model.dim == 2
+        assert model.state_fn(0.1).shape == (2, 2)
         assert model.domain == (-1.0, 1.0)

@@ -198,7 +198,7 @@ class TestBuresMetric:
 
     def test_underflow_raises_step_size_error(self):
         constant = models.ParametricModel(
-            name="constant", dim=2, state_fn=lambda theta: np.eye(2, dtype=complex) / 2
+            name="constant", state_fn=lambda theta: np.eye(2, dtype=complex) / 2
         )
         with pytest.raises(StepSizeError):
             quantum.bures_metric_fd(constant, 0.0, eps=1e-4)
@@ -256,11 +256,10 @@ def block_model(parts, name="block-model"):
     def state(theta):
         return dense(theta, 1)
 
-    dim = sum(mult * fam.dim for mult, _, fam in parts)
     return (
-        models.ParametricModel(name=name, dim=dim, state_fn=state, blocks_fn=blocks),
+        models.ParametricModel(name=name, state_fn=state, blocks_fn=blocks),
         models.ParametricModel(
-            name=f"{name}-dense", dim=dim, state_fn=state, derivative_fn=lambda th: dense(th, 2)
+            name=f"{name}-dense", state_fn=state, derivative_fn=lambda th: dense(th, 2)
         ),
     )
 
@@ -321,7 +320,6 @@ class TestDirectSum:
         bad = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         model = models.ParametricModel(
             name="bad-block",
-            dim=2,
             state_fn=lambda theta: bad,
             blocks_fn=lambda theta: [(1, bad, np.zeros((2, 2), dtype=complex))],
         )

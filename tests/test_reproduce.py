@@ -13,6 +13,8 @@ RESULT_FILES = (
     + [f"discontinuity_ghz_n{n}_t1.json" for n in (2, 3, 4)]
     + [f"cr_experiment_{case}.json" for case in RANK_CHANGE_CASES]
     + ["cr_experiment_transverse_t1.json", "cr_experiment_classical_bit_regular_p03.json"]
+    + [f"cr_experiment_ghz_n{n}_t1.json" for n in (2, 4, 8)]
+    + [f"cr_experiment_ghz_n{n}_regular_t1.json" for n in (2, 4, 8)]
 )
 
 
