@@ -24,11 +24,12 @@ import numpy as np
 from . import discontinuity, quantum
 from .classical import Distribution
 from .exceptions import (
-    DivergenceError,
     DomainError,
     InsufficientReplicatesError,
     InvalidInputError,
+    MultiBranchError,
     NotADiscontinuityError,
+    NumericalError,
     UnsupportedModelError,
 )
 from .models import ParametricModel
@@ -98,22 +99,30 @@ class EstimationReport:
 
 
 def _rank_change_note(model: ParametricModel, theta: float) -> str:
+    """The rank change at theta and the QFI limit there, as ``classify`` finds them.
+
+    Empty where the rank does not change.  Where ``classify`` cannot
+    resolve the point, the effective ranks and the limit are withheld:
+    the support cut that makes it fail miscounts both.
+    """
     try:
         _, _, r0, r_beside = discontinuity.rank_change(model, theta)
     except (NotADiscontinuityError, DomainError):
         return ""
-    note = (
-        f"rank changes at theta_true={theta} (effective rank {r0} vs {r_beside} nearby); "
-        "the fixed-rank Cramér-Rao bound is not valid here"
-    )
+    head = f"rank changes at theta_true={theta}"
+    not_valid = "the fixed-rank Cramér-Rao bound is not valid here"
     try:
-        lim = quantum.qfi_limit(model, theta)
-        note += f"; continuous-limit qfi = {lim.value:.6g} (reported, not asserted attainable)"
-    except DivergenceError:
-        note += "; continuous-limit qfi diverges"
+        report = discontinuity.classify(model, theta)
+    except (NumericalError, MultiBranchError) as err:
+        return f"{head}; {not_valid}; effective ranks and continuous-limit qfi not resolved ({err})"
     except DomainError as err:
-        note += f"; continuous-limit qfi not computed ({err})"
-    return note
+        limit = f"continuous-limit qfi not computed ({err})"
+    else:
+        if math.isinf(report.qfi_limit):
+            limit = "continuous-limit qfi diverges"
+        else:
+            limit = f"continuous-limit qfi = {report.qfi_limit:.6g} (reported, not asserted attainable)"
+    return f"{head} (effective rank {r0} vs {r_beside} nearby); {not_valid}; {limit}"
 
 
 def run_cr_experiment(

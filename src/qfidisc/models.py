@@ -460,10 +460,14 @@ def ghz_parity_probability(n_qubits: int, theta: float, kappa: float, t: float) 
     weights, the cross elements give <X^(x)N> = Re (b + f + i c)^N, so
     p(+) = (1 + Re (b + f + i c)^N) / 2, clamped at 1 like a Born
     probability.  For N = 1 this is the X measurement of the transverse
-    qubit.
+    qubit.  With kappa - xi = 4 theta^2 / (kappa + xi), b + f is summed as
+    e^(-(kappa - xi) t/2) + (kappa - xi) f / kappa, two nonnegative terms
+    that are exactly 1 and 0 at theta = 0, so p(+) is exactly 1 there.
     """
-    _, _, b, f, c = ghz_coefficients(theta, kappa, t)
-    return min(0.5 * (1.0 + (complex(b + f, c) ** n_qubits).real), 1.0)
+    _, _, _, f, c = ghz_coefficients(theta, kappa, t)
+    gap = 4.0 * theta**2 / (kappa + math.sqrt(kappa**2 - 4.0 * theta**2))
+    b_plus_f = math.exp(-gap * t / 2.0) + gap * f / kappa
+    return min(0.5 * (1.0 + (complex(b_plus_f, c) ** n_qubits).real), 1.0)
 
 
 def _bisect(go_right: Callable[[float], bool], lo: float, hi: float) -> float:
@@ -481,10 +485,10 @@ def _bisect(go_right: Callable[[float], bool], lo: float, hi: float) -> float:
             hi = mid
 
 
-def _parity_turning_point(n_qubits: int, kappa: float, t: float, points: int = 256) -> float:
+def _parity_turning_point(n_qubits: int, kappa: float, t: float) -> float:
     """First zero of dp(+)/dtheta on (0, 0.49 kappa], or 0.49 kappa without one.
 
-    The first sign change on a grid of ``points`` steps is bisected.
+    The first sign change on a grid of 256 steps is bisected.
     """
 
     def falling(theta: float) -> bool:  # dp(+)/dtheta < 0
@@ -492,7 +496,7 @@ def _parity_turning_point(n_qubits: int, kappa: float, t: float, points: int = 2
         db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
         return (complex(b + f, c) ** (n_qubits - 1) * complex(db + df, dc)).real < 0.0
 
-    grid = [0.49 * kappa * k / points for k in range(points + 1)]
+    grid = [0.49 * kappa * k / 256 for k in range(257)]
     for lo, hi in zip(grid, grid[1:]):
         if not falling(hi):
             return _bisect(falling, lo, hi)

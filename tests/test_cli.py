@@ -348,6 +348,13 @@ class TestMcCommand:
         report = json.loads(out)
         assert report["sample_variance"] == 0.0
         assert report["violated"] is True
+        if n == "2":
+            assert "(effective rank 2 vs 4 nearby)" in report["notes"]
+            assert "continuous-limit qfi = 2.27067 (reported" in report["notes"]
+        else:
+            # The support cut miscounts the ranks and the limit at N = 24.
+            assert "effective ranks and continuous-limit qfi not resolved" in report["notes"]
+            assert "nearby" not in report["notes"]
 
     @pytest.mark.parametrize(
         "model, theta",
