@@ -36,9 +36,12 @@ GAP_FRACTION = 0.5
 JUMP_AGREEMENT = 1e-2
 
 
-def _block_spectra(model, theta: float) -> list:
-    blocks = quantum._model_blocks(model, theta, derivative=False)
-    return [(mult, quantum._decompose(block)) for mult, block, _ in blocks]
+def _block_spectra(model, thetas) -> list:
+    """[(multiplicity, SpectralData)] per block at each of ``thetas``, read in one stack."""
+    return [
+        [(mult, spect) for mult, _, _, spect in terms]
+        for terms in quantum._model_blocks(model, thetas, derivative=False)
+    ]
 
 
 def _rank(spectra: list) -> int:
@@ -63,8 +66,8 @@ def rank_change(model, theta_bar: float, h: float | None = None):
     sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
     if not sides:
         raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
-    at_bar = _block_spectra(model, theta_bar)
-    beside = {s: _block_spectra(model, theta_bar + s * h) for s in sides}
+    at_bar, *outer = _block_spectra(model, [theta_bar] + [theta_bar + s * h for s in sides])
+    beside = dict(zip(sides, outer))
     r0 = _rank(at_bar)
     side_ranks = {s: _rank(spectra) for s, spectra in beside.items()}
     if any(r <= r0 for r in side_ranks.values()):
@@ -106,11 +109,9 @@ def vanishing_eigenvalue_branch(model, theta_bar: float, h: float | None = None)
     if h is None:
         h = base_step(theta_bar)
     at_bar, beside, r0, r_beside = rank_change(model, theta_bar, h)
-    spectra = {0.0: at_bar}
-    for s, outer in beside.items():
-        spectra[s] = outer
-        for frac in (0.25, 0.5):
-            spectra[frac * s] = _block_spectra(model, theta_bar + frac * s * h)
+    inner = [frac * s for s in beside for frac in (0.25, 0.5)]
+    spectra = {0.0: at_bar, **beside}
+    spectra.update(zip(inner, _block_spectra(model, [theta_bar + o * h for o in inner])))
 
     def weight(offset: float) -> float:
         w = 0.0

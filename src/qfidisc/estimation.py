@@ -9,9 +9,9 @@ variance is compared with the fixed-rank bound 1/(M Q); at rank-changing
 parameter values the bound is deliberately still reported so its
 violation is visible.
 
-Randomness: NumPy PCG64 generators seeded through SeedSequence with the
-entropy pair (seed, replicate_index), so serial and parallel execution of
-the replicates produce identical reports, bit for bit.
+Randomness: replicate r draws from its own NumPy PCG64 stream, seeded
+through SeedSequence with the pair (seed, r); no stream is drawn where the
+first outcome has probability exactly 0 or 1, as every stream draws alike.
 """
 
 from __future__ import annotations
@@ -137,11 +137,14 @@ def run_cr_experiment(
     Each replicate samples the model's two outcomes, with probabilities
     p_first(theta_true) and 1 - p_first(theta_true) clamped to [0, 1] and
     renormalized, from its own stream; the estimate is solved once per
-    distinct count vector, since it depends on nothing else.  Neither
-    step calls ``state_fn``; the QFI and the rank-change note read the
-    model's blocks where it has them.  The violation flag is set when the
-    replicate variance falls more than three standard errors of the
-    variance below the bound, with Var(s^2) ~ 2 s^4 / (R - 1).
+    distinct count vector, since it depends on nothing else.  Where the
+    first probability is exactly 0 or 1 the law is a point mass: every
+    replicate gets the estimate of the one count vector it allows, and no
+    stream is drawn.  Neither step calls ``state_fn``; the QFI and the
+    rank-change note read the model's blocks where it has them.  The
+    violation flag is set when the replicate variance falls more than
+    three standard errors of the variance below the bound, with
+    Var(s^2) ~ 2 s^4 / (R - 1).
     """
     if n_replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {n_replicates}")
@@ -151,16 +154,24 @@ def run_cr_experiment(
         raise DomainError(f"theta={theta_true} outside the domain {model.domain} of {model.name!r}")
     p = model.p_first(theta_true)
     probs = np.clip([p, 1.0 - p], 0.0, 1.0)
-    dist = Distribution(("first", "second"), probs / probs.sum())
+    probs = probs / probs.sum()
 
-    estimates = np.empty(n_replicates)
-    solved: dict[bytes, float] = {}
-    for r in range(n_replicates):
-        counts = sample_outcomes(dist, n_samples, seed=(seed, r))
-        key = counts.tobytes()
-        if key not in solved:
-            solved[key] = mle(model, counts)
-        estimates[r] = solved[key]
+    if probs[0] in (0.0, 1.0):
+        # A point mass: every stream would draw these counts.
+        if n_samples < 1:
+            raise InvalidInputError("n_samples must be >= 1")
+        counts = [n_samples, 0] if probs[0] == 1.0 else [0, n_samples]
+        estimates = np.full(n_replicates, mle(model, counts))
+    else:
+        dist = Distribution(("first", "second"), probs)
+        estimates = np.empty(n_replicates)
+        solved: dict[bytes, float] = {}
+        for r in range(n_replicates):
+            counts = sample_outcomes(dist, n_samples, seed=(seed, r))
+            key = counts.tobytes()
+            if key not in solved:
+                solved[key] = mle(model, counts)
+            estimates[r] = solved[key]
 
     # Shifted two-pass variance: identical replicate estimates must give
     # exactly zero, which the unshifted mean subtraction misses by rounding.

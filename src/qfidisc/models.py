@@ -53,7 +53,13 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import BoundarySolutionWarning, DomainError, InvalidInputError, StepSizeError
+from .exceptions import (
+    BoundarySolutionWarning,
+    DomainError,
+    InvalidInputError,
+    NumericalError,
+    StepSizeError,
+)
 
 
 # (multiplicity, block, d block / d theta) for each block of a direct sum.
@@ -136,6 +142,17 @@ def _check_ghz_domain(theta: float, kappa: float, t: float) -> None:
         raise DomainError(f"|theta|={abs(theta)} >= kappa/2={kappa / 2}; coefficients not real")
 
 
+def _cosh_sinh(x: float) -> tuple[float, float]:
+    """(cosh x, sinh x); a ``NumericalError`` where they overflow (x above ~710)."""
+    try:
+        return math.cosh(x), math.sinh(x)
+    except OverflowError:
+        raise NumericalError(
+            f"cosh and sinh of xi*t/2 = {x:g} overflow; the GHZ coefficients are not "
+            "representable at this kappa*t"
+        ) from None
+
+
 def ghz_coefficients(theta: float, kappa: float, t: float) -> tuple[float, float, float, float, float]:
     """Coefficient functions (a, d, b, f, c) of the evolved GHZ elements."""
     _check_ghz_domain(theta, kappa, t)
@@ -143,8 +160,9 @@ def ghz_coefficients(theta: float, kappa: float, t: float) -> tuple[float, float
     decay = math.exp(-kappa * t / 2.0)
     a = 0.5 * (1.0 + math.exp(-kappa * t))
     d = 0.5 * (1.0 - math.exp(-kappa * t))
-    b = decay * math.cosh(xi * t / 2.0)
-    g = math.sinh(xi * t / 2.0) / xi
+    ch, sh = _cosh_sinh(xi * t / 2.0)
+    b = decay * ch
+    g = sh / xi
     f = kappa * decay * g
     c = 2.0 * theta * decay * g
     return a, d, b, f, c
@@ -158,8 +176,7 @@ def ghz_coefficient_derivatives(theta: float, kappa: float, t: float) -> tuple[f
     _check_ghz_domain(theta, kappa, t)
     xi = math.sqrt(kappa**2 - 4.0 * theta**2)
     decay = math.exp(-kappa * t / 2.0)
-    sh = math.sinh(xi * t / 2.0)
-    ch = math.cosh(xi * t / 2.0)
+    ch, sh = _cosh_sinh(xi * t / 2.0)
     g = sh / xi
     # dxi/dtheta = -4 theta / xi
     dg = (-4.0 * theta / xi**3) * (0.5 * t * xi * ch - sh)

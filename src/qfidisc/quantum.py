@@ -35,6 +35,11 @@ vanishing determinant enters only through sqrt(det A det B), damped by
 det B; an eigendecomposition would take the square root of the
 roundoff-level eigenvalue itself, which swamps 1 - F at small steps.
 Larger blocks go through explicit eigendecompositions.
+
+Model-level routines read all their sample points in one stacked call
+(``_model_blocks``): the blocks of every point, stacked by shape, are
+checked and eigendecomposed once per stack, and each block's result equals
+the one it gets when read alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -85,10 +90,12 @@ class SpectralData:
 
 
 def validate_hermitian(op: np.ndarray, tol: float = 1e-10, what: str = "operator") -> np.ndarray:
+    """Check that ``op`` is a Hermitian matrix, or a stack of them along its
+    leading axes, within ``tol`` entrywise; returns it as a complex array."""
     op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+    if op.ndim < 2 or op.shape[-2] != op.shape[-1]:
         raise InvalidInputError(f"{what} must be a square matrix, got shape {op.shape}")
-    if np.max(np.abs(op - op.conj().T)) > tol:
+    if np.max(np.abs(op - op.conj().swapaxes(-1, -2))) > tol:
         raise InvalidInputError(f"{what} is not Hermitian within {tol:g}")
     return op
 
@@ -100,6 +107,9 @@ def validate_density_matrix(rho: np.ndarray, check_psd: bool = False) -> np.ndar
     positivity (within 1e-10) only when ``check_psd`` is set since it
     costs a full eigensolve.
     """
+    if np.ndim(rho) != 2:
+        shape = np.shape(rho)
+        raise InvalidInputError(f"density matrix must be a square matrix, got shape {shape}")
     rho = validate_hermitian(rho, _HERMITIAN_TOL, "density matrix")
     tr = np.trace(rho)
     if abs(tr - 1.0) > _TRACE_TOL:
@@ -113,20 +123,25 @@ def validate_density_matrix(rho: np.ndarray, check_psd: bool = False) -> np.ndar
 
 def spectral_decompose(rho: np.ndarray) -> SpectralData:
     """Eigendecompose a density matrix, descending order, clamped spectrum."""
-    return _decompose(validate_density_matrix(rho))
+    return _decompose(validate_density_matrix(rho)[None])[0]
 
 
-def _decompose(rho: np.ndarray) -> SpectralData:
-    """Eigendecompose a Hermitian PSD matrix of any trace (a state or a block)."""
+def _decompose(stack: np.ndarray) -> list[SpectralData]:
+    """Eigendecompose a stack of Hermitian PSD matrices of any trace (states
+    or blocks) in one call; LAPACK solves each matrix of the stack as it
+    would alone, so every result equals that of its matrix by itself."""
     try:
-        lam, vecs = np.linalg.eigh(rho)
+        lam, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(lam)[::-1]
-    lam = np.maximum(lam[order], 0.0)
-    vecs = vecs[:, order]
-    rank = int(np.count_nonzero(lam > SUPPORT_TOL))
-    return SpectralData(lam, vecs, rank)
+    order = np.argsort(lam, axis=-1)[:, ::-1]
+    rows = np.arange(len(order))[:, None]
+    lam = np.maximum(lam[rows, order], 0.0)
+    # Columns gathered into the memory layout that vecs[:, order] gives one
+    # matrix, so products with them run as they would for that matrix alone.
+    vecs = vecs.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
+    ranks = (lam > SUPPORT_TOL).sum(axis=-1).tolist()
+    return list(map(SpectralData, lam, vecs, ranks))
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
@@ -234,45 +249,71 @@ def state_derivative(model, theta: float) -> np.ndarray:
     raise DomainError(f"cannot differentiate {model.name} at theta={theta}: no room in domain")
 
 
-def _model_blocks(model, theta: float, derivative: bool = True) -> list:
-    """The state at theta as a checked direct sum [(multiplicity, block, dblock)].
+def _model_blocks(model, thetas, derivative: bool = True, decompose: bool = True) -> list:
+    """The state at each of ``thetas`` as a checked direct sum.
 
-    Uses ``model.blocks_fn`` when the model has one; otherwise the state is
-    one block of multiplicity 1 with ``state_derivative`` as its derivative.
-    Without ``derivative`` the dblock entries are None (and, for a model
-    without blocks, never computed).  Every block must be Hermitian within
-    1e-12, every dblock within 1e-10, and the weighted traces must sum to 1
-    within 1e-10.
+    Returns one list per theta of (multiplicity, block, dblock, spectrum)
+    terms.  Uses ``model.blocks_fn`` when the model has one; otherwise the
+    state is one block of multiplicity 1 with ``state_derivative`` as its
+    derivative.  Without ``derivative`` the dblock entries are None (and,
+    for a model without blocks, never computed); without ``decompose`` the
+    spectrum entries are None.
+
+    The blocks of all thetas are stacked by shape, and each stack is read
+    at once: one Hermiticity check of its blocks (within 1e-12), one of
+    their dblocks (within 1e-10), one trace per block, and one
+    eigendecomposition.  At every theta the weighted traces must sum to 1
+    within 1e-10, summed in block order.
     """
-    if model.blocks_fn is not None:
-        raw = model.blocks_fn(theta)
-    else:
-        raw = [(1, model.state_fn(theta), state_derivative(model, theta) if derivative else None)]
-    blocks = []
-    total = 0.0
-    for mult, block, dblock in raw:
-        block = validate_hermitian(block, _HERMITIAN_TOL, "density block")
-        if derivative:
-            dblock = validate_hermitian(dblock, 1e-10, "state derivative")
-            if block.shape != dblock.shape:
-                raise InvalidInputError("state and derivative dimensions differ")
+    raw = []
+    for theta in thetas:
+        if model.blocks_fn is not None:
+            raw.append(model.blocks_fn(theta))
         else:
-            dblock = None
-        total += mult * float(np.trace(block).real)
-        blocks.append((mult, block, dblock))
-    if abs(total - 1.0) > _TRACE_TOL:
-        raise InvalidInputError(
-            f"density matrix trace {total} differs from 1 beyond {_TRACE_TOL:g}"
-        )
-    return blocks
+            dblock = state_derivative(model, theta) if derivative else None
+            raw.append([(1, model.state_fn(theta), dblock)])
+    flat = [term for terms in raw for term in terms]
+    by_shape: dict[tuple, list[int]] = {}
+    for k, term in enumerate(flat):
+        by_shape.setdefault(np.shape(term[1]), []).append(k)
+    read = [None] * len(flat)
+    weighted_traces = [0.0] * len(flat)
+    for shape, idx in by_shape.items():
+        blocks = validate_hermitian([flat[k][1] for k in idx], _HERMITIAN_TOL, "density block")
+        dblocks = spectra = [None] * len(idx)
+        if derivative:
+            if any(np.shape(flat[k][2]) != shape for k in idx):
+                raise InvalidInputError("state and derivative dimensions differ")
+            dblocks = validate_hermitian([flat[k][2] for k in idx], 1e-10, "state derivative")
+        if decompose:
+            spectra = _decompose(blocks)
+        traces = np.trace(blocks, axis1=-2, axis2=-1).real.tolist()
+        for k, block, dblock, spect, trace in zip(idx, blocks, dblocks, spectra, traces):
+            mult = flat[k][0]
+            read[k] = (mult, block, dblock, spect)
+            weighted_traces[k] = mult * trace
+    out = []
+    start = 0
+    for terms in raw:
+        stop = start + len(terms)
+        total = 0.0
+        for weighted in weighted_traces[start:stop]:
+            total += weighted
+        if abs(total - 1.0) > _TRACE_TOL:
+            raise InvalidInputError(
+                f"density matrix trace {total} differs from 1 beyond {_TRACE_TOL:g}"
+            )
+        out.append(read[start:stop])
+        start = stop
+    return out
 
 
-def model_qfi(model, theta: float) -> float:
-    """QFI of a parametric model at a point: sum_j m_j Q(B_j, dB_j) over its blocks."""
+def _direct_sum_qfi(terms: list) -> float:
+    """sum_j m_j Q(B_j, dB_j) over the terms of one ``_model_blocks`` direct sum."""
     total = 0.0
     weighted = False
-    for mult, block, dblock in _model_blocks(model, theta):
-        d_eig, denom, mask = _overlaps(_decompose(block), dblock)
+    for mult, _, dblock, spect in terms:
+        d_eig, denom, mask = _overlaps(spect, dblock)
         if mask.any():
             total += mult * _qfi_sum(d_eig, denom, mask)
             weighted = True
@@ -281,11 +322,16 @@ def model_qfi(model, theta: float) -> float:
     return total
 
 
+def model_qfi(model, theta: float) -> float:
+    """QFI of a parametric model at a point: sum_j m_j Q(B_j, dB_j) over its blocks."""
+    return _direct_sum_qfi(_model_blocks(model, [theta])[0])
+
+
 def _direct_sum_fidelity(blocks_a: list, blocks_b: list) -> float:
     """Uhlmann fidelity of two states given as matching direct sums, clamped to [0, 1]."""
-    if [m for m, _, _ in blocks_a] != [m for m, _, _ in blocks_b]:
+    if [m for m, *_ in blocks_a] != [m for m, *_ in blocks_b]:
         raise InvalidInputError("block multiplicities differ between the two states")
-    f = sum(m * _block_fidelity(a, b) for (m, a, _), (_, b, _) in zip(blocks_a, blocks_b))
+    f = sum(m * _block_fidelity(a, b) for (m, a, *_), (_, b, *_) in zip(blocks_a, blocks_b))
     return min(max(f, 0.0), 1.0)
 
 
@@ -296,35 +342,31 @@ def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
     extrapolates from eps and eps/2.  The two-sided average has an error
     even in eps, removed by (4 q(eps/2) - q(eps)) / 3; on a domain edge the
     one-sided quotient has a first-order error, removed by
-    2 q(eps/2) - q(eps).  The fidelity is summed over the model's blocks.
+    2 q(eps/2) - q(eps).  The fidelity is summed over the model's blocks,
+    read at theta and every shifted point in one stacked call.
     """
     if eps <= 0:
         raise StepSizeError("eps must be positive")
-    blocks0 = _model_blocks(model, theta, derivative=False)
-    above = model.in_domain(theta + eps)
-    below = model.in_domain(theta - eps)
-    if not (above or below):
+    signs = [s for s in (+1.0, -1.0) if model.in_domain(theta + s * eps)]
+    points = [theta] + [theta + sign * e for e in (eps, eps / 2.0) for sign in signs]
+    blocks0, *shifted = _model_blocks(model, points, derivative=False, decompose=False)
+    if not signs:
         raise DomainError(f"no room around theta={theta} in the domain of {model.name}")
 
-    def quotient(e: float) -> float:
+    def quotient(e: float, sides: list) -> float:
         total = 0.0
-        sides = 0
-        for sign, ok in ((+1.0, above), (-1.0, below)):
-            if not ok:
-                continue
-            shifted = _model_blocks(model, theta + sign * e, derivative=False)
-            gap = 1.0 - _direct_sum_fidelity(blocks0, shifted)
+        for blocks in sides:
+            gap = 1.0 - _direct_sum_fidelity(blocks0, blocks)
             if gap < _UNDERFLOW_TOL:
                 raise StepSizeError(
                     f"1 - fidelity = {gap:.3e} underflows at eps={e:g}; increase eps"
                 )
             total += 2.0 * gap / e**2
-            sides += 1
-        return total / sides
+        return total / len(sides)
 
-    q_full = quotient(eps)
-    q_half = quotient(eps / 2.0)
-    if above and below:
+    q_full = quotient(eps, shifted[: len(signs)])
+    q_half = quotient(eps / 2.0, shifted[len(signs) :])
+    if len(signs) == 2:
         return (4.0 * q_half - q_full) / 3.0
     return 2.0 * q_half - q_full
 
@@ -367,7 +409,7 @@ def qfi_limit(
     for th in thetas:
         if not model.in_domain(th):
             raise DomainError(f"theta={th} outside the domain of {model.name} (side={side})")
-    values = np.array([model_qfi(model, th) for th in thetas])
+    values = np.array([_direct_sum_qfi(terms) for terms in _model_blocks(model, thetas)])
     extrapolants = richardson_limit(values)
     diff = abs(extrapolants[-1] - extrapolants[-2])
     scale = max(abs(extrapolants[-1]), 1e-6)

@@ -401,6 +401,35 @@ class TestMcCommand:
         assert first == second
 
 
+class TestCoefficientOverflow:
+    # At kappa = 1, t = 2000, xi*t/2 = 1000 lies past the ~710 where cosh
+    # and sinh overflow a double: a numerical failure, not a usage error.
+    LONG = ["--model", "ghz", "--qubits", "3", "--kappa", "1", "--time", "2000"]
+
+    def test_qfi_scan_marks_every_row(self, capsys):
+        code, stdout, err = run_cli(["qfi-scan", *self.LONG, "--grid", "0:0.2:3"], capsys)
+        assert code == 2  # every failed row exits nonzero, as for a domain error
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert len(rows) == 3
+        assert all(r[c] == "error(NumericalError)" for r in rows for c in list(r)[1:])
+        assert err == ""
+
+    def test_discontinuity_exits_3(self, capsys):
+        code, stdout, err = run_cli(["discontinuity", *self.LONG, "--theta-bar", "0"], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("numerical failure: cosh and sinh of xi*t/2 = 1000 overflow")
+
+    def test_mc_exits_3(self, capsys):
+        code, stdout, err = run_cli(["mc", *self.LONG, "--theta-bar", "0.1"], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("numerical failure: cosh and sinh")
+
+    def test_ghz_scan_exits_3(self, capsys):
+        code, stdout, err = run_cli(["ghz-scan", "--qubits", "2", "--grid=1000:2000:2"], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("numerical failure: cosh and sinh")
+
+
 # One call of each command, plus a usage error and a domain error; ghz-scan
 # rewrites fields of its namespace, and the first grid starts with a minus.
 REPEATED_CALLS = [

@@ -52,6 +52,33 @@ class TestVanishingEigenvalueBranch:
             lam = 0.5 * (1.0 - math.hypot(b + f, c))
             assert val == pytest.approx(lam, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "name, n, kappa, t, theta_bar",
+        [
+            ("classical-bit", 1, 1.0, 1.0, 0.0),
+            ("classical-bit", 1, 1.0, 1.0, 1.0),
+            ("trig", 1, 1.0, 1.0, 0.0),
+            ("trig", 1, 1.0, 1.0, math.pi / 2),
+            ("transverse-qubit", 1, 1.0, 1.0, 0.0),
+            ("ghz", 2, 1.0, 1.0, 0.0),
+            ("ghz", 8, 2.0, 0.3, 0.0),
+            ("ghz", 24, 1.0, 3.0, 0.0),
+        ],
+    )
+    def test_stacked_values_equal_one_point_reads(self, name, n, kappa, t, theta_bar):
+        # The branch reads its seven points in two stacks (the rank check's
+        # three, then four more); each value must equal that of its point
+        # read alone, bit for bit.
+        model = models.make_model(name, kappa=kappa, t=t, n_qubits=n)
+        branch = discontinuity.vanishing_eigenvalue_branch(model, theta_bar)
+        (at_bar,) = discontinuity._block_spectra(model, [theta_bar])
+        for offset, value in zip(branch.offsets, branch.values):
+            (alone,) = discontinuity._block_spectra(model, [theta_bar + offset * branch.h])
+            w = 0.0
+            for (mult, bar), (_, sp) in zip(at_bar, alone):
+                w += mult * float(np.sum(sp.eigenvalues[bar.effective_rank :]))
+            assert value == w
+
     def test_regular_point_rejected(self):
         model = models.make_model("classical-bit")
         with pytest.raises(NotADiscontinuityError):

@@ -232,6 +232,47 @@ class TestRunCrExperiment:
         with pytest.raises(DomainError):
             estimation.run_cr_experiment(blind, theta, n_samples=10, n_replicates=5, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, n, theta",
+        [
+            ("classical-bit", 1, 0.0),
+            ("classical-bit", 1, 1.0),
+            ("trig", 1, 0.0),
+            ("trig", 1, math.pi / 2),
+            ("transverse-qubit", 1, 0.0),
+            ("ghz", 3, 0.0),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_point_mass_draws_no_stream(self, monkeypatch, name, n, theta):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sample_outcomes called on a point mass")
+
+        model = models.make_model(name, n_qubits=n)
+        assert model.p_first(theta) in (0.0, 1.0)
+        monkeypatch.setattr(estimation, "sample_outcomes", no_draw)
+        report = estimation.run_cr_experiment(model, theta, n_samples=40, n_replicates=30, seed=2)
+        assert len(report.estimates) == 30
+        assert np.all(report.estimates == report.estimates[0])
+        assert report.sample_variance == 0.0
+        assert report.violated is True
+        # The message sample_outcomes gives, not the estimator's "counts are empty".
+        with pytest.raises(InvalidInputError, match="n_samples must be >= 1"):
+            estimation.run_cr_experiment(model, theta, n_samples=0, n_replicates=30, seed=2)
+
+    def test_regular_point_draws_one_stream_per_replicate(self, monkeypatch):
+        seeds = []
+        draw = estimation.sample_outcomes
+
+        def counted(dist, n_samples, seed):
+            seeds.append(seed)
+            return draw(dist, n_samples, seed)
+
+        monkeypatch.setattr(estimation, "sample_outcomes", counted)
+        model = models.make_model("classical-bit")
+        estimation.run_cr_experiment(model, 0.3, n_samples=40, n_replicates=30, seed=2)
+        assert seeds == [(2, r) for r in range(30)]
+
     def test_insufficient_replicates(self):
         model = models.make_model("classical-bit")
         with pytest.raises(InsufficientReplicatesError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfidisc import models, quantum
-from qfidisc.exceptions import DomainError, InvalidInputError
+from qfidisc.exceptions import DomainError, InvalidInputError, NumericalError
 
 
 def fd_cross_derivative(m, n, kappa, t, h=1e-5, order=1):
@@ -128,6 +128,14 @@ class TestGhzCoefficients:
             models.ghz_coefficients(0.0, -1.0, 1.0)
         with pytest.raises(DomainError):
             models.ghz_coefficients(0.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize("theta, kappa, t", [(0.0, 1.0, 2000.0), (0.1, 1.0, 1500.0)])
+    def test_overflow_is_a_numerical_error(self, theta, kappa, t):
+        # xi*t/2 past ~710: cosh and sinh overflow a double.
+        with pytest.raises(NumericalError, match="overflow"):
+            models.ghz_coefficients(theta, kappa, t)
+        with pytest.raises(NumericalError, match="overflow"):
+            models.ghz_coefficient_derivatives(theta, kappa, t)
 
     @given(
         theta=st.floats(-0.4, 0.4),

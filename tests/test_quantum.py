@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, sqrtm
 
 from helpers import random_density, random_hermitian, rotation_model
-from qfidisc import models, quantum
+from qfidisc import discontinuity, models, quantum
 from qfidisc.exceptions import (
     DegenerateModelError,
     DivergenceError,
@@ -35,6 +36,18 @@ class TestSpectralDecompose:
         bad = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidInputError):
             quantum.spectral_decompose(bad)
+
+    def test_stack_of_states_rejected(self):
+        # validate_hermitian takes stacks; a single-state routine does not.
+        with pytest.raises(InvalidInputError):
+            quantum.spectral_decompose(np.array([np.eye(2) / 2] * 2))
+
+    def test_validate_hermitian_checks_every_matrix_of_a_stack(self):
+        stack = np.array([np.eye(2), np.eye(2), np.eye(2)], dtype=complex)
+        assert quantum.validate_hermitian(stack).shape == (3, 2, 2)
+        stack[2, 0, 1] = 1e-6
+        with pytest.raises(InvalidInputError):
+            quantum.validate_hermitian(stack)
 
     @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3, 4, 8, 16]))
     def test_reconstruction_and_orthonormality(self, seed, dim):
@@ -325,3 +338,115 @@ class TestDirectSum:
         )
         with pytest.raises(InvalidInputError):
             quantum.model_qfi(model, 0.0)
+
+
+def finite_difference_twin(model):
+    """The model with its analytic derivative dropped: central differences."""
+    return dataclasses.replace(model, derivative_fn=None)
+
+
+# (model, a point to read around): every registry model, GHZ at three N,
+# rotation models in 3 and 4 dimensions on finite-difference derivatives,
+# and the 2x2 + 3x3 direct sum.
+STACKED_CASES = [
+    ("classical-bit", lambda: models.make_model("classical-bit"), 0.0),
+    ("trig", lambda: models.make_model("trig"), math.pi / 2),
+    ("transverse-qubit", lambda: models.make_model("transverse-qubit"), 0.0),
+    ("ghz-2", lambda: models.make_model("ghz", n_qubits=2), 0.0),
+    ("ghz-8", lambda: models.make_model("ghz", kappa=2.0, t=0.3, n_qubits=8), 0.0),
+    ("ghz-24", lambda: models.make_model("ghz", n_qubits=24), 0.0),
+    ("rotation-3", lambda: finite_difference_twin(rotation_model(3, 4)), 0.3),
+    ("rotation-4", lambda: finite_difference_twin(rotation_model(4, 5)), -0.8),
+    (
+        "mixed-blocks",
+        lambda: block_model(
+            [(1, 0.4, rotation_model(2, 0)), (2, 0.3, rotation_model(3, 100))]
+        )[0],
+        0.2,
+    ),
+]
+
+
+class TestStackedReads:
+    """A value read in an n-point stack equals the same value read alone, bit for bit."""
+
+    @pytest.mark.parametrize("build, theta_bar", [c[1:] for c in STACKED_CASES],
+                             ids=[c[0] for c in STACKED_CASES])
+    def test_limit_samples_equal_one_point_qfis(self, build, theta_bar):
+        model = build()
+        try:
+            limit = quantum.qfi_limit(model, theta_bar)
+            thetas, values = limit.thetas, limit.qfi_values
+        except DivergenceError as err:  # the classical bit's second kind
+            thetas, values = err.thetas, err.values
+        alone = [quantum.model_qfi(model, th) for th in thetas]
+        assert list(values) == alone
+
+    @pytest.mark.parametrize("build, theta_bar", [c[1:] for c in STACKED_CASES],
+                             ids=[c[0] for c in STACKED_CASES])
+    def test_every_term_equals_its_one_point_read(self, build, theta_bar):
+        model = build()
+        sign = 1.0 if model.in_domain(theta_bar + 1e-2) else -1.0
+        thetas = [theta_bar + sign * 1e-2 * 2.0**-k for k in range(5)]
+        for stacked, theta in zip(quantum._model_blocks(model, thetas), thetas):
+            (alone,) = quantum._model_blocks(model, [theta])
+            assert len(stacked) == len(alone)
+            for (m, block, dblock, spect), (m1, block1, dblock1, spect1) in zip(stacked, alone):
+                assert m == m1
+                assert np.array_equal(block, block1) and np.array_equal(dblock, dblock1)
+                assert np.array_equal(spect.eigenvalues, spect1.eigenvalues)
+                assert np.array_equal(spect.eigenvectors, spect1.eigenvectors)
+                assert spect.effective_rank == spect1.effective_rank
+
+    def test_spectra_equal_one_matrix_eigensolves(self):
+        rng = np.random.default_rng(11)
+        for dim in (2, 3, 8):
+            stack = np.array([random_density(dim, rng) for _ in range(5)])
+            stack[1] = np.eye(dim) / dim  # a fully degenerate spectrum
+            for spect, rho in zip(quantum._decompose(stack), stack):
+                lam, vecs = np.linalg.eigh(rho)
+                order = np.argsort(lam)[::-1]
+                assert np.array_equal(spect.eigenvalues, np.maximum(lam[order], 0.0))
+                assert np.array_equal(spect.eigenvectors, vecs[:, order])
+
+
+def poisoned(model, call, kind):
+    """``model`` whose blocks_fn returns a bad first block on its ``call``-th call.
+
+    ``kind`` "hermitian" adds an upper-triangle entry; "trace" scales the
+    block by 1.01, so the weighted traces no longer sum to 1.
+    """
+    calls = iter(range(10**6))
+
+    def blocks(theta):
+        terms = model.blocks_fn(theta)
+        if next(calls) != call:
+            return terms
+        (mult, block, dblock), *rest = terms
+        if kind == "hermitian":
+            block = block + np.triu(np.full(block.shape, 1e-6), 1)
+        else:
+            block = 1.01 * block
+        return [(mult, block, dblock), *rest]
+
+    return dataclasses.replace(model, blocks_fn=blocks)
+
+
+# (routine on a transverse-qubit model, number of points it reads).
+POISONED_READS = [
+    ("model_qfi", lambda m: quantum.model_qfi(m, 0.1), 1),
+    ("qfi_limit", lambda m: quantum.qfi_limit(m, 0.0, side="above"), 6),
+    ("bures_metric_fd", lambda m: quantum.bures_metric_fd(m, 0.1), 5),
+    ("branch", lambda m: discontinuity.vanishing_eigenvalue_branch(m, 0.0), 7),
+]
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "trace"])
+@pytest.mark.parametrize("routine, n_points", [r[1:] for r in POISONED_READS],
+                         ids=[r[0] for r in POISONED_READS])
+def test_a_bad_block_at_any_stacked_point_is_rejected(routine, n_points, kind):
+    model = models.make_model("transverse-qubit")
+    routine(poisoned(model, n_points, kind))  # past the last read: untouched
+    for call in range(n_points):
+        with pytest.raises(InvalidInputError):
+            routine(poisoned(model, call, kind))
