@@ -148,17 +148,16 @@ def classical_discontinuity(
     family: Callable[[float], Distribution],
     theta_bar: float,
     vanishing_outcome,
-    h: float | None = None,
 ) -> ClassicalDiscontinuityReport:
     """Classify the Fisher-information behaviour where an outcome vanishes.
 
     ``family`` maps theta to a Distribution; the probability of
     ``vanishing_outcome`` must go to zero as theta -> theta_bar.  Speed and
     acceleration come from Richardson-extrapolated finite differences of
-    that probability (one-sided at a domain edge).
+    that probability (one-sided at a domain edge) at the base step
+    h = ``numdiff.base_step(theta_bar)``.
     """
-    if h is None:
-        h = base_step(theta_bar)
+    h = base_step(theta_bar)
 
     def q(theta: float) -> float:
         return family(theta).prob_of(vanishing_outcome)

@@ -43,6 +43,27 @@ class _UsageError(Exception):
     pass
 
 
+# Exit code and stderr label of every failure a command reports; an error
+# takes the entry of the nearest class in its method resolution order.
+_FAILURES = {
+    _UsageError: (EXIT_USAGE, "usage error"),
+    UnsupportedModelError: (EXIT_USAGE, "usage error"),
+    InsufficientReplicatesError: (EXIT_USAGE, "usage error"),
+    NotADiscontinuityError: (EXIT_DOMAIN, "not a discontinuity"),
+    DomainError: (EXIT_DOMAIN, "domain error"),
+    InvalidInputError: (EXIT_DOMAIN, "domain error"),
+    NumericalError: (EXIT_NUMERICAL, "numerical failure"),
+    StepSizeError: (EXIT_NUMERICAL, "numerical failure"),
+    DivergenceError: (EXIT_NUMERICAL, "numerical failure"),
+    MultiBranchError: (EXIT_NUMERICAL, "numerical failure"),
+    DegenerateModelError: (EXIT_NUMERICAL, "numerical failure"),
+}
+
+
+def _failure(err: Exception) -> tuple[int, str]:
+    return next(_FAILURES[cls] for cls in type(err).__mro__ if cls in _FAILURES)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we use 1
         raise _UsageError(message)
@@ -111,23 +132,24 @@ def cmd_qfi_scan(args) -> int:
     model = _build_model(args)
     columns = ["theta", "qfi", "bures_metric", "four_g_minus_qfi"]
     rows = []
-    failed = False
+    code = EXIT_OK
     for theta in grid:
         theta = float(theta)
         try:
             q = quantum.model_qfi(model, theta)
-            g = quantum.bures_metric_fd(model, theta, eps=args.eps)
+            g = quantum.bures_metric_fd(model, theta)
             rows.append(
                 {"theta": theta, "qfi": q, "bures_metric": g, "four_g_minus_qfi": 4.0 * g - q}
             )
         except (DomainError, StepSizeError, DivergenceError, NumericalError) as err:
-            failed = True
+            # A numerical failure outranks a domain one: EXIT_NUMERICAL > EXIT_DOMAIN.
+            code = max(code, _failure(err)[0])
             marker = f"error({type(err).__name__})"
             rows.append(
                 {"theta": theta, "qfi": marker, "bures_metric": marker, "four_g_minus_qfi": marker}
             )
     _emit_table(rows, columns, args.format, args.output)
-    return EXIT_DOMAIN if failed else EXIT_OK
+    return code
 
 
 def cmd_discontinuity(args) -> int:
@@ -138,6 +160,13 @@ def cmd_discontinuity(args) -> int:
 
 
 def cmd_ghz_scan(args) -> int:
+    try:
+        qubit_list = [int(x) for x in args.qubits.split(",") if x]
+    except ValueError:
+        raise _UsageError(f"bad --qubits list {args.qubits!r}") from None
+    if not qubit_list:
+        raise _UsageError("empty --qubits list")
+    grid = parse_grid(args.grid)
     columns = [
         "N",
         "t",
@@ -147,8 +176,8 @@ def cmd_ghz_scan(args) -> int:
         "qfi_discontinuous_per_t",
     ]
     rows = []
-    for n in args.qubit_list:
-        for t in args.grid:
+    for n in qubit_list:
+        for t in grid:
             t = float(t)
             qc = models.ghz_qfi_continuous(n, args.kappa, t)
             qd = models.ghz_qfi_discontinuous(n, args.kappa, t)
@@ -199,11 +228,12 @@ def build_parser() -> _Parser:
     _add_model_options(scan)
     scan.add_argument("--grid", required=True)
     scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    scan.add_argument("--eps", type=float, default=1e-4, help="fidelity finite-difference step")
+    scan.set_defaults(run=cmd_qfi_scan)
 
     disc = subs.add_parser("discontinuity", help="classify a rank-change point")
     _add_model_options(disc)
     disc.add_argument("--theta-bar", type=float, required=True)
+    disc.set_defaults(run=cmd_discontinuity)
 
     ghz = subs.add_parser("ghz-scan", help="closed-form GHZ QFIs over a time grid")
     ghz.add_argument("--qubits", required=True, help="comma-separated qubit counts")
@@ -211,6 +241,7 @@ def build_parser() -> _Parser:
     ghz.add_argument("--kappa", type=float, default=1.0)
     ghz.add_argument("--format", choices=("csv", "json"), default="csv")
     ghz.add_argument("--output", default=None)
+    ghz.set_defaults(run=cmd_ghz_scan)
 
     mc = subs.add_parser("mc", help="Monte Carlo Cramér-Rao experiment")
     _add_model_options(mc)
@@ -219,6 +250,7 @@ def build_parser() -> _Parser:
     mc.add_argument("--replicates", type=int, default=1000)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--expect-violation", action="store_true")
+    mc.set_defaults(run=cmd_mc)
 
     return parser
 
@@ -251,40 +283,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(_attach_grid_values(argv))
-        if args.command == "qfi-scan":
-            return cmd_qfi_scan(args)
-        if args.command == "discontinuity":
-            return cmd_discontinuity(args)
-        if args.command == "ghz-scan":
-            try:
-                args.qubit_list = [int(x) for x in args.qubits.split(",") if x]
-            except ValueError:
-                raise _UsageError(f"bad --qubits list {args.qubits!r}") from None
-            if not args.qubit_list:
-                raise _UsageError("empty --qubits list")
-            args.grid = parse_grid(args.grid)
-            return cmd_ghz_scan(args)
-        if args.command == "mc":
-            return cmd_mc(args)
-        raise _UsageError(f"unknown command {args.command!r}")  # pragma: no cover
-    except (_UsageError, UnsupportedModelError, InsufficientReplicatesError) as err:
-        sys.stderr.write(f"usage error: {err}\n")
-        return EXIT_USAGE
-    except NotADiscontinuityError as err:
-        sys.stderr.write(f"not a discontinuity: {err}\n")
-        return EXIT_DOMAIN
-    except (DomainError, InvalidInputError) as err:
-        sys.stderr.write(f"domain error: {err}\n")
-        return EXIT_DOMAIN
-    except (
-        NumericalError,
-        StepSizeError,
-        DivergenceError,
-        MultiBranchError,
-        DegenerateModelError,
-    ) as err:
-        sys.stderr.write(f"numerical failure: {err}\n")
-        return EXIT_NUMERICAL
+        return args.run(args)
+    except tuple(_FAILURES) as err:
+        code, label = _failure(err)
+        sys.stderr.write(f"{label}: {err}\n")
+        return code
 
 
 def entrypoint() -> None:  # console-script shim

@@ -48,10 +48,10 @@ def _rank(spectra: list) -> int:
     return sum(mult * sp.effective_rank for mult, sp in spectra)
 
 
-def rank_change(model, theta_bar: float, h: float | None = None):
+def rank_change(model, theta_bar: float):
     """Block spectra and effective ranks at theta_bar and theta_bar +/- h.
 
-    ``h`` defaults to ``numdiff.base_step(theta_bar)``, the base step of
+    h is ``numdiff.base_step(theta_bar)``, the base step of
     ``vanishing_eigenvalue_branch``.
 
     Returns (spectra at theta_bar, {side: spectra at theta_bar + side * h},
@@ -61,8 +61,7 @@ def rank_change(model, theta_bar: float, h: float | None = None):
     inside, and ``NotADiscontinuityError`` unless the rank rises on every
     side.
     """
-    if h is None:
-        h = base_step(theta_bar)
+    h = base_step(theta_bar)
     sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
     if not sides:
         raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
@@ -98,17 +97,17 @@ class BranchSamples:
         return dict(zip(self.offsets, self.values))
 
 
-def vanishing_eigenvalue_branch(model, theta_bar: float, h: float | None = None) -> BranchSamples:
-    """Sample the vanishing weight at theta_bar + {0, +/-1/4, +/-1/2, +/-1} h.
+def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
+    """Sample the vanishing weight at theta_bar + {0, +/-1/4, +/-1/2, +/-1} h,
+    h = ``numdiff.base_step(theta_bar)``.
 
     Only sides inside the domain are sampled, and the rank must rise on
     each (``rank_change``).  Raises ``MultiBranchError`` when a sampled
     vanishing eigenvalue exceeds GAP_FRACTION of its block's smallest
     non-vanishing eigenvalue at theta_bar.
     """
-    if h is None:
-        h = base_step(theta_bar)
-    at_bar, beside, r0, r_beside = rank_change(model, theta_bar, h)
+    h = base_step(theta_bar)
+    at_bar, beside, r0, r_beside = rank_change(model, theta_bar)
     inner = [frac * s for s in beside for frac in (0.25, 0.5)]
     spectra = {0.0: at_bar, **beside}
     spectra.update(zip(inner, _block_spectra(model, [theta_bar + o * h for o in inner])))
@@ -167,15 +166,19 @@ class DiscontinuityReport:
         return out
 
 
-def classify(model, theta_bar: float, h: float | None = None) -> DiscontinuityReport:
+def classify(model, theta_bar: float) -> DiscontinuityReport:
     """Full discontinuity analysis of a model at theta_bar.
+
+    The vanishing weight is sampled at the base step
+    ``numdiff.base_step(theta_bar)`` and the QFI limit taken with
+    ``quantum.qfi_limit``'s constant step sequence.
 
     Raises ``NotADiscontinuityError`` when the rank does not change, and
     ``NumericalError`` when the QFI limit diverges although the vanishing
     weight has no speed, or when the predicted jump 2a and the measured
     one differ by more than JUMP_AGREEMENT relative.
     """
-    branch = vanishing_eigenvalue_branch(model, theta_bar, h)
+    branch = vanishing_eigenvalue_branch(model, theta_bar)
     speed, accel = speed_and_acceleration(branch.h, branch.as_dict())
     qfi_at_bar = quantum.model_qfi(model, theta_bar)
 

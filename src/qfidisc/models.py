@@ -327,26 +327,18 @@ def ghz_state_derivative(n_qubits: int, theta: float, kappa: float, t: float) ->
 # ---------------------------------------------------------------------------
 
 
-def qubit_bloch_qfi(
-    v, dv, d2v=None, continuous_limit: bool = False, purity_tol: float = 1e-12
-) -> float:
+def qubit_bloch_qfi(v, dv) -> float:
     """QFI of a qubit from its Bloch vector v and derivative dv.
 
     Mixed states (|v| < 1): |dv|^2 + (v . dv)^2 / (1 - |v|^2).
-    Pure states (1 - |v|^2 below ``purity_tol``): |dv|^2.
-    With ``continuous_limit`` set, returns the limiting value -v . d2v
-    reached when purity is approached only at this parameter point.
+    Pure states (1 - |v|^2 below 1e-12): |dv|^2.
     """
     v = np.asarray(v, dtype=float)
     dv = np.asarray(dv, dtype=float)
     norm2 = float(v @ v)
     if norm2 > (1.0 + 1e-10) ** 2:
         raise InvalidInputError(f"Bloch vector norm {math.sqrt(norm2)} exceeds 1")
-    if continuous_limit:
-        if d2v is None:
-            raise InvalidInputError("continuous_limit requires the second derivative d2v")
-        return float(-(v @ np.asarray(d2v, dtype=float)))
-    if 1.0 - norm2 < purity_tol:
+    if 1.0 - norm2 < 1e-12:
         return float(dv @ dv)
     return float(dv @ dv + (v @ dv) ** 2 / (1.0 - norm2))
 

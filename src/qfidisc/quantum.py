@@ -57,9 +57,15 @@ from .exceptions import (
     NumericalError,
     StepSizeError,
 )
-from .numdiff import richardson_limit
+from .numdiff import _even_richardson, richardson_limit
 
 SUPPORT_TOL = 1e-12
+# The one-sided QFI limit samples theta_bar +/- LIMIT_H0 * 2**-k for
+# k < LIMIT_STEPS; its last two extrapolants must agree within
+# LIMIT_REL_TOL relative.
+LIMIT_STEPS = 6
+LIMIT_H0 = 1e-2
+LIMIT_REL_TOL = 1e-3
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -134,12 +140,8 @@ def _decompose(stack: np.ndarray) -> list[SpectralData]:
         lam, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(lam, axis=-1)[:, ::-1]
-    rows = np.arange(len(order))[:, None]
-    lam = np.maximum(lam[rows, order], 0.0)
-    # Columns gathered into the memory layout that vecs[:, order] gives one
-    # matrix, so products with them run as they would for that matrix alone.
-    vecs = vecs.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
+    lam = np.maximum(lam[:, ::-1], 0.0)
+    vecs = vecs[:, :, ::-1]
     ranks = (lam > SUPPORT_TOL).sum(axis=-1).tolist()
     return list(map(SpectralData, lam, vecs, ranks))
 
@@ -339,11 +341,12 @@ def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
     """Metric coefficient of 2[1 - F] by finite differences.
 
     Averages the difference quotients on both sides of theta and
-    extrapolates from eps and eps/2.  The two-sided average has an error
-    even in eps, removed by (4 q(eps/2) - q(eps)) / 3; on a domain edge the
-    one-sided quotient has a first-order error, removed by
-    2 q(eps/2) - q(eps).  The fidelity is summed over the model's blocks,
-    read at theta and every shifted point in one stacked call.
+    extrapolates from eps and eps/2 with the Richardson steps of
+    ``numdiff``.  The two-sided average has an error even in eps, removed
+    by (4 q(eps/2) - q(eps)) / 3; on a domain edge the one-sided quotient
+    has a first-order error, removed by 2 q(eps/2) - q(eps).  The fidelity
+    is summed over the model's blocks, read at theta and every shifted
+    point in one stacked call.
     """
     if eps <= 0:
         raise StepSizeError("eps must be positive")
@@ -364,11 +367,10 @@ def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
             total += 2.0 * gap / e**2
         return total / len(sides)
 
-    q_full = quotient(eps, shifted[: len(signs)])
-    q_half = quotient(eps / 2.0, shifted[len(signs) :])
+    pair = [quotient(eps, shifted[: len(signs)]), quotient(eps / 2.0, shifted[len(signs) :])]
     if len(signs) == 2:
-        return (4.0 * q_half - q_full) / 3.0
-    return 2.0 * q_half - q_full
+        return _even_richardson(pair)
+    return float(richardson_limit(pair)[-1])
 
 
 @dataclass(frozen=True)
@@ -381,31 +383,22 @@ class LimitEstimate:
     qfi_values: np.ndarray
 
 
-def qfi_limit(
-    model,
-    theta_bar: float,
-    side: str | None = None,
-    steps: int = 6,
-    h0: float = 1e-2,
-    rel_tol: float = 1e-3,
-) -> LimitEstimate:
+def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate:
     """Limit of the QFI as theta -> theta_bar from one side.
 
-    Samples theta_bar +/- h0 * 2**-k for k = 0..steps-1, extrapolates with
-    a Richardson tableau, and raises ``DivergenceError`` when successive
-    extrapolants disagree beyond ``rel_tol`` relative (the signature of a
-    second-kind discontinuity or singular metric).  Without a ``side`` the
-    limit is taken from above when theta_bar + h0 lies in the domain, and
-    from below otherwise.
+    Samples theta_bar +/- LIMIT_H0 * 2**-k for k = 0..LIMIT_STEPS-1,
+    extrapolates with a Richardson tableau, and raises ``DivergenceError``
+    when successive extrapolants disagree beyond LIMIT_REL_TOL relative
+    (the signature of a second-kind discontinuity or singular metric).
+    Without a ``side`` the limit is taken from above when
+    theta_bar + LIMIT_H0 lies in the domain, and from below otherwise.
     """
-    if steps < 2:
-        raise InvalidInputError("steps must be >= 2")
     if side is None:
-        side = "above" if model.in_domain(theta_bar + h0) else "below"
+        side = "above" if model.in_domain(theta_bar + LIMIT_H0) else "below"
     if side not in ("above", "below"):
         raise InvalidInputError(f"side must be 'above' or 'below', got {side!r}")
     sign = 1.0 if side == "above" else -1.0
-    thetas = theta_bar + sign * h0 * 2.0 ** -np.arange(steps)
+    thetas = theta_bar + sign * LIMIT_H0 * 2.0 ** -np.arange(LIMIT_STEPS)
     for th in thetas:
         if not model.in_domain(th):
             raise DomainError(f"theta={th} outside the domain of {model.name} (side={side})")
@@ -413,7 +406,7 @@ def qfi_limit(
     extrapolants = richardson_limit(values)
     diff = abs(extrapolants[-1] - extrapolants[-2])
     scale = max(abs(extrapolants[-1]), 1e-6)
-    if diff > rel_tol * scale:
+    if diff > LIMIT_REL_TOL * scale:
         raise DivergenceError(
             f"QFI limit at theta_bar={theta_bar} ({side}) does not converge: "
             f"last extrapolants differ by {diff:.3e} (relative {diff / scale:.3e})",

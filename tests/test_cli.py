@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,11 +410,18 @@ class TestCoefficientOverflow:
 
     def test_qfi_scan_marks_every_row(self, capsys):
         code, stdout, err = run_cli(["qfi-scan", *self.LONG, "--grid", "0:0.2:3"], capsys)
-        assert code == 2  # every failed row exits nonzero, as for a domain error
+        assert code == 3  # a numerically failed row exits as discontinuity and mc do
         rows = list(csv.DictReader(stdout.splitlines()))
         assert len(rows) == 3
         assert all(r[c] == "error(NumericalError)" for r in rows for c in list(r)[1:])
         assert err == ""
+
+    def test_qfi_scan_numerical_row_outranks_domain_row(self, capsys):
+        # theta = 0.8 lies outside |theta| < kappa/2: a domain row beside numerical ones.
+        code, stdout, _ = run_cli(["qfi-scan", *self.LONG, "--grid", "0:0.8:3"], capsys)
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert (rows[0]["qfi"], rows[-1]["qfi"]) == ("error(NumericalError)", "error(DomainError)")
+        assert code == 3
 
     def test_discontinuity_exits_3(self, capsys):
         code, stdout, err = run_cli(["discontinuity", *self.LONG, "--theta-bar", "0"], capsys)
@@ -473,7 +482,7 @@ def test_subcommand_option_sets():
     subs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
     common = {"-h", "--help", "--model", "--kappa", "--time", "--qubits", "--output"}
     expected = {
-        "qfi-scan": common | {"--grid", "--format", "--eps"},
+        "qfi-scan": common | {"--grid", "--format"},
         "discontinuity": common | {"--theta-bar"},
         "ghz-scan": {"-h", "--help", "--qubits", "--grid", "--kappa", "--format", "--output"},
         "mc": common
@@ -483,10 +492,13 @@ def test_subcommand_option_sets():
 
 
 def test_console_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qfidisc.cli", "qfi-scan", "--model", "trig", "--grid", "0.4:0.8:3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "theta,qfi,bures_metric,four_g_minus_qfi"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -148,9 +149,10 @@ class TestVanishingEigenvalueBranch:
             discontinuity.vanishing_eigenvalue_branch(model(1e-9), 0.0)
 
     def test_no_room_in_domain(self):
-        model = models.make_model("classical-bit")
+        # The base step at theta_bar = 0 is 1e-3, past either end of the domain.
+        model = dataclasses.replace(models.make_model("classical-bit"), domain=(0.0, 5e-4))
         with pytest.raises(DomainError):
-            discontinuity.vanishing_eigenvalue_branch(model, 0.0, h=2.0)
+            discontinuity.vanishing_eigenvalue_branch(model, 0.0)
 
     def test_persistent_kernel_walks_inward(self):
         # One permanent zero eigenvalue plus one vanishing branch: the

@@ -259,14 +259,6 @@ class TestBlochQfi:
     def test_pure_branch(self):
         assert models.qubit_bloch_qfi([1, 0, 0], [0, 1, 0]) == pytest.approx(1.0)
 
-    def test_continuous_limit_branch(self):
-        value = models.qubit_bloch_qfi([1, 0, 0], [0, 0, 0], d2v=[-4, 0, 0], continuous_limit=True)
-        assert value == pytest.approx(4.0)
-
-    def test_limit_requires_second_derivative(self):
-        with pytest.raises(InvalidInputError):
-            models.qubit_bloch_qfi([1, 0, 0], [0, 1, 0], continuous_limit=True)
-
     def test_overlong_vector_rejected(self):
         with pytest.raises(InvalidInputError):
             models.qubit_bloch_qfi([1.1, 0, 0], [0, 0, 0])

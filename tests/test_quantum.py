@@ -209,6 +209,17 @@ class TestBuresMetric:
             g = quantum.bures_metric_fd(model, theta, eps=1e-3)
             assert abs(4.0 * g - quantum.model_qfi(model, theta)) <= 1e-8
 
+    @pytest.mark.parametrize("p", [0.2, 0.3, 0.7])
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_one_sided_extrapolation_removes_the_first_order_error(self, p, edge):
+        # With the domain cut at p, only one side is sampled and the
+        # quotient's error is first order in eps; the even-error step
+        # (4 q(eps/2) - q(eps)) / 3 would leave more than 3e-5 relative.
+        domain = (p, 1.0) if edge == "lower" else (0.0, p)
+        model = dataclasses.replace(models.make_model("classical-bit"), domain=domain)
+        q = quantum.model_qfi(model, p)
+        assert abs(4.0 * quantum.bures_metric_fd(model, p) - q) <= 1e-6 * q
+
     def test_underflow_raises_step_size_error(self):
         constant = models.ParametricModel(
             name="constant", state_fn=lambda theta: np.eye(2, dtype=complex) / 2
