@@ -27,7 +27,6 @@ from .models import (
     classical_bit_state,
     ghz_blocks,
     ghz_coefficients,
-    ghz_full_matrix,
     ghz_qfi_continuous,
     ghz_qfi_discontinuous,
     ghz_state,
@@ -69,7 +68,6 @@ __all__ = [
     "fisher_information",
     "ghz_blocks",
     "ghz_coefficients",
-    "ghz_full_matrix",
     "ghz_qfi_continuous",
     "ghz_qfi_discontinuous",
     "ghz_state",

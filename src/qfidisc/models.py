@@ -35,10 +35,13 @@ with coefficients (xi = sqrt(kappa^2 - 4 theta^2), real for |theta| < kappa/2)
 
 Grouping index pairs (s, sbar) turns the full matrix into a direct sum of
 2x2 blocks, one per m = 0..floor(N/2), each repeated binomial(N, m) times
-(half that for the central block when N is even).  The GHZ models (and
-``transverse-qubit``, their N = 1 member) hand this direct sum to the
-QFI, the Bures metric and the discontinuity analysis through
-``ParametricModel.blocks_fn``, so those never assemble the 2^N matrix.
+(half that for the central block when N is even); the dense matrix and
+its derivative are assembled from these blocks.  Every model here hands
+its state to the QFI, the Bures metric and the discontinuity analysis as
+such a direct sum through ``ParametricModel.blocks_fn``: the GHZ models
+(and ``transverse-qubit``, their N = 1 member) as their 2x2 blocks, so
+those never assemble the 2^N matrix, and the diagonal families as one
+block with its analytic derivative.
 The Monte Carlo experiments measure the parity X on every qubit, whose +
 probability (1 + Re (b + f + i c)^N) / 2 needs no matrix either.
 """
@@ -49,7 +52,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,19 +65,21 @@ from .exceptions import (
 )
 
 
-# (multiplicity, block, d block / d theta) for each block of a direct sum.
+# (multiplicity, block, d block / d theta) for each block of a direct sum;
+# a ``GhzBlock`` is one.
 Block = tuple[int, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class ParametricModel:
-    """A named family theta -> rho_theta with optional analytic derivative.
+    """A named family theta -> rho_theta.
 
-    ``blocks_fn``, when given, returns rho_theta as a direct sum: each
-    block with its multiplicity and its theta-derivative, with the
-    multiplicity-weighted block traces summing to 1.  The QFI, the Bures
-    metric and the discontinuity analysis then read the blocks in place of
-    ``state_fn`` and ``derivative_fn``.
+    ``state_fn`` returns the dense state.  ``blocks_fn``, when given,
+    returns rho_theta as a direct sum: each block with its multiplicity
+    and its theta-derivative, with the multiplicity-weighted block traces
+    summing to 1.  The QFI, the Bures metric and the discontinuity analysis
+    then read only the blocks; every built-in model has them.  A model with
+    ``state_fn`` alone is one block, differentiated by central differences.
 
     ``p_first`` is the probability of the first outcome of the
     two-outcome measurement the Monte Carlo experiments sample, and
@@ -84,8 +89,7 @@ class ParametricModel:
 
     name: str
     state_fn: Callable[[float], np.ndarray]
-    derivative_fn: Callable[[float], np.ndarray] | None = None
-    blocks_fn: Callable[[float], list[Block]] | None = None
+    blocks_fn: Callable[[float], Sequence[Block]] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
     p_first: Callable[[float], float] | None = None
@@ -140,6 +144,12 @@ def _check_ghz_domain(theta: float, kappa: float, t: float) -> None:
         raise DomainError(f"t={t} must be nonnegative")
     if abs(theta) >= kappa / 2:
         raise DomainError(f"|theta|={abs(theta)} >= kappa/2={kappa / 2}; coefficients not real")
+
+
+def _check_qubits(n_qubits: int, most: float = math.inf) -> None:
+    """The blocks are built for N = 1..24; the closed-form QFIs hold for every N >= 1."""
+    if not 1 <= n_qubits <= most:
+        raise DomainError(f"n_qubits={n_qubits} outside [1, {most}]")
 
 
 def _cosh_sinh(x: float) -> tuple[float, float]:
@@ -215,22 +225,19 @@ def _cross_element_derivative(
     return 0.5 * term
 
 
-@dataclass(frozen=True)
-class GhzBlock:
-    """One 2x2 block of the reshuffled GHZ state and its repeat count."""
+class GhzBlock(NamedTuple):
+    """One 2x2 block of the reshuffled GHZ state: its repeat count, the
+    block and its theta-derivative."""
 
-    m: int
     multiplicity: int
     matrix: np.ndarray
+    derivative: np.ndarray
 
 
-@dataclass(frozen=True)
-class GhzBlockSet:
+class GhzBlockSet(NamedTuple):
     """Direct-sum decomposition of the evolved GHZ density matrix."""
 
-    n_qubits: int
     blocks: tuple[GhzBlock, ...]
-    coefficients: tuple[float, float, float, float, float]
 
 
 def _block_multiplicity(m: int, n_qubits: int) -> int:
@@ -243,83 +250,57 @@ def _block_multiplicity(m: int, n_qubits: int) -> int:
 
 
 def ghz_blocks(n_qubits: int, theta: float, kappa: float, t: float) -> GhzBlockSet:
-    """2x2 block decomposition of the evolved N-qubit GHZ state."""
-    if not 1 <= n_qubits <= 24:
-        raise DomainError(f"n_qubits={n_qubits} outside [1, 24]")
-    coeffs = ghz_coefficients(theta, kappa, t)
-    a, d, b, f, c = coeffs
-    blocks = []
-    for m in range(n_qubits // 2 + 1):
-        diag = _diag_element(m, n_qubits, a, d)
-        cross = _cross_element(m, n_qubits, b, f, c)
-        mat = np.array([[diag, cross], [np.conj(cross), diag]], dtype=complex)
-        blocks.append(GhzBlock(m, _block_multiplicity(m, n_qubits), mat))
-    return GhzBlockSet(n_qubits, tuple(blocks), coeffs)
-
-
-def ghz_block_terms(n_qubits: int, theta: float, kappa: float, t: float) -> list[Block]:
-    """(multiplicity, block, block derivative) for each 2x2 GHZ block.
+    """2x2 block decomposition of the evolved N-qubit GHZ state.
 
     The diagonal of a block does not depend on theta, so its derivative is
     [[0, dc], [conj dc, 0]] with dc the derivative of the cross element.
     """
-    blockset = ghz_blocks(n_qubits, theta, kappa, t)
-    _, _, b, f, c = blockset.coefficients
+    _check_qubits(n_qubits, 24)
+    a, d, b, f, c = ghz_coefficients(theta, kappa, t)
     db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
-    terms = []
-    for blk in blockset.blocks:
-        dcross = _cross_element_derivative(blk.m, n_qubits, b, f, c, db, df, dc)
+    blocks = []
+    for m in range(n_qubits // 2 + 1):
+        diag = _diag_element(m, n_qubits, a, d)
+        cross = _cross_element(m, n_qubits, b, f, c)
+        dcross = _cross_element_derivative(m, n_qubits, b, f, c, db, df, dc)
+        mat = np.array([[diag, cross], [np.conj(cross), diag]], dtype=complex)
         dmat = np.array([[0.0, dcross], [np.conj(dcross), 0.0]], dtype=complex)
-        terms.append((blk.multiplicity, blk.matrix, dmat))
-    return terms
+        blocks.append(GhzBlock(_block_multiplicity(m, n_qubits), mat, dmat))
+    return GhzBlockSet(tuple(blocks))
 
 
-def _assemble_cross_diagonal(n_qubits: int, diag, cross) -> np.ndarray:
-    """Build the 2^N x 2^N cross-diagonal matrix from per-m entry values.
+def _assemble_blocks(n_qubits: int, mats: list[np.ndarray]) -> np.ndarray:
+    """Undo the block permutation: the 2^N x 2^N cross-diagonal matrix.
 
-    ``diag[m]`` fills entry (s, s) and ``cross[m]`` entry (s, sbar) for
-    every s with popcount(s) = m, m = 0..N.
+    Entry (s, s) is the diagonal and entry (s, sbar) the upper cross
+    element of block m = popcount(s).  For m > N/2 the pair (s, sbar) is
+    (sbar, s) of block N - m, so the entry is that block's lower cross
+    element, the conjugate of its upper one.
     """
     if n_qubits > 10:
         raise DomainError(f"full 2^{n_qubits} matrix assembly capped at N = 10")
     dim = 2**n_qubits
     s = np.arange(dim)
     m = ((s[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
+    block = np.minimum(m, n_qubits - m)
+    lower = (2 * m > n_qubits).astype(int)
+    mats = np.asarray(mats)
     full = np.zeros((dim, dim), dtype=complex)
-    full[s, s] = np.asarray(diag)[m]
-    full[s, s ^ (dim - 1)] = np.asarray(cross)[m]
+    full[s, s] = mats[block, 0, 0].real
+    full[s, s ^ (dim - 1)] = mats[block, lower, 1 - lower]
     return full
-
-
-def ghz_full_matrix(blockset: GhzBlockSet) -> np.ndarray:
-    """Undo the block permutation: computational-basis density matrix.
-
-    Index pairs (s, sbar) are grouped by m = popcount(s); entries for
-    m > N/2 follow from the stored blocks by Hermiticity and the m -> N-m
-    symmetry of the diagonal.
-    """
-    n = blockset.n_qubits
-    by_m = {blk.m: blk.matrix for blk in blockset.blocks}
-    blocks = [by_m[min(m, n - m)] for m in range(n + 1)]
-    diag = [blk[0, 0].real for blk in blocks]
-    cross = [blk[0, 1] if m <= n - m else blk[1, 0] for m, blk in enumerate(blocks)]
-    return _assemble_cross_diagonal(n, diag, cross)
 
 
 def ghz_state(n_qubits: int, theta: float, kappa: float, t: float) -> np.ndarray:
     """Closed-form evolved GHZ density matrix in the computational basis."""
-    return ghz_full_matrix(ghz_blocks(n_qubits, theta, kappa, t))
+    blocks = ghz_blocks(n_qubits, theta, kappa, t).blocks
+    return _assemble_blocks(n_qubits, [blk.matrix for blk in blocks])
 
 
 def ghz_state_derivative(n_qubits: int, theta: float, kappa: float, t: float) -> np.ndarray:
     """theta-derivative of the closed-form GHZ state (diagonal is constant)."""
-    a, d, b, f, c = ghz_coefficients(theta, kappa, t)
-    del a, d
-    db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
-    derivs = [
-        _cross_element_derivative(m, n_qubits, b, f, c, db, df, dc) for m in range(n_qubits + 1)
-    ]
-    return _assemble_cross_diagonal(n_qubits, np.zeros(n_qubits + 1), derivs)
+    blocks = ghz_blocks(n_qubits, theta, kappa, t).blocks
+    return _assemble_blocks(n_qubits, [blk.derivative for blk in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +324,23 @@ def qubit_bloch_qfi(v, dv) -> float:
     return float(dv @ dv + (v @ dv) ** 2 / (1.0 - norm2))
 
 
-def _theta_zero_block_data(n_qubits: int, kappa: float, t: float):
-    a, d, b, f, c = ghz_coefficients(0.0, kappa, t)
-    db, df, dc = ghz_coefficient_derivatives(0.0, kappa, t)
-    for m in range(n_qubits + 1):
-        weight = math.comb(n_qubits, m) * _diag_element(m, n_qubits, a, d)
-        if weight <= 0.0:
-            continue  # no population in this sector (t = 0 extremes)
-        cross = _cross_element(m, n_qubits, b, f, c)
-        dcross = _cross_element_derivative(m, n_qubits, b, f, c, db, df, dc)
-        rmm = _diag_element(m, n_qubits, a, d)
-        yield weight, rmm, cross, dcross
-
-
 def ghz_qfi_discontinuous(n_qubits: int, kappa: float, t: float) -> float:
     """QFI of the evolved GHZ state exactly at theta = 0.
 
     Population-weighted average of the pure-branch Bloch QFIs of the
     normalized 2x2 blocks, which all become pure at theta = 0.
     """
+    _check_qubits(n_qubits)
+    a, d, b, f, c = ghz_coefficients(0.0, kappa, t)
+    db, df, dc = ghz_coefficient_derivatives(0.0, kappa, t)
     total = 0.0
-    for weight, rmm, cross, dcross in _theta_zero_block_data(n_qubits, kappa, t):
+    for m in range(n_qubits + 1):
+        rmm = _diag_element(m, n_qubits, a, d)
+        weight = math.comb(n_qubits, m) * rmm
+        if weight <= 0.0:
+            continue  # no population in this sector (t = 0 extremes)
+        cross = _cross_element(m, n_qubits, b, f, c)
+        dcross = _cross_element_derivative(m, n_qubits, b, f, c, db, df, dc)
         v = np.array([cross.real / rmm, cross.imag / rmm, 0.0])
         dv = np.array([dcross.real / rmm, dcross.imag / rmm, 0.0])
         total += weight * qubit_bloch_qfi(v, dv)
@@ -376,6 +353,7 @@ def ghz_qfi_continuous(n_qubits: int, kappa: float, t: float) -> float:
     Closed form of the block sum of L'Hopital limits:
     [N^2 (1-e)^2 + N (2 kappa t + 1 - (2-e)^2)] / kappa^2, e = exp(-kappa t).
     """
+    _check_qubits(n_qubits)
     _check_ghz_domain(0.0, kappa, t)
     n = n_qubits
     e = math.exp(-kappa * t)
@@ -557,7 +535,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=classical_bit_state,
-            derivative_fn=classical_bit_derivative,
+            blocks_fn=lambda p: [(1, classical_bit_state(p), classical_bit_derivative(p))],
             domain=(0.0, 1.0),
             p_first=lambda p: p,
             estimate=lambda p_hat: p_hat,
@@ -566,7 +544,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=trig_model_state,
-            derivative_fn=trig_model_derivative,
+            blocks_fn=lambda th: [(1, trig_model_state(th), trig_model_derivative(th))],
             domain=(0.0, math.pi / 2),
             p_first=lambda theta: math.sin(theta) ** 2,
             estimate=lambda p_hat: math.asin(math.sqrt(p_hat)),
@@ -577,10 +555,11 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
             raise DomainError(f"kappa={kappa} must be positive")
         if t < 0:
             raise DomainError(f"t={t} must be nonnegative")
+        _check_qubits(n, 24)
         return ParametricModel(
             name=name,
             state_fn=lambda th: ghz_state(n, th, kappa, t),
-            blocks_fn=lambda th: ghz_block_terms(n, th, kappa, t),
+            blocks_fn=lambda th: ghz_blocks(n, th, kappa, t).blocks,
             domain=(-kappa / 2.0, kappa / 2.0),
             open_domain=True,
             p_first=lambda th: ghz_parity_probability(n, th, kappa, t),

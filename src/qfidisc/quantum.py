@@ -152,12 +152,13 @@ def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
     return (vecs * lam) @ vecs.conj().T
 
 
-def _block_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+def _block_fidelity(a: np.ndarray, b: np.ndarray, sqrt_a: np.ndarray | None = None) -> float:
     """tr sqrt(sqrt(a) b sqrt(a)) for PSD a, b of any trace, unclamped.
 
     2x2 blocks use the closed form sqrt(tr ab + 2 sqrt(det a det b));
     larger ones explicit eigendecompositions with eigenvalue clamping,
-    which stays well behaved for rank-deficient inputs.
+    which stays well behaved for rank-deficient inputs.  ``sqrt_a``, when
+    given, is ``_sqrt_psd(a)``, taken once for several b.
     """
     if a.shape != b.shape:
         raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -167,7 +168,7 @@ def _block_fidelity(a: np.ndarray, b: np.ndarray) -> float:
         det_a = max(float((a[0, 0] * a[1, 1]).real) - abs(a[0, 1]) ** 2, 0.0)
         det_b = max(float((b[0, 0] * b[1, 1]).real) - abs(b[0, 1]) ** 2, 0.0)
         return math.sqrt(max(tr_ab + 2.0 * math.sqrt(det_a * det_b), 0.0))
-    sq = _sqrt_psd(a)
+    sq = _sqrt_psd(a) if sqrt_a is None else sqrt_a
     inner = sq @ b @ sq
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
@@ -227,17 +228,15 @@ def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Model-level helpers.  A "model" is any object exposing state_fn(theta),
-# optional derivative_fn(theta), optional blocks_fn(theta), and
-# in_domain(theta); see models.py.
+# optional blocks_fn(theta), and in_domain(theta); see models.py.  Every
+# built-in model has blocks_fn, so these read its blocks alone.
 # ---------------------------------------------------------------------------
 
 
 def state_derivative(model, theta: float) -> np.ndarray:
-    """d rho / d theta, analytic when the model provides it, else central
+    """d rho / d theta of a model given by ``state_fn`` alone, by central
     differences with step 1e-5 * max(1, |theta|) (one-sided second-order
     at a domain edge)."""
-    if model.derivative_fn is not None:
-        return np.asarray(model.derivative_fn(theta), dtype=complex)
     h = 1e-5 * max(1.0, abs(theta))
     above = model.in_domain(theta + h)
     below = model.in_domain(theta - h)
@@ -329,11 +328,17 @@ def model_qfi(model, theta: float) -> float:
     return _direct_sum_qfi(_model_blocks(model, [theta])[0])
 
 
-def _direct_sum_fidelity(blocks_a: list, blocks_b: list) -> float:
-    """Uhlmann fidelity of two states given as matching direct sums, clamped to [0, 1]."""
+def _direct_sum_fidelity(blocks_a: list, roots_a: list, blocks_b: list) -> float:
+    """Uhlmann fidelity of two states given as matching direct sums, clamped to [0, 1].
+
+    ``roots_a`` holds ``_sqrt_psd`` of each block of a larger than 2x2, None for the others.
+    """
     if [m for m, *_ in blocks_a] != [m for m, *_ in blocks_b]:
         raise InvalidInputError("block multiplicities differ between the two states")
-    f = sum(m * _block_fidelity(a, b) for (m, a, *_), (_, b, *_) in zip(blocks_a, blocks_b))
+    f = sum(
+        m * _block_fidelity(a, b, root)
+        for (m, a, *_), root, (_, b, *_) in zip(blocks_a, roots_a, blocks_b)
+    )
     return min(max(f, 0.0), 1.0)
 
 
@@ -346,7 +351,8 @@ def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
     by (4 q(eps/2) - q(eps)) / 3; on a domain edge the one-sided quotient
     has a first-order error, removed by 2 q(eps/2) - q(eps).  The fidelity
     is summed over the model's blocks, read at theta and every shifted
-    point in one stacked call.
+    point in one stacked call; the square root of each block at theta
+    larger than 2x2 is taken once.
     """
     if eps <= 0:
         raise StepSizeError("eps must be positive")
@@ -355,11 +361,12 @@ def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
     blocks0, *shifted = _model_blocks(model, points, derivative=False, decompose=False)
     if not signs:
         raise DomainError(f"no room around theta={theta} in the domain of {model.name}")
+    roots0 = [None if np.shape(a) == (2, 2) else _sqrt_psd(a) for _, a, *_ in blocks0]
 
     def quotient(e: float, sides: list) -> float:
         total = 0.0
         for blocks in sides:
-            gap = 1.0 - _direct_sum_fidelity(blocks0, blocks)
+            gap = 1.0 - _direct_sum_fidelity(blocks0, roots0, blocks)
             if gap < _UNDERFLOW_TOL:
                 raise StepSizeError(
                     f"1 - fidelity = {gap:.3e} underflows at eps={e:g}; increase eps"

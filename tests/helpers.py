@@ -33,7 +33,11 @@ def rotation_model(dim: int, seed: int) -> ParametricModel:
         rho = state(theta)
         return -1j * (ham @ rho - rho @ ham)
 
-    return ParametricModel(name=f"rotation-{dim}d", state_fn=state, derivative_fn=derivative)
+    return ParametricModel(
+        name=f"rotation-{dim}d",
+        state_fn=state,
+        blocks_fn=lambda theta: [(1, state(theta), derivative(theta))],
+    )
 
 
 def diagonal_branch_model(branch, name="diagonal-branch") -> ParametricModel:

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfidisc import cli, models
+from qfidisc.exceptions import BoundarySolutionWarning
 
 
 def run_cli(args, capsys):
@@ -275,6 +277,36 @@ class TestGhzScan:
         assert code == 1
 
 
+class TestQubitCounts:
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_ghz_scan_rejects_nonpositive_counts(self, capsys, n):
+        code, out, err = run_cli(["ghz-scan", f"--qubits={n}", "--grid", "0.5:1:2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"domain error: n_qubits={n} outside [1, inf]\n"
+
+    @pytest.mark.parametrize("n", ["0", "25"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mc", "--theta-bar", "0", "--replicates", "5"],
+            ["discontinuity", "--theta-bar", "0"],
+            ["qfi-scan", "--grid", "0:0.2:3"],
+        ],
+        ids=["mc", "discontinuity", "qfi-scan"],
+    )
+    def test_model_commands_reject_counts_before_any_work(self, capsys, command, n):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                [command[0], "--model", "ghz", "--qubits", n, *command[1:]], capsys
+            )
+        assert code == 2
+        assert out == ""
+        assert err == f"domain error: n_qubits={n} outside [1, 24]\n"
+        assert not [w for w in caught if issubclass(w.category, BoundarySolutionWarning)]
+
+
 class TestMcCommand:
     def test_boundary_violation_report(self, capsys):
         code, stdout, _ = run_cli(
@@ -342,10 +374,11 @@ class TestMcCommand:
 
     @pytest.mark.parametrize("n", ["2", "24"])
     def test_ghz_rank_change_has_zero_variance(self, capsys, n):
-        code, out, _ = run_cli(
-            ["mc", "--model", "ghz", "--qubits", n, "--theta-bar", "0", "--replicates", "200"],
-            capsys,
-        )
+        with pytest.warns(BoundarySolutionWarning):  # theta = 0 is the bracket edge
+            code, out, _ = run_cli(
+                ["mc", "--model", "ghz", "--qubits", n, "--theta-bar", "0", "--replicates", "200"],
+                capsys,
+            )
         assert code == 0
         report = json.loads(out)
         assert report["sample_variance"] == 0.0
@@ -373,8 +406,11 @@ class TestMcCommand:
     def test_one_qubit_ghz_estimates_as_the_transverse_qubit(self, capsys):
         # Same state, so the same measurement, estimator and estimates.
         args = ["--theta-bar", "0.15", "--samples", "80", "--replicates", "60", "--seed", "3"]
-        _, ghz, _ = run_cli(["mc", "--model", "ghz", "--qubits", "1"] + args, capsys)
-        _, qubit, _ = run_cli(["mc", "--model", "transverse-qubit"] + args, capsys)
+        # Some replicates see only + outcomes: theta = 0, the bracket edge.
+        with pytest.warns(BoundarySolutionWarning):
+            _, ghz, _ = run_cli(["mc", "--model", "ghz", "--qubits", "1"] + args, capsys)
+        with pytest.warns(BoundarySolutionWarning):
+            _, qubit, _ = run_cli(["mc", "--model", "transverse-qubit"] + args, capsys)
         assert json.loads(ghz)["estimates"] == json.loads(qubit)["estimates"]
 
     def test_single_replicate_is_usage_error(self, capsys):

@@ -22,7 +22,9 @@ def ghz_dense_twin(n, kappa, t):
     return ParametricModel(
         name=f"ghz-{n}-dense",
         state_fn=lambda th: models.ghz_state(n, th, kappa, t),
-        derivative_fn=lambda th: models.ghz_state_derivative(n, th, kappa, t),
+        blocks_fn=lambda th: [
+            (1, models.ghz_state(n, th, kappa, t), models.ghz_state_derivative(n, th, kappa, t))
+        ],
         domain=(-kappa / 2.0, kappa / 2.0),
         open_domain=True,
     )

@@ -280,7 +280,10 @@ class TestRunCrExperiment:
 
     def test_transverse_report_carries_limit_note(self):
         model = models.make_model("transverse-qubit", kappa=1.0, t=1.0)
-        report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
+        with pytest.warns(BoundarySolutionWarning):  # theta = 0 is the bracket edge
+            report = estimation.run_cr_experiment(
+                model, 0.0, n_samples=50, n_replicates=20, seed=1
+            )
         assert report.sample_variance == 0.0
         assert report.violated is True
         assert "continuous-limit qfi" in report.notes

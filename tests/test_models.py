@@ -54,16 +54,27 @@ def reference_cross_diagonal(n, diag_of_m, cross_of_m):
     return full
 
 
-def reference_ghz_state(n, theta, kappa, t):
-    by_m = {blk.m: blk.matrix for blk in models.ghz_blocks(n, theta, kappa, t).blocks}
+def reference_ghz_dense(n, theta, kappa, t, field):
+    """Entry-by-entry assembly of the blocks' ``field`` ("matrix" or
+    "derivative"); for m > N/2 the cross entry is block N - m's conjugate."""
+    by_m = [getattr(blk, field) for blk in models.ghz_blocks(n, theta, kappa, t).blocks]
     return reference_cross_diagonal(
         n,
         lambda m: by_m[min(m, n - m)][0, 0].real,
-        lambda m: by_m[min(m, n - m)][0, 1] if m <= n - m else by_m[min(m, n - m)][1, 0],
+        lambda m: by_m[m][0, 1] if m <= n - m else np.conj(by_m[n - m][0, 1]),
     )
 
 
+def reference_ghz_state(n, theta, kappa, t):
+    return reference_ghz_dense(n, theta, kappa, t, "matrix")
+
+
 def reference_ghz_state_derivative(n, theta, kappa, t):
+    return reference_ghz_dense(n, theta, kappa, t, "derivative")
+
+
+def elementwise_ghz_state_derivative(n, theta, kappa, t):
+    """Each cross entry differentiated on its own, m = 0..N, not read from the blocks."""
     _, _, b, f, c = models.ghz_coefficients(theta, kappa, t)
     db, df, dc = models.ghz_coefficient_derivatives(theta, kappa, t)
     return reference_cross_diagonal(
@@ -159,7 +170,7 @@ class TestGhzBlocks:
         blockset = models.ghz_blocks(1, 0.0, 1.0, 1.0)
         assert len(blockset.blocks) == 1
         blk = blockset.blocks[0]
-        _, _, b, f, _ = blockset.coefficients
+        _, _, b, f, _ = models.ghz_coefficients(0.0, 1.0, 1.0)
         assert blk.multiplicity == 1
         assert blk.matrix[0, 0] == pytest.approx(0.5)
         assert blk.matrix[0, 1] == pytest.approx((b + f) / 2.0)
@@ -186,7 +197,7 @@ class TestGhzBlocks:
         blockset = models.ghz_blocks(n, theta, kappa, t)
         total = sum(b.multiplicity * np.trace(b.matrix).real for b in blockset.blocks)
         assert total == pytest.approx(1.0, abs=1e-10)
-        a, d, _, _, _ = blockset.coefficients
+        a, d, _, _, _ = models.ghz_coefficients(theta, kappa, t)
         for m in range(n + 1):
             assert models._diag_element(m, n, a, d) == models._diag_element(n - m, n, a, d)
 
@@ -210,6 +221,11 @@ class TestGhzBlocks:
             ):
                 got, want = fast(n, theta, kappa, t), slow(n, theta, kappa, t)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # Entries with m > N/2 are conjugates of block N - m, equal to
+            # the elementwise derivative up to roundoff.
+            got = models.ghz_state_derivative(n, theta, kappa, t)
+            want = elementwise_ghz_state_derivative(n, theta, kappa, t)
+            assert np.max(np.abs(got - want)) <= 1e-16
 
     def test_block_count_guards(self):
         with pytest.raises(DomainError):
@@ -218,6 +234,14 @@ class TestGhzBlocks:
             models.ghz_blocks(25, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             models.ghz_state(11, 0.0, 1.0, 1.0)  # full-matrix cap
+        for n in (0, -3, 25):  # rejected before the model is built
+            with pytest.raises(DomainError, match=rf"n_qubits={n} outside \[1, 24\]"):
+                models.make_model("ghz", n_qubits=n)
+        for n in (0, -3):  # the closed forms hold for every N >= 1
+            for closed_form in (models.ghz_qfi_continuous, models.ghz_qfi_discontinuous):
+                with pytest.raises(DomainError, match=r"outside \[1, inf\]"):
+                    closed_form(n, 1.0, 1.0)
+        assert models.ghz_qfi_continuous(30, 1.0, 1.0) > 0.0
 
 
 class TestLindbladIntegrator:
@@ -322,13 +346,9 @@ class TestRegistry:
         h = 1e-5
         if not (model.in_domain(theta - h) and model.in_domain(theta + h)):
             return
-        if model.derivative_fn is not None:
-            fd = (model.state_fn(theta + h) - model.state_fn(theta - h)) / (2.0 * h)
-            assert np.max(np.abs(model.derivative_fn(theta) - fd)) < 1e-6
-        if model.blocks_fn is not None:
-            below, at, above = (model.blocks_fn(theta + k * h) for k in (-1, 0, 1))
-            for (_, lo_blk, _), (_, _, dblk), (_, hi_blk, _) in zip(below, at, above):
-                assert np.max(np.abs(dblk - (hi_blk - lo_blk) / (2.0 * h))) < 1e-6
+        below, at, above = (model.blocks_fn(theta + k * h) for k in (-1, 0, 1))
+        for (_, lo_blk, _), (_, _, dblk), (_, hi_blk, _) in zip(below, at, above):
+            assert np.max(np.abs(dblk - (hi_blk - lo_blk) / (2.0 * h))) < 1e-6
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, sqrtm
 
 from helpers import random_density, random_hermitian, rotation_model
-from qfidisc import discontinuity, models, quantum
+from qfidisc import discontinuity, models, numdiff, quantum
 from qfidisc.exceptions import (
     DegenerateModelError,
     DivergenceError,
@@ -220,6 +221,30 @@ class TestBuresMetric:
         q = quantum.model_qfi(model, p)
         assert abs(4.0 * quantum.bures_metric_fd(model, p) - q) <= 1e-6 * q
 
+    def test_reference_root_is_taken_once(self, monkeypatch):
+        # A 3x3 block goes through eigensolves: one root of the block at
+        # theta and one eigvalsh per shifted point, 5 in all, with the bits
+        # of a fresh root per point.
+        model, theta, eps = rotation_model(3, 1), 0.2, 1e-4
+        rho = model.state_fn(theta)
+
+        def quotient(e):
+            gaps = [1.0 - quantum.fidelity(rho, model.state_fn(theta + s * e)) for s in (1, -1)]
+            return (2.0 * gaps[0] / e**2 + 2.0 * gaps[1] / e**2) / 2
+
+        expected = numdiff._even_richardson([quotient(eps), quotient(eps / 2.0)])
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _solver=solver, **kwargs):
+                solves.append(_solver)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert quantum.bures_metric_fd(model, theta, eps) == expected
+        assert len(solves) == 5
+
     def test_underflow_raises_step_size_error(self):
         constant = models.ParametricModel(
             name="constant", state_fn=lambda theta: np.eye(2, dtype=complex) / 2
@@ -265,13 +290,15 @@ def block_model(parts, name="block-model"):
     """Direct-sum model from (multiplicity, weight, fixed-rank family) parts,
     and its dense twin.
 
-    The block of a part is weight * family.state_fn(theta); the twin's
+    The block of a part is weight times the family's one block; the twin's
     state and derivative are block-diagonal with every block repeated.
     """
 
     def blocks(theta):
         return [
-            (mult, w * fam.state_fn(theta), w * fam.derivative_fn(theta)) for mult, w, fam in parts
+            (mult, w * block, w * dblock)
+            for mult, w, fam in parts
+            for _, block, dblock in fam.blocks_fn(theta)
         ]
 
     def dense(theta, which):
@@ -283,7 +310,9 @@ def block_model(parts, name="block-model"):
     return (
         models.ParametricModel(name=name, state_fn=state, blocks_fn=blocks),
         models.ParametricModel(
-            name=f"{name}-dense", state_fn=state, derivative_fn=lambda th: dense(th, 2)
+            name=f"{name}-dense",
+            state_fn=state,
+            blocks_fn=lambda th: [(1, state(th), dense(th, 2))],
         ),
     )
 
@@ -352,8 +381,8 @@ class TestDirectSum:
 
 
 def finite_difference_twin(model):
-    """The model with its analytic derivative dropped: central differences."""
-    return dataclasses.replace(model, derivative_fn=None)
+    """The model with its blocks dropped: one dense block, central differences."""
+    return dataclasses.replace(model, blocks_fn=None)
 
 
 # (model, a point to read around): every registry model, GHZ at three N,
@@ -461,3 +490,47 @@ def test_a_bad_block_at_any_stacked_point_is_rejected(routine, n_points, kind):
     for call in range(n_points):
         with pytest.raises(InvalidInputError):
             routine(poisoned(model, call, kind))
+
+
+class DenseRead(Exception):
+    """Raised by a ``state_fn`` that must not be read."""
+
+
+def outcome(routine):
+    """A routine's result in comparable form, or the class of its error."""
+    try:
+        out = routine()
+    except (ValueError, RuntimeError) as err:
+        return type(err)
+    if isinstance(out, quantum.LimitEstimate):
+        return out.value, out.error, out.thetas.tolist(), out.qfi_values.tolist()
+    if isinstance(out, discontinuity.DiscontinuityReport):
+        return json.dumps(out.to_json())
+    return out
+
+
+MODEL_ROUTINES = (
+    quantum.model_qfi, quantum.qfi_limit, quantum.bures_metric_fd, discontinuity.classify
+)
+# (built-in model, its rank-change point, a regular point).
+BUILT_IN_POINTS = [
+    ("classical-bit", lambda: models.make_model("classical-bit"), 0.0, 0.3),
+    ("trig", lambda: models.make_model("trig"), 0.0, 0.7),
+    ("transverse-qubit", lambda: models.make_model("transverse-qubit"), 0.0, 0.1),
+    ("ghz-3", lambda: models.make_model("ghz", n_qubits=3), 0.0, 0.1),
+]
+
+
+@pytest.mark.parametrize("build, rank_change, regular", [c[1:] for c in BUILT_IN_POINTS],
+                         ids=[c[0] for c in BUILT_IN_POINTS])
+def test_built_in_models_are_read_through_their_blocks_alone(build, rank_change, regular):
+    model = build()
+
+    def dense(theta):
+        raise DenseRead(f"state_fn({theta}) of {model.name} read")
+
+    blocks_only = dataclasses.replace(model, state_fn=dense)
+    for theta in (rank_change, regular):
+        for routine in MODEL_ROUTINES:
+            got = outcome(lambda: routine(blocks_only, theta))
+            assert got == outcome(lambda: routine(model, theta)), (routine.__name__, theta)
