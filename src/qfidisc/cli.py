@@ -94,6 +94,8 @@ def parse_grid(text: str) -> np.ndarray:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise _UsageError(f"bad grid {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _UsageError(f"bad grid {text!r}: endpoints must be finite")
     if points < 2:
         raise _UsageError("grid needs at least 2 points")
     if len(parts) == 4:
@@ -101,6 +103,17 @@ def parse_grid(text: str) -> np.ndarray:
             raise _UsageError("log grid requires positive endpoints")
         return np.logspace(math.log10(start), math.log10(stop), points)
     return np.linspace(start, stop, points)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit_table(rows: list[dict], columns: list[str], fmt: str, output: str | None) -> None:
@@ -246,7 +259,7 @@ def build_parser() -> _Parser:
     mc = subs.add_parser("mc", help="Monte Carlo Cramér-Rao experiment")
     _add_model_options(mc)
     mc.add_argument("--theta-bar", type=float, required=True, help="true parameter value")
-    mc.add_argument("--samples", type=int, default=100)
+    mc.add_argument("--samples", type=_positive_int, default=100)
     mc.add_argument("--replicates", type=int, default=1000)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--expect-violation", action="store_true")

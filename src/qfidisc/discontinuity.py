@@ -36,45 +36,51 @@ GAP_FRACTION = 0.5
 JUMP_AGREEMENT = 1e-2
 
 
-def _block_spectra(model, thetas) -> list:
-    """[(multiplicity, SpectralData)] per block at each of ``thetas``, read in one stack."""
-    return [
-        [(mult, spect) for mult, _, _, spect in terms]
-        for terms in quantum._model_blocks(model, thetas, derivative=False)
-    ]
-
-
-def _rank(spectra: list) -> int:
-    return sum(mult * sp.effective_rank for mult, sp in spectra)
-
-
-def rank_change(model, theta_bar: float):
-    """Block spectra and effective ranks at theta_bar and theta_bar +/- h.
-
-    h is ``numdiff.base_step(theta_bar)``, the base step of
-    ``vanishing_eigenvalue_branch``.
-
-    Returns (spectra at theta_bar, {side: spectra at theta_bar + side * h},
-    rank at theta_bar, highest rank beside) over the sides +/-1 inside the
-    domain; spectra list (multiplicity, SpectralData) per block, and ranks
-    are weighted by multiplicity.  Raises ``DomainError`` when no side is
-    inside, and ``NotADiscontinuityError`` unless the rank rises on every
-    side.
-    """
+def _branch_offsets(model, theta_bar: float, fractions=(1.0, 0.5, 0.25)):
+    """h = ``numdiff.base_step(theta_bar)`` and the offsets, in units of h,
+    of the samples around theta_bar: 0 first, then +/- ``fractions`` on
+    each side whose full step theta_bar +/- h lies in the domain.  Raises
+    ``DomainError`` when neither does."""
     h = base_step(theta_bar)
     sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
     if not sides:
         raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
-    at_bar, *outer = _block_spectra(model, [theta_bar] + [theta_bar + s * h for s in sides])
-    beside = dict(zip(sides, outer))
-    r0 = _rank(at_bar)
-    side_ranks = {s: _rank(spectra) for s, spectra in beside.items()}
+    return h, [0.0] + [frac * s for s in sides for frac in fractions]
+
+
+def _points(theta_bar: float, h: float, offsets) -> list:
+    return [theta_bar + o * h for o in offsets]
+
+
+def _ranks(theta_bar: float, offsets, stacks: list) -> tuple[int, int]:
+    """Multiplicity-weighted effective ranks at theta_bar and the highest at
+    theta_bar +/- h, from a read of the points at ``offsets``; raises
+    ``NotADiscontinuityError`` unless the rank rises on every sampled side."""
+    ranks = sum((st.ranks * st.multiplicities).sum(axis=-1) for st in stacks).tolist()
+    r0 = ranks[offsets.index(0.0)]
+    side_ranks = {s: ranks[offsets.index(s)] for s in (+1.0, -1.0) if s in offsets}
     if any(r <= r0 for r in side_ranks.values()):
         raise NotADiscontinuityError(
             f"effective rank {r0} at theta_bar={theta_bar} does not increase "
             f"on the sampled sides (ranks {side_ranks})"
         )
-    return at_bar, beside, r0, max(side_ranks.values())
+    return r0, max(side_ranks.values())
+
+
+def rank_change(model, theta_bar: float) -> tuple[int, int]:
+    """Effective ranks at theta_bar and theta_bar +/- h, read in one stack.
+
+    h is ``numdiff.base_step(theta_bar)``, the base step of
+    ``vanishing_eigenvalue_branch``.
+
+    Returns (rank at theta_bar, highest rank beside) over the sides +/-1
+    inside the domain; ranks are weighted by multiplicity.  Raises
+    ``DomainError`` when no side is inside, and ``NotADiscontinuityError``
+    unless the rank rises on every side.
+    """
+    h, offsets = _branch_offsets(model, theta_bar, fractions=(1.0,))
+    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), derivative=False)
+    return _ranks(theta_bar, offsets, stacks)
 
 
 @dataclass(frozen=True)
@@ -97,37 +103,53 @@ class BranchSamples:
         return dict(zip(self.offsets, self.values))
 
 
+def _branch(theta_bar: float, h: float, offsets: list, stacks: list) -> BranchSamples:
+    """The vanishing weight at ``offsets`` from a read of those points,
+    sorted by offset.
+
+    A block's vanishing eigenvalues are those past its effective rank r at
+    theta_bar; the first of them must stay within GAP_FRACTION of the
+    block's eigenvalue r - 1 at theta_bar (when 0 < r < d).
+    """
+    r0, r_beside = _ranks(theta_bar, offsets, stacks)
+    bar = offsets.index(0.0)
+    rows = np.argsort(offsets, kind="stable")
+    offsets = [offsets[i] for i in rows]
+    weights, firsts, limits = [], [], []
+    for st in stacks:  # one per block size
+        lam, rank = st.eigenvalues, st.ranks[bar]
+        d = lam.shape[-1]
+        tail = np.where(np.arange(d) >= rank[:, None], lam, 0.0)
+        weights.append(st.multiplicities * np.sum(tail, axis=-1))
+        j = np.arange(len(rank))
+        firsts.append(lam[:, j, np.minimum(rank, d - 1)])
+        inner = (0 < rank) & (rank < d)
+        limits.append(np.where(inner, GAP_FRACTION * lam[bar, j, rank - 1], np.inf))
+    first = np.concatenate(firsts, axis=-1)[rows]
+    over = first > np.concatenate(limits, axis=-1)
+    if over.any():
+        point, block = np.argwhere(over)[0]
+        raise MultiBranchError(
+            f"vanishing eigenvalue {first[point, block]:.3e} at offset {offsets[point]} exceeds "
+            f"{GAP_FRACTION} of its block's smallest non-vanishing one at theta_bar={theta_bar}"
+        )
+    values = quantum._point_sums(weights)[rows].tolist()
+    return BranchSamples(theta_bar, h, tuple(offsets), tuple(values), r0, r_beside)
+
+
 def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     """Sample the vanishing weight at theta_bar + {0, +/-1/4, +/-1/2, +/-1} h,
-    h = ``numdiff.base_step(theta_bar)``.
+    h = ``numdiff.base_step(theta_bar)``, read in one stack without
+    derivatives.
 
     Only sides inside the domain are sampled, and the rank must rise on
-    each (``rank_change``).  Raises ``MultiBranchError`` when a sampled
-    vanishing eigenvalue exceeds GAP_FRACTION of its block's smallest
-    non-vanishing eigenvalue at theta_bar.
+    each (as in ``rank_change``).  Raises ``MultiBranchError`` when a
+    sampled vanishing eigenvalue exceeds GAP_FRACTION of its block's
+    smallest non-vanishing eigenvalue at theta_bar.
     """
-    h = base_step(theta_bar)
-    at_bar, beside, r0, r_beside = rank_change(model, theta_bar)
-    inner = [frac * s for s in beside for frac in (0.25, 0.5)]
-    spectra = {0.0: at_bar, **beside}
-    spectra.update(zip(inner, _block_spectra(model, [theta_bar + o * h for o in inner])))
-
-    def weight(offset: float) -> float:
-        w = 0.0
-        for (mult, bar), (_, sp) in zip(at_bar, spectra[offset]):
-            r = bar.effective_rank
-            tail = sp.eigenvalues[r:]
-            if 0 < r < bar.dim and tail[0] > GAP_FRACTION * bar.eigenvalues[r - 1]:
-                raise MultiBranchError(
-                    f"vanishing eigenvalue {tail[0]:.3e} at offset {offset} exceeds {GAP_FRACTION} "
-                    f"of its block's smallest non-vanishing one at theta_bar={theta_bar}"
-                )
-            w += mult * float(np.sum(tail))
-        return w
-
-    offsets = tuple(sorted(spectra))
-    values = tuple(weight(o) for o in offsets)
-    return BranchSamples(theta_bar, h, offsets, values, r0, r_beside)
+    h, offsets = _branch_offsets(model, theta_bar)
+    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), derivative=False)
+    return _branch(theta_bar, h, offsets, stacks)
 
 
 @dataclass
@@ -171,20 +193,35 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
 
     The vanishing weight is sampled at the base step
     ``numdiff.base_step(theta_bar)`` and the QFI limit taken with
-    ``quantum.qfi_limit``'s constant step sequence.
+    ``quantum.qfi_limit``'s constant step sequence.  Every point, those of
+    ``vanishing_eigenvalue_branch``, theta_bar and those of ``qfi_limit``,
+    is read in one ``quantum._model_blocks`` call; each number equals the
+    one those routines and ``quantum.model_qfi`` give alone.
 
     Raises ``NotADiscontinuityError`` when the rank does not change, and
     ``NumericalError`` when the QFI limit diverges although the vanishing
     weight has no speed, or when the predicted jump 2a and the measured
     one differ by more than JUMP_AGREEMENT relative.
     """
-    branch = vanishing_eigenvalue_branch(model, theta_bar)
+    h, offsets = _branch_offsets(model, theta_bar)
+    try:
+        side, limit_thetas = quantum._limit_points(model, theta_bar)
+        limit_error = None
+    except DomainError as err:  # raised where qfi_limit would raise it
+        limit_thetas, limit_error = [], err
+    n = len(offsets)
+    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets) + list(limit_thetas))
+    branch = _branch(theta_bar, h, offsets, [st.at(slice(0, n)) for st in stacks])
     speed, accel = speed_and_acceleration(branch.h, branch.as_dict())
-    qfi_at_bar = quantum.model_qfi(model, theta_bar)
+    read_qfi = [0] + list(range(n, n + len(limit_thetas)))
+    qfis = quantum._direct_sum_qfi([st.at(read_qfi) for st in stacks])
+    qfi_at_bar = float(qfis[0])
+    if limit_error is not None:
+        raise limit_error
 
     evidence: dict = {"h": branch.h, "branch_values": list(branch.values)}
     try:
-        limit = quantum.qfi_limit(model, theta_bar)
+        limit = quantum._limit_estimate(theta_bar, side, limit_thetas, qfis[1:])
         qfi_lim = limit.value
         evidence["qfi_limit_error"] = limit.error
         diverged = False

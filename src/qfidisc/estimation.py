@@ -106,7 +106,7 @@ def _rank_change_note(model: ParametricModel, theta: float) -> str:
     the support cut that makes it fail miscounts both.
     """
     try:
-        _, _, r0, r_beside = discontinuity.rank_change(model, theta)
+        r0, r_beside = discontinuity.rank_change(model, theta)
     except (NotADiscontinuityError, DomainError):
         return ""
     head = f"rank changes at theta_true={theta}"

@@ -39,9 +39,9 @@ Grouping index pairs (s, sbar) turns the full matrix into a direct sum of
 its derivative are assembled from these blocks.  Every model here hands
 its state to the QFI, the Bures metric and the discontinuity analysis as
 such a direct sum through ``ParametricModel.blocks_fn``: the GHZ models
-(and ``transverse-qubit``, their N = 1 member) as their 2x2 blocks, so
-those never assemble the 2^N matrix, and the diagonal families as one
-block with its analytic derivative.
+(and ``transverse-qubit``, their N = 1 member) as one (B, 2, 2) array of
+their blocks per point, so those never assemble the 2^N matrix, and the
+diagonal families as one block with its analytic derivative.
 The Monte Carlo experiments measure the parity X on every qubit, whose +
 probability (1 + Re (b + f + i c)^N) / 2 needs no matrix either.
 """
@@ -65,21 +65,25 @@ from .exceptions import (
 )
 
 
-# (multiplicity, block, d block / d theta) for each block of a direct sum;
-# a ``GhzBlock`` is one.
-Block = tuple[int, np.ndarray, np.ndarray]
+# The blocks of one size in a direct sum: multiplicities (B,), blocks
+# (B, d, d) and their theta-derivatives (B, d, d), or None where the
+# derivatives were not asked for.
+BlockGroup = tuple[np.ndarray, np.ndarray, np.ndarray | None]
 
 
 @dataclass(frozen=True)
 class ParametricModel:
     """A named family theta -> rho_theta.
 
-    ``state_fn`` returns the dense state.  ``blocks_fn``, when given,
-    returns rho_theta as a direct sum: each block with its multiplicity
-    and its theta-derivative, with the multiplicity-weighted block traces
-    summing to 1.  The QFI, the Bures metric and the discontinuity analysis
-    then read only the blocks; every built-in model has them.  A model with
-    ``state_fn`` alone is one block, differentiated by central differences.
+    ``state_fn`` returns the dense state.  ``blocks_fn(theta, derivative)``,
+    when given, returns rho_theta as a direct sum: a list of groups, one
+    per block size, each the arrays (multiplicities, blocks, derivatives)
+    of ``BlockGroup``, with derivatives None unless ``derivative`` is set.
+    The multiplicity-weighted block traces sum to 1, and the groups, their
+    block counts and multiplicities are the same at every theta.  The QFI,
+    the Bures metric and the discontinuity analysis then read only the
+    blocks; every built-in model has them.  A model with ``state_fn`` alone
+    is one block, differentiated by central differences.
 
     ``p_first`` is the probability of the first outcome of the
     two-outcome measurement the Monte Carlo experiments sample, and
@@ -89,7 +93,7 @@ class ParametricModel:
 
     name: str
     state_fn: Callable[[float], np.ndarray]
-    blocks_fn: Callable[[float], Sequence[Block]] | None = None
+    blocks_fn: Callable[[float, bool], Sequence[BlockGroup]] | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
     p_first: Callable[[float], float] | None = None
@@ -132,17 +136,32 @@ def trig_model_derivative(theta: float) -> np.ndarray:
     return math.sin(2.0 * theta) * np.diag([1.0, -1.0]).astype(complex)
 
 
+def _one_block(state_fn, derivative_fn):
+    """``blocks_fn`` of a family that is one block of multiplicity 1."""
+
+    def blocks(theta: float, derivative: bool) -> list[BlockGroup]:
+        block = state_fn(theta)[None]
+        return [(np.ones(1, dtype=int), block, derivative_fn(theta)[None] if derivative else None)]
+
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # GHZ family under transverse noise: coefficients and matrix elements
 # ---------------------------------------------------------------------------
 
 
+def _check_ghz_rates(kappa: float, t: float) -> None:
+    """kappa finite and positive, t finite and nonnegative; written so that NaN fails."""
+    if not 0 < kappa < math.inf:
+        raise DomainError(f"kappa={kappa} must be positive and finite")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t={t} must be nonnegative and finite")
+
+
 def _check_ghz_domain(theta: float, kappa: float, t: float) -> None:
-    if kappa <= 0:
-        raise DomainError(f"kappa={kappa} must be positive")
-    if t < 0:
-        raise DomainError(f"t={t} must be nonnegative")
-    if abs(theta) >= kappa / 2:
+    _check_ghz_rates(kappa, t)
+    if not abs(theta) < kappa / 2:
         raise DomainError(f"|theta|={abs(theta)} >= kappa/2={kappa / 2}; coefficients not real")
 
 
@@ -240,36 +259,49 @@ class GhzBlockSet(NamedTuple):
     blocks: tuple[GhzBlock, ...]
 
 
-def _block_multiplicity(m: int, n_qubits: int) -> int:
-    full = math.comb(n_qubits, m)
-    if n_qubits % 2 == 0 and m == n_qubits // 2:
-        if full % 2:
-            raise InvalidInputError("central binomial coefficient is odd")  # pragma: no cover
-        return full // 2
-    return full
+@functools.cache
+def _block_multiplicities(n_qubits: int) -> np.ndarray:
+    """binomial(N, m) for m = 0..floor(N/2), halved for the central m of even N."""
+    full = [math.comb(n_qubits, m) for m in range(n_qubits // 2 + 1)]
+    if n_qubits % 2 == 0:
+        full[-1] //= 2
+    out = np.array(full)
+    out.flags.writeable = False
+    return out
 
 
-def ghz_blocks(n_qubits: int, theta: float, kappa: float, t: float) -> GhzBlockSet:
-    """2x2 block decomposition of the evolved N-qubit GHZ state.
+def ghz_block_arrays(
+    n_qubits: int, theta: float, kappa: float, t: float, derivative: bool = True
+) -> BlockGroup:
+    """The GHZ blocks m = 0..floor(N/2) as arrays: (multiplicities, blocks, derivatives).
 
-    The diagonal of a block does not depend on theta, so its derivative is
-    [[0, dc], [conj dc, 0]] with dc the derivative of the cross element.
+    Block m is [[r, x], [conj x, r]] with r and x the diagonal and cross
+    elements of popcount m.  The diagonal does not depend on theta, so the
+    derivative of block m is [[0, dx], [conj dx, 0]]; it is computed only
+    with ``derivative``, and None otherwise.
     """
     _check_qubits(n_qubits, 24)
     a, d, b, f, c = ghz_coefficients(theta, kappa, t)
-    db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
-    blocks = []
-    for m in range(n_qubits // 2 + 1):
-        diag = _diag_element(m, n_qubits, a, d)
-        cross = _cross_element(m, n_qubits, b, f, c)
-        dcross = _cross_element_derivative(m, n_qubits, b, f, c, db, df, dc)
-        mat = np.array([[diag, cross], [np.conj(cross), diag]], dtype=complex)
-        dmat = np.array([[0.0, dcross], [np.conj(dcross), 0.0]], dtype=complex)
-        blocks.append(GhzBlock(_block_multiplicity(m, n_qubits), mat, dmat))
-    return GhzBlockSet(tuple(blocks))
+    ms = range(n_qubits // 2 + 1)
+    diag = [_diag_element(m, n_qubits, a, d) for m in ms]
+    cross = [_cross_element(m, n_qubits, b, f, c) for m in ms]
+    blocks = np.array([[[r, x], [x.conjugate(), r]] for r, x in zip(diag, cross)], dtype=complex)
+    dblocks = None
+    if derivative:
+        db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
+        dcross = [_cross_element_derivative(m, n_qubits, b, f, c, db, df, dc) for m in ms]
+        dblocks = np.array([[[0.0, dx], [dx.conjugate(), 0.0]] for dx in dcross], dtype=complex)
+    return _block_multiplicities(n_qubits), blocks, dblocks
 
 
-def _assemble_blocks(n_qubits: int, mats: list[np.ndarray]) -> np.ndarray:
+def ghz_blocks(n_qubits: int, theta: float, kappa: float, t: float) -> GhzBlockSet:
+    """2x2 block decomposition of the evolved N-qubit GHZ state, one
+    ``GhzBlock`` per block of ``ghz_block_arrays`` (views of its arrays)."""
+    mults, blocks, dblocks = ghz_block_arrays(n_qubits, theta, kappa, t)
+    return GhzBlockSet(tuple(map(GhzBlock, mults.tolist(), blocks, dblocks)))
+
+
+def _assemble_blocks(n_qubits: int, mats: np.ndarray) -> np.ndarray:
     """Undo the block permutation: the 2^N x 2^N cross-diagonal matrix.
 
     Entry (s, s) is the diagonal and entry (s, sbar) the upper cross
@@ -284,7 +316,6 @@ def _assemble_blocks(n_qubits: int, mats: list[np.ndarray]) -> np.ndarray:
     m = ((s[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
     block = np.minimum(m, n_qubits - m)
     lower = (2 * m > n_qubits).astype(int)
-    mats = np.asarray(mats)
     full = np.zeros((dim, dim), dtype=complex)
     full[s, s] = mats[block, 0, 0].real
     full[s, s ^ (dim - 1)] = mats[block, lower, 1 - lower]
@@ -293,14 +324,14 @@ def _assemble_blocks(n_qubits: int, mats: list[np.ndarray]) -> np.ndarray:
 
 def ghz_state(n_qubits: int, theta: float, kappa: float, t: float) -> np.ndarray:
     """Closed-form evolved GHZ density matrix in the computational basis."""
-    blocks = ghz_blocks(n_qubits, theta, kappa, t).blocks
-    return _assemble_blocks(n_qubits, [blk.matrix for blk in blocks])
+    _, blocks, _ = ghz_block_arrays(n_qubits, theta, kappa, t, derivative=False)
+    return _assemble_blocks(n_qubits, blocks)
 
 
 def ghz_state_derivative(n_qubits: int, theta: float, kappa: float, t: float) -> np.ndarray:
     """theta-derivative of the closed-form GHZ state (diagonal is constant)."""
-    blocks = ghz_blocks(n_qubits, theta, kappa, t).blocks
-    return _assemble_blocks(n_qubits, [blk.derivative for blk in blocks])
+    _, _, dblocks = ghz_block_arrays(n_qubits, theta, kappa, t)
+    return _assemble_blocks(n_qubits, dblocks)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +420,7 @@ def lindblad_integrate(
     """
     if not 1 <= n_qubits <= 10:
         raise DomainError(f"n_qubits={n_qubits} outside [1, 10] for dense integration")
-    if kappa <= 0:
-        raise DomainError(f"kappa={kappa} must be positive")
-    if t_final < 0:
-        raise DomainError(f"t_final={t_final} must be nonnegative")
+    _check_ghz_rates(kappa, t_final)
     if dt is None:
         dt = 1e-4 * min(1.0, 1.0 / kappa)
     if dt <= 0:
@@ -535,7 +563,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=classical_bit_state,
-            blocks_fn=lambda p: [(1, classical_bit_state(p), classical_bit_derivative(p))],
+            blocks_fn=_one_block(classical_bit_state, classical_bit_derivative),
             domain=(0.0, 1.0),
             p_first=lambda p: p,
             estimate=lambda p_hat: p_hat,
@@ -544,22 +572,19 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=trig_model_state,
-            blocks_fn=lambda th: [(1, trig_model_state(th), trig_model_derivative(th))],
+            blocks_fn=_one_block(trig_model_state, trig_model_derivative),
             domain=(0.0, math.pi / 2),
             p_first=lambda theta: math.sin(theta) ** 2,
             estimate=lambda p_hat: math.asin(math.sqrt(p_hat)),
         )
     if name in ("transverse-qubit", "ghz"):
         n = 1 if name == "transverse-qubit" else n_qubits
-        if kappa <= 0:
-            raise DomainError(f"kappa={kappa} must be positive")
-        if t < 0:
-            raise DomainError(f"t={t} must be nonnegative")
+        _check_ghz_rates(kappa, t)
         _check_qubits(n, 24)
         return ParametricModel(
             name=name,
             state_fn=lambda th: ghz_state(n, th, kappa, t),
-            blocks_fn=lambda th: ghz_blocks(n, th, kappa, t).blocks,
+            blocks_fn=lambda th, derivative: [ghz_block_arrays(n, th, kappa, t, derivative)],
             domain=(-kappa / 2.0, kappa / 2.0),
             open_domain=True,
             p_first=lambda th: ghz_parity_probability(n, th, kappa, t),

@@ -18,9 +18,11 @@ The central objects:
 
 Model-level helpers work on direct sums.  A model may supply its state as
 unnormalized blocks A_j, each repeated m_j times
-(``ParametricModel.blocks_fn``); one without that structure is a single
-block of multiplicity 1.  The QFI and the Uhlmann fidelity both split over
-such a direct sum: for rho = (+)_j m_j A_j and sigma = (+)_j m_j B_j,
+(``ParametricModel.blocks_fn``), as arrays: one group per block size of
+multiplicities (B,), blocks (B, d, d) and, when asked for, derivatives
+(B, d, d).  One without that structure is a single block of multiplicity
+1.  The QFI and the Uhlmann fidelity both split over such a direct sum:
+for rho = (+)_j m_j A_j and sigma = (+)_j m_j B_j,
 
     Q(rho) = sum_j m_j Q(A_j, dA_j),    F(rho, sigma) = sum_j m_j F(A_j, B_j),
 
@@ -37,15 +39,17 @@ roundoff-level eigenvalue itself, which swamps 1 - F at small steps.
 Larger blocks go through explicit eigendecompositions.
 
 Model-level routines read all their sample points in one stacked call
-(``_model_blocks``): the blocks of every point, stacked by shape, are
-checked and eigendecomposed once per stack, and each block's result equals
-the one it gets when read alone, bit for bit.
+(``_model_blocks``): each group's blocks at every point form one
+(points, blocks, d, d) array, checked and eigendecomposed once, and each
+block's result equals the one it gets when read alone, bit for bit.  The
+QFI, the fidelity and the vanishing weight are then array expressions
+over those stacks, summed over the blocks of a point in block order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,7 +105,7 @@ def validate_hermitian(op: np.ndarray, tol: float = 1e-10, what: str = "operator
     op = np.asarray(op, dtype=complex)
     if op.ndim < 2 or op.shape[-2] != op.shape[-1]:
         raise InvalidInputError(f"{what} must be a square matrix, got shape {op.shape}")
-    if np.max(np.abs(op - op.conj().swapaxes(-1, -2))) > tol:
+    if np.abs(op - op.conj().swapaxes(-1, -2)).max() > tol:
         raise InvalidInputError(f"{what} is not Hermitian within {tol:g}")
     return op
 
@@ -127,69 +131,88 @@ def validate_density_matrix(rho: np.ndarray, check_psd: bool = False) -> np.ndar
     return rho
 
 
-def spectral_decompose(rho: np.ndarray) -> SpectralData:
-    """Eigendecompose a density matrix, descending order, clamped spectrum."""
-    return _decompose(validate_density_matrix(rho)[None])[0]
-
-
-def _decompose(stack: np.ndarray) -> list[SpectralData]:
+def _decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a stack of Hermitian PSD matrices of any trace (states
-    or blocks) in one call; LAPACK solves each matrix of the stack as it
-    would alone, so every result equals that of its matrix by itself."""
+    or blocks) in one call: the eigenvalues descending and clamped to >= 0,
+    and the eigenvectors as columns.  LAPACK solves each matrix of the
+    stack as it would alone, so every result equals that of its matrix by
+    itself."""
     try:
         lam, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    lam = np.maximum(lam[:, ::-1], 0.0)
-    vecs = vecs[:, :, ::-1]
-    ranks = (lam > SUPPORT_TOL).sum(axis=-1).tolist()
-    return list(map(SpectralData, lam, vecs, ranks))
+    return np.maximum(lam[..., ::-1], 0.0), vecs[..., ::-1]
+
+
+def _support_rank(lam: np.ndarray) -> np.ndarray:
+    """Counts of eigenvalues above SUPPORT_TOL along the last axis."""
+    return (lam > SUPPORT_TOL).sum(axis=-1)
+
+
+def spectral_decompose(rho: np.ndarray) -> SpectralData:
+    """Eigendecompose a density matrix, descending order, clamped spectrum."""
+    lam, vecs = _decompose(validate_density_matrix(rho))
+    return SpectralData(lam, vecs, int(_support_rank(lam)))
+
+
+def _dagger(op: np.ndarray) -> np.ndarray:
+    return op.conj().swapaxes(-1, -2)
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
     lam, vecs = np.linalg.eigh(rho)
     lam = np.sqrt(np.maximum(lam, 0.0))
-    return (vecs * lam) @ vecs.conj().T
+    return (vecs * lam[..., None, :]) @ _dagger(vecs)
 
 
-def _block_fidelity(a: np.ndarray, b: np.ndarray, sqrt_a: np.ndarray | None = None) -> float:
-    """tr sqrt(sqrt(a) b sqrt(a)) for PSD a, b of any trace, unclamped.
+def _det2(a: np.ndarray) -> np.ndarray:
+    """Determinants of Hermitian 2x2 matrices, clamped to >= 0."""
+    off = a[..., 0, 1]
+    return np.maximum((a[..., 0, 0] * a[..., 1, 1]).real - np.hypot(off.real, off.imag) ** 2, 0.0)
+
+
+def _block_fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr sqrt(sqrt(a) b sqrt(a)) for PSD a, b of any trace, unclamped,
+    over stacks of matrices that broadcast against each other.
 
     2x2 blocks use the closed form sqrt(tr ab + 2 sqrt(det a det b));
     larger ones explicit eigendecompositions with eigenvalue clamping,
-    which stays well behaved for rank-deficient inputs.  ``sqrt_a``, when
-    given, is ``_sqrt_psd(a)``, taken once for several b.
+    which stays well behaved for rank-deficient inputs.  The square root
+    of a is taken once for every b it is paired with.
     """
-    if a.shape != b.shape:
-        raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.shape == (2, 2):
-        # tr ab = sum_ij a_ij conj(b_ij) for Hermitian b.
-        tr_ab = float(np.vdot(b, a).real)
-        det_a = max(float((a[0, 0] * a[1, 1]).real) - abs(a[0, 1]) ** 2, 0.0)
-        det_b = max(float((b[0, 0] * b[1, 1]).real) - abs(b[0, 1]) ** 2, 0.0)
-        return math.sqrt(max(tr_ab + 2.0 * math.sqrt(det_a * det_b), 0.0))
-    sq = _sqrt_psd(a) if sqrt_a is None else sqrt_a
+    if a.shape[-2:] == (2, 2):
+        # tr ab = sum_ij a_ij conj(b_ij) for Hermitian b: the dot product
+        # of the flattened matrices, taken by matmul as vdot takes it.
+        flat_b = b.conj().reshape(*b.shape[:-2], 1, 4)
+        tr_ab = (flat_b @ a.reshape(*a.shape[:-2], 4, 1))[..., 0, 0].real
+        return np.sqrt(np.maximum(tr_ab + 2.0 * np.sqrt(_det2(a) * _det2(b)), 0.0))
+    sq = _sqrt_psd(a)
     inner = sq @ b @ sq
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
+    w = np.linalg.eigvalsh((inner + _dagger(inner)) / 2.0)
+    return np.sqrt(np.maximum(w, 0.0)).sum(axis=-1)
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
     rho = validate_density_matrix(rho)
     sigma = validate_density_matrix(sigma)
-    return min(max(_block_fidelity(rho, sigma), 0.0), 1.0)
+    if rho.shape != sigma.shape:
+        raise InvalidInputError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    return min(max(float(_block_fidelity(rho, sigma)), 0.0), 1.0)
 
 
-def _overlaps(spect: SpectralData, drho: np.ndarray):
-    """drho in the eigenbasis, the eigenvalue pair sums, and the pairs on the support."""
-    d_eig = spect.eigenvectors.conj().T @ drho @ spect.eigenvectors
-    denom = spect.eigenvalues[:, None] + spect.eigenvalues[None, :]
+def _overlaps(lam: np.ndarray, vecs: np.ndarray, drho: np.ndarray):
+    """drho in the eigenbasis, the eigenvalue pair sums, and the pairs on the
+    support, for one matrix or a stack."""
+    d_eig = _dagger(vecs) @ drho @ vecs
+    denom = lam[..., :, None] + lam[..., None, :]
     return d_eig, denom, denom > SUPPORT_TOL
 
 
-def _qfi_sum(d_eig, denom, mask) -> float:
-    return float(2.0 * np.sum(np.abs(d_eig[mask]) ** 2 / denom[mask]))
+def _qfi_sum(d_eig, denom, mask) -> np.ndarray:
+    """2 sum |d_eig|^2 / denom over the pairs on the support, per matrix."""
+    terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
+    return 2.0 * terms.reshape(*denom.shape[:-2], -1).sum(axis=-1)
 
 
 def _spectral_overlaps(rho, drho):
@@ -199,7 +222,7 @@ def _spectral_overlaps(rho, drho):
     if np.max(np.abs(rho)) <= SUPPORT_TOL:
         raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
     spect = spectral_decompose(rho)
-    d_eig, denom, mask = _overlaps(spect, drho)
+    d_eig, denom, mask = _overlaps(spect.eigenvalues, spect.eigenvectors, drho)
     if not mask.any():
         raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
     return spect, d_eig, denom, mask
@@ -223,13 +246,14 @@ def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """Quantum Fisher information via the spectral sum over the support."""
     _, d_eig, denom, mask = _spectral_overlaps(rho, drho)
-    return _qfi_sum(d_eig, denom, mask)
+    return float(_qfi_sum(d_eig, denom, mask))
 
 
 # ---------------------------------------------------------------------------
 # Model-level helpers.  A "model" is any object exposing state_fn(theta),
-# optional blocks_fn(theta), and in_domain(theta); see models.py.  Every
-# built-in model has blocks_fn, so these read its blocks alone.
+# optional blocks_fn(theta, derivative), and in_domain(theta); see
+# models.py.  Every built-in model has blocks_fn, so these read its blocks
+# alone.
 # ---------------------------------------------------------------------------
 
 
@@ -250,96 +274,131 @@ def state_derivative(model, theta: float) -> np.ndarray:
     raise DomainError(f"cannot differentiate {model.name} at theta={theta}: no room in domain")
 
 
+class BlockStack(NamedTuple):
+    """The blocks of one size at every point of a ``_model_blocks`` read.
+
+    Arrays carry the point on their first axis and the block on the second:
+    ``blocks`` and ``dblocks`` are (P, B, d, d), ``eigenvalues`` (P, B, d),
+    descending and clamped to >= 0, and ``eigenvectors`` (P, B, d, d) with
+    matching columns.  ``multiplicities`` (B,) holds at every point.  Fields
+    a read did not ask for are None.
+    """
+
+    multiplicities: np.ndarray
+    blocks: np.ndarray
+    dblocks: np.ndarray | None
+    eigenvalues: np.ndarray | None
+    eigenvectors: np.ndarray | None
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """(P, B) effective ranks: eigenvalues above SUPPORT_TOL per block."""
+        return _support_rank(self.eigenvalues)
+
+    def at(self, points) -> BlockStack:
+        """The same blocks at a subset of the points (an index list or a slice)."""
+        mults, *arrays = self
+        return BlockStack(mults, *(None if a is None else a[points] for a in arrays))
+
+
+def _columns(columns: list) -> np.ndarray:
+    """(P, B_k) arrays side by side: one column per block, in block order."""
+    return columns[0] if len(columns) == 1 else np.concatenate(columns, axis=-1)
+
+
+def _point_sums(columns: list) -> np.ndarray:
+    """Sum (P, B_k) arrays over all their columns, per point, left to right in
+    block order (the order a running total over the blocks takes)."""
+    return np.cumsum(_columns(columns), axis=-1)[..., -1]
+
+
+def _stack_groups(reads: list, k: int, derivative: bool):
+    """Group k of every point's direct sum, stacked on a point axis."""
+    try:
+        mults = np.array([read[k][0] for read in reads])
+        blocks = np.array([read[k][1] for read in reads], dtype=complex)
+        dblocks = np.array([read[k][2] for read in reads], dtype=complex) if derivative else None
+    except ValueError:  # ragged: the point reads differ in shape
+        raise InvalidInputError("block structure differs between points") from None
+    if mults.ndim != 2 or blocks.shape[:2] != mults.shape:
+        raise InvalidInputError("block and multiplicity counts differ")
+    if len(reads) > 1 and (mults != mults[0]).any():
+        raise InvalidInputError("block multiplicities differ between points")
+    if derivative and dblocks.shape != blocks.shape:
+        raise InvalidInputError("state and derivative dimensions differ")
+    return mults[0], blocks, dblocks
+
+
 def _model_blocks(model, thetas, derivative: bool = True, decompose: bool = True) -> list:
     """The state at each of ``thetas`` as a checked direct sum.
 
-    Returns one list per theta of (multiplicity, block, dblock, spectrum)
-    terms.  Uses ``model.blocks_fn`` when the model has one; otherwise the
-    state is one block of multiplicity 1 with ``state_derivative`` as its
-    derivative.  Without ``derivative`` the dblock entries are None (and,
-    for a model without blocks, never computed); without ``decompose`` the
-    spectrum entries are None.
+    Returns one ``BlockStack`` per block size, with the points on its
+    first axis in the order of ``thetas``.  Uses ``model.blocks_fn`` when
+    the model has one; otherwise the state is one block of multiplicity 1
+    with ``state_derivative`` as its derivative.  Without ``derivative``
+    no derivatives are computed; without ``decompose`` no eigensolve is
+    made.
 
-    The blocks of all thetas are stacked by shape, and each stack is read
-    at once: one Hermiticity check of its blocks (within 1e-12), one of
-    their dblocks (within 1e-10), one trace per block, and one
-    eigendecomposition.  At every theta the weighted traces must sum to 1
-    within 1e-10, summed in block order.
+    Each stack is read at once: one Hermiticity check of its blocks
+    (within 1e-12), one of their derivatives (within 1e-10), one trace per
+    block, and one eigendecomposition.  At every theta the weighted traces
+    must sum to 1 within 1e-10, summed in block order.
     """
-    raw = []
-    for theta in thetas:
-        if model.blocks_fn is not None:
-            raw.append(model.blocks_fn(theta))
-        else:
-            dblock = state_derivative(model, theta) if derivative else None
-            raw.append([(1, model.state_fn(theta), dblock)])
-    flat = [term for terms in raw for term in terms]
-    by_shape: dict[tuple, list[int]] = {}
-    for k, term in enumerate(flat):
-        by_shape.setdefault(np.shape(term[1]), []).append(k)
-    read = [None] * len(flat)
-    weighted_traces = [0.0] * len(flat)
-    for shape, idx in by_shape.items():
-        blocks = validate_hermitian([flat[k][1] for k in idx], _HERMITIAN_TOL, "density block")
-        dblocks = spectra = [None] * len(idx)
+    if model.blocks_fn is not None:
+        reads = [model.blocks_fn(theta, derivative) for theta in thetas]
+    else:
+        reads = [
+            [(
+                [1],
+                [model.state_fn(theta)],
+                [state_derivative(model, theta)] if derivative else None,
+            )]
+            for theta in thetas
+        ]
+    if len({len(read) for read in reads}) > 1:
+        raise InvalidInputError("block structure differs between points")
+    stacks, weighted_traces = [], []
+    for k in range(len(reads[0])):  # one group per block size
+        mults, blocks, dblocks = _stack_groups(reads, k, derivative)
+        blocks = validate_hermitian(blocks, _HERMITIAN_TOL, "density block")
         if derivative:
-            if any(np.shape(flat[k][2]) != shape for k in idx):
-                raise InvalidInputError("state and derivative dimensions differ")
-            dblocks = validate_hermitian([flat[k][2] for k in idx], 1e-10, "state derivative")
-        if decompose:
-            spectra = _decompose(blocks)
-        traces = np.trace(blocks, axis1=-2, axis2=-1).real.tolist()
-        for k, block, dblock, spect, trace in zip(idx, blocks, dblocks, spectra, traces):
-            mult = flat[k][0]
-            read[k] = (mult, block, dblock, spect)
-            weighted_traces[k] = mult * trace
-    out = []
-    start = 0
-    for terms in raw:
-        stop = start + len(terms)
-        total = 0.0
-        for weighted in weighted_traces[start:stop]:
-            total += weighted
+            dblocks = validate_hermitian(dblocks, 1e-10, "state derivative")
+        spectrum = _decompose(blocks) if decompose else (None, None)
+        stacks.append(BlockStack(mults, blocks, dblocks, *spectrum))
+        weighted_traces.append(mults * blocks.trace(axis1=-2, axis2=-1).real)
+    for total in _point_sums(weighted_traces).tolist():
         if abs(total - 1.0) > _TRACE_TOL:
             raise InvalidInputError(
                 f"density matrix trace {total} differs from 1 beyond {_TRACE_TOL:g}"
             )
-        out.append(read[start:stop])
-        start = stop
-    return out
+    return stacks
 
 
-def _direct_sum_qfi(terms: list) -> float:
-    """sum_j m_j Q(B_j, dB_j) over the terms of one ``_model_blocks`` direct sum."""
-    total = 0.0
-    weighted = False
-    for mult, _, dblock, spect in terms:
-        d_eig, denom, mask = _overlaps(spect, dblock)
-        if mask.any():
-            total += mult * _qfi_sum(d_eig, denom, mask)
-            weighted = True
-    if not weighted:
+def _direct_sum_qfi(stacks: list) -> np.ndarray:
+    """sum_j m_j Q(B_j, dB_j) at every point of a ``_model_blocks`` read."""
+    weighted, on_support = [], []
+    for st in stacks:  # one per block size
+        d_eig, denom, mask = _overlaps(st.eigenvalues, st.eigenvectors, st.dblocks)
+        weighted.append(st.multiplicities * _qfi_sum(d_eig, denom, mask))
+        # The eigenvalues descend: a block has a pair on the support iff its first is.
+        on_support.append(mask[..., 0, 0])
+    if not _columns(on_support).any(axis=-1).all():
         raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
-    return total
+    return _point_sums(weighted)
 
 
 def model_qfi(model, theta: float) -> float:
     """QFI of a parametric model at a point: sum_j m_j Q(B_j, dB_j) over its blocks."""
-    return _direct_sum_qfi(_model_blocks(model, [theta])[0])
+    return float(_direct_sum_qfi(_model_blocks(model, [theta]))[0])
 
 
-def _direct_sum_fidelity(blocks_a: list, roots_a: list, blocks_b: list) -> float:
-    """Uhlmann fidelity of two states given as matching direct sums, clamped to [0, 1].
-
-    ``roots_a`` holds ``_sqrt_psd`` of each block of a larger than 2x2, None for the others.
-    """
-    if [m for m, *_ in blocks_a] != [m for m, *_ in blocks_b]:
-        raise InvalidInputError("block multiplicities differ between the two states")
-    f = sum(
-        m * _block_fidelity(a, b, root)
-        for (m, a, *_), root, (_, b, *_) in zip(blocks_a, roots_a, blocks_b)
-    )
-    return min(max(f, 0.0), 1.0)
+def _direct_sum_fidelity(stacks: list) -> np.ndarray:
+    """Uhlmann fidelity of the state at the first point of a read with the
+    state at each later one, clamped to [0, 1]."""
+    per_block = [
+        st.multiplicities * _block_fidelity(st.blocks[0], st.blocks[1:]) for st in stacks
+    ]
+    return np.clip(_point_sums(per_block), 0.0, 1.0)
 
 
 def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
@@ -351,30 +410,23 @@ def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
     by (4 q(eps/2) - q(eps)) / 3; on a domain edge the one-sided quotient
     has a first-order error, removed by 2 q(eps/2) - q(eps).  The fidelity
     is summed over the model's blocks, read at theta and every shifted
-    point in one stacked call; the square root of each block at theta
-    larger than 2x2 is taken once.
+    point in one stacked call, without derivatives; the square root of
+    each block at theta larger than 2x2 is taken once.
     """
     if eps <= 0:
         raise StepSizeError("eps must be positive")
     signs = [s for s in (+1.0, -1.0) if model.in_domain(theta + s * eps)]
+    steps = [e for e in (eps, eps / 2.0) for _ in signs]
     points = [theta] + [theta + sign * e for e in (eps, eps / 2.0) for sign in signs]
-    blocks0, *shifted = _model_blocks(model, points, derivative=False, decompose=False)
+    stacks = _model_blocks(model, points, derivative=False, decompose=False)
     if not signs:
         raise DomainError(f"no room around theta={theta} in the domain of {model.name}")
-    roots0 = [None if np.shape(a) == (2, 2) else _sqrt_psd(a) for _, a, *_ in blocks0]
-
-    def quotient(e: float, sides: list) -> float:
-        total = 0.0
-        for blocks in sides:
-            gap = 1.0 - _direct_sum_fidelity(blocks0, roots0, blocks)
-            if gap < _UNDERFLOW_TOL:
-                raise StepSizeError(
-                    f"1 - fidelity = {gap:.3e} underflows at eps={e:g}; increase eps"
-                )
-            total += 2.0 * gap / e**2
-        return total / len(sides)
-
-    pair = [quotient(eps, shifted[: len(signs)]), quotient(eps / 2.0, shifted[len(signs) :])]
+    gaps = 1.0 - _direct_sum_fidelity(stacks)
+    for gap, e in zip(gaps.tolist(), steps):
+        if gap < _UNDERFLOW_TOL:
+            raise StepSizeError(f"1 - fidelity = {gap:.3e} underflows at eps={e:g}; increase eps")
+    quotients = 2.0 * gaps / np.array([e**2 for e in steps])
+    pair = (np.sum(quotients.reshape(2, len(signs)), axis=-1) / len(signs)).tolist()
     if len(signs) == 2:
         return _even_richardson(pair)
     return float(richardson_limit(pair)[-1])
@@ -390,16 +442,9 @@ class LimitEstimate:
     qfi_values: np.ndarray
 
 
-def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate:
-    """Limit of the QFI as theta -> theta_bar from one side.
-
-    Samples theta_bar +/- LIMIT_H0 * 2**-k for k = 0..LIMIT_STEPS-1,
-    extrapolates with a Richardson tableau, and raises ``DivergenceError``
-    when successive extrapolants disagree beyond LIMIT_REL_TOL relative
-    (the signature of a second-kind discontinuity or singular metric).
-    Without a ``side`` the limit is taken from above when
-    theta_bar + LIMIT_H0 lies in the domain, and from below otherwise.
-    """
+def _limit_points(model, theta_bar: float, side: str | None = None):
+    """The side and the sample points of ``qfi_limit``; a ``DomainError``
+    when a point lies outside the domain."""
     if side is None:
         side = "above" if model.in_domain(theta_bar + LIMIT_H0) else "below"
     if side not in ("above", "below"):
@@ -409,7 +454,11 @@ def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate
     for th in thetas:
         if not model.in_domain(th):
             raise DomainError(f"theta={th} outside the domain of {model.name} (side={side})")
-    values = np.array([_direct_sum_qfi(terms) for terms in _model_blocks(model, thetas)])
+    return side, thetas
+
+
+def _limit_estimate(theta_bar: float, side: str, thetas: np.ndarray, values: np.ndarray):
+    """Extrapolate the QFI ``values`` at ``thetas`` to theta_bar (see ``qfi_limit``)."""
     extrapolants = richardson_limit(values)
     diff = abs(extrapolants[-1] - extrapolants[-2])
     scale = max(abs(extrapolants[-1]), 1e-6)
@@ -421,3 +470,18 @@ def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate
             values=values,
         )
     return LimitEstimate(float(extrapolants[-1]), float(diff), thetas, values)
+
+
+def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate:
+    """Limit of the QFI as theta -> theta_bar from one side.
+
+    Samples theta_bar +/- LIMIT_H0 * 2**-k for k = 0..LIMIT_STEPS-1,
+    extrapolates with a Richardson tableau, and raises ``DivergenceError``
+    when successive extrapolants disagree beyond LIMIT_REL_TOL relative
+    (the signature of a second-kind discontinuity or singular metric).
+    Without a ``side`` the limit is taken from above when
+    theta_bar + LIMIT_H0 lies in the domain, and from below otherwise.
+    """
+    side, thetas = _limit_points(model, theta_bar, side)
+    values = _direct_sum_qfi(_model_blocks(model, thetas))
+    return _limit_estimate(theta_bar, side, thetas, values)

@@ -29,15 +29,17 @@ def rotation_model(dim: int, seed: int) -> ParametricModel:
         u = (v * np.exp(-1j * theta * w)) @ v.conj().T
         return u @ rho0 @ u.conj().T
 
-    def derivative(theta: float) -> np.ndarray:
+    def blocks(theta: float, derivative: bool):
         rho = state(theta)
-        return -1j * (ham @ rho - rho @ ham)
+        drho = -1j * (ham @ rho - rho @ ham) if derivative else None
+        return [one_block(rho, drho)]
 
-    return ParametricModel(
-        name=f"rotation-{dim}d",
-        state_fn=state,
-        blocks_fn=lambda theta: [(1, state(theta), derivative(theta))],
-    )
+    return ParametricModel(name=f"rotation-{dim}d", state_fn=state, blocks_fn=blocks)
+
+
+def one_block(block: np.ndarray, dblock: np.ndarray | None):
+    """A ``blocks_fn`` group holding one block of multiplicity 1."""
+    return np.ones(1, dtype=int), block[None], None if dblock is None else dblock[None]
 
 
 def diagonal_branch_model(branch, name="diagonal-branch") -> ParametricModel:

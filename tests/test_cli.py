@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfidisc import cli, models
-from qfidisc.exceptions import BoundarySolutionWarning
+from qfidisc import cli, estimation, models
+from qfidisc.exceptions import BoundarySolutionWarning, DomainError, InvalidInputError
 
 
 def run_cli(args, capsys):
@@ -307,7 +307,91 @@ class TestQubitCounts:
         assert not [w for w in caught if issubclass(w.category, BoundarySolutionWarning)]
 
 
+class TestNonFiniteInputs:
+    """NaN and infinite parameters are refused where they enter, NaN included:
+    model parameters as domain errors, grid endpoints as usage errors."""
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+    def test_ghz_scan_rejects_kappa(self, capsys, kappa):
+        code, out, err = run_cli(
+            ["ghz-scan", "--qubits", "2", f"--kappa={kappa}", "--grid=0.1:0.2:2"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"domain error: kappa={float(kappa)} must be positive and finite\n"
+
+    @pytest.mark.parametrize("option", ["--kappa", "--time"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["qfi-scan", "--grid", "0.1:0.2:2"],
+            ["discontinuity", "--theta-bar", "0"],
+            ["mc", "--theta-bar", "0", "--replicates", "5"],
+        ],
+        ids=["qfi-scan", "discontinuity", "mc"],
+    )
+    def test_model_commands_reject_rates(self, capsys, command, option, value):
+        code, out, err = run_cli(
+            [command[0], "--model", "ghz", "--qubits", "2", option, value, *command[1:]], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: ") and "finite" in err
+
+    @pytest.mark.parametrize("command", ["discontinuity", "mc"])
+    @pytest.mark.parametrize("model", ["ghz", "trig"])
+    def test_nan_theta_bar_is_a_domain_error(self, capsys, command, model):
+        code, out, err = run_cli(
+            [command, "--model", model, "--qubits", "2", "--theta-bar", "nan"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: ")
+
+    @pytest.mark.parametrize("grid", ["nan:0.1:2", "0.1:nan:2", "0.1:inf:2", "-inf:0.1:2"])
+    @pytest.mark.parametrize("command", ["qfi-scan", "ghz-scan"])
+    def test_grid_endpoints_must_be_finite(self, capsys, command, grid):
+        model = ["--model", "ghz"] if command == "qfi-scan" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code, out, err = run_cli([command, *model, "--qubits", "2", f"--grid={grid}"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: bad grid {grid!r}: endpoints must be finite\n"
+
+    def test_library_entry_points_reject_nan(self):
+        nan = float("nan")
+        for kwargs in ({"kappa": nan}, {"t": nan}, {"kappa": math.inf}, {"t": math.inf}):
+            with pytest.raises(DomainError):
+                models.make_model("ghz", n_qubits=2, **kwargs)
+        for theta, kappa, t in ((nan, 1.0, 1.0), (0.1, nan, 1.0), (0.1, 1.0, nan)):
+            with pytest.raises(DomainError):
+                models.ghz_coefficients(theta, kappa, t)
+            with pytest.raises(DomainError):
+                models.ghz_block_arrays(2, theta, kappa, t)
+        with pytest.raises(DomainError):
+            models.lindblad_integrate(1, 0.1, 1.0, nan)
+
+
 class TestMcCommand:
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one_is_a_usage_error(self, capsys, count):
+        code, out, err = run_cli(
+            ["mc", "--model", "classical-bit", "--theta-bar", "0.3", "--samples", count], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --samples: must be >= 1, got {count}\n"
+
+    def test_replicate_count_below_two_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["mc", "--model", "classical-bit", "--theta-bar", "0.3", "--replicates", "1"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: need >= 2 replicates")
+
+    def test_library_sample_count_stays_invalid_input(self):
+        model = models.make_model("classical-bit")
+        for theta in (0.0, 0.3):  # a point mass and a sampled law
+            with pytest.raises(InvalidInputError, match="n_samples must be >= 1"):
+                estimation.run_cr_experiment(model, theta, n_samples=0, n_replicates=5, seed=1)
+
     def test_boundary_violation_report(self, capsys):
         code, stdout, _ = run_cli(
             [

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diagonal_branch_model
-from qfidisc import discontinuity, models
+from helpers import diagonal_branch_model, one_block
+from qfidisc import discontinuity, models, quantum
 from qfidisc.classical import SPEED_TOL
 from qfidisc.exceptions import (
+    DivergenceError,
     DomainError,
     MultiBranchError,
     NotADiscontinuityError,
@@ -22,8 +23,11 @@ def ghz_dense_twin(n, kappa, t):
     return ParametricModel(
         name=f"ghz-{n}-dense",
         state_fn=lambda th: models.ghz_state(n, th, kappa, t),
-        blocks_fn=lambda th: [
-            (1, models.ghz_state(n, th, kappa, t), models.ghz_state_derivative(n, th, kappa, t))
+        blocks_fn=lambda th, derivative: [
+            one_block(
+                models.ghz_state(n, th, kappa, t),
+                models.ghz_state_derivative(n, th, kappa, t) if derivative else None,
+            )
         ],
         domain=(-kappa / 2.0, kappa / 2.0),
         open_domain=True,
@@ -74,12 +78,13 @@ class TestVanishingEigenvalueBranch:
         # read alone, bit for bit.
         model = models.make_model(name, kappa=kappa, t=t, n_qubits=n)
         branch = discontinuity.vanishing_eigenvalue_branch(model, theta_bar)
-        (at_bar,) = discontinuity._block_spectra(model, [theta_bar])
+        (at_bar,) = quantum._model_blocks(model, [theta_bar], derivative=False)
         for offset, value in zip(branch.offsets, branch.values):
-            (alone,) = discontinuity._block_spectra(model, [theta_bar + offset * branch.h])
+            theta = theta_bar + offset * branch.h
+            (alone,) = quantum._model_blocks(model, [theta], derivative=False)
             w = 0.0
-            for (mult, bar), (_, sp) in zip(at_bar, alone):
-                w += mult * float(np.sum(sp.eigenvalues[bar.effective_rank :]))
+            for mult, rank, lam in zip(at_bar.multiplicities, at_bar.ranks[0], alone.eigenvalues[0]):
+                w += mult * float(np.sum(lam[rank:]))
             assert value == w
 
     def test_regular_point_rejected(self):
@@ -268,3 +273,49 @@ class TestClassify:
         assert payload["qfi_limit"] == "inf"
         assert payload["delta_q_measured"] == "inf"
         assert isinstance(payload["speed"], float)
+
+
+# (case, model builder, rank-change point): every built-in rank-change point,
+# and the GHZ states at theta = 0 for N = 2, 3, 4, 8.
+RANK_CHANGE_POINTS = [
+    ("classical-bit-0", lambda: models.make_model("classical-bit"), 0.0),
+    ("classical-bit-1", lambda: models.make_model("classical-bit"), 1.0),
+    ("trig-0", lambda: models.make_model("trig"), 0.0),
+    ("trig-pi-half", lambda: models.make_model("trig"), math.pi / 2),
+    ("transverse-qubit-0", lambda: models.make_model("transverse-qubit"), 0.0),
+] + [
+    (f"ghz-{n}-0", lambda n=n: models.make_model("ghz", n_qubits=n), 0.0) for n in (2, 3, 4, 8)
+]
+
+
+def bits(*values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("build, theta_bar", [c[1:] for c in RANK_CHANGE_POINTS],
+                         ids=[c[0] for c in RANK_CHANGE_POINTS])
+def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build, theta_bar):
+    model = build()
+    branch = discontinuity.vanishing_eigenvalue_branch(model, theta_bar)
+    speed, accel = discontinuity.speed_and_acceleration(branch.h, branch.as_dict())
+    qfi_at_bar = quantum.model_qfi(model, theta_bar)
+    try:
+        limit, samples = quantum.qfi_limit(model, theta_bar).value, None
+    except DivergenceError as err:  # the classical bit's second kind
+        limit, samples = math.inf, list(err.values)
+
+    reads = []
+    model_blocks = quantum._model_blocks
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return model_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "_model_blocks", counted)
+    report = discontinuity.classify(model, theta_bar)
+    assert len(reads) == 1
+    assert bits(report.speed, report.acceleration, report.qfi_at_bar, report.qfi_limit) == bits(
+        speed, accel, qfi_at_bar, limit
+    )
+    assert bits(*report.evidence["branch_values"]) == bits(*branch.values)
+    assert report.evidence.get("qfi_samples") == samples

@@ -346,7 +346,7 @@ class TestRegistry:
         h = 1e-5
         if not (model.in_domain(theta - h) and model.in_domain(theta + h)):
             return
-        below, at, above = (model.blocks_fn(theta + k * h) for k in (-1, 0, 1))
+        below, at, above = (model.blocks_fn(theta + k * h, True) for k in (-1, 0, 1))
         for (_, lo_blk, _), (_, _, dblk), (_, hi_blk, _) in zip(below, at, above):
             assert np.max(np.abs(dblk - (hi_blk - lo_blk) / (2.0 * h))) < 1e-6
 

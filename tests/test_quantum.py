@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, sqrtm
 
-from helpers import random_density, random_hermitian, rotation_model
+from helpers import one_block, random_density, random_hermitian, rotation_model
 from qfidisc import discontinuity, models, numdiff, quantum
 from qfidisc.exceptions import (
     DegenerateModelError,
@@ -223,8 +223,8 @@ class TestBuresMetric:
 
     def test_reference_root_is_taken_once(self, monkeypatch):
         # A 3x3 block goes through eigensolves: one root of the block at
-        # theta and one eigvalsh per shifted point, 5 in all, with the bits
-        # of a fresh root per point.
+        # theta and one stacked eigvalsh for the four shifted points, 2 in
+        # all, with the bits of a fresh root per point.
         model, theta, eps = rotation_model(3, 1), 0.2, 1e-4
         rho = model.state_fn(theta)
 
@@ -243,7 +243,7 @@ class TestBuresMetric:
 
             monkeypatch.setattr(np.linalg, name, counted)
         assert quantum.bures_metric_fd(model, theta, eps) == expected
-        assert len(solves) == 5
+        assert len(solves) == 2
 
     def test_underflow_raises_step_size_error(self):
         constant = models.ParametricModel(
@@ -290,29 +290,45 @@ def block_model(parts, name="block-model"):
     """Direct-sum model from (multiplicity, weight, fixed-rank family) parts,
     and its dense twin.
 
-    The block of a part is weight times the family's one block; the twin's
-    state and derivative are block-diagonal with every block repeated.
+    The block of a part is weight times the family's one block, grouped
+    with the other parts' blocks of its size; the twin's state and
+    derivative are block-diagonal with every block repeated.
     """
 
-    def blocks(theta):
+    def part_blocks(theta, derivative):
+        for mult, w, fam in parts:
+            [(_, block, dblock)] = fam.blocks_fn(theta, derivative)
+            yield mult, w * block[0], None if dblock is None else w * dblock[0]
+
+    def blocks(theta, derivative):
+        by_size = {}
+        for part in part_blocks(theta, derivative):
+            by_size.setdefault(part[1].shape, []).append(part)
         return [
-            (mult, w * block, w * dblock)
-            for mult, w, fam in parts
-            for _, block, dblock in fam.blocks_fn(theta)
+            (
+                np.array([mult for mult, _, _ in group]),
+                np.array([block for _, block, _ in group]),
+                np.array([dblock for _, _, dblock in group]) if derivative else None,
+            )
+            for group in by_size.values()
         ]
 
-    def dense(theta, which):
-        return block_diag(*[blk[which] for blk in blocks(theta) for _ in range(blk[0])])
+    def dense(theta, derivative):
+        parts_at = list(part_blocks(theta, derivative))
+        which = 2 if derivative else 1
+        return block_diag(*[part[which] for part in parts_at for _ in range(part[0])])
 
     def state(theta):
-        return dense(theta, 1)
+        return dense(theta, False)
 
     return (
         models.ParametricModel(name=name, state_fn=state, blocks_fn=blocks),
         models.ParametricModel(
             name=f"{name}-dense",
             state_fn=state,
-            blocks_fn=lambda th: [(1, state(th), dense(th, 2))],
+            blocks_fn=lambda th, derivative: [
+                one_block(state(th), dense(th, True) if derivative else None)
+            ],
         ),
     )
 
@@ -374,7 +390,7 @@ class TestDirectSum:
         model = models.ParametricModel(
             name="bad-block",
             state_fn=lambda theta: bad,
-            blocks_fn=lambda theta: [(1, bad, np.zeros((2, 2), dtype=complex))],
+            blocks_fn=lambda theta, derivative: [one_block(bad, np.zeros((2, 2), dtype=complex))],
         )
         with pytest.raises(InvalidInputError):
             quantum.model_qfi(model, 0.0)
@@ -428,26 +444,26 @@ class TestStackedReads:
         model = build()
         sign = 1.0 if model.in_domain(theta_bar + 1e-2) else -1.0
         thetas = [theta_bar + sign * 1e-2 * 2.0**-k for k in range(5)]
-        for stacked, theta in zip(quantum._model_blocks(model, thetas), thetas):
-            (alone,) = quantum._model_blocks(model, [theta])
+        stacked = quantum._model_blocks(model, thetas)
+        for i, theta in enumerate(thetas):
+            alone = quantum._model_blocks(model, [theta])
             assert len(stacked) == len(alone)
-            for (m, block, dblock, spect), (m1, block1, dblock1, spect1) in zip(stacked, alone):
-                assert m == m1
-                assert np.array_equal(block, block1) and np.array_equal(dblock, dblock1)
-                assert np.array_equal(spect.eigenvalues, spect1.eigenvalues)
-                assert np.array_equal(spect.eigenvectors, spect1.eigenvectors)
-                assert spect.effective_rank == spect1.effective_rank
+            for group, group1 in zip(stacked, alone):
+                assert np.array_equal(group.multiplicities, group1.multiplicities)
+                for field in ("blocks", "dblocks", "eigenvalues", "eigenvectors", "ranks"):
+                    got, want = getattr(group, field)[i], getattr(group1, field)[0]
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
     def test_spectra_equal_one_matrix_eigensolves(self):
         rng = np.random.default_rng(11)
         for dim in (2, 3, 8):
             stack = np.array([random_density(dim, rng) for _ in range(5)])
             stack[1] = np.eye(dim) / dim  # a fully degenerate spectrum
-            for spect, rho in zip(quantum._decompose(stack), stack):
+            for lam_k, vecs_k, rho in zip(*quantum._decompose(stack)[:2], stack):
                 lam, vecs = np.linalg.eigh(rho)
                 order = np.argsort(lam)[::-1]
-                assert np.array_equal(spect.eigenvalues, np.maximum(lam[order], 0.0))
-                assert np.array_equal(spect.eigenvectors, vecs[:, order])
+                assert np.array_equal(lam_k, np.maximum(lam[order], 0.0))
+                assert np.array_equal(vecs_k, vecs[:, order])
 
 
 def poisoned(model, call, kind):
@@ -458,16 +474,17 @@ def poisoned(model, call, kind):
     """
     calls = iter(range(10**6))
 
-    def blocks(theta):
-        terms = model.blocks_fn(theta)
+    def blocks(theta, derivative):
+        groups = model.blocks_fn(theta, derivative)
         if next(calls) != call:
-            return terms
-        (mult, block, dblock), *rest = terms
+            return groups
+        (mults, mats, dmats), *rest = groups
+        mats = mats.copy()
         if kind == "hermitian":
-            block = block + np.triu(np.full(block.shape, 1e-6), 1)
+            mats[0] += np.triu(np.full(mats.shape[1:], 1e-6), 1)
         else:
-            block = 1.01 * block
-        return [(mult, block, dblock), *rest]
+            mats[0] *= 1.01
+        return [(mults, mats, dmats), *rest]
 
     return dataclasses.replace(model, blocks_fn=blocks)
 
@@ -534,3 +551,29 @@ def test_built_in_models_are_read_through_their_blocks_alone(build, rank_change,
         for routine in MODEL_ROUTINES:
             got = outcome(lambda: routine(blocks_only, theta))
             assert got == outcome(lambda: routine(model, theta)), (routine.__name__, theta)
+
+
+@pytest.mark.parametrize("name, n", [("transverse-qubit", 1), ("ghz", 3), ("ghz", 8)])
+def test_derivative_free_reads_never_differentiate_the_coefficients(monkeypatch, name, n):
+    # The metric, the rank check, the vanishing weight and the dense state
+    # read no derivative, so the GHZ coefficients are never differentiated.
+    model = models.make_model(name, n_qubits=n)
+    reads = [
+        lambda: quantum.bures_metric_fd(model, 0.1),
+        lambda: quantum.bures_metric_fd(model, 0.0),
+        lambda: discontinuity.rank_change(model, 0.0),
+        lambda: discontinuity.vanishing_eigenvalue_branch(model, 0.0),
+        lambda: models.ghz_state(n, 0.1, 1.0, 1.0).tobytes(),
+    ]
+    expected = [read() for read in reads]
+
+    class DerivativeRead(Exception):
+        pass
+
+    def forbidden(*args):
+        raise DerivativeRead(f"ghz_coefficient_derivatives{args} called")
+
+    monkeypatch.setattr(models, "ghz_coefficient_derivatives", forbidden)
+    assert [read() for read in reads] == expected
+    with pytest.raises(DerivativeRead):  # the patch is live: the QFI needs derivatives
+        quantum.model_qfi(model, 0.1)
