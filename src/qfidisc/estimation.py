@@ -141,7 +141,7 @@ def run_cr_experiment(
     first probability is exactly 0 or 1 the law is a point mass: every
     replicate gets the estimate of the one count vector it allows, and no
     stream is drawn.  Neither step calls ``state_fn``; the QFI and the
-    rank-change note read the model's blocks where it has them.  The
+    rank-change note read the model's blocks.  The
     violation flag is set when the replicate variance falls more than
     three standard errors of the variance below the bound, with
     Var(s^2) ~ 2 s^4 / (R - 1).

@@ -43,7 +43,7 @@ class MultiBranchError(ValueError):
 
 
 class UnsupportedModelError(ValueError):
-    """The requested model name is not registered for this operation."""
+    """The model has no two-outcome measurement and estimator to sample."""
 
 
 class InsufficientReplicatesError(ValueError):

@@ -75,15 +75,15 @@ BlockGroup = tuple[np.ndarray, np.ndarray, np.ndarray | None]
 class ParametricModel:
     """A named family theta -> rho_theta.
 
-    ``state_fn`` returns the dense state.  ``blocks_fn(theta, derivative)``,
-    when given, returns rho_theta as a direct sum: a list of groups, one
-    per block size, each the arrays (multiplicities, blocks, derivatives)
-    of ``BlockGroup``, with derivatives None unless ``derivative`` is set.
-    The multiplicity-weighted block traces sum to 1, and the groups, their
-    block counts and multiplicities are the same at every theta.  The QFI,
-    the Bures metric and the discontinuity analysis then read only the
-    blocks; every built-in model has them.  A model with ``state_fn`` alone
-    is one block, differentiated by central differences.
+    ``blocks_fn(theta, derivative)`` returns rho_theta as a direct sum: a
+    list of groups, one per block size, each the 3-tuple (multiplicities,
+    blocks, derivatives) of ``BlockGroup``, with positive integer
+    multiplicities, analytic theta-derivatives, and derivatives None
+    unless ``derivative`` is set.  The multiplicity-weighted block traces
+    sum to 1, and the groups, their block counts and multiplicities are the
+    same at every theta.  The QFI, the Bures metric and the discontinuity
+    analysis read only the blocks.  ``state_fn`` returns the dense state;
+    no library routine reads it.
 
     ``p_first`` is the probability of the first outcome of the
     two-outcome measurement the Monte Carlo experiments sample, and
@@ -93,7 +93,7 @@ class ParametricModel:
 
     name: str
     state_fn: Callable[[float], np.ndarray]
-    blocks_fn: Callable[[float, bool], Sequence[BlockGroup]] | None = None
+    blocks_fn: Callable[[float, bool], Sequence[BlockGroup]]
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
     p_first: Callable[[float], float] | None = None

@@ -16,12 +16,13 @@ The central objects:
 * ``qfi_limit``: one-sided limit of the QFI along a step-halving sequence,
   with divergence detection for singular-metric points.
 
-Model-level helpers work on direct sums.  A model may supply its state as
-unnormalized blocks A_j, each repeated m_j times
+Model-level helpers work on direct sums.  Every model supplies its state
+as unnormalized blocks A_j, each repeated m_j times
 (``ParametricModel.blocks_fn``), as arrays: one group per block size of
-multiplicities (B,), blocks (B, d, d) and, when asked for, derivatives
-(B, d, d).  One without that structure is a single block of multiplicity
-1.  The QFI and the Uhlmann fidelity both split over such a direct sum:
+multiplicities (B,), blocks (B, d, d) and, when asked for, their analytic
+derivatives (B, d, d); a state with no structure is one block of
+multiplicity 1.  The QFI and the Uhlmann fidelity both split over such a
+direct sum:
 for rho = (+)_j m_j A_j and sigma = (+)_j m_j B_j,
 
     Q(rho) = sum_j m_j Q(A_j, dA_j),    F(rho, sigma) = sum_j m_j F(A_j, B_j),
@@ -88,10 +89,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     effective_rank: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the matrix sum_k lambda_k |k><k|."""
@@ -250,28 +247,10 @@ def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Model-level helpers.  A "model" is any object exposing state_fn(theta),
-# optional blocks_fn(theta, derivative), and in_domain(theta); see
-# models.py.  Every built-in model has blocks_fn, so these read its blocks
-# alone.
+# Model-level helpers.  A "model" is any object exposing
+# blocks_fn(theta, derivative) and in_domain(theta); see models.py.  These
+# read its blocks alone and never differentiate a state.
 # ---------------------------------------------------------------------------
-
-
-def state_derivative(model, theta: float) -> np.ndarray:
-    """d rho / d theta of a model given by ``state_fn`` alone, by central
-    differences with step 1e-5 * max(1, |theta|) (one-sided second-order
-    at a domain edge)."""
-    h = 1e-5 * max(1.0, abs(theta))
-    above = model.in_domain(theta + h)
-    below = model.in_domain(theta - h)
-    f = model.state_fn
-    if above and below:
-        return (f(theta + h) - f(theta - h)) / (2.0 * h)
-    if above:
-        return (-3.0 * f(theta) + 4.0 * f(theta + h) - f(theta + 2.0 * h)) / (2.0 * h)
-    if below:
-        return (3.0 * f(theta) - 4.0 * f(theta - h) + f(theta - 2.0 * h)) / (2.0 * h)
-    raise DomainError(f"cannot differentiate {model.name} at theta={theta}: no room in domain")
 
 
 class BlockStack(NamedTuple):
@@ -314,49 +293,47 @@ def _point_sums(columns: list) -> np.ndarray:
 
 def _stack_groups(reads: list, k: int, derivative: bool):
     """Group k of every point's direct sum, stacked on a point axis."""
+    groups = [read[k] for read in reads]
+    if not all(isinstance(group, tuple) and len(group) == 3 for group in groups):
+        raise InvalidInputError("a block group must be (multiplicities, blocks, derivatives)")
     try:
-        mults = np.array([read[k][0] for read in reads])
-        blocks = np.array([read[k][1] for read in reads], dtype=complex)
-        dblocks = np.array([read[k][2] for read in reads], dtype=complex) if derivative else None
+        mults = np.array([group[0] for group in groups])
+        blocks = np.array([group[1] for group in groups], dtype=complex)
+        dblocks = np.array([group[2] for group in groups], dtype=complex) if derivative else None
     except ValueError:  # ragged: the point reads differ in shape
         raise InvalidInputError("block structure differs between points") from None
     if mults.ndim != 2 or blocks.shape[:2] != mults.shape:
         raise InvalidInputError("block and multiplicity counts differ")
     if len(reads) > 1 and (mults != mults[0]).any():
         raise InvalidInputError("block multiplicities differ between points")
+    mults = mults[0]
+    if not mults.size or mults.dtype.kind not in "iu" or (mults < 1).any():
+        raise InvalidInputError(f"multiplicities {mults.tolist()} are not positive integers")
     if derivative and dblocks.shape != blocks.shape:
         raise InvalidInputError("state and derivative dimensions differ")
-    return mults[0], blocks, dblocks
+    return mults, blocks, dblocks
 
 
 def _model_blocks(model, thetas, derivative: bool = True, decompose: bool = True) -> list:
     """The state at each of ``thetas`` as a checked direct sum.
 
     Returns one ``BlockStack`` per block size, with the points on its
-    first axis in the order of ``thetas``.  Uses ``model.blocks_fn`` when
-    the model has one; otherwise the state is one block of multiplicity 1
-    with ``state_derivative`` as its derivative.  Without ``derivative``
-    no derivatives are computed; without ``decompose`` no eigensolve is
-    made.
+    first axis in the order of ``thetas``, from ``model.blocks_fn``.
+    Without ``derivative`` no derivatives are asked for; without
+    ``decompose`` no eigensolve is made.
 
-    Each stack is read at once: one Hermiticity check of its blocks
-    (within 1e-12), one of their derivatives (within 1e-10), one trace per
-    block, and one eigendecomposition.  At every theta the weighted traces
-    must sum to 1 within 1e-10, summed in block order.
+    Each stack is read at once: one check that its groups are 3-tuples
+    with the same positive integer multiplicities at every point, one
+    Hermiticity check of its blocks (within 1e-12), one of their
+    derivatives (within 1e-10), one trace per block, and one
+    eigendecomposition.  At every theta the weighted traces must sum to 1
+    within 1e-10, summed in block order.
     """
-    if model.blocks_fn is not None:
-        reads = [model.blocks_fn(theta, derivative) for theta in thetas]
-    else:
-        reads = [
-            [(
-                [1],
-                [model.state_fn(theta)],
-                [state_derivative(model, theta)] if derivative else None,
-            )]
-            for theta in thetas
-        ]
+    reads = [model.blocks_fn(theta, derivative) for theta in thetas]
     if len({len(read) for read in reads}) > 1:
         raise InvalidInputError("block structure differs between points")
+    if not reads[0]:
+        raise InvalidInputError("the direct sum has no block groups")
     stacks, weighted_traces = [], []
     for k in range(len(reads[0])):  # one group per block size
         mults, blocks, dblocks = _stack_groups(reads, k, derivative)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from qfidisc.exceptions import DomainError
-from qfidisc.models import ParametricModel
+from qfidisc.models import ParametricModel, _one_block
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,8 +42,9 @@ def one_block(block: np.ndarray, dblock: np.ndarray | None):
     return np.ones(1, dtype=int), block[None], None if dblock is None else dblock[None]
 
 
-def diagonal_branch_model(branch, name="diagonal-branch") -> ParametricModel:
-    """diag(q(theta), 1 - q(theta)) for a supplied scalar branch q."""
+def diagonal_branch_model(branch, dbranch, name="diagonal-branch") -> ParametricModel:
+    """diag(q(theta), 1 - q(theta)) for a supplied scalar branch q and its
+    derivative dq/dtheta ``dbranch``."""
 
     def state(theta: float) -> np.ndarray:
         q = branch(theta)
@@ -51,7 +52,10 @@ def diagonal_branch_model(branch, name="diagonal-branch") -> ParametricModel:
             raise DomainError(f"branch value {q} outside [0, 1]")
         return np.diag([q, 1.0 - q]).astype(complex)
 
-    return ParametricModel(name=name, state_fn=state)
+    def derivative(theta: float) -> np.ndarray:
+        return dbranch(theta) * np.diag([1.0, -1.0]).astype(complex)
+
+    return ParametricModel(name=name, state_fn=state, blocks_fn=_one_block(state, derivative))
 
 
 def bernoulli_family(theta: float):

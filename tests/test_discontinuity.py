@@ -93,7 +93,9 @@ class TestVanishingEigenvalueBranch:
             discontinuity.vanishing_eigenvalue_branch(model, 0.5)
 
     def test_rank_rising_on_one_side_only_rejected(self):
-        model = diagonal_branch_model(lambda theta: max(theta, 0.0) ** 2)
+        model = diagonal_branch_model(
+            lambda theta: max(theta, 0.0) ** 2, lambda theta: 2.0 * max(theta, 0.0)
+        )
         with pytest.raises(NotADiscontinuityError):
             discontinuity.vanishing_eigenvalue_branch(model, 0.0)
 
@@ -102,8 +104,14 @@ class TestVanishingEigenvalueBranch:
             base = models.trig_model_state(theta)
             return 0.9 * base + 0.1 * np.eye(2, dtype=complex) / 2
 
+        def derivative(theta):
+            return 0.9 * models.trig_model_derivative(theta)
+
         depolarized = ParametricModel(
-            name="depolarized-trig", state_fn=state, domain=(0.0, math.pi / 2)
+            name="depolarized-trig",
+            state_fn=state,
+            blocks_fn=models._one_block(state, derivative),
+            domain=(0.0, math.pi / 2),
         )
         with pytest.raises(NotADiscontinuityError):
             discontinuity.vanishing_eigenvalue_branch(depolarized, 0.0)
@@ -144,9 +152,14 @@ class TestVanishingEigenvalueBranch:
         # eps = 1e-9 the non-vanishing eigenvalue eps sits below theta^2 at
         # the sampled offsets, so the vanishing one cannot be picked out.
         def model(eps):
+            def state(th):
+                return np.diag([th**2, eps, 1.0 - th**2 - eps]).astype(complex)
+
+            def derivative(th):
+                return np.diag([2.0 * th, 0.0, -2.0 * th]).astype(complex)
+
             return ParametricModel(
-                name="near-kernel",
-                state_fn=lambda th: np.diag([th**2, eps, 1.0 - th**2 - eps]).astype(complex),
+                name="near-kernel", state_fn=state, blocks_fn=models._one_block(state, derivative)
             )
 
         report = discontinuity.classify(model(1e-4), 0.0)
@@ -169,7 +182,12 @@ class TestVanishingEigenvalueBranch:
             q = math.sin(theta) ** 2
             return np.diag([q, 1.0 - q, 0.0]).astype(complex)
 
-        model = ParametricModel(name="qutrit-with-kernel", state_fn=state)
+        def derivative(theta):
+            return math.sin(2.0 * theta) * np.diag([1.0, -1.0, 0.0]).astype(complex)
+
+        model = ParametricModel(
+            name="qutrit-with-kernel", state_fn=state, blocks_fn=models._one_block(state, derivative)
+        )
         branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
         for off, val in zip(branch.offsets, branch.values):
             assert val == pytest.approx(math.sin(off * branch.h) ** 2, abs=1e-13)
@@ -259,7 +277,8 @@ class TestClassify:
         # lambda_min = c x^2 + d x^3 near x = 0 vanishes with speed 0 and
         # acceleration 2c, so the jump prediction is 4c.
         model = diagonal_branch_model(
-            lambda theta: curvature * (theta - center) ** 2 + cubic * (theta - center) ** 3
+            lambda theta: curvature * (theta - center) ** 2 + cubic * (theta - center) ** 3,
+            lambda theta: 2.0 * curvature * (theta - center) + 3.0 * cubic * (theta - center) ** 2,
         )
         report = discontinuity.classify(model, center)
         assert report.kind == "jump"

@@ -140,7 +140,7 @@ class TestMle:
             assert model.estimate(model.p_first(theta)) == pytest.approx(theta, abs=1e-9)
 
     def test_model_without_measurement_is_unsupported(self):
-        model = diagonal_branch_model(lambda theta: theta)
+        model = diagonal_branch_model(lambda theta: theta, lambda theta: 1.0)
         assert model.p_first is None and model.estimate is None
         with pytest.raises(UnsupportedModelError):
             estimation.mle(model, [1, 0])

@@ -246,8 +246,14 @@ class TestBuresMetric:
         assert len(solves) == 2
 
     def test_underflow_raises_step_size_error(self):
+        def state(theta):
+            return np.eye(2, dtype=complex) / 2
+
+        def derivative(theta):
+            return np.zeros((2, 2), dtype=complex)
+
         constant = models.ParametricModel(
-            name="constant", state_fn=lambda theta: np.eye(2, dtype=complex) / 2
+            name="constant", state_fn=state, blocks_fn=models._one_block(state, derivative)
         )
         with pytest.raises(StepSizeError):
             quantum.bures_metric_fd(constant, 0.0, eps=1e-4)
@@ -333,6 +339,10 @@ def block_model(parts, name="block-model"):
     )
 
 
+HALF = np.eye(2, dtype=complex) / 2
+HALF_PAIR = np.array([HALF, HALF])
+
+
 class TestDirectSum:
     @given(
         n=st.integers(1, 8),
@@ -395,15 +405,32 @@ class TestDirectSum:
         with pytest.raises(InvalidInputError):
             quantum.model_qfi(model, 0.0)
 
-
-def finite_difference_twin(model):
-    """The model with its blocks dropped: one dense block, central differences."""
-    return dataclasses.replace(model, blocks_fn=None)
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [],
+            [(np.ones(1, dtype=int), HALF[None])],
+            [(np.zeros(0, dtype=int), HALF_PAIR[:0], HALF_PAIR[:0])],
+            [(np.array([-1, 2]), HALF_PAIR, np.zeros_like(HALF_PAIR))],
+            [(np.array([0, 1]), HALF_PAIR, np.zeros_like(HALF_PAIR))],
+            [(np.array([0.5, 0.5]), HALF_PAIR, np.zeros_like(HALF_PAIR))],
+        ],
+        ids=["empty", "two-tuple", "no-blocks", "negative", "zero", "fractional"],
+    )
+    def test_malformed_direct_sum_rejected(self, groups):
+        # The weighted traces of the last three sum to 1: only the
+        # multiplicities are wrong.
+        model = models.ParametricModel(
+            name="malformed", state_fn=None, blocks_fn=lambda theta, derivative: groups
+        )
+        with pytest.raises(InvalidInputError):
+            quantum.model_qfi(model, 0.0)
+        with pytest.raises(InvalidInputError):
+            quantum.bures_metric_fd(model, 0.0)
 
 
 # (model, a point to read around): every registry model, GHZ at three N,
-# rotation models in 3 and 4 dimensions on finite-difference derivatives,
-# and the 2x2 + 3x3 direct sum.
+# rotation models in 3 and 4 dimensions, and the 2x2 + 3x3 direct sum.
 STACKED_CASES = [
     ("classical-bit", lambda: models.make_model("classical-bit"), 0.0),
     ("trig", lambda: models.make_model("trig"), math.pi / 2),
@@ -411,8 +438,8 @@ STACKED_CASES = [
     ("ghz-2", lambda: models.make_model("ghz", n_qubits=2), 0.0),
     ("ghz-8", lambda: models.make_model("ghz", kappa=2.0, t=0.3, n_qubits=8), 0.0),
     ("ghz-24", lambda: models.make_model("ghz", n_qubits=24), 0.0),
-    ("rotation-3", lambda: finite_difference_twin(rotation_model(3, 4)), 0.3),
-    ("rotation-4", lambda: finite_difference_twin(rotation_model(4, 5)), -0.8),
+    ("rotation-3", lambda: rotation_model(3, 4), 0.3),
+    ("rotation-4", lambda: rotation_model(4, 5), -0.8),
     (
         "mixed-blocks",
         lambda: block_model(
