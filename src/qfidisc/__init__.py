@@ -42,6 +42,7 @@ from .quantum import (
     fidelity,
     model_qfi,
     qfi,
+    qfi_and_metric,
     qfi_limit,
     sld,
     spectral_decompose,
@@ -77,6 +78,7 @@ __all__ = [
     "mle",
     "model_qfi",
     "qfi",
+    "qfi_and_metric",
     "qfi_limit",
     "qubit_bloch_qfi",
     "run_cr_experiment",

@@ -140,27 +140,41 @@ def _build_model(args) -> models.ParametricModel:
     )
 
 
+# The errors that mark one qfi-scan row and leave the others to run.
+_ROW_ERRORS = (DomainError, StepSizeError, DivergenceError, NumericalError)
+
+
+def _read_row(model, theta: float):
+    """One qfi-scan row read alone: its (Q, g), or the error that marks it."""
+    try:
+        return quantum.qfi_and_metric(model, [theta])[0]
+    except _ROW_ERRORS as err:
+        return err
+
+
 def cmd_qfi_scan(args) -> int:
-    grid = parse_grid(args.grid)
+    grid = [float(theta) for theta in parse_grid(args.grid)]
     model = _build_model(args)
     columns = ["theta", "qfi", "bures_metric", "four_g_minus_qfi"]
+    try:
+        results = quantum.qfi_and_metric(model, grid)
+    except Exception:
+        # Some point failed the stacked reads.  Read alone, each failing row
+        # gets its own marker, and an error that marks no row is raised again.
+        results = [_read_row(model, theta) for theta in grid]
     rows = []
     code = EXIT_OK
-    for theta in grid:
-        theta = float(theta)
-        try:
-            q = quantum.model_qfi(model, theta)
-            g = quantum.bures_metric_fd(model, theta)
-            rows.append(
-                {"theta": theta, "qfi": q, "bures_metric": g, "four_g_minus_qfi": 4.0 * g - q}
-            )
-        except (DomainError, StepSizeError, DivergenceError, NumericalError) as err:
+    for theta, result in zip(grid, results):
+        if isinstance(result, Exception):
             # A numerical failure outranks a domain one: EXIT_NUMERICAL > EXIT_DOMAIN.
-            code = max(code, _failure(err)[0])
-            marker = f"error({type(err).__name__})"
-            rows.append(
-                {"theta": theta, "qfi": marker, "bures_metric": marker, "four_g_minus_qfi": marker}
-            )
+            code = max(code, _failure(result)[0])
+            q = g = four_g_minus_q = f"error({type(result).__name__})"
+        else:
+            q, g = result
+            four_g_minus_q = 4.0 * g - q
+        rows.append(
+            {"theta": theta, "qfi": q, "bures_metric": g, "four_g_minus_qfi": four_g_minus_q}
+        )
     _emit_table(rows, columns, args.format, args.output)
     return code
 

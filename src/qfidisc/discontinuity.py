@@ -67,22 +67,6 @@ def _ranks(theta_bar: float, offsets, stacks: list) -> tuple[int, int]:
     return r0, max(side_ranks.values())
 
 
-def rank_change(model, theta_bar: float) -> tuple[int, int]:
-    """Effective ranks at theta_bar and theta_bar +/- h, read in one stack.
-
-    h is ``numdiff.base_step(theta_bar)``, the base step of
-    ``vanishing_eigenvalue_branch``.
-
-    Returns (rank at theta_bar, highest rank beside) over the sides +/-1
-    inside the domain; ranks are weighted by multiplicity.  Raises
-    ``DomainError`` when no side is inside, and ``NotADiscontinuityError``
-    unless the rank rises on every side.
-    """
-    h, offsets = _branch_offsets(model, theta_bar, fractions=(1.0,))
-    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), derivative=False)
-    return _ranks(theta_bar, offsets, stacks)
-
-
 @dataclass(frozen=True)
 class BranchSamples:
     """The vanishing weight sampled around theta_bar.
@@ -143,9 +127,9 @@ def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     derivatives.
 
     Only sides inside the domain are sampled, and the rank must rise on
-    each (as in ``rank_change``).  Raises ``MultiBranchError`` when a
-    sampled vanishing eigenvalue exceeds GAP_FRACTION of its block's
-    smallest non-vanishing eigenvalue at theta_bar.
+    each.  Raises ``MultiBranchError`` when a sampled vanishing eigenvalue
+    exceeds GAP_FRACTION of its block's smallest non-vanishing eigenvalue
+    at theta_bar.
     """
     h, offsets = _branch_offsets(model, theta_bar)
     stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), derivative=False)

@@ -98,17 +98,37 @@ class EstimationReport:
         }
 
 
-def _rank_change_note(model: ParametricModel, theta: float) -> str:
-    """The rank change at theta and the QFI limit there, as ``classify`` finds them.
+def _qfi_and_rank_change(model: ParametricModel, theta: float):
+    """Q(theta), and the effective ranks at theta and beside it where the rank
+    rises there (else None).
 
-    Empty where the rank does not change.  Where ``classify`` cannot
-    resolve the point, the effective ranks and the limit are withheld:
-    the support cut that makes it fail miscounts both.
+    One read with derivatives takes theta and the points theta +/- h inside
+    the domain, h the base step of ``discontinuity.classify``; Q comes from
+    theta's row, and equals ``quantum.model_qfi`` bit for bit.  The rank
+    rises where it is higher on every side read.  Where no side has room,
+    or a point beside theta fails with a ``DomainError``, theta is read
+    alone.
     """
     try:
-        r0, r_beside = discontinuity.rank_change(model, theta)
-    except (NotADiscontinuityError, DomainError):
-        return ""
+        h, offsets = discontinuity._branch_offsets(model, theta, fractions=(1.0,))
+        stacks = quantum._model_blocks(model, discontinuity._points(theta, h, offsets))
+    except DomainError:
+        return quantum.model_qfi(model, theta), None
+    q = float(quantum._direct_sum_qfi([st.at([0]) for st in stacks])[0])
+    try:
+        return q, discontinuity._ranks(theta, offsets, stacks)
+    except NotADiscontinuityError:
+        return q, None
+
+
+def _rank_change_note(model: ParametricModel, theta: float, r0: int, r_beside: int) -> str:
+    """The rank change r0 -> r_beside at theta and the QFI limit there, as
+    ``classify`` finds them.
+
+    Where ``classify`` cannot resolve the point, the effective ranks and
+    the limit are withheld: the support cut that makes it fail miscounts
+    both.
+    """
     head = f"rank changes at theta_true={theta}"
     not_valid = "the fixed-rank Cramér-Rao bound is not valid here"
     try:
@@ -140,11 +160,12 @@ def run_cr_experiment(
     distinct count vector, since it depends on nothing else.  Where the
     first probability is exactly 0 or 1 the law is a point mass: every
     replicate gets the estimate of the one count vector it allows, and no
-    stream is drawn.  Neither step calls ``state_fn``; the QFI and the
-    rank-change note read the model's blocks.  The
-    violation flag is set when the replicate variance falls more than
-    three standard errors of the variance below the bound, with
-    Var(s^2) ~ 2 s^4 / (R - 1).
+    stream is drawn.  Neither step calls ``state_fn``.  The QFI and the
+    ranks come from one read of the model's blocks at theta_true and
+    beside it; only where the rank rises does the note read again, in
+    ``discontinuity.classify``.  The violation flag is set when the
+    replicate variance falls more than three standard errors of the
+    variance below the bound, with Var(s^2) ~ 2 s^4 / (R - 1).
     """
     if n_replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {n_replicates}")
@@ -176,16 +197,15 @@ def run_cr_experiment(
     # Shifted two-pass variance: identical replicate estimates must give
     # exactly zero, which the unshifted mean subtraction misses by rounding.
     sample_variance = float(np.var(estimates - estimates[0], ddof=1))
-    q = quantum.model_qfi(model, theta_true)
+    q, ranks = _qfi_and_rank_change(model, theta_true)
     notes = []
     if q <= 1e-12:
         cr_bound = math.inf
         notes.append(f"QFI = {q:.3g} at theta_true; Cramér-Rao bound not applicable")
     else:
         cr_bound = 1.0 / (n_samples * q)
-    rank_note = _rank_change_note(model, theta_true)
-    if rank_note:
-        notes.append(rank_note)
+    if ranks is not None:
+        notes.append(_rank_change_note(model, theta_true, *ranks))
 
     std_err = sample_variance * math.sqrt(2.0 / (n_replicates - 1))
     violated = sample_variance < cr_bound - 3.0 * std_err

@@ -136,7 +136,7 @@ def trig_model_derivative(theta: float) -> np.ndarray:
     return math.sin(2.0 * theta) * np.diag([1.0, -1.0]).astype(complex)
 
 
-def _one_block(state_fn, derivative_fn):
+def one_block(state_fn, derivative_fn):
     """``blocks_fn`` of a family that is one block of multiplicity 1."""
 
     def blocks(theta: float, derivative: bool) -> list[BlockGroup]:
@@ -283,14 +283,16 @@ def ghz_block_arrays(
     _check_qubits(n_qubits, 24)
     a, d, b, f, c = ghz_coefficients(theta, kappa, t)
     ms = range(n_qubits // 2 + 1)
-    diag = [_diag_element(m, n_qubits, a, d) for m in ms]
-    cross = [_cross_element(m, n_qubits, b, f, c) for m in ms]
-    blocks = np.array([[[r, x], [x.conjugate(), r]] for r, x in zip(diag, cross)], dtype=complex)
+    blocks = np.empty((len(ms), 2, 2), dtype=complex)
+    blocks[:, 0, 0] = blocks[:, 1, 1] = [_diag_element(m, n_qubits, a, d) for m in ms]
+    blocks[:, 0, 1] = [_cross_element(m, n_qubits, b, f, c) for m in ms]
+    blocks[:, 1, 0] = blocks[:, 0, 1].conj()
     dblocks = None
     if derivative:
         db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
-        dcross = [_cross_element_derivative(m, n_qubits, b, f, c, db, df, dc) for m in ms]
-        dblocks = np.array([[[0.0, dx], [dx.conjugate(), 0.0]] for dx in dcross], dtype=complex)
+        dblocks = np.zeros_like(blocks)
+        dblocks[:, 0, 1] = [_cross_element_derivative(m, n_qubits, b, f, c, db, df, dc) for m in ms]
+        dblocks[:, 1, 0] = dblocks[:, 0, 1].conj()
     return _block_multiplicities(n_qubits), blocks, dblocks
 
 
@@ -563,7 +565,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=classical_bit_state,
-            blocks_fn=_one_block(classical_bit_state, classical_bit_derivative),
+            blocks_fn=one_block(classical_bit_state, classical_bit_derivative),
             domain=(0.0, 1.0),
             p_first=lambda p: p,
             estimate=lambda p_hat: p_hat,
@@ -572,7 +574,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=trig_model_state,
-            blocks_fn=_one_block(trig_model_state, trig_model_derivative),
+            blocks_fn=one_block(trig_model_state, trig_model_derivative),
             domain=(0.0, math.pi / 2),
             p_first=lambda theta: math.sin(theta) ** 2,
             estimate=lambda p_hat: math.asin(math.sqrt(p_hat)),

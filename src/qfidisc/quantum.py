@@ -13,6 +13,7 @@ The central objects:
 * ``fidelity``: Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)).
 * ``bures_metric_fd``: the metric coefficient g in
   2 [1 - F(rho_t, rho_{t+e})] = g e^2 + O(e^3), by finite differences.
+* ``qfi_and_metric``: the QFI and that metric at every point of a grid.
 * ``qfi_limit``: one-sided limit of the QFI along a step-halving sequence,
   with divergence detection for singular-metric points.
 
@@ -45,6 +46,11 @@ Model-level routines read all their sample points in one stacked call
 block's result equals the one it gets when read alone, bit for bit.  The
 QFI, the fidelity and the vanishing weight are then array expressions
 over those stacks, summed over the blocks of a point in block order.
+``qfi_and_metric``, which ``qfi-scan`` calls once per grid, reads in two
+such calls however long the grid: its points with derivatives for the
+QFI, then the metric's shifted points of every row.  Where either read
+fails, ``qfi-scan`` reads each row alone, so that each failing row keeps
+its own error.
 """
 
 from __future__ import annotations
@@ -75,6 +81,8 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 _UNDERFLOW_TOL = 1e-14
+# The finite-difference step of bures_metric_fd by default and of qfi_and_metric.
+METRIC_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -369,16 +377,41 @@ def model_qfi(model, theta: float) -> float:
     return float(_direct_sum_qfi(_model_blocks(model, [theta]))[0])
 
 
-def _direct_sum_fidelity(stacks: list) -> np.ndarray:
-    """Uhlmann fidelity of the state at the first point of a read with the
-    state at each later one, clamped to [0, 1]."""
+def _direct_sum_fidelity(at_theta: list, stacks: list) -> np.ndarray:
+    """Uhlmann fidelity of the state with blocks ``at_theta`` (one (B, d, d)
+    array per block size) with the state at each point of a read, clamped
+    to [0, 1]."""
     per_block = [
-        st.multiplicities * _block_fidelity(st.blocks[0], st.blocks[1:]) for st in stacks
+        st.multiplicities * _block_fidelity(a, st.blocks) for a, st in zip(at_theta, stacks)
     ]
     return np.clip(_point_sums(per_block), 0.0, 1.0)
 
 
-def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
+def _stencil(model, theta: float, eps: float) -> tuple[list, list]:
+    """The metric's sides s = +1, -1 whose step theta + s*eps lies in the
+    domain, and its points theta + s*e for e in (eps, eps/2), step by step."""
+    signs = [s for s in (+1.0, -1.0) if model.in_domain(theta + s * eps)]
+    return signs, [theta + sign * e for e in (eps, eps / 2.0) for sign in signs]
+
+
+def _stencil_metric(model, theta: float, eps: float, signs: list, at_theta: list, stacks: list):
+    """The metric coefficient at theta from its blocks ``at_theta`` and a read
+    ``stacks`` of its ``_stencil`` points (see ``bures_metric_fd``)."""
+    if not signs:
+        raise DomainError(f"no room around theta={theta} in the domain of {model.name}")
+    steps = [e for e in (eps, eps / 2.0) for _ in signs]
+    gaps = 1.0 - _direct_sum_fidelity(at_theta, stacks)
+    for gap, e in zip(gaps.tolist(), steps):
+        if gap < _UNDERFLOW_TOL:
+            raise StepSizeError(f"1 - fidelity = {gap:.3e} underflows at eps={e:g}; increase eps")
+    quotients = 2.0 * gaps / np.array([e**2 for e in steps])
+    pair = (np.sum(quotients.reshape(2, len(signs)), axis=-1) / len(signs)).tolist()
+    if len(signs) == 2:
+        return _even_richardson(pair)
+    return float(richardson_limit(pair)[-1])
+
+
+def bures_metric_fd(model, theta: float, eps: float = METRIC_EPS) -> float:
     """Metric coefficient of 2[1 - F] by finite differences.
 
     Averages the difference quotients on both sides of theta and
@@ -392,21 +425,45 @@ def bures_metric_fd(model, theta: float, eps: float = 1e-4) -> float:
     """
     if eps <= 0:
         raise StepSizeError("eps must be positive")
-    signs = [s for s in (+1.0, -1.0) if model.in_domain(theta + s * eps)]
-    steps = [e for e in (eps, eps / 2.0) for _ in signs]
-    points = [theta] + [theta + sign * e for e in (eps, eps / 2.0) for sign in signs]
-    stacks = _model_blocks(model, points, derivative=False, decompose=False)
-    if not signs:
-        raise DomainError(f"no room around theta={theta} in the domain of {model.name}")
-    gaps = 1.0 - _direct_sum_fidelity(stacks)
-    for gap, e in zip(gaps.tolist(), steps):
-        if gap < _UNDERFLOW_TOL:
-            raise StepSizeError(f"1 - fidelity = {gap:.3e} underflows at eps={e:g}; increase eps")
-    quotients = 2.0 * gaps / np.array([e**2 for e in steps])
-    pair = (np.sum(quotients.reshape(2, len(signs)), axis=-1) / len(signs)).tolist()
-    if len(signs) == 2:
-        return _even_richardson(pair)
-    return float(richardson_limit(pair)[-1])
+    signs, points = _stencil(model, theta, eps)
+    stacks = _model_blocks(model, [theta] + points, derivative=False, decompose=False)
+    at_theta = [st.blocks[0] for st in stacks]
+    shifted = [st.at(slice(1, None)) for st in stacks]
+    return _stencil_metric(model, theta, eps, signs, at_theta, shifted)
+
+
+def qfi_and_metric(model, thetas) -> list[tuple[float, float]]:
+    """(Q, g) at each of ``thetas``: ``model_qfi`` and ``bures_metric_fd`` at
+    its default eps, bit for bit, from two stacked reads however many
+    points there are.
+
+    The first read takes every theta with derivatives and eigensolves, for
+    the QFI; the second every row's shifted points, without either.  Each
+    row's fidelities pair its blocks from the first read with its own
+    slice of the second.  An error at any point fails the whole call; a
+    caller that wants each row's own outcome calls it again on ``[theta]``.
+    """
+    stacks = _model_blocks(model, thetas)
+    qfis = _direct_sum_qfi(stacks).tolist()
+    stencils = [_stencil(model, theta, METRIC_EPS) for theta in thetas]
+    points = [p for _, row_points in stencils for p in row_points]
+    shifted = _model_blocks(model, points, derivative=False, decompose=False) if points else []
+    if shifted and _structure(shifted) != _structure(stacks):
+        raise InvalidInputError("block structure differs between points")
+    out, stop = [], 0
+    for i, (theta, (signs, row_points)) in enumerate(zip(thetas, stencils)):
+        row = slice(stop, stop + len(row_points))
+        stop = row.stop
+        at_theta = [st.blocks[i] for st in stacks]
+        row_stacks = [st.at(row) for st in shifted]
+        g = _stencil_metric(model, theta, METRIC_EPS, signs, at_theta, row_stacks)
+        out.append((qfis[i], g))
+    return out
+
+
+def _structure(stacks: list) -> list:
+    """The multiplicities and the block size of each group of a read."""
+    return [(st.multiplicities.tolist(), st.blocks.shape[-1]) for st in stacks]
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from qfidisc import quantum
 from qfidisc.exceptions import DomainError
-from qfidisc.models import ParametricModel, _one_block
+from qfidisc.models import ParametricModel, one_block
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -29,17 +30,13 @@ def rotation_model(dim: int, seed: int) -> ParametricModel:
         u = (v * np.exp(-1j * theta * w)) @ v.conj().T
         return u @ rho0 @ u.conj().T
 
-    def blocks(theta: float, derivative: bool):
+    def derivative(theta: float) -> np.ndarray:
         rho = state(theta)
-        drho = -1j * (ham @ rho - rho @ ham) if derivative else None
-        return [one_block(rho, drho)]
+        return -1j * (ham @ rho - rho @ ham)
 
-    return ParametricModel(name=f"rotation-{dim}d", state_fn=state, blocks_fn=blocks)
-
-
-def one_block(block: np.ndarray, dblock: np.ndarray | None):
-    """A ``blocks_fn`` group holding one block of multiplicity 1."""
-    return np.ones(1, dtype=int), block[None], None if dblock is None else dblock[None]
+    return ParametricModel(
+        name=f"rotation-{dim}d", state_fn=state, blocks_fn=one_block(state, derivative)
+    )
 
 
 def diagonal_branch_model(branch, dbranch, name="diagonal-branch") -> ParametricModel:
@@ -55,7 +52,7 @@ def diagonal_branch_model(branch, dbranch, name="diagonal-branch") -> Parametric
     def derivative(theta: float) -> np.ndarray:
         return dbranch(theta) * np.diag([1.0, -1.0]).astype(complex)
 
-    return ParametricModel(name=name, state_fn=state, blocks_fn=_one_block(state, derivative))
+    return ParametricModel(name=name, state_fn=state, blocks_fn=one_block(state, derivative))
 
 
 def bernoulli_family(theta: float):
@@ -65,3 +62,16 @@ def bernoulli_family(theta: float):
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"theta={theta} outside [0, 1]")
     return Distribution(("0", "1"), np.array([theta, 1.0 - theta]))
+
+
+def count_reads(monkeypatch) -> list:
+    """The number of points of every ``quantum._model_blocks`` call from now on."""
+    reads = []
+    model_blocks = quantum._model_blocks
+
+    def counted(model, thetas, *args, **kwargs):
+        reads.append(len(thetas))
+        return model_blocks(model, thetas, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "_model_blocks", counted)
+    return reads

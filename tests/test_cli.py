@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,8 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfidisc import cli, estimation, models
-from qfidisc.exceptions import BoundarySolutionWarning, DomainError, InvalidInputError
+from helpers import count_reads
+from qfidisc import cli, estimation, models, quantum
+from qfidisc.exceptions import (
+    BoundarySolutionWarning,
+    DegenerateModelError,
+    DivergenceError,
+    DomainError,
+    InvalidInputError,
+    NumericalError,
+    StepSizeError,
+)
 
 
 def run_cli(args, capsys):
@@ -557,6 +567,126 @@ class TestCoefficientOverflow:
         code, stdout, err = run_cli(["ghz-scan", "--qubits", "2", "--grid=1000:2000:2"], capsys)
         assert (code, stdout) == (3, "")
         assert err.startswith("numerical failure: cosh and sinh")
+
+
+class TestOneRead:
+    @pytest.mark.parametrize(
+        "options, grid",
+        [
+            (["--model", "classical-bit"], "0:1:11"),
+            (["--model", "trig"], "0.1:1.4:14"),
+            (["--model", "transverse-qubit"], "-0.4:0.4:2"),
+            (["--model", "ghz", "--qubits", "8"], "-0.2:0.2:5"),
+        ],
+    )
+    def test_qfi_scan_reads_twice(self, monkeypatch, capsys, options, grid):
+        reads = count_reads(monkeypatch)
+        code, stdout, _ = run_cli(["qfi-scan", *options, f"--grid={grid}"], capsys)
+        assert code == 0 and "error(" not in stdout
+        assert len(reads) == 2
+
+    @pytest.mark.parametrize(
+        "options, theta, n_reads",
+        [
+            (["--model", "classical-bit"], "0.3", 1),
+            (["--model", "classical-bit"], "0", 2),
+            (["--model", "trig"], "0.7", 1),
+            (["--model", "trig"], "1.5707963267948966", 2),
+            (["--model", "transverse-qubit"], "0.1", 1),
+            (["--model", "transverse-qubit"], "0", 2),
+            (["--model", "ghz", "--qubits", "4"], "0.1", 1),
+            (["--model", "ghz", "--qubits", "4"], "0", 2),
+            # kappa/2 = 5e-5 leaves no room for the rank check: theta alone.
+            (["--model", "transverse-qubit", "--kappa", "1e-4"], "0", 1),
+        ],
+    )
+    def test_mc_reads_once_or_at_a_rank_change_twice(
+        self, monkeypatch, capsys, options, theta, n_reads
+    ):
+        reads = count_reads(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundarySolutionWarning)
+            code, _, _ = run_cli(
+                ["mc", *options, "--theta-bar", theta, "--replicates", "20"], capsys
+            )
+        assert code == 0
+        assert len(reads) == n_reads
+
+
+def per_row_scan(model, grid) -> tuple[str, str, int]:
+    """qfi-scan's CSV stdout, stderr and exit code with each row read alone
+    by ``model_qfi`` and ``bures_metric_fd``."""
+    lines, code = ["theta,qfi,bures_metric,four_g_minus_qfi"], 0
+    for theta in grid:
+        try:
+            q = quantum.model_qfi(model, theta)
+            g = quantum.bures_metric_fd(model, theta)
+        except (DomainError, StepSizeError, DivergenceError, NumericalError) as err:
+            code = max(code, cli._failure(err)[0])
+            lines.append(cli._fmt(theta) + f",error({type(err).__name__})" * 3)
+        except (ValueError, RuntimeError) as err:  # ends the command
+            code, label = cli._failure(err)
+            return "", f"{label}: {err}\n", code
+        else:
+            lines.append(",".join(cli._fmt(x) for x in (theta, q, g, 4.0 * g - q)))
+    return "\n".join(lines) + "\n", "", code
+
+
+def failing_at(model, point, error):
+    """``model`` whose blocks at ``point`` fail: ``error`` is raised there, or
+    with "hermitian" the first block gets an upper-triangle entry."""
+
+    def blocks(theta, derivative):
+        groups = model.blocks_fn(theta, derivative)
+        if theta != point:
+            return groups
+        if error != "hermitian":
+            raise error(f"blocks at theta={theta} fail")
+        (mults, mats, dmats), *rest = groups
+        mats = mats.copy()
+        mats[0] += np.triu(np.full(mats.shape[1:], 1e-6), 1)
+        return [(mults, mats, dmats), *rest]
+
+    return dataclasses.replace(model, blocks_fn=blocks)
+
+
+class TestScanFallback:
+    """Where the stacked reads fail, qfi-scan prints what the rows read alone print."""
+
+    GRID = cli.parse_grid("-0.2:0.2:5").tolist()
+
+    # A grid point, and points of the metric's stencils, at eps/2 and eps.
+    @pytest.mark.parametrize(
+        "point", [GRID[2], GRID[3] + 1e-4 / 2, GRID[0] - 1e-4], ids=["row", "shifted", "shifted-2"]
+    )
+    @pytest.mark.parametrize(
+        "error", ["hermitian", NumericalError, DomainError, StepSizeError, DegenerateModelError]
+    )
+    def test_one_failing_point(self, monkeypatch, capsys, point, error):
+        model = failing_at(models.make_model("ghz", n_qubits=3), point, error)
+        monkeypatch.setattr(cli, "_build_model", lambda args: model)
+        code, stdout, err = run_cli(["qfi-scan", "--model", "ghz", "--grid=-0.2:0.2:5"], capsys)
+        assert (stdout, err, code) == per_row_scan(model, self.GRID)
+        assert code != 0
+
+    @pytest.mark.parametrize(
+        "options, grid",
+        [
+            (TestCoefficientOverflow.LONG, "0:0.8:3"),
+            (TestCoefficientOverflow.LONG, "0:0.2:3"),
+            # Rows on both domain edges, one-sided, beside an overflowing theta = 0.
+            (TestCoefficientOverflow.LONG, "-0.49995:0.49995:3"),
+            (["--model", "transverse-qubit"], "0.3:0.6:4"),
+            # kappa/2 = 5e-5 < eps: no row has room for the metric.
+            (["--model", "transverse-qubit", "--kappa", "1e-4"], "-4e-5:4e-5:3"),
+        ],
+    )
+    def test_failing_rows_beside_each_other(self, capsys, options, grid):
+        argv = ["qfi-scan", *options, f"--grid={grid}"]
+        code, stdout, err = run_cli(argv, capsys)
+        model = cli._build_model(cli._parser().parse_args(argv))
+        assert (stdout, err, code) == per_row_scan(model, cli.parse_grid(grid).tolist())
+        assert code != 0
 
 
 # One call of each command, plus a usage error and a domain error; ghz-scan

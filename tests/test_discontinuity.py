@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diagonal_branch_model, one_block
+from helpers import diagonal_branch_model
 from qfidisc import discontinuity, models, quantum
 from qfidisc.classical import SPEED_TOL
 from qfidisc.exceptions import (
@@ -23,12 +23,10 @@ def ghz_dense_twin(n, kappa, t):
     return ParametricModel(
         name=f"ghz-{n}-dense",
         state_fn=lambda th: models.ghz_state(n, th, kappa, t),
-        blocks_fn=lambda th, derivative: [
-            one_block(
-                models.ghz_state(n, th, kappa, t),
-                models.ghz_state_derivative(n, th, kappa, t) if derivative else None,
-            )
-        ],
+        blocks_fn=models.one_block(
+            lambda th: models.ghz_state(n, th, kappa, t),
+            lambda th: models.ghz_state_derivative(n, th, kappa, t),
+        ),
         domain=(-kappa / 2.0, kappa / 2.0),
         open_domain=True,
     )
@@ -110,7 +108,7 @@ class TestVanishingEigenvalueBranch:
         depolarized = ParametricModel(
             name="depolarized-trig",
             state_fn=state,
-            blocks_fn=models._one_block(state, derivative),
+            blocks_fn=models.one_block(state, derivative),
             domain=(0.0, math.pi / 2),
         )
         with pytest.raises(NotADiscontinuityError):
@@ -159,7 +157,7 @@ class TestVanishingEigenvalueBranch:
                 return np.diag([2.0 * th, 0.0, -2.0 * th]).astype(complex)
 
             return ParametricModel(
-                name="near-kernel", state_fn=state, blocks_fn=models._one_block(state, derivative)
+                name="near-kernel", state_fn=state, blocks_fn=models.one_block(state, derivative)
             )
 
         report = discontinuity.classify(model(1e-4), 0.0)
@@ -186,7 +184,7 @@ class TestVanishingEigenvalueBranch:
             return math.sin(2.0 * theta) * np.diag([1.0, -1.0, 0.0]).astype(complex)
 
         model = ParametricModel(
-            name="qutrit-with-kernel", state_fn=state, blocks_fn=models._one_block(state, derivative)
+            name="qutrit-with-kernel", state_fn=state, blocks_fn=models.one_block(state, derivative)
         )
         branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
         for off, val in zip(branch.offsets, branch.values):

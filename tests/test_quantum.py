@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, sqrtm
 
-from helpers import one_block, random_density, random_hermitian, rotation_model
+from helpers import count_reads, random_density, random_hermitian, rotation_model
 from qfidisc import discontinuity, models, numdiff, quantum
 from qfidisc.exceptions import (
     DegenerateModelError,
     DivergenceError,
+    DomainError,
     InvalidInputError,
     StepSizeError,
 )
@@ -253,7 +254,7 @@ class TestBuresMetric:
             return np.zeros((2, 2), dtype=complex)
 
         constant = models.ParametricModel(
-            name="constant", state_fn=state, blocks_fn=models._one_block(state, derivative)
+            name="constant", state_fn=state, blocks_fn=models.one_block(state, derivative)
         )
         with pytest.raises(StepSizeError):
             quantum.bures_metric_fd(constant, 0.0, eps=1e-4)
@@ -332,9 +333,7 @@ def block_model(parts, name="block-model"):
         models.ParametricModel(
             name=f"{name}-dense",
             state_fn=state,
-            blocks_fn=lambda th, derivative: [
-                one_block(state(th), dense(th, True) if derivative else None)
-            ],
+            blocks_fn=models.one_block(state, lambda th: dense(th, True)),
         ),
     )
 
@@ -397,10 +396,11 @@ class TestDirectSum:
 
     def test_non_hermitian_block_rejected(self):
         bad = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        zero = np.zeros((2, 2), dtype=complex)
         model = models.ParametricModel(
             name="bad-block",
             state_fn=lambda theta: bad,
-            blocks_fn=lambda theta, derivative: [one_block(bad, np.zeros((2, 2), dtype=complex))],
+            blocks_fn=models.one_block(lambda theta: bad, lambda theta: zero),
         )
         with pytest.raises(InvalidInputError):
             quantum.model_qfi(model, 0.0)
@@ -493,6 +493,83 @@ class TestStackedReads:
                 assert np.array_equal(vecs_k, vecs[:, order])
 
 
+def hex_pairs(pairs):
+    return [(float(q).hex(), float(g).hex()) for q, g in pairs]
+
+
+# (model, grid): every built-in model.  The classical bit's grid has
+# one-sided rows at both domain edges, and the transverse qubit's rows at
+# +/-0.49995 lie within eps of +/-kappa/2; the rotation models and the
+# mixed direct sum read 3x3 and 4x4 blocks through eigensolves.
+ONE_READ_CASES = [
+    ("classical-bit", lambda: models.make_model("classical-bit"), np.linspace(0.0, 1.0, 11)),
+    ("trig", lambda: models.make_model("trig"), np.linspace(0.0, math.pi / 2, 7)),
+    (
+        "transverse-qubit",
+        lambda: models.make_model("transverse-qubit"),
+        [-0.49995, -0.4999, -0.1, 0.0, 0.2, 0.49995],
+    ),
+    ("ghz-2", lambda: models.make_model("ghz", n_qubits=2), [-0.3, 0.0, 0.3]),
+    ("ghz-8", lambda: models.make_model("ghz", kappa=2.0, t=0.3, n_qubits=8), [0.0, 0.5, 0.99]),
+    ("ghz-24", lambda: models.make_model("ghz", n_qubits=24), [-0.2, 0.0, 0.1, 0.2]),
+    ("rotation-3", lambda: rotation_model(3, 4), [-0.8, 0.3]),
+    ("rotation-4", lambda: rotation_model(4, 5), [0.1, 1.2]),
+    (
+        "mixed-blocks",
+        lambda: block_model(
+            [(1, 0.4, rotation_model(2, 0)), (2, 0.3, rotation_model(3, 100))]
+        )[0],
+        [-0.7, 0.2, 1.1],
+    ),
+]
+
+
+class TestQfiAndMetric:
+    """One grid in two stacked reads gives each row what it gets read alone."""
+
+    @pytest.mark.parametrize("build, grid", [c[1:] for c in ONE_READ_CASES],
+                             ids=[c[0] for c in ONE_READ_CASES])
+    def test_rows_equal_the_one_point_routines(self, build, grid):
+        model = build()
+        thetas = [float(theta) for theta in grid]
+        expected = [
+            (quantum.model_qfi(model, theta), quantum.bures_metric_fd(model, theta))
+            for theta in thetas
+        ]
+        assert hex_pairs(quantum.qfi_and_metric(model, thetas)) == hex_pairs(expected)
+        for theta, row in zip(thetas, expected):
+            assert hex_pairs(quantum.qfi_and_metric(model, [theta])) == hex_pairs([row])
+
+    @pytest.mark.parametrize("n_points", [1, 2, 7])
+    def test_two_reads_for_any_grid(self, monkeypatch, n_points):
+        model = models.make_model("ghz", n_qubits=4)
+        reads = count_reads(monkeypatch)
+        quantum.qfi_and_metric(model, list(np.linspace(-0.2, 0.2, n_points)))
+        assert reads == [n_points, 4 * n_points]
+
+    def test_no_room_is_a_domain_error(self):
+        # kappa/2 = 5e-5 < eps: neither theta +/- eps lies in the domain.
+        model = models.make_model("transverse-qubit", kappa=1e-4)
+        with pytest.raises(DomainError, match="no room"):
+            quantum.qfi_and_metric(model, [0.0])
+        with pytest.raises(DomainError, match="no room"):
+            quantum.bures_metric_fd(model, 0.0)
+
+    def test_structure_must_match_the_shifted_points(self):
+        # One block of multiplicity 2 at theta = 0, one of multiplicity 1
+        # elsewhere: each point is a valid direct sum, the pair is not.
+        def blocks(theta, derivative):
+            mult, block = (2, HALF / 2) if theta == 0.0 else (1, HALF)
+            zero = np.zeros((1, 2, 2), dtype=complex) if derivative else None
+            return [(np.array([mult]), block[None], zero)]
+
+        model = models.ParametricModel(name="changing", state_fn=None, blocks_fn=blocks)
+        with pytest.raises(InvalidInputError, match="structure"):
+            quantum.qfi_and_metric(model, [0.0])
+        with pytest.raises(InvalidInputError):
+            quantum.bures_metric_fd(model, 0.0)
+
+
 def poisoned(model, call, kind):
     """``model`` whose blocks_fn returns a bad first block on its ``call``-th call.
 
@@ -521,6 +598,7 @@ POISONED_READS = [
     ("model_qfi", lambda m: quantum.model_qfi(m, 0.1), 1),
     ("qfi_limit", lambda m: quantum.qfi_limit(m, 0.0, side="above"), 6),
     ("bures_metric_fd", lambda m: quantum.bures_metric_fd(m, 0.1), 5),
+    ("qfi_and_metric", lambda m: quantum.qfi_and_metric(m, [0.1, -0.2, 0.3]), 15),
     ("branch", lambda m: discontinuity.vanishing_eigenvalue_branch(m, 0.0), 7),
 ]
 
@@ -582,13 +660,12 @@ def test_built_in_models_are_read_through_their_blocks_alone(build, rank_change,
 
 @pytest.mark.parametrize("name, n", [("transverse-qubit", 1), ("ghz", 3), ("ghz", 8)])
 def test_derivative_free_reads_never_differentiate_the_coefficients(monkeypatch, name, n):
-    # The metric, the rank check, the vanishing weight and the dense state
-    # read no derivative, so the GHZ coefficients are never differentiated.
+    # The metric, the vanishing weight and the dense state read no
+    # derivative, so the GHZ coefficients are never differentiated.
     model = models.make_model(name, n_qubits=n)
     reads = [
         lambda: quantum.bures_metric_fd(model, 0.1),
         lambda: quantum.bures_metric_fd(model, 0.0),
-        lambda: discontinuity.rank_change(model, 0.0),
         lambda: discontinuity.vanishing_eigenvalue_branch(model, 0.0),
         lambda: models.ghz_state(n, 0.1, 1.0, 1.0).tobytes(),
     ]
