@@ -105,15 +105,19 @@ def parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type of an int that must be at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit_table(rows: list[dict], columns: list[str], fmt: str, output: str | None) -> None:
@@ -273,9 +277,9 @@ def build_parser() -> _Parser:
     mc = subs.add_parser("mc", help="Monte Carlo Cramér-Rao experiment")
     _add_model_options(mc)
     mc.add_argument("--theta-bar", type=float, required=True, help="true parameter value")
-    mc.add_argument("--samples", type=_positive_int, default=100)
+    mc.add_argument("--samples", type=_int_at_least(1), default=100)
     mc.add_argument("--replicates", type=int, default=1000)
-    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--seed", type=_int_at_least(0), default=0)
     mc.add_argument("--expect-violation", action="store_true")
     mc.set_defaults(run=cmd_mc)
 

@@ -12,17 +12,22 @@ violation is visible.
 Randomness: replicate r draws from its own NumPy PCG64 stream, seeded
 through SeedSequence with the pair (seed, r); no stream is drawn where the
 first outcome has probability exactly 0 or 1, as every stream draws alike.
+The R starting states are computed in one array pass that repeats
+SeedSequence's hashing and PCG64's seeding bit for bit, and every count is
+one binomial draw from a single reused generator set to its replicate's
+state; ``sample_outcomes`` is the one-replicate reference for that path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import discontinuity, quantum
-from .classical import Distribution
 from .exceptions import (
     DomainError,
     InsufficientReplicatesError,
@@ -34,17 +39,97 @@ from .exceptions import (
 )
 from .models import ParametricModel
 
+if TYPE_CHECKING:
+    from .classical import Distribution
+
 
 def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
     """Multinomial outcome counts, deterministic in the seed.
 
     ``seed`` feeds numpy's SeedSequence (an int, or a sequence such as
     (experiment_seed, replicate_index)); draws use the PCG64 generator.
+    This is the one-replicate reference: replicate r of
+    ``run_cr_experiment`` draws the first of the counts it returns for
+    seed=(seed, r).
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     return rng.multinomial(n_samples, dist.probs)
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _replicate_states(seed: int, n: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that ``np.random.default_rng((seed, r))``
+    starts from, for r = 0..n-1, in one pass over arrays of replicates.
+
+    ``seed`` is a non-negative int.  SeedSequence's entropy is seed's
+    little-endian 32-bit words followed by r's one word (n <= 2**32).  Its
+    pool mixing and ``generate_state(4, np.uint64)`` run over uint32
+    arrays indexed by r, whose arithmetic wraps as the C code's does; the
+    running hash constant is the same for every replicate and stays a
+    Python int masked to 32 bits.  PCG64's two seeding LCG steps then run
+    in Python ints.
+    """
+    seed = operator.index(seed)
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = value * const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    const = _INIT_B
+    out = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = value * const
+        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # generate_state's uint64 words, read little-endian from uint32 pairs.
+    s_hi, s_lo, q_hi, q_lo = (
+        (out[i] | (out[i + 1] << np.uint64(32))).tolist() for i in range(0, len(out), 2)
+    )
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
+        initstate, inc = (a << 64) | b, ((((c << 64) | d) << 1) | 1) & _MASK128
+        states.append((((initstate + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
 
 
 def mle(model: ParametricModel, counts) -> float:
@@ -156,8 +241,11 @@ def run_cr_experiment(
 
     Each replicate samples the model's two outcomes, with probabilities
     p_first(theta_true) and 1 - p_first(theta_true) clamped to [0, 1] and
-    renormalized, from its own stream; the estimate is solved once per
-    distinct count vector, since it depends on nothing else.  Where the
+    renormalized, from its own stream: the streams' starting states come
+    from one array pass (``_replicate_states``), and the first outcome's
+    count is one binomial draw from a generator set to each in turn.  The
+    estimate is solved once per distinct count, since it depends on
+    nothing else.  ``seed`` must be a non-negative int.  Where the
     first probability is exactly 0 or 1 the law is a point mass: every
     replicate gets the estimate of the one count vector it allows, and no
     stream is drawn.  Neither step calls ``state_fn``.  The QFI and the
@@ -173,26 +261,36 @@ def run_cr_experiment(
         raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
     if not model.in_domain(theta_true):
         raise DomainError(f"theta={theta_true} outside the domain {model.domain} of {model.name!r}")
+    if n_samples < 1:
+        raise InvalidInputError("n_samples must be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     p = model.p_first(theta_true)
     probs = np.clip([p, 1.0 - p], 0.0, 1.0)
     probs = probs / probs.sum()
 
     if probs[0] in (0.0, 1.0):
         # A point mass: every stream would draw these counts.
-        if n_samples < 1:
-            raise InvalidInputError("n_samples must be >= 1")
         counts = [n_samples, 0] if probs[0] == 1.0 else [0, n_samples]
         estimates = np.full(n_replicates, mle(model, counts))
     else:
-        dist = Distribution(("first", "second"), probs)
+        # The stream's own seeding is overwritten before every draw.
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
         estimates = np.empty(n_replicates)
-        solved: dict[bytes, float] = {}
-        for r in range(n_replicates):
-            counts = sample_outcomes(dist, n_samples, seed=(seed, r))
-            key = counts.tobytes()
-            if key not in solved:
-                solved[key] = mle(model, counts)
-            estimates[r] = solved[key]
+        solved: dict[int, float] = {}
+        for r, (state, inc) in enumerate(_replicate_states(seed, n_replicates)):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            # numpy's two-outcome multinomial draws exactly binomial(M, p0).
+            k = int(rng.binomial(n_samples, probs[0]))
+            if k not in solved:
+                solved[k] = mle(model, [k, n_samples - k])
+            estimates[r] = solved[k]
 
     # Shifted two-pass variance: identical replicate estimates must give
     # exactly zero, which the unshifted mean subtraction misses by rounding.

@@ -389,6 +389,14 @@ class TestMcCommand:
         assert (code, out) == (1, "")
         assert err == f"usage error: argument --samples: must be >= 1, got {count}\n"
 
+    @pytest.mark.parametrize("theta", ["0", "0.3"])  # a point mass and a sampled law
+    def test_negative_seed_is_a_usage_error(self, capsys, theta):
+        code, out, err = run_cli(
+            ["mc", "--model", "classical-bit", "--theta-bar", theta, "--seed", "-1"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: argument --seed: must be >= 0, got -1\n"
+
     def test_replicate_count_below_two_is_a_usage_error(self, capsys):
         code, out, err = run_cli(
             ["mc", "--model", "classical-bit", "--theta-bar", "0.3", "--replicates", "1"], capsys

@@ -88,6 +88,49 @@ class TestSampleOutcomes:
             estimation.sample_outcomes(dist, 0, seed=1)
 
 
+# Seeds at the edges of SeedSequence's 32-bit word splitting.
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1]
+
+
+def numpy_state(seed, r):
+    state = np.random.default_rng((seed, r)).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def pcg64_at(state, inc):
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_generator
+
+
+class TestReplicateStates:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_seeds_match_default_rng(self, seed):
+        states = estimation._replicate_states(seed, 1000)
+        assert states == [numpy_state(seed, r) for r in range(1000)]
+
+    @given(seed=st.integers(0, 2**160 - 1), n=st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_any_seed_matches_default_rng(self, seed, n):
+        assert estimation._replicate_states(seed, n) == [numpy_state(seed, r) for r in range(n)]
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-12, 0.3, 0.5, 1 - 1e-12, 1 - 2**-53])
+    @pytest.mark.parametrize("m_total", [1, 100, 10**4, 10**6])
+    def test_binomial_is_the_first_multinomial_count(self, p, m_total):
+        for state, inc in estimation._replicate_states(5, 20):
+            binomial_bits, multinomial_bits = pcg64_at(state, inc), pcg64_at(state, inc)
+            k = np.random.Generator(binomial_bits).binomial(m_total, p)
+            counts = np.random.Generator(multinomial_bits).multinomial(m_total, [p, 1.0 - p])
+            assert k == counts[0]
+            # Both consumed the same words of the stream.
+            assert binomial_bits.state == multinomial_bits.state
+
+
 class TestMle:
     def test_classical_bit_fraction(self):
         model = models.make_model("classical-bit")
@@ -246,11 +289,11 @@ class TestRunCrExperiment:
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
     def test_point_mass_draws_no_stream(self, monkeypatch, name, n, theta):
         def no_draw(*args, **kwargs):
-            raise AssertionError("sample_outcomes called on a point mass")
+            raise AssertionError("replicate streams seeded on a point mass")
 
         model = models.make_model(name, n_qubits=n)
         assert model.p_first(theta) in (0.0, 1.0)
-        monkeypatch.setattr(estimation, "sample_outcomes", no_draw)
+        monkeypatch.setattr(estimation, "_replicate_states", no_draw)
         report = estimation.run_cr_experiment(model, theta, n_samples=40, n_replicates=30, seed=2)
         assert len(report.estimates) == 30
         assert np.all(report.estimates == report.estimates[0])
@@ -260,18 +303,28 @@ class TestRunCrExperiment:
         with pytest.raises(InvalidInputError, match="n_samples must be >= 1"):
             estimation.run_cr_experiment(model, theta, n_samples=0, n_replicates=30, seed=2)
 
-    def test_regular_point_draws_one_stream_per_replicate(self, monkeypatch):
-        seeds = []
-        draw = estimation.sample_outcomes
+    def test_regular_point_seeds_every_replicate_in_one_call(self, monkeypatch):
+        calls = []
+        seed_all = estimation._replicate_states
 
-        def counted(dist, n_samples, seed):
-            seeds.append(seed)
-            return draw(dist, n_samples, seed)
+        def counted(seed, n):
+            calls.append((seed, n))
+            return seed_all(seed, n)
 
-        monkeypatch.setattr(estimation, "sample_outcomes", counted)
+        monkeypatch.setattr(estimation, "_replicate_states", counted)
         model = models.make_model("classical-bit")
         estimation.run_cr_experiment(model, 0.3, n_samples=40, n_replicates=30, seed=2)
-        assert seeds == [(2, r) for r in range(30)]
+        assert calls == [(2, 30)]
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])  # a point mass and a sampled law
+    def test_negative_seed_is_invalid_before_any_draw(self, monkeypatch, theta):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("replicate streams seeded for a negative seed")
+
+        monkeypatch.setattr(estimation, "_replicate_states", no_draw)
+        model = models.make_model("classical-bit")
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+            estimation.run_cr_experiment(model, theta, n_samples=40, n_replicates=30, seed=-1)
 
     def test_insufficient_replicates(self):
         model = models.make_model("classical-bit")
