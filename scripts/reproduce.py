@@ -4,12 +4,13 @@
 Writes, under --output-dir (default results/):
 
 * classical_bit_scan.csv, trig_scan.csv: QFI and Bures metric sweeps of
-  the diagonal families; four_g_minus_qfi sits at numerical zero at every
-  regular point.
+  the diagonal families; the metric takes no step, so four_g_minus_qfi
+  reads exactly 0 at every regular point.
 * discontinuity_<case>.json: every built-in rank-change point classified
   (second kind for the classical bit, jumps for the trig family, the
   transverse-noise qubit at three evolution times, and the N = 2, 3, 4
-  GHZ states at theta = 0, where every block loses rank at once).
+  GHZ states at theta = 0, where every block loses rank at once), with
+  the finite-difference prediction 2a beside the measured jump 4g - Q.
 * ghz_qfi_per_time.csv: GHZ QFI per unit time, continuous limit against
   the rank-change value, for N = 1..4.
 * cr_experiment_<case>.json: Monte Carlo Cramér-Rao experiments with zero

@@ -26,11 +26,10 @@ from .exceptions import (
     SingularModelWarning,
 )
 from .numdiff import base_step, speed_and_acceleration
-from .quantum import SUPPORT_TOL
+from .quantum import SPEED_TOL, SUPPORT_TOL
 
-# |v| or |a| below this counts as zero: finite-difference noise at the
-# default step h = 1e-3 sits around 1e-8, well under the cut.
-SPEED_TOL = 1e-6
+# |a| below this counts as zero, as |v| below SPEED_TOL does: finite-
+# difference noise at the default step h = 1e-3 sits around 1e-8.
 ACCEL_TOL = 1e-6
 
 

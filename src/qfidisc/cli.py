@@ -144,8 +144,9 @@ def _build_model(args) -> models.ParametricModel:
     )
 
 
-# The errors that mark one qfi-scan row and leave the others to run.
-_ROW_ERRORS = (DomainError, StepSizeError, DivergenceError, NumericalError)
+# The errors that mark one qfi-scan row and leave the others to run: a
+# theta outside the model's domain, and a failed eigensolve.
+_ROW_ERRORS = (DomainError, NumericalError)
 
 
 def _read_row(model, theta: float):
@@ -163,7 +164,7 @@ def cmd_qfi_scan(args) -> int:
     try:
         results = quantum.qfi_and_metric(model, grid)
     except Exception:
-        # Some point failed the stacked reads.  Read alone, each failing row
+        # Some point failed the stacked read.  Read alone, each failing row
         # gets its own marker, and an error that marks no row is raised again.
         results = [_read_row(model, theta) for theta in grid]
     rows = []

@@ -7,8 +7,10 @@ times its multiplicity.  Jumps of eigenvalues that vanish together add, so
 the speed v and acceleration a of w, by finite differences, classify the
 QFI behaviour: continuous (v = a = 0), a jump of size 2a (v = 0, a != 0),
 or a discontinuity of the second kind (v != 0, divergent limit).  The jump
-prediction 2a is checked against the directly measured difference between
-the one-sided QFI limit and the QFI evaluated exactly at theta_bar.
+prediction 2a is checked against the jump measured without steps at
+theta_bar: 4g - Q, the Bures metric's continuous limit of the QFI less
+the QFI itself, both from the spectrum and the first two derivatives of
+the blocks there (see ``quantum``).
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantum
-from .classical import SPEED_TOL, classify_from_derivatives
-from .exceptions import (
-    DivergenceError,
-    DomainError,
-    MultiBranchError,
-    NotADiscontinuityError,
-    NumericalError,
-)
+from .classical import classify_from_derivatives
+from .exceptions import DomainError, MultiBranchError, NotADiscontinuityError, NumericalError
 from .numdiff import base_step, speed_and_acceleration
 
 # A sampled vanishing eigenvalue above this fraction of its block's smallest
@@ -132,7 +128,7 @@ def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     at theta_bar.
     """
     h, offsets = _branch_offsets(model, theta_bar)
-    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), derivative=False)
+    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), order=0)
     return _branch(theta_bar, h, offsets, stacks)
 
 
@@ -175,57 +171,38 @@ class DiscontinuityReport:
 def classify(model, theta_bar: float) -> DiscontinuityReport:
     """Full discontinuity analysis of a model at theta_bar.
 
-    The vanishing weight is sampled at the base step
-    ``numdiff.base_step(theta_bar)`` and the QFI limit taken with
-    ``quantum.qfi_limit``'s constant step sequence.  Every point, those of
-    ``vanishing_eigenvalue_branch``, theta_bar and those of ``qfi_limit``,
-    is read in one ``quantum._model_blocks`` call; each number equals the
-    one those routines and ``quantum.model_qfi`` give alone.
+    One ``quantum._model_blocks`` call reads the points of
+    ``vanishing_eigenvalue_branch`` (theta_bar first) with the first two
+    derivatives of their blocks.  The vanishing weight there gives the
+    speed and the acceleration by finite differences at the base step
+    ``numdiff.base_step(theta_bar)``; theta_bar's own blocks give Q and
+    4g, so the QFI limit is 4g and the measured jump 4g - Q, infinite
+    where the kernel moves.  Each number equals the one those routines,
+    ``quantum.model_qfi`` and ``quantum.bures_metric_fd`` give alone.
 
     Raises ``NotADiscontinuityError`` when the rank does not change, and
-    ``NumericalError`` when the QFI limit diverges although the vanishing
-    weight has no speed, or when the predicted jump 2a and the measured
-    one differ by more than JUMP_AGREEMENT relative.
+    ``NumericalError`` when 4g is infinite although the vanishing weight's
+    speed is below SPEED_TOL, or when the predicted jump 2a and the
+    measured one differ by more than JUMP_AGREEMENT relative.
     """
     h, offsets = _branch_offsets(model, theta_bar)
-    try:
-        side, limit_thetas = quantum._limit_points(model, theta_bar)
-        limit_error = None
-    except DomainError as err:  # raised where qfi_limit would raise it
-        limit_thetas, limit_error = [], err
-    n = len(offsets)
-    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets) + list(limit_thetas))
-    branch = _branch(theta_bar, h, offsets, [st.at(slice(0, n)) for st in stacks])
+    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), order=2)
+    branch = _branch(theta_bar, h, offsets, stacks)
     speed, accel = speed_and_acceleration(branch.h, branch.as_dict())
-    read_qfi = [0] + list(range(n, n + len(limit_thetas)))
-    qfis = quantum._direct_sum_qfi([st.at(read_qfi) for st in stacks])
-    qfi_at_bar = float(qfis[0])
-    if limit_error is not None:
-        raise limit_error
-
-    evidence: dict = {"h": branch.h, "branch_values": list(branch.values)}
-    try:
-        limit = quantum._limit_estimate(theta_bar, side, limit_thetas, qfis[1:])
-        qfi_lim = limit.value
-        evidence["qfi_limit_error"] = limit.error
-        diverged = False
-    except DivergenceError as err:
-        qfi_lim = math.inf
-        evidence["qfi_samples"] = list(err.values) if err.values is not None else []
-        diverged = True
+    qfis, four_gs = quantum._direct_sum_metric([st.at([0]) for st in stacks])
+    qfi_at_bar, qfi_lim = float(qfis[0]), float(four_gs[0])
+    measured = qfi_lim - qfi_at_bar
 
     kind = classify_from_derivatives(speed, accel)
-    if diverged and kind != "second-kind":
+    if math.isinf(qfi_lim) and kind != "second-kind":
         raise NumericalError(
-            f"QFI limit at theta_bar={theta_bar} diverges, but the vanishing weight "
-            f"has speed {speed:.3e}, below {SPEED_TOL:g}"
+            f"4g at theta_bar={theta_bar} is inf, but the vanishing weight has "
+            f"speed {speed:.3e}, below {quantum.SPEED_TOL:g}"
         )
     if kind == "second-kind":
         predicted = math.inf
-        measured = math.inf if diverged else qfi_lim - qfi_at_bar
     else:
         predicted = 2.0 * accel
-        measured = qfi_lim - qfi_at_bar
         if kind == "jump" and abs(predicted - measured) > JUMP_AGREEMENT * abs(measured):
             raise NumericalError(
                 f"predicted jump 2a = {predicted:.6g} and measured jump {measured:.6g} "
@@ -240,5 +217,5 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
         delta_q_measured=measured,
         qfi_at_bar=qfi_at_bar,
         qfi_limit=qfi_lim,
-        evidence=evidence,
+        evidence={"h": branch.h, "branch_values": list(branch.values)},
     )

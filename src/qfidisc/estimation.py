@@ -211,8 +211,8 @@ def _rank_change_note(model: ParametricModel, theta: float, r0: int, r_beside: i
     ``classify`` finds them.
 
     Where ``classify`` cannot resolve the point, the effective ranks and
-    the limit are withheld: the support cut that makes it fail miscounts
-    both.
+    the limit are withheld: the numbers it could not reconcile are not
+    reported.
     """
     head = f"rank changes at theta_true={theta}"
     not_valid = "the fixed-rank Cramér-Rao bound is not valid here"
@@ -220,13 +220,10 @@ def _rank_change_note(model: ParametricModel, theta: float, r0: int, r_beside: i
         report = discontinuity.classify(model, theta)
     except (NumericalError, MultiBranchError) as err:
         return f"{head}; {not_valid}; effective ranks and continuous-limit qfi not resolved ({err})"
-    except DomainError as err:
-        limit = f"continuous-limit qfi not computed ({err})"
+    if math.isinf(report.qfi_limit):
+        limit = "continuous-limit qfi diverges"
     else:
-        if math.isinf(report.qfi_limit):
-            limit = "continuous-limit qfi diverges"
-        else:
-            limit = f"continuous-limit qfi = {report.qfi_limit:.6g} (reported, not asserted attainable)"
+        limit = f"continuous-limit qfi = {report.qfi_limit:.6g} (reported, not asserted attainable)"
     return f"{head} (effective rank {r0} vs {r_beside} nearby); {not_valid}; {limit}"
 
 

@@ -33,6 +33,9 @@ with coefficients (xi = sqrt(kappa^2 - 4 theta^2), real for |theta| < kappa/2)
     f = kappa exp(-kappa t / 2) sinh(xi t / 2) / xi
     c = 2 theta exp(-kappa t / 2) sinh(xi t / 2) / xi
 
+evaluated with the two exponentials exp(-(kappa - xi) t / 2) and
+expm1(-xi t), each at most 1 in size, so they stay finite at every kappa t.
+
 Grouping index pairs (s, sbar) turns the full matrix into a direct sum of
 2x2 blocks, one per m = 0..floor(N/2), each repeated binomial(N, m) times
 (half that for the central block when N is even); the dense matrix and
@@ -41,7 +44,8 @@ its state to the QFI, the Bures metric and the discontinuity analysis as
 such a direct sum through ``ParametricModel.blocks_fn``: the GHZ models
 (and ``transverse-qubit``, their N = 1 member) as one (B, 2, 2) array of
 their blocks per point, so those never assemble the 2^N matrix, and the
-diagonal families as one block with its analytic derivative.
+diagonal families as one block; each model also gives the first and
+second theta-derivatives of its blocks in closed form.
 The Monte Carlo experiments measure the parity X on every qubit, whose +
 probability (1 + Re (b + f + i c)^N) / 2 needs no matrix either.
 """
@@ -60,28 +64,27 @@ from .exceptions import (
     BoundarySolutionWarning,
     DomainError,
     InvalidInputError,
-    NumericalError,
     StepSizeError,
 )
 
 
 # The blocks of one size in a direct sum: multiplicities (B,), blocks
-# (B, d, d) and their theta-derivatives (B, d, d), or None where the
-# derivatives were not asked for.
-BlockGroup = tuple[np.ndarray, np.ndarray, np.ndarray | None]
+# (B, d, d), and their first and second theta-derivatives (B, d, d), each
+# None where it was not asked for.
+BlockGroup = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
 
 
 @dataclass(frozen=True)
 class ParametricModel:
     """A named family theta -> rho_theta.
 
-    ``blocks_fn(theta, derivative)`` returns rho_theta as a direct sum: a
-    list of groups, one per block size, each the 3-tuple (multiplicities,
-    blocks, derivatives) of ``BlockGroup``, with positive integer
-    multiplicities, analytic theta-derivatives, and derivatives None
-    unless ``derivative`` is set.  The multiplicity-weighted block traces
-    sum to 1, and the groups, their block counts and multiplicities are the
-    same at every theta.  The QFI, the Bures metric and the discontinuity
+    ``blocks_fn(theta, order)`` returns rho_theta as a direct sum: a list
+    of groups, one per block size, each the 4-tuple (multiplicities,
+    blocks, first, second) of ``BlockGroup``, with positive integer
+    multiplicities and the analytic first and second theta-derivatives up
+    to ``order`` (0, 1 or 2), None past it.  The multiplicity-weighted
+    block traces sum to 1, and the groups, their block counts and
+    multiplicities are the same at every theta.  The QFI, the Bures metric and the discontinuity
     analysis read only the blocks.  ``state_fn`` returns the dense state;
     no library routine reads it.
 
@@ -93,7 +96,7 @@ class ParametricModel:
 
     name: str
     state_fn: Callable[[float], np.ndarray]
-    blocks_fn: Callable[[float, bool], Sequence[BlockGroup]]
+    blocks_fn: Callable[[float, int], Sequence[BlockGroup]]
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
     p_first: Callable[[float], float] | None = None
@@ -124,6 +127,11 @@ def classical_bit_derivative(p: float) -> np.ndarray:
     return np.diag([1.0, -1.0]).astype(complex)
 
 
+def classical_bit_second_derivative(p: float) -> np.ndarray:
+    del p  # the state is linear in the parameter
+    return np.zeros((2, 2), dtype=complex)
+
+
 def trig_model_state(theta: float) -> np.ndarray:
     """rho = sin^2(theta) |0><0| + cos^2(theta) |1><1| on [0, pi/2]."""
     if not -1e-12 <= theta <= math.pi / 2 + 1e-12:
@@ -136,12 +144,18 @@ def trig_model_derivative(theta: float) -> np.ndarray:
     return math.sin(2.0 * theta) * np.diag([1.0, -1.0]).astype(complex)
 
 
-def one_block(state_fn, derivative_fn):
-    """``blocks_fn`` of a family that is one block of multiplicity 1."""
+def trig_model_second_derivative(theta: float) -> np.ndarray:
+    return 2.0 * math.cos(2.0 * theta) * np.diag([1.0, -1.0]).astype(complex)
 
-    def blocks(theta: float, derivative: bool) -> list[BlockGroup]:
-        block = state_fn(theta)[None]
-        return [(np.ones(1, dtype=int), block, derivative_fn(theta)[None] if derivative else None)]
+
+def one_block(state_fn, derivative_fn, second_fn):
+    """``blocks_fn`` of a family that is one block of multiplicity 1, from
+    its state and its first and second theta-derivatives."""
+    fns = (state_fn, derivative_fn, second_fn)
+
+    def blocks(theta: float, order: int) -> list[BlockGroup]:
+        arrays = (fn(theta)[None] if k <= order else None for k, fn in enumerate(fns))
+        return [(np.ones(1, dtype=int), *arrays)]
 
     return blocks
 
@@ -171,77 +185,93 @@ def _check_qubits(n_qubits: int, most: float = math.inf) -> None:
         raise DomainError(f"n_qubits={n_qubits} outside [1, {most}]")
 
 
-def _cosh_sinh(x: float) -> tuple[float, float]:
-    """(cosh x, sinh x); a ``NumericalError`` where they overflow (x above ~710)."""
-    try:
-        return math.cosh(x), math.sinh(x)
-    except OverflowError:
-        raise NumericalError(
-            f"cosh and sinh of xi*t/2 = {x:g} overflow; the GHZ coefficients are not "
-            "representable at this kappa*t"
-        ) from None
+def _ghz_series(theta: float, kappa: float, t: float, order: int = 0) -> tuple:
+    """The GHZ coefficients at one point: (a, d, gap, e_+, bfc), with the
+    gap kappa - xi = 4 theta^2 / (kappa + xi), e_+ = exp(-gap t / 2), and
+    ``bfc`` the triple (b, f, c) followed by its first ``order`` <= 2
+    theta-derivatives.
+
+    With s = exp(-kappa t/2) sinh(xi t/2) = -e_+ expm1(-xi t) / 2, each
+    factor at most 1, the coefficients are b = e_+ (2 + expm1(-xi t)) / 2,
+    f = kappa s / xi and c = 2 theta s / xi, finite for every kappa t.  Their
+    derivatives follow from dxi/dtheta = -4 theta / xi through S = s / xi
+    and W = (t b - 2 S) / xi^2:
+
+        S' = -2 theta W,    S'' = -2 W - 4 theta^2 (6 W - t^2 S) / xi^2,
+        b' = -2 theta t S,  f' = kappa S',  c' = 2 S + 2 theta S',
+        b'' = -2 t S - 2 theta t S',  f'' = kappa S'',  c'' = 4 S' + 2 theta S''.
+
+    The domain check, xi and the exponentials are computed once.  At
+    theta = 0, e_+ = 1 and xi = kappa, so b and f equal a and d bit for bit.
+    """
+    _check_ghz_domain(theta, kappa, t)
+    xi = math.sqrt(kappa**2 - 4.0 * theta**2)
+    gap = 4.0 * theta**2 / (kappa + xi)
+    e_plus = math.exp(-gap * t / 2.0)
+    em1_kappa = math.expm1(-kappa * t)
+    em1_xi = math.expm1(-xi * t)
+    s = -e_plus * em1_xi / 2.0
+    b = e_plus * (2.0 + em1_xi) / 2.0
+    bfc = [(b, kappa / xi * s, 2.0 * theta / xi * s)]
+    if order > 0:
+        big_s = s / xi
+        w = (t * b - 2.0 * big_s) / xi**2
+        ds = -2.0 * theta * w
+        bfc.append((-2.0 * theta * t * big_s, kappa * ds, 2.0 * big_s + 2.0 * theta * ds))
+        if order > 1:
+            d2s = -2.0 * w - 4.0 * theta**2 * (6.0 * w - t**2 * big_s) / xi**2
+            bfc.append(
+                (-2.0 * t * big_s - 2.0 * theta * t * ds, kappa * d2s, 4.0 * ds + 2.0 * theta * d2s)
+            )
+    return 1.0 + em1_kappa / 2.0, -em1_kappa / 2.0, gap, e_plus, bfc
 
 
 def ghz_coefficients(theta: float, kappa: float, t: float) -> tuple[float, float, float, float, float]:
     """Coefficient functions (a, d, b, f, c) of the evolved GHZ elements."""
-    _check_ghz_domain(theta, kappa, t)
-    xi = math.sqrt(kappa**2 - 4.0 * theta**2)
-    decay = math.exp(-kappa * t / 2.0)
-    a = 0.5 * (1.0 + math.exp(-kappa * t))
-    d = 0.5 * (1.0 - math.exp(-kappa * t))
-    ch, sh = _cosh_sinh(xi * t / 2.0)
-    b = decay * ch
-    g = sh / xi
-    f = kappa * decay * g
-    c = 2.0 * theta * decay * g
-    return a, d, b, f, c
-
-
-def ghz_coefficient_derivatives(theta: float, kappa: float, t: float) -> tuple[float, float, float]:
-    """theta-derivatives (db, df, dc) of the b, f, c coefficients.
-
-    a and d do not depend on theta.
-    """
-    _check_ghz_domain(theta, kappa, t)
-    xi = math.sqrt(kappa**2 - 4.0 * theta**2)
-    decay = math.exp(-kappa * t / 2.0)
-    ch, sh = _cosh_sinh(xi * t / 2.0)
-    g = sh / xi
-    # dxi/dtheta = -4 theta / xi
-    dg = (-4.0 * theta / xi**3) * (0.5 * t * xi * ch - sh)
-    db = -2.0 * theta * t * decay * g
-    df = kappa * decay * dg
-    dc = 2.0 * decay * g + 2.0 * theta * decay * dg
-    return db, df, dc
+    a, d, _, _, [bfc] = _ghz_series(theta, kappa, t)
+    return (a, d, *bfc)
 
 
 def _diag_element(m: int, n_qubits: int, a: float, d: float) -> float:
     return 0.5 * (d**m * a ** (n_qubits - m) + d ** (n_qubits - m) * a**m)
 
 
-def _cross_element(m: int, n_qubits: int, b: float, f: float, c: float) -> complex:
-    return 0.5 * (
-        f**m * (b - 1j * c) ** (n_qubits - m) + f ** (n_qubits - m) * (b + 1j * c) ** m
-    )
+def _power_series(x: list, p: int) -> list:
+    """x^p and its theta-derivatives to the order of ``x`` = [x, x', x''][:k],
+    for an integer p >= 0; the factors p x^max(p-1, 0) and
+    p (p-1) x^max(p-2, 0) vanish where the power has no such term."""
+    out = [x[0] ** p]
+    if len(x) > 1:
+        slope = p * x[0] ** max(p - 1, 0)
+        out.append(slope * x[1])
+    if len(x) > 2:
+        out.append(p * (p - 1) * x[0] ** max(p - 2, 0) * x[1] ** 2 + slope * x[2])
+    return out
 
 
-def _cross_element_derivative(
-    m: int, n_qubits: int, b: float, f: float, c: float, db: float, df: float, dc: float
-) -> complex:
-    """Product-rule derivative of the cross element in theta."""
-    n = n_qubits
-    w_minus = b - 1j * c
-    w_plus = b + 1j * c
-    dw_minus = db - 1j * dc
-    dw_plus = db + 1j * dc
-    term = 0.0 + 0.0j
-    if m > 0:
-        term += m * f ** (m - 1) * df * w_minus ** (n - m)
-        term += f ** (n - m) * m * w_plus ** (m - 1) * dw_plus
-    if n - m > 0:
-        term += f**m * (n - m) * w_minus ** (n - m - 1) * dw_minus
-        term += (n - m) * f ** (n - m - 1) * df * w_plus**m
-    return 0.5 * term
+def _product_series(u: list, v: list) -> list:
+    """u v and its theta-derivatives by the product rule, to the order of u and v."""
+    out = [u[0] * v[0]]
+    if len(u) > 1:
+        out.append(u[1] * v[0] + u[0] * v[1])
+    if len(u) > 2:
+        out.append(u[2] * v[0] + 2.0 * u[1] * v[1] + u[0] * v[2])
+    return out
+
+
+def _cross_series(n_qubits: int, ms, bfc: list) -> list:
+    """For each popcount m of ``ms``, the cross element
+    (f^m w-^(N-m) + f^(N-m) w+^m) / 2, w+- = b +- i c, and its
+    theta-derivatives to the order of ``bfc``."""
+    f = [f for _, f, _ in bfc]
+    w_minus = [b - 1j * c for b, _, c in bfc]
+    w_plus = [b + 1j * c for b, _, c in bfc]
+    out = []
+    for m in ms:
+        first = _product_series(_power_series(f, m), _power_series(w_minus, n_qubits - m))
+        second = _product_series(_power_series(f, n_qubits - m), _power_series(w_plus, m))
+        out.append([0.5 * (x + y) for x, y in zip(first, second)])
+    return out
 
 
 class GhzBlock(NamedTuple):
@@ -271,35 +301,30 @@ def _block_multiplicities(n_qubits: int) -> np.ndarray:
 
 
 def ghz_block_arrays(
-    n_qubits: int, theta: float, kappa: float, t: float, derivative: bool = True
+    n_qubits: int, theta: float, kappa: float, t: float, order: int = 1
 ) -> BlockGroup:
-    """The GHZ blocks m = 0..floor(N/2) as arrays: (multiplicities, blocks, derivatives).
+    """The GHZ blocks m = 0..floor(N/2) as the arrays (multiplicities,
+    blocks, first, second) of ``BlockGroup``, with the theta-derivatives up
+    to ``order`` and None past it.
 
     Block m is [[r, x], [conj x, r]] with r and x the diagonal and cross
     elements of popcount m.  The diagonal does not depend on theta, so the
-    derivative of block m is [[0, dx], [conj dx, 0]]; it is computed only
-    with ``derivative``, and None otherwise.
+    k-th derivative of block m is [[0, x^(k)], [conj x^(k), 0]].
     """
     _check_qubits(n_qubits, 24)
-    a, d, b, f, c = ghz_coefficients(theta, kappa, t)
+    a, d, _, _, bfc = _ghz_series(theta, kappa, t, order)
     ms = range(n_qubits // 2 + 1)
-    blocks = np.empty((len(ms), 2, 2), dtype=complex)
-    blocks[:, 0, 0] = blocks[:, 1, 1] = [_diag_element(m, n_qubits, a, d) for m in ms]
-    blocks[:, 0, 1] = [_cross_element(m, n_qubits, b, f, c) for m in ms]
-    blocks[:, 1, 0] = blocks[:, 0, 1].conj()
-    dblocks = None
-    if derivative:
-        db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
-        dblocks = np.zeros_like(blocks)
-        dblocks[:, 0, 1] = [_cross_element_derivative(m, n_qubits, b, f, c, db, df, dc) for m in ms]
-        dblocks[:, 1, 0] = dblocks[:, 0, 1].conj()
-    return _block_multiplicities(n_qubits), blocks, dblocks
+    blocks = np.zeros((order + 1, len(ms), 2, 2), dtype=complex)
+    blocks[0, :, 0, 0] = blocks[0, :, 1, 1] = [_diag_element(m, n_qubits, a, d) for m in ms]
+    blocks[:, :, 0, 1] = np.array(_cross_series(n_qubits, ms, bfc)).T
+    blocks[:, :, 1, 0] = blocks[:, :, 0, 1].conj()
+    return (_block_multiplicities(n_qubits), *blocks, *[None] * (2 - order))
 
 
 def ghz_blocks(n_qubits: int, theta: float, kappa: float, t: float) -> GhzBlockSet:
     """2x2 block decomposition of the evolved N-qubit GHZ state, one
     ``GhzBlock`` per block of ``ghz_block_arrays`` (views of its arrays)."""
-    mults, blocks, dblocks = ghz_block_arrays(n_qubits, theta, kappa, t)
+    mults, blocks, dblocks, _ = ghz_block_arrays(n_qubits, theta, kappa, t)
     return GhzBlockSet(tuple(map(GhzBlock, mults.tolist(), blocks, dblocks)))
 
 
@@ -326,13 +351,13 @@ def _assemble_blocks(n_qubits: int, mats: np.ndarray) -> np.ndarray:
 
 def ghz_state(n_qubits: int, theta: float, kappa: float, t: float) -> np.ndarray:
     """Closed-form evolved GHZ density matrix in the computational basis."""
-    _, blocks, _ = ghz_block_arrays(n_qubits, theta, kappa, t, derivative=False)
+    _, blocks, _, _ = ghz_block_arrays(n_qubits, theta, kappa, t, order=0)
     return _assemble_blocks(n_qubits, blocks)
 
 
 def ghz_state_derivative(n_qubits: int, theta: float, kappa: float, t: float) -> np.ndarray:
     """theta-derivative of the closed-form GHZ state (diagonal is constant)."""
-    _, _, dblocks = ghz_block_arrays(n_qubits, theta, kappa, t)
+    _, _, dblocks, _ = ghz_block_arrays(n_qubits, theta, kappa, t)
     return _assemble_blocks(n_qubits, dblocks)
 
 
@@ -361,19 +386,19 @@ def ghz_qfi_discontinuous(n_qubits: int, kappa: float, t: float) -> float:
     """QFI of the evolved GHZ state exactly at theta = 0.
 
     Population-weighted average of the pure-branch Bloch QFIs of the
-    normalized 2x2 blocks, which all become pure at theta = 0.
+    normalized 2x2 blocks m = 0..floor(N/2), which all become pure at
+    theta = 0; block m holds 2 r_m of the population per copy.
     """
     _check_qubits(n_qubits)
-    a, d, b, f, c = ghz_coefficients(0.0, kappa, t)
-    db, df, dc = ghz_coefficient_derivatives(0.0, kappa, t)
+    a, d, _, _, bfc = _ghz_series(0.0, kappa, t, 1)
+    ms = range(n_qubits // 2 + 1)
+    mults = _block_multiplicities(n_qubits).tolist()
     total = 0.0
-    for m in range(n_qubits + 1):
+    for m, mult, (cross, dcross) in zip(ms, mults, _cross_series(n_qubits, ms, bfc)):
         rmm = _diag_element(m, n_qubits, a, d)
-        weight = math.comb(n_qubits, m) * rmm
+        weight = 2 * mult * rmm
         if weight <= 0.0:
             continue  # no population in this sector (t = 0 extremes)
-        cross = _cross_element(m, n_qubits, b, f, c)
-        dcross = _cross_element_derivative(m, n_qubits, b, f, c, db, df, dc)
         v = np.array([cross.real / rmm, cross.imag / rmm, 0.0])
         dv = np.array([dcross.real / rmm, dcross.imag / rmm, 0.0])
         total += weight * qubit_bloch_qfi(v, dv)
@@ -481,9 +506,8 @@ def ghz_parity_probability(n_qubits: int, theta: float, kappa: float, t: float) 
     e^(-(kappa - xi) t/2) + (kappa - xi) f / kappa, two nonnegative terms
     that are exactly 1 and 0 at theta = 0, so p(+) is exactly 1 there.
     """
-    _, _, _, f, c = ghz_coefficients(theta, kappa, t)
-    gap = 4.0 * theta**2 / (kappa + math.sqrt(kappa**2 - 4.0 * theta**2))
-    b_plus_f = math.exp(-gap * t / 2.0) + gap * f / kappa
+    _, _, gap, e_plus, [(_, f, c)] = _ghz_series(theta, kappa, t)
+    b_plus_f = e_plus + gap * f / kappa
     return min(0.5 * (1.0 + (complex(b_plus_f, c) ** n_qubits).real), 1.0)
 
 
@@ -509,8 +533,7 @@ def _parity_turning_point(n_qubits: int, kappa: float, t: float) -> float:
     """
 
     def falling(theta: float) -> bool:  # dp(+)/dtheta < 0
-        _, _, b, f, c = ghz_coefficients(theta, kappa, t)
-        db, df, dc = ghz_coefficient_derivatives(theta, kappa, t)
+        (b, f, c), (db, df, dc) = _ghz_series(theta, kappa, t, 1)[4]
         return (complex(b + f, c) ** (n_qubits - 1) * complex(db + df, dc)).real < 0.0
 
     grid = [0.49 * kappa * k / 256 for k in range(257)]
@@ -565,7 +588,9 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=classical_bit_state,
-            blocks_fn=one_block(classical_bit_state, classical_bit_derivative),
+            blocks_fn=one_block(
+                classical_bit_state, classical_bit_derivative, classical_bit_second_derivative
+            ),
             domain=(0.0, 1.0),
             p_first=lambda p: p,
             estimate=lambda p_hat: p_hat,
@@ -574,7 +599,9 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=trig_model_state,
-            blocks_fn=one_block(trig_model_state, trig_model_derivative),
+            blocks_fn=one_block(
+                trig_model_state, trig_model_derivative, trig_model_second_derivative
+            ),
             domain=(0.0, math.pi / 2),
             p_first=lambda theta: math.sin(theta) ** 2,
             estimate=lambda p_hat: math.asin(math.sqrt(p_hat)),
@@ -586,7 +613,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=lambda th: ghz_state(n, th, kappa, t),
-            blocks_fn=lambda th, derivative: [ghz_block_arrays(n, th, kappa, t, derivative)],
+            blocks_fn=lambda th, order: [ghz_block_arrays(n, th, kappa, t, order)],
             domain=(-kappa / 2.0, kappa / 2.0),
             open_domain=True,
             p_first=lambda th: ghz_parity_probability(n, th, kappa, t),

@@ -12,7 +12,7 @@ The central objects:
   2 drho = L rho + rho L, with the kernel block fixed to zero.
 * ``fidelity``: Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)).
 * ``bures_metric_fd``: the metric coefficient g in
-  2 [1 - F(rho_t, rho_{t+e})] = g e^2 + O(e^3), by finite differences.
+  2 [1 - F(rho_t, rho_{t+e})] = g e^2 + O(e^3), from the spectrum at t.
 * ``qfi_and_metric``: the QFI and that metric at every point of a grid.
 * ``qfi_limit``: one-sided limit of the QFI along a step-halving sequence,
   with divergence detection for singular-metric points.
@@ -20,37 +20,36 @@ The central objects:
 Model-level helpers work on direct sums.  Every model supplies its state
 as unnormalized blocks A_j, each repeated m_j times
 (``ParametricModel.blocks_fn``), as arrays: one group per block size of
-multiplicities (B,), blocks (B, d, d) and, when asked for, their analytic
-derivatives (B, d, d); a state with no structure is one block of
-multiplicity 1.  The QFI and the Uhlmann fidelity both split over such a
-direct sum:
-for rho = (+)_j m_j A_j and sigma = (+)_j m_j B_j,
+multiplicities (B,), blocks (B, d, d) and, up to the order asked for,
+their analytic first and second derivatives (B, d, d); a state with no
+structure is one block of multiplicity 1.  The QFI splits over such a
+direct sum, Q(rho) = sum_j m_j Q(A_j, A_j'), and the eigenvalues of the
+blocks are those of the full matrix.  The support cut is relative to each
+block: an eigenvalue counts when it exceeds SUPPORT_TOL times the largest
+of its block, so no rank depends on a block's weight.
 
-    Q(rho) = sum_j m_j Q(A_j, dA_j),    F(rho, sigma) = sum_j m_j F(A_j, B_j),
+The metric reads the same spectrum (D. Safranek, Phys. Rev. A 95, 052320
+(2017)).  The kernel of a block, its eigenvalues at or below the cut with
+projector P_j, moves with speed v_j = tr(P_j A_j') and curvature
 
-and the eigenvalues of the blocks are those of the full matrix, so the
-absolute support cut means the same on a block as on the whole state.
-For 2x2 blocks F has the closed form
+    a_j = tr(P_j A_j'') - 2 sum_{k in ker, l not in ker} |<k| A_j' |l>|^2 / lambda_l,
 
-    F(A, B) = sqrt(tr AB + 2 sqrt(det A det B)),
-
-exact for PSD A and B.  Where a block is pure, the roundoff in its
-vanishing determinant enters only through sqrt(det A det B), damped by
-det B; an eigendecomposition would take the square root of the
-roundoff-level eigenvalue itself, which swamps 1 - F at small steps.
-Larger blocks go through explicit eigendecompositions.
+the sum of the vanishing eigenvalues' second derivatives by second-order
+perturbation theory; the trace sums a degenerate kernel without splitting
+it.  Then 4g = sum_j m_j (Q_j + 2 a_j): 4g = Q wherever the rank is full,
+and 4g - Q is the QFI's jump at a rank change.  Where |sum_j m_j v_j| is at
+least SPEED_TOL the kernel moves at first order and g is infinite.  No
+step is taken.
 
 Model-level routines read all their sample points in one stacked call
 (``_model_blocks``): each group's blocks at every point form one
 (points, blocks, d, d) array, checked and eigendecomposed once, and each
 block's result equals the one it gets when read alone, bit for bit.  The
-QFI, the fidelity and the vanishing weight are then array expressions
-over those stacks, summed over the blocks of a point in block order.
-``qfi_and_metric``, which ``qfi-scan`` calls once per grid, reads in two
-such calls however long the grid: its points with derivatives for the
-QFI, then the metric's shifted points of every row.  Where either read
-fails, ``qfi-scan`` reads each row alone, so that each failing row keeps
-its own error.
+QFI, the metric and the vanishing weight are then array expressions over
+those stacks, summed over the blocks of a point in block order.
+``qfi_and_metric``, which ``qfi-scan`` calls once per grid, reads the
+whole grid in one such call.  Where it fails, ``qfi-scan`` reads each row
+alone, so that each failing row keeps its own error.
 """
 
 from __future__ import annotations
@@ -66,11 +65,16 @@ from .exceptions import (
     DomainError,
     InvalidInputError,
     NumericalError,
-    StepSizeError,
 )
-from .numdiff import _even_richardson, richardson_limit
+from .numdiff import richardson_limit
 
+# An eigenvalue at or below SUPPORT_TOL times the largest of its block (or
+# density matrix) lies in the kernel.
 SUPPORT_TOL = 1e-12
+# A kernel speed |v| at or above this moves at first order: the metric is
+# infinite there, and the discontinuity is of the second kind.  Finite-
+# difference noise in v at the default step h = 1e-3 sits around 1e-8.
+SPEED_TOL = 1e-6
 # The one-sided QFI limit samples theta_bar +/- LIMIT_H0 * 2**-k for
 # k < LIMIT_STEPS; its last two extrapolants must agree within
 # LIMIT_REL_TOL relative.
@@ -80,9 +84,6 @@ LIMIT_REL_TOL = 1e-3
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
-_UNDERFLOW_TOL = 1e-14
-# The finite-difference step of bures_metric_fd by default and of qfi_and_metric.
-METRIC_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,8 @@ class SpectralData:
 
     ``eigenvalues`` are clamped to >= 0 and sorted descending;
     ``eigenvectors[:, k]`` is the unit eigenvector of ``eigenvalues[k]``;
-    ``effective_rank`` counts the eigenvalues above ``SUPPORT_TOL``.
+    ``effective_rank`` counts the eigenvalues above ``SUPPORT_TOL`` times
+    the largest.
     """
 
     eigenvalues: np.ndarray
@@ -150,8 +152,9 @@ def _decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _support_rank(lam: np.ndarray) -> np.ndarray:
-    """Counts of eigenvalues above SUPPORT_TOL along the last axis."""
-    return (lam > SUPPORT_TOL).sum(axis=-1)
+    """Counts of eigenvalues above SUPPORT_TOL times the largest, along the
+    last axis of descending spectra."""
+    return (lam > SUPPORT_TOL * lam[..., :1]).sum(axis=-1)
 
 
 def spectral_decompose(rho: np.ndarray) -> SpectralData:
@@ -177,13 +180,11 @@ def _det2(a: np.ndarray) -> np.ndarray:
 
 
 def _block_fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """tr sqrt(sqrt(a) b sqrt(a)) for PSD a, b of any trace, unclamped,
-    over stacks of matrices that broadcast against each other.
+    """tr sqrt(sqrt(a) b sqrt(a)) for PSD a, b, unclamped.
 
-    2x2 blocks use the closed form sqrt(tr ab + 2 sqrt(det a det b));
-    larger ones explicit eigendecompositions with eigenvalue clamping,
-    which stays well behaved for rank-deficient inputs.  The square root
-    of a is taken once for every b it is paired with.
+    2x2 matrices use the closed form sqrt(tr ab + 2 sqrt(det a det b)),
+    exact for PSD a and b; larger ones explicit eigendecompositions with
+    eigenvalue clamping, which stays well behaved for rank-deficient inputs.
     """
     if a.shape[-2:] == (2, 2):
         # tr ab = sum_ij a_ij conj(b_ij) for Hermitian b: the dot product
@@ -208,10 +209,11 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def _overlaps(lam: np.ndarray, vecs: np.ndarray, drho: np.ndarray):
     """drho in the eigenbasis, the eigenvalue pair sums, and the pairs on the
-    support, for one matrix or a stack."""
+    support (sums above 2 SUPPORT_TOL times the largest eigenvalue), for one
+    matrix or a stack."""
     d_eig = _dagger(vecs) @ drho @ vecs
     denom = lam[..., :, None] + lam[..., None, :]
-    return d_eig, denom, denom > SUPPORT_TOL
+    return d_eig, denom, denom > 2.0 * SUPPORT_TOL * lam[..., :1, None]
 
 
 def _qfi_sum(d_eig, denom, mask) -> np.ndarray:
@@ -236,7 +238,7 @@ def _spectral_overlaps(rho, drho):
 def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative, kernel block set to zero.
 
-    Components on eigenvalue pairs with lk + ll <= SUPPORT_TOL are left
+    Components on eigenvalue pairs off the support (see ``_overlaps``) are left
     unspecified by the defining equation; zero is the minimal-norm choice
     and does not affect the Fisher information.
     """
@@ -256,7 +258,7 @@ def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Model-level helpers.  A "model" is any object exposing
-# blocks_fn(theta, derivative) and in_domain(theta); see models.py.  These
+# blocks_fn(theta, order) and in_domain(theta); see models.py.  These
 # read its blocks alone and never differentiate a state.
 # ---------------------------------------------------------------------------
 
@@ -265,21 +267,23 @@ class BlockStack(NamedTuple):
     """The blocks of one size at every point of a ``_model_blocks`` read.
 
     Arrays carry the point on their first axis and the block on the second:
-    ``blocks`` and ``dblocks`` are (P, B, d, d), ``eigenvalues`` (P, B, d),
-    descending and clamped to >= 0, and ``eigenvectors`` (P, B, d, d) with
-    matching columns.  ``multiplicities`` (B,) holds at every point.  Fields
-    a read did not ask for are None.
+    ``blocks`` and their first and second derivatives ``dblocks`` and
+    ``d2blocks`` are (P, B, d, d), ``eigenvalues`` (P, B, d), descending and
+    clamped to >= 0, and ``eigenvectors`` (P, B, d, d) with matching
+    columns.  ``multiplicities`` (B,) holds at every point.  Derivatives a
+    read did not ask for are None.
     """
 
     multiplicities: np.ndarray
     blocks: np.ndarray
     dblocks: np.ndarray | None
-    eigenvalues: np.ndarray | None
-    eigenvectors: np.ndarray | None
+    d2blocks: np.ndarray | None
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @property
     def ranks(self) -> np.ndarray:
-        """(P, B) effective ranks: eigenvalues above SUPPORT_TOL per block."""
+        """(P, B) effective ranks: eigenvalues above the support cut per block."""
         return _support_rank(self.eigenvalues)
 
     def at(self, points) -> BlockStack:
@@ -299,17 +303,23 @@ def _point_sums(columns: list) -> np.ndarray:
     return np.cumsum(_columns(columns), axis=-1)[..., -1]
 
 
-def _stack_groups(reads: list, k: int, derivative: bool):
-    """Group k of every point's direct sum, stacked on a point axis."""
+def _stack_groups(reads: list, k: int, order: int) -> list:
+    """Group k of every point's direct sum, stacked on a point axis: the
+    multiplicities, the blocks and their derivatives up to ``order``, and
+    None past it."""
     groups = [read[k] for read in reads]
-    if not all(isinstance(group, tuple) and len(group) == 3 for group in groups):
-        raise InvalidInputError("a block group must be (multiplicities, blocks, derivatives)")
+    if not all(isinstance(group, tuple) and len(group) == 4 for group in groups):
+        raise InvalidInputError("a block group must be (multiplicities, blocks, first, second)")
+    if any(group[j] is None for group in groups for j in range(1, order + 2)):
+        raise InvalidInputError(f"a block group lacks the derivatives of order <= {order}")
     try:
         mults = np.array([group[0] for group in groups])
-        blocks = np.array([group[1] for group in groups], dtype=complex)
-        dblocks = np.array([group[2] for group in groups], dtype=complex) if derivative else None
+        arrays = [
+            np.array([group[j] for group in groups], dtype=complex) for j in range(1, order + 2)
+        ]
     except ValueError:  # ragged: the point reads differ in shape
         raise InvalidInputError("block structure differs between points") from None
+    blocks = arrays[0]
     if mults.ndim != 2 or blocks.shape[:2] != mults.shape:
         raise InvalidInputError("block and multiplicity counts differ")
     if len(reads) > 1 and (mults != mults[0]).any():
@@ -317,39 +327,39 @@ def _stack_groups(reads: list, k: int, derivative: bool):
     mults = mults[0]
     if not mults.size or mults.dtype.kind not in "iu" or (mults < 1).any():
         raise InvalidInputError(f"multiplicities {mults.tolist()} are not positive integers")
-    if derivative and dblocks.shape != blocks.shape:
+    if any(a.shape != blocks.shape for a in arrays):
         raise InvalidInputError("state and derivative dimensions differ")
-    return mults, blocks, dblocks
+    return [mults, *arrays, *[None] * (2 - order)]
 
 
-def _model_blocks(model, thetas, derivative: bool = True, decompose: bool = True) -> list:
+def _model_blocks(model, thetas, order: int = 1) -> list:
     """The state at each of ``thetas`` as a checked direct sum.
 
     Returns one ``BlockStack`` per block size, with the points on its
-    first axis in the order of ``thetas``, from ``model.blocks_fn``.
-    Without ``derivative`` no derivatives are asked for; without
-    ``decompose`` no eigensolve is made.
+    first axis in the order of ``thetas``, from ``model.blocks_fn`` asked
+    for the derivatives up to ``order`` (0, 1 or 2).
 
-    Each stack is read at once: one check that its groups are 3-tuples
+    Each stack is read at once: one check that its groups are 4-tuples
     with the same positive integer multiplicities at every point, one
-    Hermiticity check of its blocks (within 1e-12), one of their
-    derivatives (within 1e-10), one trace per block, and one
+    Hermiticity check of its blocks (within 1e-12), one of each derivative
+    asked for (within 1e-10), one trace per block, and one
     eigendecomposition.  At every theta the weighted traces must sum to 1
     within 1e-10, summed in block order.
     """
-    reads = [model.blocks_fn(theta, derivative) for theta in thetas]
+    reads = [model.blocks_fn(theta, order) for theta in thetas]
     if len({len(read) for read in reads}) > 1:
         raise InvalidInputError("block structure differs between points")
     if not reads[0]:
         raise InvalidInputError("the direct sum has no block groups")
     stacks, weighted_traces = [], []
     for k in range(len(reads[0])):  # one group per block size
-        mults, blocks, dblocks = _stack_groups(reads, k, derivative)
+        mults, blocks, *derivatives = _stack_groups(reads, k, order)
         blocks = validate_hermitian(blocks, _HERMITIAN_TOL, "density block")
-        if derivative:
-            dblocks = validate_hermitian(dblocks, 1e-10, "state derivative")
-        spectrum = _decompose(blocks) if decompose else (None, None)
-        stacks.append(BlockStack(mults, blocks, dblocks, *spectrum))
+        derivatives = [
+            None if d is None else validate_hermitian(d, 1e-10, "state derivative")
+            for d in derivatives
+        ]
+        stacks.append(BlockStack(mults, blocks, *derivatives, *_decompose(blocks)))
         weighted_traces.append(mults * blocks.trace(axis1=-2, axis2=-1).real)
     for total in _point_sums(weighted_traces).tolist():
         if abs(total - 1.0) > _TRACE_TOL:
@@ -359,17 +369,52 @@ def _model_blocks(model, thetas, derivative: bool = True, decompose: bool = True
     return stacks
 
 
-def _direct_sum_qfi(stacks: list) -> np.ndarray:
-    """sum_j m_j Q(B_j, dB_j) at every point of a ``_model_blocks`` read."""
-    weighted, on_support = [], []
+def _block_qfis(stacks: list) -> list:
+    """Per stack, the blocks' first derivatives in their eigenbases and
+    their QFIs (P, B); a ``DegenerateModelError`` where a point has no
+    eigenvalue pair on the support."""
+    out, on_support = [], []
     for st in stacks:  # one per block size
         d_eig, denom, mask = _overlaps(st.eigenvalues, st.eigenvectors, st.dblocks)
-        weighted.append(st.multiplicities * _qfi_sum(d_eig, denom, mask))
+        out.append((d_eig, _qfi_sum(d_eig, denom, mask)))
         # The eigenvalues descend: a block has a pair on the support iff its first is.
         on_support.append(mask[..., 0, 0])
     if not _columns(on_support).any(axis=-1).all():
         raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
-    return _point_sums(weighted)
+    return out
+
+
+def _direct_sum_qfi(stacks: list) -> np.ndarray:
+    """sum_j m_j Q(B_j, dB_j) at every point of a ``_model_blocks`` read."""
+    return _point_sums([st.multiplicities * q for st, (_, q) in zip(stacks, _block_qfis(stacks))])
+
+
+def _kernel_motion(st: BlockStack, d_eig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, B) speed v and curvature a of each block's kernel (see the
+    module docstring); d_eig is the first derivative in the eigenbasis."""
+    lam = st.eigenvalues
+    kernel = np.arange(lam.shape[-1]) >= _support_rank(lam)[..., None]
+    d2_eig = _dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
+    speed = np.where(kernel, d_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
+    pairs = kernel[..., :, None] & ~kernel[..., None, :]
+    coupling = np.divide(
+        np.abs(d_eig) ** 2, lam[..., None, :], out=np.zeros(pairs.shape), where=pairs
+    )
+    curvature = np.where(kernel, d2_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
+    return speed, curvature - 2.0 * coupling.sum(axis=(-2, -1))
+
+
+def _direct_sum_metric(stacks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Q and 4g = sum_j m_j (Q_j + 2 a_j) at every point of an order-2 read;
+    4g is inf where |sum_j m_j v_j| >= SPEED_TOL."""
+    qfis, four_gs, speeds = [], [], []
+    for st, (d_eig, q) in zip(stacks, _block_qfis(stacks)):
+        speed, curvature = _kernel_motion(st, d_eig)
+        qfis.append(st.multiplicities * q)
+        four_gs.append(st.multiplicities * (q + 2.0 * curvature))
+        speeds.append(st.multiplicities * speed)
+    moving = np.abs(_point_sums(speeds)) >= SPEED_TOL
+    return _point_sums(qfis), np.where(moving, np.inf, _point_sums(four_gs))
 
 
 def model_qfi(model, theta: float) -> float:
@@ -377,93 +422,27 @@ def model_qfi(model, theta: float) -> float:
     return float(_direct_sum_qfi(_model_blocks(model, [theta]))[0])
 
 
-def _direct_sum_fidelity(at_theta: list, stacks: list) -> np.ndarray:
-    """Uhlmann fidelity of the state with blocks ``at_theta`` (one (B, d, d)
-    array per block size) with the state at each point of a read, clamped
-    to [0, 1]."""
-    per_block = [
-        st.multiplicities * _block_fidelity(a, st.blocks) for a, st in zip(at_theta, stacks)
-    ]
-    return np.clip(_point_sums(per_block), 0.0, 1.0)
+def bures_metric_fd(model, theta: float) -> float:
+    """Bures metric coefficient g of 2 [1 - F] at theta, with no step.
 
-
-def _stencil(model, theta: float, eps: float) -> tuple[list, list]:
-    """The metric's sides s = +1, -1 whose step theta + s*eps lies in the
-    domain, and its points theta + s*e for e in (eps, eps/2), step by step."""
-    signs = [s for s in (+1.0, -1.0) if model.in_domain(theta + s * eps)]
-    return signs, [theta + sign * e for e in (eps, eps / 2.0) for sign in signs]
-
-
-def _stencil_metric(model, theta: float, eps: float, signs: list, at_theta: list, stacks: list):
-    """The metric coefficient at theta from its blocks ``at_theta`` and a read
-    ``stacks`` of its ``_stencil`` points (see ``bures_metric_fd``)."""
-    if not signs:
-        raise DomainError(f"no room around theta={theta} in the domain of {model.name}")
-    steps = [e for e in (eps, eps / 2.0) for _ in signs]
-    gaps = 1.0 - _direct_sum_fidelity(at_theta, stacks)
-    for gap, e in zip(gaps.tolist(), steps):
-        if gap < _UNDERFLOW_TOL:
-            raise StepSizeError(f"1 - fidelity = {gap:.3e} underflows at eps={e:g}; increase eps")
-    quotients = 2.0 * gaps / np.array([e**2 for e in steps])
-    pair = (np.sum(quotients.reshape(2, len(signs)), axis=-1) / len(signs)).tolist()
-    if len(signs) == 2:
-        return _even_richardson(pair)
-    return float(richardson_limit(pair)[-1])
-
-
-def bures_metric_fd(model, theta: float, eps: float = METRIC_EPS) -> float:
-    """Metric coefficient of 2[1 - F] by finite differences.
-
-    Averages the difference quotients on both sides of theta and
-    extrapolates from eps and eps/2 with the Richardson steps of
-    ``numdiff``.  The two-sided average has an error even in eps, removed
-    by (4 q(eps/2) - q(eps)) / 3; on a domain edge the one-sided quotient
-    has a first-order error, removed by 2 q(eps/2) - q(eps).  The fidelity
-    is summed over the model's blocks, read at theta and every shifted
-    point in one stacked call, without derivatives; the square root of
-    each block at theta larger than 2x2 is taken once.
+    The name is historical: g was once a finite-difference quotient of the
+    fidelity.  It is now 4g = sum_j m_j (Q_j + 2 a_j) from one read of the
+    blocks and their first two derivatives at theta (see the module
+    docstring): Q / 4 where the rank is full, the continuous limit of Q / 4
+    at a rank change whose kernel stands still, and inf where it moves.
     """
-    if eps <= 0:
-        raise StepSizeError("eps must be positive")
-    signs, points = _stencil(model, theta, eps)
-    stacks = _model_blocks(model, [theta] + points, derivative=False, decompose=False)
-    at_theta = [st.blocks[0] for st in stacks]
-    shifted = [st.at(slice(1, None)) for st in stacks]
-    return _stencil_metric(model, theta, eps, signs, at_theta, shifted)
+    return float(_direct_sum_metric(_model_blocks(model, [theta], order=2))[1][0]) / 4.0
 
 
 def qfi_and_metric(model, thetas) -> list[tuple[float, float]]:
-    """(Q, g) at each of ``thetas``: ``model_qfi`` and ``bures_metric_fd`` at
-    its default eps, bit for bit, from two stacked reads however many
-    points there are.
+    """(Q, g) at each of ``thetas``: ``model_qfi`` and ``bures_metric_fd``,
+    bit for bit, from one order-2 read of every theta.
 
-    The first read takes every theta with derivatives and eigensolves, for
-    the QFI; the second every row's shifted points, without either.  Each
-    row's fidelities pair its blocks from the first read with its own
-    slice of the second.  An error at any point fails the whole call; a
-    caller that wants each row's own outcome calls it again on ``[theta]``.
+    An error at any point fails the whole call; a caller that wants each
+    row's own outcome calls it again on ``[theta]``.
     """
-    stacks = _model_blocks(model, thetas)
-    qfis = _direct_sum_qfi(stacks).tolist()
-    stencils = [_stencil(model, theta, METRIC_EPS) for theta in thetas]
-    points = [p for _, row_points in stencils for p in row_points]
-    shifted = _model_blocks(model, points, derivative=False, decompose=False) if points else []
-    if shifted and _structure(shifted) != _structure(stacks):
-        raise InvalidInputError("block structure differs between points")
-    out, stop = [], 0
-    for i, (theta, (signs, row_points)) in enumerate(zip(thetas, stencils)):
-        row = slice(stop, stop + len(row_points))
-        stop = row.stop
-        at_theta = [st.blocks[i] for st in stacks]
-        row_stacks = [st.at(row) for st in shifted]
-        g = _stencil_metric(model, theta, METRIC_EPS, signs, at_theta, row_stacks)
-        out.append((qfis[i], g))
-    return out
-
-
-def _structure(stacks: list) -> list:
-    """The multiplicities and the block size of each group of a read."""
-    return [(st.multiplicities.tolist(), st.blocks.shape[-1]) for st in stacks]
+    qfis, four_gs = _direct_sum_metric(_model_blocks(model, thetas, order=2))
+    return [(q, four_g / 4.0) for q, four_g in zip(qfis.tolist(), four_gs.tolist())]
 
 
 @dataclass(frozen=True)
@@ -476,9 +455,17 @@ class LimitEstimate:
     qfi_values: np.ndarray
 
 
-def _limit_points(model, theta_bar: float, side: str | None = None):
-    """The side and the sample points of ``qfi_limit``; a ``DomainError``
-    when a point lies outside the domain."""
+def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate:
+    """Limit of the QFI as theta -> theta_bar from one side.
+
+    Samples theta_bar +/- LIMIT_H0 * 2**-k for k = 0..LIMIT_STEPS-1, read
+    in one stacked call, extrapolates with a Richardson tableau, and raises
+    ``DivergenceError`` when successive extrapolants disagree beyond
+    LIMIT_REL_TOL relative (the signature of a second-kind discontinuity or
+    singular metric).  Without a ``side`` the limit is taken from above
+    when theta_bar + LIMIT_H0 lies in the domain, and from below otherwise;
+    a sample outside the domain is a ``DomainError``.
+    """
     if side is None:
         side = "above" if model.in_domain(theta_bar + LIMIT_H0) else "below"
     if side not in ("above", "below"):
@@ -488,11 +475,7 @@ def _limit_points(model, theta_bar: float, side: str | None = None):
     for th in thetas:
         if not model.in_domain(th):
             raise DomainError(f"theta={th} outside the domain of {model.name} (side={side})")
-    return side, thetas
-
-
-def _limit_estimate(theta_bar: float, side: str, thetas: np.ndarray, values: np.ndarray):
-    """Extrapolate the QFI ``values`` at ``thetas`` to theta_bar (see ``qfi_limit``)."""
+    values = _direct_sum_qfi(_model_blocks(model, thetas))
     extrapolants = richardson_limit(values)
     diff = abs(extrapolants[-1] - extrapolants[-2])
     scale = max(abs(extrapolants[-1]), 1e-6)
@@ -504,18 +487,3 @@ def _limit_estimate(theta_bar: float, side: str, thetas: np.ndarray, values: np.
             values=values,
         )
     return LimitEstimate(float(extrapolants[-1]), float(diff), thetas, values)
-
-
-def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate:
-    """Limit of the QFI as theta -> theta_bar from one side.
-
-    Samples theta_bar +/- LIMIT_H0 * 2**-k for k = 0..LIMIT_STEPS-1,
-    extrapolates with a Richardson tableau, and raises ``DivergenceError``
-    when successive extrapolants disagree beyond LIMIT_REL_TOL relative
-    (the signature of a second-kind discontinuity or singular metric).
-    Without a ``side`` the limit is taken from above when
-    theta_bar + LIMIT_H0 lies in the domain, and from below otherwise.
-    """
-    side, thetas = _limit_points(model, theta_bar, side)
-    values = _direct_sum_qfi(_model_blocks(model, thetas))
-    return _limit_estimate(theta_bar, side, thetas, values)

@@ -30,18 +30,23 @@ def rotation_model(dim: int, seed: int) -> ParametricModel:
         u = (v * np.exp(-1j * theta * w)) @ v.conj().T
         return u @ rho0 @ u.conj().T
 
+    def commutator(op: np.ndarray) -> np.ndarray:
+        return ham @ op - op @ ham
+
     def derivative(theta: float) -> np.ndarray:
-        rho = state(theta)
-        return -1j * (ham @ rho - rho @ ham)
+        return -1j * commutator(state(theta))
+
+    def second(theta: float) -> np.ndarray:
+        return -commutator(commutator(state(theta)))
 
     return ParametricModel(
-        name=f"rotation-{dim}d", state_fn=state, blocks_fn=one_block(state, derivative)
+        name=f"rotation-{dim}d", state_fn=state, blocks_fn=one_block(state, derivative, second)
     )
 
 
-def diagonal_branch_model(branch, dbranch, name="diagonal-branch") -> ParametricModel:
+def diagonal_branch_model(branch, dbranch, d2branch, name="diagonal-branch") -> ParametricModel:
     """diag(q(theta), 1 - q(theta)) for a supplied scalar branch q and its
-    derivative dq/dtheta ``dbranch``."""
+    derivatives dq/dtheta ``dbranch`` and d2q/dtheta2 ``d2branch``."""
 
     def state(theta: float) -> np.ndarray:
         q = branch(theta)
@@ -52,7 +57,12 @@ def diagonal_branch_model(branch, dbranch, name="diagonal-branch") -> Parametric
     def derivative(theta: float) -> np.ndarray:
         return dbranch(theta) * np.diag([1.0, -1.0]).astype(complex)
 
-    return ParametricModel(name=name, state_fn=state, blocks_fn=one_block(state, derivative))
+    def second(theta: float) -> np.ndarray:
+        return d2branch(theta) * np.diag([1.0, -1.0]).astype(complex)
+
+    return ParametricModel(
+        name=name, state_fn=state, blocks_fn=one_block(state, derivative, second)
+    )
 
 
 def bernoulli_family(theta: float):

@@ -41,7 +41,7 @@ def test_criterion_02_trig_qfi_and_metric():
     ok &= quantum.model_qfi(model, 0.0) == 0.0
     ok &= abs(quantum.model_qfi(model, math.pi / 2)) <= 1e-10
     for th in [0.0, math.pi / 2, *grid]:
-        ok &= abs(quantum.bures_metric_fd(model, th, eps=1e-4) - 1.0) <= 1e-3
+        ok &= abs(quantum.bures_metric_fd(model, th) - 1.0) <= 1e-3
     record(2, ok, "trig QFI is 4 inside, 0 at the critical angles; metric stays 1 everywhere")
 
 
@@ -62,13 +62,13 @@ def test_criterion_04_continuous_limit_consistency():
         model = models.make_model("transverse-qubit", kappa=1.0, t=t)
         closed = 2.0 * (math.exp(-t) + t - 1.0)
         limit = quantum.qfi_limit(model, 0.0, side="above").value
-        metric = quantum.bures_metric_fd(model, 0.0, eps=1e-4)
+        metric = quantum.bures_metric_fd(model, 0.0)
         ok &= abs(limit - closed) <= 1e-3 * closed
         ok &= abs(limit - 4.0 * metric) <= 1e-3 * limit
-        lines.append(f"t={t}: lim QFI={limit:.6f}, fidelity metric g={metric:.6f}, 4g={4 * metric:.6f}")
-    record(4, ok, "limiting QFI matches 2(e^-kt + kt - 1)/k^2 and equals 4x the fidelity metric")
+        lines.append(f"t={t}: lim QFI={limit:.6f}, Bures metric g={metric:.6f}, 4g={4 * metric:.6f}")
+    record(4, ok, "limiting QFI matches 2(e^-kt + kt - 1)/k^2 and equals 4x the Bures metric")
     print("    convention record: the closed form 2(e^-kt + kt - 1)/k^2 reproduces the")
-    print("    limiting QFI itself, i.e. FOUR TIMES the fidelity-quotient metric g;")
+    print("    limiting QFI itself, i.e. FOUR TIMES the Bures metric g of 2(1 - F);")
     print("    any table quoting that expression as the metric is reporting 4g.")
     for line in lines:
         print(f"    {line}")

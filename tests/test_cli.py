@@ -16,7 +16,6 @@ from qfidisc import cli, estimation, models, quantum
 from qfidisc.exceptions import (
     BoundarySolutionWarning,
     DegenerateModelError,
-    DivergenceError,
     DomainError,
     InvalidInputError,
     NumericalError,
@@ -80,6 +79,7 @@ class TestQfiScan:
         for row in rows:
             assert abs(float(row["qfi"]) - 4.0) < 1e-9
             assert abs(float(row["bures_metric"]) - 1.0) < 1e-3
+            assert float(row["four_g_minus_qfi"]) == 0.0
 
     def test_classical_bit_scan_values(self, tmp_path, capsys):
         out = tmp_path / "bit.csv"
@@ -93,6 +93,15 @@ class TestQfiScan:
             assert float(row["qfi"]) == pytest.approx(1.0 / (p * (1.0 - p)), rel=1e-9)
         mid = [r for r in read_csv(out) if abs(float(r["theta"]) - 0.5) < 1e-12][0]
         assert abs(float(mid["four_g_minus_qfi"])) < 1e-3
+
+    def test_classical_bit_metric_diverges_at_the_edges(self, capsys):
+        # The vanishing probability moves at first order at p = 0 and 1.
+        code, stdout, _ = run_cli(["qfi-scan", "--model", "classical-bit", "--grid", "0:1:3"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert [(r["qfi"], r["bures_metric"], r["four_g_minus_qfi"]) for r in rows] == [
+            ("1", "inf", "inf"), ("4", "1", "0"), ("1", "inf", "inf")
+        ]
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["qfi-scan", "--model", "trig", "--grid", "0.2:1.2:6"]
@@ -148,7 +157,12 @@ class TestQfiScan:
         assert "error(" not in stdout
         zero = [r for r in csv.DictReader(stdout.splitlines()) if float(r["theta"]) == 0.0][0]
         assert 4.0 * float(zero["bures_metric"]) == pytest.approx(
-            models.ghz_qfi_continuous(16, 1.0, 1.0), rel=1e-3
+            models.ghz_qfi_continuous(16, 1.0, 1.0), rel=1e-10
+        )
+        # The jump of the paper: 4g - Q at the rank change.
+        assert float(zero["four_g_minus_qfi"]) == pytest.approx(
+            models.ghz_qfi_continuous(16, 1.0, 1.0) - models.ghz_qfi_discontinuous(16, 1.0, 1.0),
+            rel=1e-10,
         )
 
     def test_json_format(self, capsys):
@@ -173,9 +187,8 @@ class TestDiscontinuityCommand:
         assert code == 0
         payload = json.loads(stdout)
         assert payload["kind"] == "second-kind"
-        assert payload["qfi_limit"] == "inf"
-        samples = payload["qfi_samples"]
-        assert len(samples) == 6 and all(b > 1.9 * a for a, b in zip(samples, samples[1:]))
+        assert payload["qfi_limit"] == payload["delta_q_measured"] == "inf"
+        assert "qfi_samples" not in payload
 
     def test_trig_upper_endpoint_jump(self, capsys):
         code, stdout, _ = run_cli(
@@ -213,21 +226,32 @@ class TestDiscontinuityCommand:
         assert abs(branch[3]) < 1e-12
         assert branch[0] == pytest.approx(16.0 * branch[2], rel=1e-3)
 
-    def test_ghz_up_to_the_block_cap(self, capsys):
+    @pytest.mark.parametrize("n", [2, 12, 24])
+    def test_ghz_up_to_the_block_cap(self, capsys, n):
         # Every block loses rank at theta = 0; the blocks classify past the
-        # dense cap of N = 10, and N = 24 is refused, not misreported.
-        def run(n):
-            return run_cli(
-                ["discontinuity", "--model", "ghz", "--qubits", str(n), "--theta-bar", "0"], capsys
-            )
-
-        code, stdout, _ = run(2)
+        # dense cap of N = 10, up to N = 24, with the closed-form jump.
+        code, stdout, _ = run_cli(
+            ["discontinuity", "--model", "ghz", "--qubits", str(n), "--theta-bar", "0"], capsys
+        )
         assert code == 0
-        assert json.loads(stdout)["kind"] == "jump"
-        assert run(12)[0] == 0
-        code, _, err = run(24)
-        assert code == 3
-        assert "numerical failure" in err
+        payload = json.loads(stdout)
+        jump = models.ghz_qfi_continuous(n, 1.0, 1.0) - models.ghz_qfi_discontinuous(n, 1.0, 1.0)
+        assert payload["kind"] == "jump"
+        assert payload["delta_q_measured"] == pytest.approx(jump, rel=1e-10)
+        assert payload["qfi_limit"] == pytest.approx(models.ghz_qfi_continuous(n, 1.0, 1.0), rel=1e-10)
+
+    def test_transverse_jump_at_small_kappa(self, capsys):
+        # The domain (-0.005, 0.005) holds no fixed limit step; the jump
+        # 4g - Q needs none.
+        code, stdout, _ = run_cli(
+            ["discontinuity", "--model", "transverse-qubit", "--kappa", "0.01", "--theta-bar", "0"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        jump = models.ghz_qfi_continuous(1, 0.01, 1.0) - models.ghz_qfi_discontinuous(1, 0.01, 1.0)
+        assert payload["kind"] == "jump"
+        assert payload["delta_q_measured"] == pytest.approx(jump, rel=1e-8)
 
     def test_regular_point_distinct_exit(self, capsys):
         code, _, err = run_cli(
@@ -485,13 +509,10 @@ class TestMcCommand:
         report = json.loads(out)
         assert report["sample_variance"] == 0.0
         assert report["violated"] is True
-        if n == "2":
-            assert "(effective rank 2 vs 4 nearby)" in report["notes"]
-            assert "continuous-limit qfi = 2.27067 (reported" in report["notes"]
-        else:
-            # The support cut miscounts the ranks and the limit at N = 24.
-            assert "effective ranks and continuous-limit qfi not resolved" in report["notes"]
-            assert "nearby" not in report["notes"]
+        ranks = f"(effective rank {2 ** (int(n) - 1)} vs {2 ** int(n)} nearby)"
+        limit = models.ghz_qfi_continuous(int(n), 1.0, 1.0)
+        assert ranks in report["notes"]
+        assert f"continuous-limit qfi = {limit:.6g} (reported" in report["notes"]
 
     @pytest.mark.parametrize(
         "model, theta",
@@ -541,40 +562,51 @@ class TestMcCommand:
         assert first == second
 
 
-class TestCoefficientOverflow:
+class TestLongTimes:
     # At kappa = 1, t = 2000, xi*t/2 = 1000 lies past the ~710 where cosh
-    # and sinh overflow a double: a numerical failure, not a usage error.
+    # and sinh overflow a double; the coefficients are built without them.
     LONG = ["--model", "ghz", "--qubits", "3", "--kappa", "1", "--time", "2000"]
 
-    def test_qfi_scan_marks_every_row(self, capsys):
+    def test_qfi_scan(self, capsys):
         code, stdout, err = run_cli(["qfi-scan", *self.LONG, "--grid", "0:0.2:3"], capsys)
-        assert code == 3  # a numerically failed row exits as discontinuity and mc do
+        assert (code, err) == (0, "")
         rows = list(csv.DictReader(stdout.splitlines()))
-        assert len(rows) == 3
-        assert all(r[c] == "error(NumericalError)" for r in rows for c in list(r)[1:])
-        assert err == ""
+        assert float(rows[0]["qfi"]) == pytest.approx(
+            models.ghz_qfi_discontinuous(3, 1.0, 2000.0), rel=1e-10
+        )
+        assert 4.0 * float(rows[0]["bures_metric"]) == pytest.approx(
+            models.ghz_qfi_continuous(3, 1.0, 2000.0), rel=1e-10
+        )
+        assert [float(r["four_g_minus_qfi"]) for r in rows[1:]] == [0.0, 0.0]
 
-    def test_qfi_scan_numerical_row_outranks_domain_row(self, capsys):
-        # theta = 0.8 lies outside |theta| < kappa/2: a domain row beside numerical ones.
+    def test_qfi_scan_marks_rows_outside_the_domain(self, capsys):
+        # theta = 0.8 lies outside |theta| < kappa/2.
         code, stdout, _ = run_cli(["qfi-scan", *self.LONG, "--grid", "0:0.8:3"], capsys)
         rows = list(csv.DictReader(stdout.splitlines()))
-        assert (rows[0]["qfi"], rows[-1]["qfi"]) == ("error(NumericalError)", "error(DomainError)")
-        assert code == 3
+        assert [r["qfi"].startswith("error(") for r in rows] == [False, False, True]
+        assert rows[-1]["qfi"] == "error(DomainError)"
+        assert code == 2
 
-    def test_discontinuity_exits_3(self, capsys):
+    def test_discontinuity(self, capsys):
         code, stdout, err = run_cli(["discontinuity", *self.LONG, "--theta-bar", "0"], capsys)
-        assert (code, stdout) == (3, "")
-        assert err.startswith("numerical failure: cosh and sinh of xi*t/2 = 1000 overflow")
+        assert (code, err) == (0, "")
+        jump = models.ghz_qfi_continuous(3, 1.0, 2000.0) - models.ghz_qfi_discontinuous(3, 1.0, 2000.0)
+        assert json.loads(stdout)["delta_q_measured"] == pytest.approx(jump, rel=1e-10)
 
-    def test_mc_exits_3(self, capsys):
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_mc(self, capsys):
+        # The parity is almost unbiased here: many estimates sit on a bracket edge.
         code, stdout, err = run_cli(["mc", *self.LONG, "--theta-bar", "0.1"], capsys)
-        assert (code, stdout) == (3, "")
-        assert err.startswith("numerical failure: cosh and sinh")
+        assert (code, err) == (0, "")
+        assert len(json.loads(stdout)["estimates"]) == 1000
 
-    def test_ghz_scan_exits_3(self, capsys):
+    def test_ghz_scan(self, capsys):
         code, stdout, err = run_cli(["ghz-scan", "--qubits", "2", "--grid=1000:2000:2"], capsys)
-        assert (code, stdout) == (3, "")
-        assert err.startswith("numerical failure: cosh and sinh")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert float(rows[-1]["qfi_discontinuous"]) == pytest.approx(
+            models.ghz_qfi_discontinuous(2, 1.0, 2000.0), rel=1e-15
+        )
 
 
 class TestOneRead:
@@ -587,11 +619,11 @@ class TestOneRead:
             (["--model", "ghz", "--qubits", "8"], "-0.2:0.2:5"),
         ],
     )
-    def test_qfi_scan_reads_twice(self, monkeypatch, capsys, options, grid):
+    def test_qfi_scan_reads_once(self, monkeypatch, capsys, options, grid):
         reads = count_reads(monkeypatch)
         code, stdout, _ = run_cli(["qfi-scan", *options, f"--grid={grid}"], capsys)
         assert code == 0 and "error(" not in stdout
-        assert len(reads) == 2
+        assert len(reads) == 1
 
     @pytest.mark.parametrize(
         "options, theta, n_reads",
@@ -623,13 +655,14 @@ class TestOneRead:
 
 def per_row_scan(model, grid) -> tuple[str, str, int]:
     """qfi-scan's CSV stdout, stderr and exit code with each row read alone
-    by ``model_qfi`` and ``bures_metric_fd``."""
+    by ``model_qfi`` and ``bures_metric_fd``; a domain or numerical error
+    marks its row."""
     lines, code = ["theta,qfi,bures_metric,four_g_minus_qfi"], 0
     for theta in grid:
         try:
             q = quantum.model_qfi(model, theta)
             g = quantum.bures_metric_fd(model, theta)
-        except (DomainError, StepSizeError, DivergenceError, NumericalError) as err:
+        except (DomainError, NumericalError) as err:
             code = max(code, cli._failure(err)[0])
             lines.append(cli._fmt(theta) + f",error({type(err).__name__})" * 3)
         except (ValueError, RuntimeError) as err:  # ends the command
@@ -644,29 +677,27 @@ def failing_at(model, point, error):
     """``model`` whose blocks at ``point`` fail: ``error`` is raised there, or
     with "hermitian" the first block gets an upper-triangle entry."""
 
-    def blocks(theta, derivative):
-        groups = model.blocks_fn(theta, derivative)
+    def blocks(theta, order):
+        groups = model.blocks_fn(theta, order)
         if theta != point:
             return groups
         if error != "hermitian":
             raise error(f"blocks at theta={theta} fail")
-        (mults, mats, dmats), *rest = groups
+        (mults, mats, *derivatives), *rest = groups
         mats = mats.copy()
         mats[0] += np.triu(np.full(mats.shape[1:], 1e-6), 1)
-        return [(mults, mats, dmats), *rest]
+        return [(mults, mats, *derivatives), *rest]
 
     return dataclasses.replace(model, blocks_fn=blocks)
 
 
 class TestScanFallback:
-    """Where the stacked reads fail, qfi-scan prints what the rows read alone print."""
+    """Where the stacked read fails, qfi-scan prints what the rows read alone print."""
 
     GRID = cli.parse_grid("-0.2:0.2:5").tolist()
 
-    # A grid point, and points of the metric's stencils, at eps/2 and eps.
-    @pytest.mark.parametrize(
-        "point", [GRID[2], GRID[3] + 1e-4 / 2, GRID[0] - 1e-4], ids=["row", "shifted", "shifted-2"]
-    )
+    # An inner row and an end row of the grid.
+    @pytest.mark.parametrize("point", [GRID[2], GRID[0]], ids=["row", "end-row"])
     @pytest.mark.parametrize(
         "error", ["hermitian", NumericalError, DomainError, StepSizeError, DegenerateModelError]
     )
@@ -680,13 +711,11 @@ class TestScanFallback:
     @pytest.mark.parametrize(
         "options, grid",
         [
-            (TestCoefficientOverflow.LONG, "0:0.8:3"),
-            (TestCoefficientOverflow.LONG, "0:0.2:3"),
-            # Rows on both domain edges, one-sided, beside an overflowing theta = 0.
-            (TestCoefficientOverflow.LONG, "-0.49995:0.49995:3"),
+            (TestLongTimes.LONG, "0:0.8:3"),
+            # Grids that cross both domain edges.
+            (TestLongTimes.LONG, "-0.6:0.6:5"),
             (["--model", "transverse-qubit"], "0.3:0.6:4"),
-            # kappa/2 = 5e-5 < eps: no row has room for the metric.
-            (["--model", "transverse-qubit", "--kappa", "1e-4"], "-4e-5:4e-5:3"),
+            (["--model", "transverse-qubit", "--kappa", "1e-4"], "-8e-5:8e-5:5"),
         ],
     )
     def test_failing_rows_beside_each_other(self, capsys, options, grid):

@@ -8,13 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import diagonal_branch_model
 from qfidisc import discontinuity, models, quantum
 from qfidisc.classical import SPEED_TOL
-from qfidisc.exceptions import (
-    DivergenceError,
-    DomainError,
-    MultiBranchError,
-    NotADiscontinuityError,
-    NumericalError,
-)
+from qfidisc.exceptions import DomainError, MultiBranchError, NotADiscontinuityError
 from qfidisc.models import ParametricModel
 
 
@@ -26,6 +20,9 @@ def ghz_dense_twin(n, kappa, t):
         blocks_fn=models.one_block(
             lambda th: models.ghz_state(n, th, kappa, t),
             lambda th: models.ghz_state_derivative(n, th, kappa, t),
+            lambda th: models._assemble_blocks(
+                n, models.ghz_block_arrays(n, th, kappa, t, order=2)[3]
+            ),
         ),
         domain=(-kappa / 2.0, kappa / 2.0),
         open_domain=True,
@@ -76,10 +73,10 @@ class TestVanishingEigenvalueBranch:
         # read alone, bit for bit.
         model = models.make_model(name, kappa=kappa, t=t, n_qubits=n)
         branch = discontinuity.vanishing_eigenvalue_branch(model, theta_bar)
-        (at_bar,) = quantum._model_blocks(model, [theta_bar], derivative=False)
+        (at_bar,) = quantum._model_blocks(model, [theta_bar], order=0)
         for offset, value in zip(branch.offsets, branch.values):
             theta = theta_bar + offset * branch.h
-            (alone,) = quantum._model_blocks(model, [theta], derivative=False)
+            (alone,) = quantum._model_blocks(model, [theta], order=0)
             w = 0.0
             for mult, rank, lam in zip(at_bar.multiplicities, at_bar.ranks[0], alone.eigenvalues[0]):
                 w += mult * float(np.sum(lam[rank:]))
@@ -92,7 +89,9 @@ class TestVanishingEigenvalueBranch:
 
     def test_rank_rising_on_one_side_only_rejected(self):
         model = diagonal_branch_model(
-            lambda theta: max(theta, 0.0) ** 2, lambda theta: 2.0 * max(theta, 0.0)
+            lambda theta: max(theta, 0.0) ** 2,
+            lambda theta: 2.0 * max(theta, 0.0),
+            lambda theta: 2.0 if theta > 0.0 else 0.0,
         )
         with pytest.raises(NotADiscontinuityError):
             discontinuity.vanishing_eigenvalue_branch(model, 0.0)
@@ -105,10 +104,13 @@ class TestVanishingEigenvalueBranch:
         def derivative(theta):
             return 0.9 * models.trig_model_derivative(theta)
 
+        def second(theta):
+            return 0.9 * models.trig_model_second_derivative(theta)
+
         depolarized = ParametricModel(
             name="depolarized-trig",
             state_fn=state,
-            blocks_fn=models.one_block(state, derivative),
+            blocks_fn=models.one_block(state, derivative, second),
             domain=(0.0, math.pi / 2),
         )
         with pytest.raises(NotADiscontinuityError):
@@ -156,8 +158,13 @@ class TestVanishingEigenvalueBranch:
             def derivative(th):
                 return np.diag([2.0 * th, 0.0, -2.0 * th]).astype(complex)
 
+            def second(th):
+                return np.diag([2.0, 0.0, -2.0]).astype(complex)
+
             return ParametricModel(
-                name="near-kernel", state_fn=state, blocks_fn=models.one_block(state, derivative)
+                name="near-kernel",
+                state_fn=state,
+                blocks_fn=models.one_block(state, derivative, second),
             )
 
         report = discontinuity.classify(model(1e-4), 0.0)
@@ -183,8 +190,13 @@ class TestVanishingEigenvalueBranch:
         def derivative(theta):
             return math.sin(2.0 * theta) * np.diag([1.0, -1.0, 0.0]).astype(complex)
 
+        def second(theta):
+            return 2.0 * math.cos(2.0 * theta) * np.diag([1.0, -1.0, 0.0]).astype(complex)
+
         model = ParametricModel(
-            name="qutrit-with-kernel", state_fn=state, blocks_fn=models.one_block(state, derivative)
+            name="qutrit-with-kernel",
+            state_fn=state,
+            blocks_fn=models.one_block(state, derivative, second),
         )
         branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
         for off, val in zip(branch.offsets, branch.values):
@@ -198,7 +210,7 @@ class TestClassify:
         assert report.speed == pytest.approx(1.0, abs=1e-6)
         assert math.isinf(report.qfi_limit)
         assert math.isinf(report.delta_q_measured)
-        assert report.evidence["qfi_samples"]  # divergence evidence attached
+        assert len(report.evidence["branch_values"]) == 4  # one-sided at the edge
 
     def test_trig_jump(self):
         report = discontinuity.classify(models.make_model("trig"), 0.0)
@@ -245,25 +257,54 @@ class TestClassify:
             models.ghz_qfi_discontinuous(n, kappa, t), rel=1e-10
         )
 
-    @pytest.mark.parametrize(
-        "kappa,t,message",
-        [
-            # The limit diverges while the weight has no speed.
-            (1.0, 1.0, "diverges"),
-            # 2a = 0.2697 against a measured jump of -0.0080.
-            (2.0, 0.3, "differ"),
-        ],
-    )
-    def test_unresolved_ghz_jump_raises(self, kappa, t, message):
-        # At N = 24 the absolute support cut drops blocks of tiny weight,
-        # so neither the weight nor the limit can be trusted.
+    @pytest.mark.parametrize("kappa,t", [(1.0, 1.0), (2.0, 0.3)])
+    def test_ghz_jump_at_24_qubits_is_the_closed_form(self, kappa, t):
+        # The support cut is relative to each block, so the blocks of
+        # weight far below 1e-12 keep their rank and their share of the jump.
         model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=24)
-        with pytest.raises(NumericalError, match=message):
-            discontinuity.classify(model, 0.0)
+        report = discontinuity.classify(model, 0.0)
+        jump = models.ghz_qfi_continuous(24, kappa, t) - models.ghz_qfi_discontinuous(24, kappa, t)
+        assert report.kind == "jump"
+        assert report.delta_q_measured == pytest.approx(jump, rel=1e-8)
+        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-3)
 
-    def test_measured_jump_is_limit_minus_value(self):
-        report = discontinuity.classify(models.make_model("trig"), 0.0)
+    def test_every_ghz_jump_of_the_sweep_is_the_closed_form(self):
+        # N = 1..24 x kappa x kappa*t, 720 rank changes at theta = 0: the
+        # measured jump 4g - Q and 4g itself against the closed forms, the
+        # finite-difference prediction 2a against the jump.
+        misses = []
+        for n in range(1, 25):
+            for kappa in (0.3, 0.5, 1.0, 2.0, 3.0):
+                for kappa_t in (0.1, 0.3, 0.6, 1.0, 2.0, 3.0):
+                    t = kappa_t / kappa
+                    model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+                    limit = models.ghz_qfi_continuous(n, kappa, t)
+                    jump = limit - models.ghz_qfi_discontinuous(n, kappa, t)
+                    report = discontinuity.classify(model, 0.0)
+                    four_g = 4.0 * quantum.bures_metric_fd(model, 0.0)
+                    if not (
+                        report.kind == "jump"
+                        and abs(report.delta_q_measured - jump) <= 1e-8 * jump
+                        and abs(report.delta_q_predicted - jump) <= 1e-3 * jump
+                        and abs(four_g - limit) <= 1e-10 * limit
+                    ):
+                        misses.append((n, kappa, kappa_t, report.delta_q_measured, four_g))
+        assert misses == []
+
+    @pytest.mark.parametrize("name", ["trig", "classical-bit", "transverse-qubit"])
+    def test_measured_jump_is_limit_minus_value(self, name):
+        report = discontinuity.classify(models.make_model(name), 0.0)
         assert report.delta_q_measured == report.qfi_limit - report.qfi_at_bar
+
+    def test_transverse_jump_at_small_kappa_is_the_closed_form(self):
+        # kappa = 0.01: the jump is 0.66% of Q, and the domain is
+        # (-0.005, 0.005), narrower than any fixed limit step.
+        model = models.make_model("transverse-qubit", kappa=0.01, t=1.0)
+        report = discontinuity.classify(model, 0.0)
+        jump = models.ghz_qfi_continuous(1, 0.01, 1.0) - models.ghz_qfi_discontinuous(1, 0.01, 1.0)
+        assert report.kind == "jump"
+        assert report.delta_q_measured == pytest.approx(jump, rel=1e-8)
+        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-4)
 
     @given(
         curvature=st.floats(0.5, 5.0),
@@ -277,6 +318,7 @@ class TestClassify:
         model = diagonal_branch_model(
             lambda theta: curvature * (theta - center) ** 2 + cubic * (theta - center) ** 3,
             lambda theta: 2.0 * curvature * (theta - center) + 3.0 * cubic * (theta - center) ** 2,
+            lambda theta: 2.0 * curvature + 6.0 * cubic * (theta - center),
         )
         report = discontinuity.classify(model, center)
         assert report.kind == "jump"
@@ -316,10 +358,7 @@ def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build
     branch = discontinuity.vanishing_eigenvalue_branch(model, theta_bar)
     speed, accel = discontinuity.speed_and_acceleration(branch.h, branch.as_dict())
     qfi_at_bar = quantum.model_qfi(model, theta_bar)
-    try:
-        limit, samples = quantum.qfi_limit(model, theta_bar).value, None
-    except DivergenceError as err:  # the classical bit's second kind
-        limit, samples = math.inf, list(err.values)
+    limit = 4.0 * quantum.bures_metric_fd(model, theta_bar)
 
     reads = []
     model_blocks = quantum._model_blocks
@@ -335,4 +374,5 @@ def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build
         speed, accel, qfi_at_bar, limit
     )
     assert bits(*report.evidence["branch_values"]) == bits(*branch.values)
-    assert report.evidence.get("qfi_samples") == samples
+    assert report.evidence["h"] == branch.h and len(report.evidence) == 2
+    assert len(reads[0][1]) == len(branch.values)

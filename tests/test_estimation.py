@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfidisc import classical, estimation, models, quantum
+from qfidisc import classical, discontinuity, estimation, models, quantum
 from qfidisc.exceptions import (
     BoundarySolutionWarning,
     DomainError,
     InsufficientReplicatesError,
     InvalidInputError,
+    NumericalError,
     UnsupportedModelError,
 )
 
@@ -183,7 +184,7 @@ class TestMle:
             assert model.estimate(model.p_first(theta)) == pytest.approx(theta, abs=1e-9)
 
     def test_model_without_measurement_is_unsupported(self):
-        model = diagonal_branch_model(lambda theta: theta, lambda theta: 1.0)
+        model = diagonal_branch_model(lambda theta: theta, lambda theta: 1.0, lambda theta: 0.0)
         assert model.p_first is None and model.estimate is None
         with pytest.raises(UnsupportedModelError):
             estimation.mle(model, [1, 0])
@@ -341,21 +342,22 @@ class TestRunCrExperiment:
         assert report.violated is True
         assert "continuous-limit qfi" in report.notes
 
-    @pytest.mark.parametrize(
-        "name, kappa, expected",
-        [
-            ("classical-bit", 1.0, "continuous-limit qfi diverges"),
-            # The limit's first sample at theta = -0.01 lies outside the
-            # domain (-0.005, 0.005): not computed, which is not divergent.
-            ("transverse-qubit", 0.01, "continuous-limit qfi not computed (theta=-0.01 outside"),
-        ],
-    )
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
-    def test_limit_note_names_why_it_has_no_value(self, name, kappa, expected):
-        model = models.make_model(name, kappa=kappa, t=1.0)
+    def test_limit_note_names_why_it_has_no_value(self):
+        model = models.make_model("classical-bit")
         report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
         assert "rank changes" in report.notes
-        assert expected in report.notes
+        assert "continuous-limit qfi diverges" in report.notes
+
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_transverse_note_at_small_kappa_reports_the_closed_form_limit(self):
+        # The domain (-0.005, 0.005) is narrower than any fixed limit step;
+        # the limit 4g is read at theta = 0 itself.
+        model = models.make_model("transverse-qubit", kappa=0.01, t=1.0)
+        report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
+        limit = models.ghz_qfi_continuous(1, 0.01, 1.0)
+        assert "(effective rank 1 vs 2 nearby)" in report.notes
+        assert f"continuous-limit qfi = {limit:.6g} (reported" in report.notes
 
     @pytest.mark.parametrize("n, kappa, t", [(2, 1.0, 1.0), (4, 2.0, 0.3), (8, 1.0, 1.0)])
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
@@ -368,19 +370,33 @@ class TestRunCrExperiment:
 
     @pytest.mark.parametrize("kappa, t", [(1.0, 1.0), (2.0, 0.3)])
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
-    def test_unresolved_rank_change_withholds_ranks_and_limit(self, kappa, t):
-        # At N = 24 the support cut drops light blocks: the rank beside
-        # theta = 0 is undercounted and the limit "diverges" (kappa = t = 1)
-        # or misses the jump (kappa = 2, t = 0.3), so classify refuses it.
+    def test_rank_change_at_24_qubits_reports_ranks_and_limit(self, kappa, t):
+        # The relative support cut keeps every light block: the state has
+        # full rank 2^24 beside theta = 0, and the limit is the closed form.
         model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=24)
         report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
-        assert report.sample_variance == 0.0
+        limit = models.ghz_qfi_continuous(24, kappa, t)
+        assert report.sample_variance == 0.0 and report.violated is True
         assert report.notes.startswith(
-            "rank changes at theta_true=0.0; the fixed-rank Cramér-Rao bound is not valid here; "
-            "effective ranks and continuous-limit qfi not resolved ("
+            "rank changes at theta_true=0.0 (effective rank 8388608 vs 16777216 nearby); "
+            "the fixed-rank Cramér-Rao bound is not valid here; "
+            f"continuous-limit qfi = {limit:.6g} (reported"
         )
-        assert "effective rank " not in report.notes
-        assert "diverges," in report.notes or "differ by more than" in report.notes
+
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_unresolved_rank_change_withholds_ranks_and_limit(self, monkeypatch):
+        # Where classify cannot reconcile its numbers, the note quotes why.
+        def unresolved(model, theta):
+            raise NumericalError("predicted and measured jumps differ")
+
+        monkeypatch.setattr(discontinuity, "classify", unresolved)
+        model = models.make_model("transverse-qubit")
+        report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
+        assert report.notes == (
+            "rank changes at theta_true=0.0; the fixed-rank Cramér-Rao bound is not valid here; "
+            "effective ranks and continuous-limit qfi not resolved "
+            "(predicted and measured jumps differ)"
+        )
 
     def test_canonical_trig_measurement_is_optimal(self):
         # Sampling the trig family in its canonical basis gives the

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfidisc import models, quantum
-from qfidisc.exceptions import DomainError, InvalidInputError, NumericalError
+from qfidisc.exceptions import DomainError, InvalidInputError
 
 
 def fd_cross_derivative(m, n, kappa, t, h=1e-5, order=1):
     """Finite-difference theta-derivatives of the cross matrix element at 0."""
 
     def elem(theta):
-        a, d, b, f, c = models.ghz_coefficients(theta, kappa, t)
-        return models._cross_element(m, n, b, f, c)
+        [[cross]] = models._cross_series(n, [m], models._ghz_series(theta, kappa, t)[4])
+        return cross
 
     if order == 1:
         return (elem(h) - elem(-h)) / (2.0 * h)
@@ -75,10 +75,9 @@ def reference_ghz_state_derivative(n, theta, kappa, t):
 
 def elementwise_ghz_state_derivative(n, theta, kappa, t):
     """Each cross entry differentiated on its own, m = 0..N, not read from the blocks."""
-    _, _, b, f, c = models.ghz_coefficients(theta, kappa, t)
-    db, df, dc = models.ghz_coefficient_derivatives(theta, kappa, t)
+    bfc = models._ghz_series(theta, kappa, t, 1)[4]
     return reference_cross_diagonal(
-        n, lambda m: 0.0, lambda m: models._cross_element_derivative(m, n, b, f, c, db, df, dc)
+        n, lambda m: 0.0, lambda m: models._cross_series(n, [m], bfc)[0][1]
     )
 
 
@@ -141,12 +140,18 @@ class TestGhzCoefficients:
             models.ghz_coefficients(0.0, 1.0, -0.5)
 
     @pytest.mark.parametrize("theta, kappa, t", [(0.0, 1.0, 2000.0), (0.1, 1.0, 1500.0)])
-    def test_overflow_is_a_numerical_error(self, theta, kappa, t):
-        # xi*t/2 past ~710: cosh and sinh overflow a double.
-        with pytest.raises(NumericalError, match="overflow"):
-            models.ghz_coefficients(theta, kappa, t)
-        with pytest.raises(NumericalError, match="overflow"):
-            models.ghz_coefficient_derivatives(theta, kappa, t)
+    def test_long_times_are_finite(self, theta, kappa, t):
+        # xi*t/2 lies past ~710, where cosh and sinh overflow a double; the
+        # coefficients are b = (E- + E+)/2 and f = kappa (E- - E+) / (2 xi),
+        # with E-+ = exp(-(kappa -+ xi) t / 2), and E+ underflows to 0.
+        xi = math.sqrt(kappa**2 - 4.0 * theta**2)
+        slow = math.exp(-(kappa - xi) * t / 2.0)
+        a, d, b, f, c = models.ghz_coefficients(theta, kappa, t)
+        assert (a, d) == (0.5, 0.5)
+        assert b == pytest.approx(slow / 2.0, rel=1e-12)
+        assert f == pytest.approx(kappa * slow / (2.0 * xi), rel=1e-12)
+        assert c == pytest.approx(2.0 * theta * slow / (2.0 * xi), rel=1e-12)
+        assert all(map(math.isfinite, np.ravel(models._ghz_series(theta, kappa, t, 2)[4])))
 
     @given(
         theta=st.floats(-0.4, 0.4),
@@ -154,15 +159,31 @@ class TestGhzCoefficients:
         t=st.floats(0.0, 3.0),
     )
     def test_derivatives_match_finite_differences(self, theta, kappa, t):
+        # Each order against central differences of the order below it.
         if abs(theta) >= 0.45 * kappa:
             return
         h = 1e-6
-        db, df, dc = models.ghz_coefficient_derivatives(theta, kappa, t)
-        lo = models.ghz_coefficients(theta - h, kappa, t)
-        hi = models.ghz_coefficients(theta + h, kappa, t)
-        for got, idx in ((db, 2), (df, 3), (dc, 4)):
-            fd = (hi[idx] - lo[idx]) / (2.0 * h)
-            assert got == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        series = models._ghz_series(theta, kappa, t, 2)[4]
+        lo = models._ghz_series(theta - h, kappa, t, 1)[4]
+        hi = models._ghz_series(theta + h, kappa, t, 1)[4]
+        for order in (1, 2):
+            for got, below, above in zip(series[order], lo[order - 1], hi[order - 1]):
+                fd = (above - below) / (2.0 * h)
+                assert got == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_block_second_derivatives_match_finite_differences(self, n):
+        # The blocks' analytic second derivative against central
+        # differences of their analytic first derivative, block by block,
+        # relative to the size of the block's derivatives.
+        for theta, kappa, t in ((0.0, 1.0, 1.0), (0.13, 0.7, 0.4), (-0.2, 1.5, 2.0), (0.01, 2.0, 0.05)):
+            h = 1e-5 * kappa
+            _, _, first, second = models.ghz_block_arrays(n, theta, kappa, t, order=2)
+            below = models.ghz_block_arrays(n, theta - h, kappa, t)[2]
+            above = models.ghz_block_arrays(n, theta + h, kappa, t)[2]
+            fd = (above - below) / (2.0 * h)
+            scale = np.abs(second).max(axis=(-2, -1)) + np.abs(first).max(axis=(-2, -1)) / kappa
+            assert np.all(np.abs(fd - second).max(axis=(-2, -1)) <= 1e-6 * scale)
 
 
 class TestGhzBlocks:
@@ -346,9 +367,10 @@ class TestRegistry:
         h = 1e-5
         if not (model.in_domain(theta - h) and model.in_domain(theta + h)):
             return
-        below, at, above = (model.blocks_fn(theta + k * h, True) for k in (-1, 0, 1))
-        for (_, lo_blk, _), (_, _, dblk), (_, hi_blk, _) in zip(below, at, above):
-            assert np.max(np.abs(dblk - (hi_blk - lo_blk) / (2.0 * h))) < 1e-6
+        below, at, above = (model.blocks_fn(theta + k * h, 2) for k in (-1, 0, 1))
+        for lo_group, (_, _, dblk, d2blk), hi_group in zip(below, at, above):
+            assert np.max(np.abs(dblk - (hi_group[1] - lo_group[1]) / (2.0 * h))) < 1e-6
+            assert np.max(np.abs(d2blk - (hi_group[2] - lo_group[2]) / (2.0 * h))) < 1e-6
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):

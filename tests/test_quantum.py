@@ -8,14 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, sqrtm
 
 from helpers import count_reads, random_density, random_hermitian, rotation_model
-from qfidisc import discontinuity, models, numdiff, quantum
-from qfidisc.exceptions import (
-    DegenerateModelError,
-    DivergenceError,
-    DomainError,
-    InvalidInputError,
-    StepSizeError,
-)
+from qfidisc import discontinuity, models, quantum
+from qfidisc.exceptions import DegenerateModelError, DivergenceError, InvalidInputError
 
 
 class TestSpectralDecompose:
@@ -182,86 +176,109 @@ class TestQfi:
         )
 
 
-class TestBuresMetric:
-    @given(seed=st.integers(0, 2_000), dim=st.sampled_from([2, 4]), theta=st.floats(-1.0, 1.0))
-    @settings(max_examples=30)
-    def test_quarter_qfi_at_regular_points(self, seed, dim, theta):
-        model = rotation_model(dim, seed)
-        q = quantum.model_qfi(model, theta)
-        if q < 1e-2:  # rotation generator nearly commutes with the state
-            return
-        g = quantum.bures_metric_fd(model, theta, eps=1e-4)
-        assert g == pytest.approx(q / 4.0, rel=1e-3)
+def fidelity_quotient_metric(model, theta, eps=1e-3):
+    """Oracle for g from the public ``fidelity`` alone: the two-sided
+    quotient 2 (1 - F) / e^2 at e = eps, eps/2, eps/4, its even error
+    removed by two Richardson levels."""
+    rho = model.state_fn(theta)
 
-    def test_classical_bit_midpoint(self):
+    def quotient(e):
+        gaps = [1.0 - quantum.fidelity(rho, model.state_fn(theta + s * e)) for s in (1, -1)]
+        return (gaps[0] + gaps[1]) / e**2
+
+    q = [quotient(eps / 2**k) for k in range(3)]
+    r = [(4.0 * q[k + 1] - q[k]) / 3.0 for k in range(2)]
+    return (16.0 * r[1] - r[0]) / 15.0
+
+
+class TestBuresMetric:
+    @given(seed=st.integers(0, 2_000), dim=st.sampled_from([2, 3, 4]), theta=st.floats(-1.0, 1.0))
+    @settings(max_examples=30)
+    def test_matches_the_fidelity_quotient_on_rotation_models(self, seed, dim, theta):
+        model = rotation_model(dim, seed)
+        g = quantum.bures_metric_fd(model, theta)
+        assert g == pytest.approx(fidelity_quotient_metric(model, theta), rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("theta", [0.05, -0.2, 0.4])
+    def test_matches_the_fidelity_quotient_at_ghz_regular_points(self, n, theta):
+        model = models.make_model("ghz", kappa=1.0, t=1.0, n_qubits=n)
+        g = quantum.bures_metric_fd(model, theta)
+        assert g == pytest.approx(fidelity_quotient_metric(model, theta), rel=1e-5)
+
+    def test_classical_bit_midpoint_and_edges(self):
         model = models.make_model("classical-bit")
         # Oracle at the regular point: g = Q / 4 = 1.
-        assert quantum.bures_metric_fd(model, 0.5, eps=1e-4) == pytest.approx(1.0, rel=1e-3)
+        assert quantum.bures_metric_fd(model, 0.5) == pytest.approx(1.0, rel=1e-14)
+        # The vanishing probability moves at first order: g diverges.
+        assert math.isinf(quantum.bures_metric_fd(model, 0.0))
+        assert math.isinf(quantum.bures_metric_fd(model, 1.0))
 
     def test_trig_interior_and_endpoints(self):
         model = models.make_model("trig")
         for theta in (0.3, 1.0, math.pi / 2, 0.0):
-            assert quantum.bures_metric_fd(model, theta, eps=1e-4) == pytest.approx(1.0, rel=1e-3)
+            assert quantum.bures_metric_fd(model, theta) == pytest.approx(1.0, rel=1e-14)
 
-    def test_two_sided_extrapolation_removes_the_even_error(self):
-        # The two-sided quotient's error is even in eps; a first-order
-        # Richardson step leaves 1.6e-7 (trig) and 6.2e-6 (classical bit).
-        for name, theta in (("trig", 0.7), ("classical-bit", 0.3)):
-            model = models.make_model(name)
-            g = quantum.bures_metric_fd(model, theta, eps=1e-3)
-            assert abs(4.0 * g - quantum.model_qfi(model, theta)) <= 1e-8
-
-    @pytest.mark.parametrize("p", [0.2, 0.3, 0.7])
-    @pytest.mark.parametrize("edge", ["lower", "upper"])
-    def test_one_sided_extrapolation_removes_the_first_order_error(self, p, edge):
-        # With the domain cut at p, only one side is sampled and the
-        # quotient's error is first order in eps; the even-error step
-        # (4 q(eps/2) - q(eps)) / 3 would leave more than 3e-5 relative.
-        domain = (p, 1.0) if edge == "lower" else (0.0, p)
-        model = dataclasses.replace(models.make_model("classical-bit"), domain=domain)
-        q = quantum.model_qfi(model, p)
-        assert abs(4.0 * quantum.bures_metric_fd(model, p) - q) <= 1e-6 * q
-
-    def test_reference_root_is_taken_once(self, monkeypatch):
-        # A 3x3 block goes through eigensolves: one root of the block at
-        # theta and one stacked eigvalsh for the four shifted points, 2 in
-        # all, with the bits of a fresh root per point.
-        model, theta, eps = rotation_model(3, 1), 0.2, 1e-4
-        rho = model.state_fn(theta)
-
-        def quotient(e):
-            gaps = [1.0 - quantum.fidelity(rho, model.state_fn(theta + s * e)) for s in (1, -1)]
-            return (2.0 * gaps[0] / e**2 + 2.0 * gaps[1] / e**2) / 2
-
-        expected = numdiff._even_richardson([quotient(eps), quotient(eps / 2.0)])
-        solves = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-
-            def counted(*args, _solver=solver, **kwargs):
-                solves.append(_solver)
-                return _solver(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        assert quantum.bures_metric_fd(model, theta, eps) == expected
-        assert len(solves) == 2
-
-    def test_underflow_raises_step_size_error(self):
+    def test_constant_family_has_no_metric(self):
         def state(theta):
             return np.eye(2, dtype=complex) / 2
 
-        def derivative(theta):
+        def zero(theta):
             return np.zeros((2, 2), dtype=complex)
 
         constant = models.ParametricModel(
-            name="constant", state_fn=state, blocks_fn=models.one_block(state, derivative)
+            name="constant", state_fn=state, blocks_fn=models.one_block(state, zero, zero)
         )
-        with pytest.raises(StepSizeError):
-            quantum.bures_metric_fd(constant, 0.0, eps=1e-4)
+        assert quantum.bures_metric_fd(constant, 0.0) == 0.0
 
-    def test_nonpositive_eps_rejected(self):
-        with pytest.raises(StepSizeError):
-            quantum.bures_metric_fd(models.make_model("trig"), 0.5, eps=0.0)
+    def test_no_step_needs_room_in_the_domain(self):
+        # kappa/2 = 5e-5: no finite-difference step of 1e-4 fits; g needs none.
+        # The limit 2 (exp(-kt) + kt - 1) / k^2, written without cancellation.
+        kappa = 1e-4
+        model = models.make_model("transverse-qubit", kappa=kappa)
+        four_g = 4.0 * quantum.bures_metric_fd(model, 0.0)
+        assert four_g == pytest.approx(2.0 * (math.expm1(-kappa) + kappa) / kappa**2, rel=1e-10)
+
+
+def reparametrized(model, scale):
+    """``model`` read at theta = scale * phi, as a family in phi."""
+
+    def blocks(phi, order):
+        return [
+            (mults, *(None if a is None else scale**k * a for k, a in enumerate(arrays)))
+            for mults, *arrays in model.blocks_fn(scale * phi, order)
+        ]
+
+    lo, hi = (bound / scale for bound in model.domain)
+    return dataclasses.replace(model, blocks_fn=blocks, domain=(lo, hi))
+
+
+# (model, a regular point, its rank-change point), with theta = scale * phi.
+SCALED_CASES = [
+    ("trig", lambda: models.make_model("trig"), 0.7, 0.0),
+    ("transverse-qubit", lambda: models.make_model("transverse-qubit"), 0.2, 0.0),
+    ("ghz-3", lambda: models.make_model("ghz", kappa=2.0, t=0.3, n_qubits=3), -0.4, 0.0),
+    ("ghz-24", lambda: models.make_model("ghz", n_qubits=24), 0.1, 0.0),
+]
+
+
+@pytest.mark.parametrize("build, regular, rank_change", [c[1:] for c in SCALED_CASES],
+                         ids=[c[0] for c in SCALED_CASES])
+@given(log_scale=st.floats(-3.0, 3.0))
+@settings(max_examples=15)
+def test_reparametrization_scales_qfi_and_metric_by_the_square(
+    build, regular, rank_change, log_scale
+):
+    # theta = s phi: Q_phi = s^2 Q_theta and g_phi = s^2 g_theta, at a
+    # regular point and at the rank change alike.
+    model = build()
+    scale = 10.0**log_scale
+    scaled = reparametrized(model, scale)
+    for theta in (regular, rank_change):
+        [(q, g)] = quantum.qfi_and_metric(model, [theta])
+        [(q_phi, g_phi)] = quantum.qfi_and_metric(scaled, [theta / scale])
+        assert q_phi == pytest.approx(scale**2 * q, rel=1e-10)
+        assert g_phi == pytest.approx(scale**2 * g, rel=1e-10)
 
 
 class TestQfiLimit:
@@ -279,13 +296,13 @@ class TestQfiLimit:
         assert err.value.values is not None and len(err.value.values) > 0
 
     def test_transverse_qubit_matches_closed_form_and_metric(self):
-        # Closed form at N = 1: 2 (exp(-kt) + kt - 1) / k^2; independent
-        # cross-check against the fidelity-based metric (limit = 4 g).
+        # Closed form at N = 1: 2 (exp(-kt) + kt - 1) / k^2; cross-check
+        # against the metric at the point itself (limit = 4 g).
         model = models.make_model("transverse-qubit", kappa=1.0, t=1.0)
         expected = 2.0 * (math.exp(-1.0) + 1.0 - 1.0)
         limit = quantum.qfi_limit(model, 0.0, side="above")
         assert limit.value == pytest.approx(expected, rel=1e-3)
-        g = quantum.bures_metric_fd(model, 0.0, eps=1e-4)
+        g = quantum.bures_metric_fd(model, 0.0)
         assert limit.value == pytest.approx(4.0 * g, rel=1e-3)
 
     def test_bad_side_rejected(self):
@@ -299,41 +316,41 @@ def block_model(parts, name="block-model"):
 
     The block of a part is weight times the family's one block, grouped
     with the other parts' blocks of its size; the twin's state and
-    derivative are block-diagonal with every block repeated.
+    derivatives are block-diagonal with every block repeated.
     """
 
-    def part_blocks(theta, derivative):
+    def part_blocks(theta, order):
         for mult, w, fam in parts:
-            [(_, block, dblock)] = fam.blocks_fn(theta, derivative)
-            yield mult, w * block[0], None if dblock is None else w * dblock[0]
+            [(_, *arrays)] = fam.blocks_fn(theta, order)
+            yield mult, *(None if a is None else w * a[0] for a in arrays)
 
-    def blocks(theta, derivative):
+    def blocks(theta, order):
         by_size = {}
-        for part in part_blocks(theta, derivative):
+        for part in part_blocks(theta, order):
             by_size.setdefault(part[1].shape, []).append(part)
         return [
             (
-                np.array([mult for mult, _, _ in group]),
-                np.array([block for _, block, _ in group]),
-                np.array([dblock for _, _, dblock in group]) if derivative else None,
+                np.array([part[0] for part in group]),
+                *(
+                    np.array([part[k] for part in group]) if k <= order + 1 else None
+                    for k in (1, 2, 3)
+                ),
             )
             for group in by_size.values()
         ]
 
-    def dense(theta, derivative):
-        parts_at = list(part_blocks(theta, derivative))
-        which = 2 if derivative else 1
-        return block_diag(*[part[which] for part in parts_at for _ in range(part[0])])
-
-    def state(theta):
-        return dense(theta, False)
+    def dense(theta, k):
+        parts_at = list(part_blocks(theta, k))
+        return block_diag(*[part[k + 1] for part in parts_at for _ in range(part[0])])
 
     return (
-        models.ParametricModel(name=name, state_fn=state, blocks_fn=blocks),
+        models.ParametricModel(name=name, state_fn=lambda th: dense(th, 0), blocks_fn=blocks),
         models.ParametricModel(
             name=f"{name}-dense",
-            state_fn=state,
-            blocks_fn=models.one_block(state, lambda th: dense(th, True)),
+            state_fn=lambda th: dense(th, 0),
+            blocks_fn=models.one_block(
+                lambda th: dense(th, 0), lambda th: dense(th, 1), lambda th: dense(th, 2)
+            ),
         ),
     )
 
@@ -359,7 +376,23 @@ class TestDirectSum:
             models.ghz_state(n, theta, kappa, t), models.ghz_state_derivative(n, theta, kappa, t)
         )
         assert q == pytest.approx(dense, rel=1e-9)
-        assert abs(4.0 * quantum.bures_metric_fd(model, theta) - q) <= 1e-3 * q
+        assert 4.0 * quantum.bures_metric_fd(model, theta) == q
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_ghz_qfi_matches_the_bloch_block_sum(self, n):
+        # Oracle with no support cut: each 2x2 block [[r, x], [conj x, r]]
+        # is 2r times the qubit with Bloch vector (Re x, -Im x, 0) / r, and
+        # its QFI is 2r times that qubit's Bloch-form QFI.
+        for kappa_t in (0.1, 0.3, 1.0, 3.0):
+            for theta in (0.01, 0.2, 0.4):
+                mults, blocks, dblocks, _ = models.ghz_block_arrays(n, theta, 1.0, kappa_t)
+                oracle = 0.0
+                for mult, block, dblock in zip(mults.tolist(), blocks, dblocks):
+                    r, x, dx = block[0, 0].real, block[0, 1], dblock[0, 1]
+                    v, dv = [x.real / r, -x.imag / r, 0.0], [dx.real / r, -dx.imag / r, 0.0]
+                    oracle += mult * 2.0 * r * models.qubit_bloch_qfi(v, dv)
+                model = models.make_model("ghz", kappa=1.0, t=kappa_t, n_qubits=n)
+                assert quantum.model_qfi(model, theta) == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 24])
     @pytest.mark.parametrize("kappa,t", [(1.0, 1.0), (0.5, 2.0), (1.5, 1.0 / 1.5), (2.0, 0.3)])
@@ -370,12 +403,12 @@ class TestDirectSum:
         q0 = quantum.model_qfi(model, 0.0)
         assert q0 == pytest.approx(models.ghz_qfi_discontinuous(n, kappa, t), rel=1e-10)
         four_g = 4.0 * quantum.bures_metric_fd(model, 0.0)
-        assert four_g == pytest.approx(models.ghz_qfi_continuous(n, kappa, t), rel=1e-3)
+        assert four_g == pytest.approx(models.ghz_qfi_continuous(n, kappa, t), rel=1e-10)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_weighted_blocks_match_block_diagonal_state(self, seed):
-        # A 2x2 block (closed-form fidelity) and a 3x3 block (eigen route),
-        # the second repeated twice, against the assembled 7x7 state.
+        # A 2x2 block and a 3x3 block, the second repeated twice, against
+        # the assembled 7x7 state.
         model, dense = block_model(
             [(1, 0.4, rotation_model(2, seed)), (2, 0.3, rotation_model(3, seed + 100))]
         )
@@ -384,7 +417,7 @@ class TestDirectSum:
                 quantum.model_qfi(dense, theta), rel=1e-12
             )
             assert quantum.bures_metric_fd(model, theta) == pytest.approx(
-                quantum.bures_metric_fd(dense, theta), rel=1e-5
+                quantum.bures_metric_fd(dense, theta), rel=1e-12
             )
 
     def test_block_traces_must_sum_to_one(self):
@@ -400,7 +433,7 @@ class TestDirectSum:
         model = models.ParametricModel(
             name="bad-block",
             state_fn=lambda theta: bad,
-            blocks_fn=models.one_block(lambda theta: bad, lambda theta: zero),
+            blocks_fn=models.one_block(lambda theta: bad, lambda theta: zero, lambda theta: zero),
         )
         with pytest.raises(InvalidInputError):
             quantum.model_qfi(model, 0.0)
@@ -410,21 +443,33 @@ class TestDirectSum:
         [
             [],
             [(np.ones(1, dtype=int), HALF[None])],
-            [(np.zeros(0, dtype=int), HALF_PAIR[:0], HALF_PAIR[:0])],
-            [(np.array([-1, 2]), HALF_PAIR, np.zeros_like(HALF_PAIR))],
-            [(np.array([0, 1]), HALF_PAIR, np.zeros_like(HALF_PAIR))],
-            [(np.array([0.5, 0.5]), HALF_PAIR, np.zeros_like(HALF_PAIR))],
+            [(np.ones(1, dtype=int), HALF[None], np.zeros_like(HALF[None]))],
+            [(np.zeros(0, dtype=int), HALF_PAIR[:0], HALF_PAIR[:0], HALF_PAIR[:0])],
+            [(np.array([-1, 2]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR))],
+            [(np.array([0, 1]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR))],
+            [(np.array([0.5, 0.5]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR))],
         ],
-        ids=["empty", "two-tuple", "no-blocks", "negative", "zero", "fractional"],
+        ids=["empty", "two-tuple", "three-tuple", "no-blocks", "negative", "zero", "fractional"],
     )
     def test_malformed_direct_sum_rejected(self, groups):
         # The weighted traces of the last three sum to 1: only the
         # multiplicities are wrong.
         model = models.ParametricModel(
-            name="malformed", state_fn=None, blocks_fn=lambda theta, derivative: groups
+            name="malformed", state_fn=None, blocks_fn=lambda theta, order: groups
         )
         with pytest.raises(InvalidInputError):
             quantum.model_qfi(model, 0.0)
+        with pytest.raises(InvalidInputError):
+            quantum.bures_metric_fd(model, 0.0)
+
+    @pytest.mark.parametrize("second", [None, HALF_PAIR], ids=["missing", "wrong-shape"])
+    def test_metric_needs_the_second_derivatives(self, second):
+        # The QFI reads no second derivative; the metric rejects a bad one.
+        groups = [(np.ones(1, dtype=int), HALF[None], np.zeros_like(HALF[None]), second)]
+        model = models.ParametricModel(
+            name="no-second", state_fn=None, blocks_fn=lambda theta, order: groups
+        )
+        assert quantum.model_qfi(model, 0.0) == 0.0
         with pytest.raises(InvalidInputError):
             quantum.bures_metric_fd(model, 0.0)
 
@@ -471,13 +516,14 @@ class TestStackedReads:
         model = build()
         sign = 1.0 if model.in_domain(theta_bar + 1e-2) else -1.0
         thetas = [theta_bar + sign * 1e-2 * 2.0**-k for k in range(5)]
-        stacked = quantum._model_blocks(model, thetas)
+        stacked = quantum._model_blocks(model, thetas, order=2)
         for i, theta in enumerate(thetas):
-            alone = quantum._model_blocks(model, [theta])
+            alone = quantum._model_blocks(model, [theta], order=2)
             assert len(stacked) == len(alone)
             for group, group1 in zip(stacked, alone):
                 assert np.array_equal(group.multiplicities, group1.multiplicities)
-                for field in ("blocks", "dblocks", "eigenvalues", "eigenvectors", "ranks"):
+                fields = ("blocks", "dblocks", "d2blocks", "eigenvalues", "eigenvectors", "ranks")
+                for field in fields:
                     got, want = getattr(group, field)[i], getattr(group1, field)[0]
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
@@ -497,10 +543,10 @@ def hex_pairs(pairs):
     return [(float(q).hex(), float(g).hex()) for q, g in pairs]
 
 
-# (model, grid): every built-in model.  The classical bit's grid has
-# one-sided rows at both domain edges, and the transverse qubit's rows at
-# +/-0.49995 lie within eps of +/-kappa/2; the rotation models and the
-# mixed direct sum read 3x3 and 4x4 blocks through eigensolves.
+# (model, grid): every built-in model.  The classical bit's grid has rows
+# on both domain edges, and the transverse qubit's rows at +/-0.49995 lie
+# within 1e-4 of +/-kappa/2; the rotation models and the mixed direct sum
+# read 3x3 and 4x4 blocks.
 ONE_READ_CASES = [
     ("classical-bit", lambda: models.make_model("classical-bit"), np.linspace(0.0, 1.0, 11)),
     ("trig", lambda: models.make_model("trig"), np.linspace(0.0, math.pi / 2, 7)),
@@ -525,7 +571,7 @@ ONE_READ_CASES = [
 
 
 class TestQfiAndMetric:
-    """One grid in two stacked reads gives each row what it gets read alone."""
+    """One grid in one stacked read gives each row what it gets read alone."""
 
     @pytest.mark.parametrize("build, grid", [c[1:] for c in ONE_READ_CASES],
                              ids=[c[0] for c in ONE_READ_CASES])
@@ -541,33 +587,24 @@ class TestQfiAndMetric:
             assert hex_pairs(quantum.qfi_and_metric(model, [theta])) == hex_pairs([row])
 
     @pytest.mark.parametrize("n_points", [1, 2, 7])
-    def test_two_reads_for_any_grid(self, monkeypatch, n_points):
+    def test_one_read_for_any_grid(self, monkeypatch, n_points):
         model = models.make_model("ghz", n_qubits=4)
         reads = count_reads(monkeypatch)
         quantum.qfi_and_metric(model, list(np.linspace(-0.2, 0.2, n_points)))
-        assert reads == [n_points, 4 * n_points]
+        assert reads == [n_points]
 
-    def test_no_room_is_a_domain_error(self):
-        # kappa/2 = 5e-5 < eps: neither theta +/- eps lies in the domain.
-        model = models.make_model("transverse-qubit", kappa=1e-4)
-        with pytest.raises(DomainError, match="no room"):
-            quantum.qfi_and_metric(model, [0.0])
-        with pytest.raises(DomainError, match="no room"):
-            quantum.bures_metric_fd(model, 0.0)
-
-    def test_structure_must_match_the_shifted_points(self):
+    def test_structure_must_match_between_points(self):
         # One block of multiplicity 2 at theta = 0, one of multiplicity 1
         # elsewhere: each point is a valid direct sum, the pair is not.
-        def blocks(theta, derivative):
+        def blocks(theta, order):
             mult, block = (2, HALF / 2) if theta == 0.0 else (1, HALF)
-            zero = np.zeros((1, 2, 2), dtype=complex) if derivative else None
-            return [(np.array([mult]), block[None], zero)]
+            zero = np.zeros((1, 2, 2), dtype=complex)
+            return [(np.array([mult]), block[None], zero, zero)]
 
         model = models.ParametricModel(name="changing", state_fn=None, blocks_fn=blocks)
-        with pytest.raises(InvalidInputError, match="structure"):
-            quantum.qfi_and_metric(model, [0.0])
-        with pytest.raises(InvalidInputError):
-            quantum.bures_metric_fd(model, 0.0)
+        assert quantum.qfi_and_metric(model, [0.0]) == [(0.0, 0.0)]
+        with pytest.raises(InvalidInputError, match="multiplicities differ"):
+            quantum.qfi_and_metric(model, [0.0, 0.5])
 
 
 def poisoned(model, call, kind):
@@ -578,17 +615,17 @@ def poisoned(model, call, kind):
     """
     calls = iter(range(10**6))
 
-    def blocks(theta, derivative):
-        groups = model.blocks_fn(theta, derivative)
+    def blocks(theta, order):
+        groups = model.blocks_fn(theta, order)
         if next(calls) != call:
             return groups
-        (mults, mats, dmats), *rest = groups
+        (mults, mats, *derivatives), *rest = groups
         mats = mats.copy()
         if kind == "hermitian":
             mats[0] += np.triu(np.full(mats.shape[1:], 1e-6), 1)
         else:
             mats[0] *= 1.01
-        return [(mults, mats, dmats), *rest]
+        return [(mults, mats, *derivatives), *rest]
 
     return dataclasses.replace(model, blocks_fn=blocks)
 
@@ -597,9 +634,10 @@ def poisoned(model, call, kind):
 POISONED_READS = [
     ("model_qfi", lambda m: quantum.model_qfi(m, 0.1), 1),
     ("qfi_limit", lambda m: quantum.qfi_limit(m, 0.0, side="above"), 6),
-    ("bures_metric_fd", lambda m: quantum.bures_metric_fd(m, 0.1), 5),
-    ("qfi_and_metric", lambda m: quantum.qfi_and_metric(m, [0.1, -0.2, 0.3]), 15),
+    ("bures_metric_fd", lambda m: quantum.bures_metric_fd(m, 0.1), 1),
+    ("qfi_and_metric", lambda m: quantum.qfi_and_metric(m, [0.1, -0.2, 0.3]), 3),
     ("branch", lambda m: discontinuity.vanishing_eigenvalue_branch(m, 0.0), 7),
+    ("classify", lambda m: discontinuity.classify(m, 0.0), 7),
 ]
 
 
@@ -659,25 +697,27 @@ def test_built_in_models_are_read_through_their_blocks_alone(build, rank_change,
 
 
 @pytest.mark.parametrize("name, n", [("transverse-qubit", 1), ("ghz", 3), ("ghz", 8)])
-def test_derivative_free_reads_never_differentiate_the_coefficients(monkeypatch, name, n):
-    # The metric, the vanishing weight and the dense state read no
-    # derivative, so the GHZ coefficients are never differentiated.
+def test_each_read_differentiates_the_coefficients_as_far_as_it_needs(monkeypatch, name, n):
+    # The vanishing weight and the dense state read no derivative, the QFI
+    # the first, the metric and classify the second; the coefficients are
+    # computed once per point, for every order at once.
     model = models.make_model(name, n_qubits=n)
-    reads = [
-        lambda: quantum.bures_metric_fd(model, 0.1),
-        lambda: quantum.bures_metric_fd(model, 0.0),
-        lambda: discontinuity.vanishing_eigenvalue_branch(model, 0.0),
-        lambda: models.ghz_state(n, 0.1, 1.0, 1.0).tobytes(),
-    ]
-    expected = [read() for read in reads]
+    orders = []
+    series = models._ghz_series
 
-    class DerivativeRead(Exception):
-        pass
+    def counted(theta, kappa, t, order=0):
+        orders.append(order)
+        return series(theta, kappa, t, order)
 
-    def forbidden(*args):
-        raise DerivativeRead(f"ghz_coefficient_derivatives{args} called")
-
-    monkeypatch.setattr(models, "ghz_coefficient_derivatives", forbidden)
-    assert [read() for read in reads] == expected
-    with pytest.raises(DerivativeRead):  # the patch is live: the QFI needs derivatives
-        quantum.model_qfi(model, 0.1)
+    monkeypatch.setattr(models, "_ghz_series", counted)
+    for read, expected in [
+        (lambda: discontinuity.vanishing_eigenvalue_branch(model, 0.0), [0] * 7),
+        (lambda: models.ghz_state(n, 0.1, 1.0, 1.0), [0]),
+        (lambda: quantum.model_qfi(model, 0.1), [1]),
+        (lambda: quantum.bures_metric_fd(model, 0.0), [2]),
+        (lambda: quantum.qfi_and_metric(model, [0.1, 0.2]), [2, 2]),
+        (lambda: discontinuity.classify(model, 0.0), [2] * 7),
+    ]:
+        orders.clear()
+        read()
+        assert orders == expected
