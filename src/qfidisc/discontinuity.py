@@ -32,27 +32,11 @@ GAP_FRACTION = 0.5
 JUMP_AGREEMENT = 1e-2
 
 
-def _branch_offsets(model, theta_bar: float, fractions=(1.0, 0.5, 0.25)):
-    """h = ``numdiff.base_step(theta_bar)`` and the offsets, in units of h,
-    of the samples around theta_bar: 0 first, then +/- ``fractions`` on
-    each side whose full step theta_bar +/- h lies in the domain.  Raises
-    ``DomainError`` when neither does."""
-    h = base_step(theta_bar)
-    sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
-    if not sides:
-        raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
-    return h, [0.0] + [frac * s for s in sides for frac in fractions]
-
-
-def _points(theta_bar: float, h: float, offsets) -> list:
-    return [theta_bar + o * h for o in offsets]
-
-
 def _ranks(theta_bar: float, offsets, stacks: list) -> tuple[int, int]:
     """Multiplicity-weighted effective ranks at theta_bar and the highest at
     theta_bar +/- h, from a read of the points at ``offsets``; raises
     ``NotADiscontinuityError`` unless the rank rises on every sampled side."""
-    ranks = sum((st.ranks * st.multiplicities).sum(axis=-1) for st in stacks).tolist()
+    ranks = quantum._weighted_ranks(stacks).tolist()
     r0 = ranks[offsets.index(0.0)]
     side_ranks = {s: ranks[offsets.index(s)] for s in (+1.0, -1.0) if s in offsets}
     if any(r <= r0 for r in side_ranks.values()):
@@ -83,14 +67,23 @@ class BranchSamples:
         return dict(zip(self.offsets, self.values))
 
 
-def _branch(theta_bar: float, h: float, offsets: list, stacks: list) -> BranchSamples:
-    """The vanishing weight at ``offsets`` from a read of those points,
-    sorted by offset.
+def _branch(model, theta_bar: float, order: int) -> tuple[BranchSamples, list]:
+    """The vanishing weight around theta_bar, sorted by offset, and the read
+    it comes from, with the derivatives up to ``order``.
 
-    A block's vanishing eigenvalues are those past its effective rank r at
-    theta_bar; the first of them must stay within GAP_FRACTION of the
-    block's eigenvalue r - 1 at theta_bar (when 0 < r < d).
+    The offsets are in units of h = ``numdiff.base_step(theta_bar)``: 0
+    first, then +/- {1, 1/2, 1/4} on each side whose full step lies in the
+    domain (a ``DomainError`` where neither does).  A block's vanishing
+    eigenvalues are those past its effective rank r at theta_bar; the first
+    of them must stay within GAP_FRACTION of the block's eigenvalue r - 1
+    at theta_bar (when 0 < r < d).
     """
+    h = base_step(theta_bar)
+    sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
+    if not sides:
+        raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
+    offsets = [0.0] + [frac * s for s in sides for frac in (1.0, 0.5, 0.25)]
+    stacks = quantum._model_blocks(model, [theta_bar + o * h for o in offsets], order=order)
     r0, r_beside = _ranks(theta_bar, offsets, stacks)
     bar = offsets.index(0.0)
     rows = np.argsort(offsets, kind="stable")
@@ -114,7 +107,7 @@ def _branch(theta_bar: float, h: float, offsets: list, stacks: list) -> BranchSa
             f"{GAP_FRACTION} of its block's smallest non-vanishing one at theta_bar={theta_bar}"
         )
     values = quantum._point_sums(weights)[rows].tolist()
-    return BranchSamples(theta_bar, h, tuple(offsets), tuple(values), r0, r_beside)
+    return BranchSamples(theta_bar, h, tuple(offsets), tuple(values), r0, r_beside), stacks
 
 
 def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
@@ -127,9 +120,7 @@ def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     exceeds GAP_FRACTION of its block's smallest non-vanishing eigenvalue
     at theta_bar.
     """
-    h, offsets = _branch_offsets(model, theta_bar)
-    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), order=0)
-    return _branch(theta_bar, h, offsets, stacks)
+    return _branch(model, theta_bar, order=0)[0]
 
 
 @dataclass
@@ -144,6 +135,9 @@ class DiscontinuityReport:
     delta_q_measured: float
     qfi_at_bar: float
     qfi_limit: float
+    # Effective ranks at theta_bar and the highest at theta_bar +/- h; not in the JSON.
+    rank_at_bar: int
+    rank_beside: int
     evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -185,9 +179,7 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
     speed is below SPEED_TOL, or when the predicted jump 2a and the
     measured one differ by more than JUMP_AGREEMENT relative.
     """
-    h, offsets = _branch_offsets(model, theta_bar)
-    stacks = quantum._model_blocks(model, _points(theta_bar, h, offsets), order=2)
-    branch = _branch(theta_bar, h, offsets, stacks)
+    branch, stacks = _branch(model, theta_bar, order=2)
     speed, accel = speed_and_acceleration(branch.h, branch.as_dict())
     qfis, four_gs = quantum._direct_sum_metric([st.at([0]) for st in stacks])
     qfi_at_bar, qfi_lim = float(qfis[0]), float(four_gs[0])
@@ -217,5 +209,7 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
         delta_q_measured=measured,
         qfi_at_bar=qfi_at_bar,
         qfi_limit=qfi_lim,
+        rank_at_bar=branch.rank_at_bar,
+        rank_beside=branch.rank_beside,
         evidence={"h": branch.h, "branch_values": list(branch.values)},
     )

@@ -183,48 +183,34 @@ class EstimationReport:
         }
 
 
-def _qfi_and_rank_change(model: ParametricModel, theta: float):
-    """Q(theta), and the effective ranks at theta and beside it where the rank
-    rises there (else None).
+def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str]:
+    """Q(theta), read alone as ``quantum.model_qfi`` reads it, and the note on
+    a rank change there ("" where there is none).
 
-    One read with derivatives takes theta and the points theta +/- h inside
-    the domain, h the base step of ``discontinuity.classify``; Q comes from
-    theta's row, and equals ``quantum.model_qfi`` bit for bit.  The rank
-    rises where it is higher on every side read.  Where no side has room,
-    or a point beside theta fails with a ``DomainError``, theta is read
-    alone.
+    Where every block has full rank at theta, the rank cannot rise beside
+    it and nothing more is read.  Otherwise the ranks and the limit are
+    those of ``discontinuity.classify``; where it cannot resolve the point,
+    the note withholds them and quotes why.
     """
-    try:
-        h, offsets = discontinuity._branch_offsets(model, theta, fractions=(1.0,))
-        stacks = quantum._model_blocks(model, discontinuity._points(theta, h, offsets))
-    except DomainError:
-        return quantum.model_qfi(model, theta), None
-    q = float(quantum._direct_sum_qfi([st.at([0]) for st in stacks])[0])
-    try:
-        return q, discontinuity._ranks(theta, offsets, stacks)
-    except NotADiscontinuityError:
-        return q, None
-
-
-def _rank_change_note(model: ParametricModel, theta: float, r0: int, r_beside: int) -> str:
-    """The rank change r0 -> r_beside at theta and the QFI limit there, as
-    ``classify`` finds them.
-
-    Where ``classify`` cannot resolve the point, the effective ranks and
-    the limit are withheld: the numbers it could not reconcile are not
-    reported.
-    """
-    head = f"rank changes at theta_true={theta}"
-    not_valid = "the fixed-rank Cramér-Rao bound is not valid here"
+    stacks = quantum._model_blocks(model, [theta])
+    q = float(quantum._direct_sum_qfi(stacks)[0])
+    if all((st.ranks == st.blocks.shape[-1]).all() for st in stacks):
+        return q, ""
     try:
         report = discontinuity.classify(model, theta)
+    except (DomainError, NotADiscontinuityError):
+        return q, ""
     except (NumericalError, MultiBranchError) as err:
-        return f"{head}; {not_valid}; effective ranks and continuous-limit qfi not resolved ({err})"
-    if math.isinf(report.qfi_limit):
-        limit = "continuous-limit qfi diverges"
+        ranks, limit = "", f"effective ranks and continuous-limit qfi not resolved ({err})"
     else:
-        limit = f"continuous-limit qfi = {report.qfi_limit:.6g} (reported, not asserted attainable)"
-    return f"{head} (effective rank {r0} vs {r_beside} nearby); {not_valid}; {limit}"
+        ranks = f" (effective rank {report.rank_at_bar} vs {report.rank_beside} nearby)"
+        value = report.qfi_limit
+        limit = (
+            "continuous-limit qfi diverges" if math.isinf(value)
+            else f"continuous-limit qfi = {value:.6g} (reported, not asserted attainable)"
+        )
+    not_valid = "the fixed-rank Cramér-Rao bound is not valid here"
+    return q, f"rank changes at theta_true={theta}{ranks}; {not_valid}; {limit}"
 
 
 def run_cr_experiment(
@@ -245,12 +231,13 @@ def run_cr_experiment(
     nothing else.  ``seed`` must be a non-negative int.  Where the
     first probability is exactly 0 or 1 the law is a point mass: every
     replicate gets the estimate of the one count vector it allows, and no
-    stream is drawn.  Neither step calls ``state_fn``.  The QFI and the
-    ranks come from one read of the model's blocks at theta_true and
-    beside it; only where the rank rises does the note read again, in
-    ``discontinuity.classify``.  The violation flag is set when the
-    replicate variance falls more than three standard errors of the
-    variance below the bound, with Var(s^2) ~ 2 s^4 / (R - 1).
+    stream is drawn.  Neither step calls ``state_fn``.  The QFI comes from
+    one read of the model's blocks at theta_true alone; only where a block
+    lacks full rank there does the note read again, in
+    ``discontinuity.classify``, whose report gives the ranks and the limit.
+    The violation flag is set when the replicate variance falls more than
+    three standard errors of the variance below the bound, with
+    Var(s^2) ~ 2 s^4 / (R - 1).
     """
     if n_replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {n_replicates}")
@@ -292,15 +279,15 @@ def run_cr_experiment(
     # Shifted two-pass variance: identical replicate estimates must give
     # exactly zero, which the unshifted mean subtraction misses by rounding.
     sample_variance = float(np.var(estimates - estimates[0], ddof=1))
-    q, ranks = _qfi_and_rank_change(model, theta_true)
+    q, rank_note = _qfi_and_rank_note(model, theta_true)
     notes = []
     if q <= 1e-12:
         cr_bound = math.inf
         notes.append(f"QFI = {q:.3g} at theta_true; Cramér-Rao bound not applicable")
     else:
         cr_bound = 1.0 / (n_samples * q)
-    if ranks is not None:
-        notes.append(_rank_change_note(model, theta_true, *ranks))
+    if rank_note:
+        notes.append(rank_note)
 
     std_err = sample_variance * math.sqrt(2.0 / (n_replicates - 1))
     violated = sample_variance < cr_bound - 3.0 * std_err

@@ -181,6 +181,8 @@ def _check_ghz_domain(theta: float, kappa: float, t: float) -> None:
 
 def _check_qubits(n_qubits: int, most: float = math.inf) -> None:
     """The blocks are built for N = 1..24; the closed-form QFIs hold for every N >= 1."""
+    if not isinstance(n_qubits, (int, np.integer)):
+        raise InvalidInputError(f"n_qubits={n_qubits!r} is not an integer")
     if not 1 <= n_qubits <= most:
         raise DomainError(f"n_qubits={n_qubits} outside [1, {most}]")
 

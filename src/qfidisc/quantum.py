@@ -369,6 +369,11 @@ def _model_blocks(model, thetas, order: int = 1) -> list:
     return stacks
 
 
+def _weighted_ranks(stacks: list) -> np.ndarray:
+    """(P,) effective ranks of the whole state, weighted by multiplicity."""
+    return sum((st.ranks * st.multiplicities).sum(axis=-1) for st in stacks)
+
+
 def _block_qfis(stacks: list) -> list:
     """Per stack, the blocks' first derivatives in their eigenbases and
     their QFIs (P, B); a ``DegenerateModelError`` where a point has no
@@ -462,9 +467,11 @@ def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate
     in one stacked call, extrapolates with a Richardson tableau, and raises
     ``DivergenceError`` when successive extrapolants disagree beyond
     LIMIT_REL_TOL relative (the signature of a second-kind discontinuity or
-    singular metric).  Without a ``side`` the limit is taken from above
-    when theta_bar + LIMIT_H0 lies in the domain, and from below otherwise;
-    a sample outside the domain is a ``DomainError``.
+    singular metric), and ``NumericalError`` when the samples' effective
+    ranks differ, as they do where an inner one falls under the support
+    cut.  Without a ``side`` the limit is taken from above when theta_bar +
+    LIMIT_H0 lies in the domain, and from below otherwise; a sample outside
+    the domain is a ``DomainError``.
     """
     if side is None:
         side = "above" if model.in_domain(theta_bar + LIMIT_H0) else "below"
@@ -475,7 +482,14 @@ def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate
     for th in thetas:
         if not model.in_domain(th):
             raise DomainError(f"theta={th} outside the domain of {model.name} (side={side})")
-    values = _direct_sum_qfi(_model_blocks(model, thetas))
+    stacks = _model_blocks(model, thetas)
+    ranks = _weighted_ranks(stacks)
+    if (ranks != ranks[0]).any():
+        raise NumericalError(
+            f"QFI limit at theta_bar={theta_bar} ({side}): the effective rank differs "
+            f"between the samples (ranks {ranks.tolist()})"
+        )
+    values = _direct_sum_qfi(stacks)
     extrapolants = richardson_limit(values)
     diff = abs(extrapolants[-1] - extrapolants[-2])
     scale = max(abs(extrapolants[-1]), 1e-6)

@@ -253,6 +253,22 @@ class TestDiscontinuityCommand:
         assert payload["kind"] == "jump"
         assert payload["delta_q_measured"] == pytest.approx(jump, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--model", "classical-bit", "--theta-bar", "0"],
+            ["--model", "transverse-qubit", "--theta-bar", "0"],
+        ],
+    )
+    def test_json_keys(self, capsys, options):
+        # The report's rank fields feed mc's note; they stay out of the JSON.
+        code, stdout, _ = run_cli(["discontinuity", *options], capsys)
+        assert code == 0
+        assert list(json.loads(stdout)) == [
+            "theta_bar", "speed", "acceleration", "kind", "delta_q_predicted",
+            "delta_q_measured", "qfi_at_bar", "qfi_limit", "h", "branch_values",
+        ]
+
     def test_regular_point_distinct_exit(self, capsys):
         code, _, err = run_cli(
             ["discontinuity", "--model", "classical-bit", "--theta-bar", "0.5"], capsys
@@ -427,6 +443,18 @@ class TestMcCommand:
         )
         assert (code, out) == (1, "")
         assert err.startswith("usage error: need >= 2 replicates")
+
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_rank_deficient_point_whose_rank_does_not_rise_has_no_rank_note(self, capsys):
+        # At t = 0 the GHZ state is pure at every theta: a block lacks rank,
+        # but the rank does not rise beside theta, so classify finds no
+        # rank change and the note says nothing of one.
+        options = ["--model", "ghz", "--qubits", "2", "--time", "0", "--theta-bar", "0.1"]
+        code, stdout, _ = run_cli(["mc", *options, "--replicates", "20"], capsys)
+        assert code == 0
+        assert "rank" not in json.loads(stdout)["notes"]
+        code, _, err = run_cli(["discontinuity", *options], capsys)
+        assert code == 2 and "not a discontinuity" in err
 
     def test_library_sample_count_stays_invalid_input(self):
         model = models.make_model("classical-bit")

@@ -398,6 +398,46 @@ class TestRunCrExperiment:
             "(predicted and measured jumps differ)"
         )
 
+    @pytest.mark.parametrize(
+        "name, theta, n_calls",
+        [
+            ("classical-bit", 0.3, 1),  # full rank at theta: theta alone
+            ("transverse-qubit", 0.2, 1),
+            ("trig", 0.0, 5),  # theta, then classify's 4 points on the one side
+            ("transverse-qubit", 0.0, 8),  # theta, then classify's 7
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_blocks_are_read_at_theta_alone_and_again_only_in_classify(
+        self, name, theta, n_calls
+    ):
+        model = models.make_model(name)
+        calls = []
+
+        def counted(th, order):
+            calls.append(th)
+            return model.blocks_fn(th, order)
+
+        args = dict(n_samples=50, n_replicates=20, seed=1)
+        report = estimation.run_cr_experiment(
+            dataclasses.replace(model, blocks_fn=counted), theta, **args
+        )
+        assert len(calls) == n_calls
+        assert calls[0] == theta
+        assert report.to_json() == estimation.run_cr_experiment(model, theta, **args).to_json()
+
+    def test_note_takes_its_ranks_from_the_classify_report(self, monkeypatch):
+        # The ranks in the note are the report's, not a second rank test.
+        classify = discontinuity.classify
+
+        def relabelled(model, theta):
+            return dataclasses.replace(classify(model, theta), rank_at_bar=7, rank_beside=9)
+
+        monkeypatch.setattr(discontinuity, "classify", relabelled)
+        model = models.make_model("classical-bit")
+        report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
+        assert "(effective rank 7 vs 9 nearby)" in report.notes
+
     def test_canonical_trig_measurement_is_optimal(self):
         # Sampling the trig family in its canonical basis gives the
         # Bernoulli(sin^2 theta) family whose information equals the QFI.

@@ -264,6 +264,20 @@ class TestGhzBlocks:
                     closed_form(n, 1.0, 1.0)
         assert models.ghz_qfi_continuous(30, 1.0, 1.0) > 0.0
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+    def test_non_integral_counts_rejected(self, n):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            models.make_model("ghz", n_qubits=n)
+        for closed_form in (models.ghz_qfi_continuous, models.ghz_qfi_discontinuous):
+            with pytest.raises(InvalidInputError, match="is not an integer"):
+                closed_form(n, 1.0, 1.0)
+
+    def test_integral_counts_build(self):
+        for n in [*range(1, 25), np.int64(3)]:
+            mults = models.make_model("ghz", n_qubits=n).blocks_fn(0.1, 0)[0][0]
+            assert mults.sum() == 2 ** (n - 1)
+            assert models.ghz_qfi_discontinuous(n, 1.0, 1.0) > 0.0
+
 
 class TestLindbladIntegrator:
     def test_zero_frequency_leaves_plus_invariant(self):

@@ -9,7 +9,12 @@ from scipy.linalg import block_diag, sqrtm
 
 from helpers import count_reads, random_density, random_hermitian, rotation_model
 from qfidisc import discontinuity, models, quantum
-from qfidisc.exceptions import DegenerateModelError, DivergenceError, InvalidInputError
+from qfidisc.exceptions import (
+    DegenerateModelError,
+    DivergenceError,
+    InvalidInputError,
+    NumericalError,
+)
 
 
 class TestSpectralDecompose:
@@ -308,6 +313,21 @@ class TestQfiLimit:
     def test_bad_side_rejected(self):
         with pytest.raises(InvalidInputError):
             quantum.qfi_limit(models.make_model("trig"), 0.5, side="sideways")
+
+    @pytest.mark.parametrize("n, kappa, t", [(2, 2.0, 0.05), (4, 1.0, 0.1)])
+    def test_samples_of_different_rank_are_an_error(self, n, kappa, t):
+        # The innermost sample's smallest eigenvalue falls under the support
+        # cut, so it lies on another branch; extrapolating would miss the
+        # closed-form limit (by -1.1% at N = 2) and report a tiny error.
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+        stacks = quantum._model_blocks(model, 1e-2 * 2.0 ** -np.arange(quantum.LIMIT_STEPS))
+        ranks = quantum._weighted_ranks(stacks).tolist()
+        assert ranks[0] == 2**n and ranks[-1] < 2**n
+        with pytest.raises(NumericalError, match="effective rank differs between the samples"):
+            quantum.qfi_limit(model, 0.0)
+        # The metric needs no samples and gives the limit.
+        four_g = 4.0 * quantum.bures_metric_fd(model, 0.0)
+        assert four_g == pytest.approx(models.ghz_qfi_continuous(n, kappa, t), rel=1e-10)
 
 
 def block_model(parts, name="block-model"):
