@@ -44,7 +44,6 @@ from .quantum import (
     qfi,
     qfi_and_metric,
     qfi_limit,
-    sld,
     spectral_decompose,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "qubit_bloch_qfi",
     "run_cr_experiment",
     "sample_outcomes",
-    "sld",
     "spectral_decompose",
     "trig_model_state",
     "vanishing_eigenvalue_branch",

@@ -190,7 +190,9 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str
     Where every block has full rank at theta, the rank cannot rise beside
     it and nothing more is read.  Otherwise the ranks and the limit are
     those of ``discontinuity.classify``; where it cannot resolve the point,
-    the note withholds them and quotes why.
+    the note withholds them and quotes why.  Where it finds no room in the
+    domain to look beside theta, the note says only that the state lacks
+    full rank there.
     """
     stacks = quantum._model_blocks(model, [theta])
     q = float(quantum._direct_sum_qfi(stacks)[0])
@@ -198,8 +200,13 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str
         return q, ""
     try:
         report = discontinuity.classify(model, theta)
-    except (DomainError, NotADiscontinuityError):
+    except NotADiscontinuityError:
         return q, ""
+    except DomainError as err:
+        return q, (
+            f"the state lacks full rank at theta_true={theta}; "
+            f"whether the rank changes there is not resolved ({err})"
+        )
     except (NumericalError, MultiBranchError) as err:
         ranks, limit = "", f"effective ranks and continuous-limit qfi not resolved ({err})"
     else:

@@ -7,9 +7,8 @@ noise) and Hermitian operators such as parameter derivatives of a state.
 The central objects:
 
 * ``qfi``: quantum Fisher information from the spectral representation,
-  Q = 2 sum_{lk+ll>0} |<lk| drho |ll>|^2 / (lk+ll).
-* ``sld``: the symmetric logarithmic derivative L solving
-  2 drho = L rho + rho L, with the kernel block fixed to zero.
+  Q = 2 sum_{lk+ll>0} |<lk| drho |ll>|^2 / (lk+ll); the one-block case of
+  ``model_qfi``, read through the same checks and the same sum.
 * ``fidelity``: Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)).
 * ``bures_metric_fd``: the metric coefficient g in
   2 [1 - F(rho_t, rho_{t+e})] = g e^2 + O(e^3), from the spectrum at t.
@@ -83,7 +82,6 @@ LIMIT_H0 = 1e-2
 LIMIT_REL_TOL = 1e-3
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-10
-_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,6 @@ class SpectralData:
     eigenvectors: np.ndarray
     effective_rank: int
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the matrix sum_k lambda_k |k><k|."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def validate_hermitian(op: np.ndarray, tol: float = 1e-10, what: str = "operator") -> np.ndarray:
     """Check that ``op`` is a Hermitian matrix, or a stack of them along its
@@ -117,12 +110,11 @@ def validate_hermitian(op: np.ndarray, tol: float = 1e-10, what: str = "operator
     return op
 
 
-def validate_density_matrix(rho: np.ndarray, check_psd: bool = False) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check the density-matrix contract; returns the array unchanged.
 
-    Hermiticity within 1e-12, unit trace within 1e-10; eigenvalue
-    positivity (within 1e-10) only when ``check_psd`` is set since it
-    costs a full eigensolve.
+    Hermiticity within 1e-12 and unit trace within 1e-10; positivity is
+    not checked, since it costs a full eigensolve.
     """
     if np.ndim(rho) != 2:
         shape = np.shape(rho)
@@ -131,10 +123,6 @@ def validate_density_matrix(rho: np.ndarray, check_psd: bool = False) -> np.ndar
     tr = np.trace(rho)
     if abs(tr - 1.0) > _TRACE_TOL:
         raise InvalidInputError(f"density matrix trace {tr} differs from 1 beyond {_TRACE_TOL:g}")
-    if check_psd:
-        lo = float(np.linalg.eigvalsh(rho)[0])
-        if lo < -_PSD_TOL:
-            raise InvalidInputError(f"density matrix has eigenvalue {lo} < -{_PSD_TOL:g}")
     return rho
 
 
@@ -205,55 +193,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     if rho.shape != sigma.shape:
         raise InvalidInputError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     return min(max(float(_block_fidelity(rho, sigma)), 0.0), 1.0)
-
-
-def _overlaps(lam: np.ndarray, vecs: np.ndarray, drho: np.ndarray):
-    """drho in the eigenbasis, the eigenvalue pair sums, and the pairs on the
-    support (sums above 2 SUPPORT_TOL times the largest eigenvalue), for one
-    matrix or a stack."""
-    d_eig = _dagger(vecs) @ drho @ vecs
-    denom = lam[..., :, None] + lam[..., None, :]
-    return d_eig, denom, denom > 2.0 * SUPPORT_TOL * lam[..., :1, None]
-
-
-def _qfi_sum(d_eig, denom, mask) -> np.ndarray:
-    """2 sum |d_eig|^2 / denom over the pairs on the support, per matrix."""
-    terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
-    return 2.0 * terms.reshape(*denom.shape[:-2], -1).sum(axis=-1)
-
-
-def _spectral_overlaps(rho, drho):
-    drho = validate_hermitian(drho, 1e-10, "state derivative")
-    if np.shape(rho) != drho.shape:
-        raise InvalidInputError("state and derivative dimensions differ")
-    if np.max(np.abs(rho)) <= SUPPORT_TOL:
-        raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
-    spect = spectral_decompose(rho)
-    d_eig, denom, mask = _overlaps(spect.eigenvalues, spect.eigenvectors, drho)
-    if not mask.any():
-        raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
-    return spect, d_eig, denom, mask
-
-
-def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative, kernel block set to zero.
-
-    Components on eigenvalue pairs off the support (see ``_overlaps``) are left
-    unspecified by the defining equation; zero is the minimal-norm choice
-    and does not affect the Fisher information.
-    """
-    spect, d_eig, denom, mask = _spectral_overlaps(rho, drho)
-    l_eig = np.zeros_like(d_eig)
-    l_eig[mask] = 2.0 * d_eig[mask] / denom[mask]
-    v = spect.eigenvectors
-    l_op = v @ l_eig @ v.conj().T
-    return (l_op + l_op.conj().T) / 2.0
-
-
-def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
-    """Quantum Fisher information via the spectral sum over the support."""
-    _, d_eig, denom, mask = _spectral_overlaps(rho, drho)
-    return float(_qfi_sum(d_eig, denom, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +271,18 @@ def _stack_groups(reads: list, k: int, order: int) -> list:
     return [mults, *arrays, *[None] * (2 - order)]
 
 
-def _model_blocks(model, thetas, order: int = 1) -> list:
-    """The state at each of ``thetas`` as a checked direct sum.
-
-    Returns one ``BlockStack`` per block size, with the points on its
-    first axis in the order of ``thetas``, from ``model.blocks_fn`` asked
-    for the derivatives up to ``order`` (0, 1 or 2).
+def _checked_blocks(reads: list, order: int) -> list:
+    """Per-point direct sums (each a list of block groups, as ``blocks_fn``
+    returns them) as checked stacks: one ``BlockStack`` per block size,
+    with the points on its first axis in the order of ``reads``.
 
     Each stack is read at once: one check that its groups are 4-tuples
     with the same positive integer multiplicities at every point, one
     Hermiticity check of its blocks (within 1e-12), one of each derivative
-    asked for (within 1e-10), one trace per block, and one
-    eigendecomposition.  At every theta the weighted traces must sum to 1
+    up to ``order`` (within 1e-10), one trace per block, and one
+    eigendecomposition.  At every point the weighted traces must sum to 1
     within 1e-10, summed in block order.
     """
-    reads = [model.blocks_fn(theta, order) for theta in thetas]
     if len({len(read) for read in reads}) > 1:
         raise InvalidInputError("block structure differs between points")
     if not reads[0]:
@@ -369,6 +305,13 @@ def _model_blocks(model, thetas, order: int = 1) -> list:
     return stacks
 
 
+def _model_blocks(model, thetas, order: int = 1) -> list:
+    """The state at each of ``thetas`` as a checked direct sum
+    (``_checked_blocks``), from ``model.blocks_fn`` asked for the
+    derivatives up to ``order`` (0, 1 or 2)."""
+    return _checked_blocks([model.blocks_fn(theta, order) for theta in thetas], order)
+
+
 def _weighted_ranks(stacks: list) -> np.ndarray:
     """(P,) effective ranks of the whole state, weighted by multiplicity."""
     return sum((st.ranks * st.multiplicities).sum(axis=-1) for st in stacks)
@@ -380,8 +323,14 @@ def _block_qfis(stacks: list) -> list:
     eigenvalue pair on the support."""
     out, on_support = [], []
     for st in stacks:  # one per block size
-        d_eig, denom, mask = _overlaps(st.eigenvalues, st.eigenvectors, st.dblocks)
-        out.append((d_eig, _qfi_sum(d_eig, denom, mask)))
+        lam = st.eigenvalues
+        d_eig = _dagger(st.eigenvectors) @ st.dblocks @ st.eigenvectors
+        # Q = 2 sum |d_eig|^2 / (lk + ll) over the pairs on the support:
+        # sums above 2 SUPPORT_TOL times the block's largest eigenvalue.
+        denom = lam[..., :, None] + lam[..., None, :]
+        mask = denom > 2.0 * SUPPORT_TOL * lam[..., :1, None]
+        terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
+        out.append((d_eig, 2.0 * terms.reshape(*denom.shape[:-2], -1).sum(axis=-1)))
         # The eigenvalues descend: a block has a pair on the support iff its first is.
         on_support.append(mask[..., 0, 0])
     if not _columns(on_support).any(axis=-1).all():
@@ -420,6 +369,18 @@ def _direct_sum_metric(stacks: list) -> tuple[np.ndarray, np.ndarray]:
         speeds.append(st.multiplicities * speed)
     moving = np.abs(_point_sums(speeds)) >= SPEED_TOL
     return _point_sums(qfis), np.where(moving, np.inf, _point_sums(four_gs))
+
+
+def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
+    """Quantum Fisher information of a state and its derivative: the direct
+    sum of one block of multiplicity 1, read as ``model_qfi`` reads it."""
+    rho, drho = np.asarray(rho), np.asarray(drho)
+    if rho.ndim != 2 or drho.ndim != 2:
+        raise InvalidInputError(
+            f"state and derivative must be matrices, got shapes {rho.shape} and {drho.shape}"
+        )
+    group = (np.ones(1, dtype=int), rho[None], drho[None], None)
+    return float(_direct_sum_qfi(_checked_blocks([[group]], order=1))[0])
 
 
 def model_qfi(model, theta: float) -> float:

@@ -456,6 +456,35 @@ class TestMcCommand:
         code, _, err = run_cli(["discontinuity", *options], capsys)
         assert code == 2 and "not a discontinuity" in err
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--model", "transverse-qubit"],
+            ["--model", "ghz", "--qubits", "3"],
+        ],
+        ids=["transverse-qubit", "ghz-3"],
+    )
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_rank_deficient_point_with_no_room_beside_it_says_so(self, capsys, options):
+        # At kappa = 1e-3 the domain is narrower than classify's base step:
+        # the state lacks rank at theta = 0, classify cannot look beside it,
+        # and the note quotes why without claiming a rank change.
+        options = [*options, "--kappa", "1e-3", "--theta-bar", "0"]
+        code, stdout, _ = run_cli(
+            ["mc", *options, "--samples", "10", "--replicates", "10"], capsys
+        )
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["violated"] is True
+        name = options[1]
+        assert report["notes"] == (
+            "the state lacks full rank at theta_true=0.0; whether the rank changes there "
+            f"is not resolved (no room around theta_bar=0.0 in the domain of {name})"
+        )
+        assert "rank changes at" not in report["notes"]
+        code, _, err = run_cli(["discontinuity", *options], capsys)
+        assert code != 0 and "no room" in err
+
     def test_library_sample_count_stays_invalid_input(self):
         model = models.make_model("classical-bit")
         for theta in (0.0, 0.3):  # a point mass and a sampled law

@@ -231,7 +231,8 @@ class TestGhzBlocks:
     @settings(max_examples=25)
     def test_assembled_matrix_is_a_state(self, n, theta, kappa, t):
         full = models.ghz_state(n, theta, kappa, t)
-        quantum.validate_density_matrix(full, check_psd=True)
+        quantum.validate_density_matrix(full)
+        assert np.linalg.eigvalsh(full)[0] >= -1e-10
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_assembly_matches_reference_loop_bit_for_bit(self, n):

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import block_diag, sqrtm
+from scipy.linalg import block_diag, solve_sylvester, sqrtm
 
 from helpers import count_reads, random_density, random_hermitian, rotation_model
 from qfidisc import discontinuity, models, quantum
 from qfidisc.exceptions import (
-    DegenerateModelError,
     DivergenceError,
     InvalidInputError,
     NumericalError,
@@ -56,7 +55,8 @@ class TestSpectralDecompose:
         spect = quantum.spectral_decompose(rho)
         gram = spect.eigenvectors.conj().T @ spect.eigenvectors
         assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
-        assert np.max(np.abs(spect.reconstruct() - rho)) < 1e-10
+        rebuilt = (spect.eigenvectors * spect.eigenvalues) @ spect.eigenvectors.conj().T
+        assert np.max(np.abs(rebuilt - rho)) < 1e-10
         assert np.all(np.diff(spect.eigenvalues) <= 1e-15)
         assert 0 <= spect.effective_rank <= dim
 
@@ -110,40 +110,12 @@ class TestFidelity:
             assert f_rs < 1.0 - 1e-8
 
 
-class TestSld:
-    def test_diagonal_lyapunov_solve(self):
-        # Oracle: for diagonal rho and drho the defining equation
-        # 2 drho = L rho + rho L gives L_ii = drho_ii / rho_ii.
-        rho = models.classical_bit_state(0.5)
-        drho = np.diag([1.0, -1.0]).astype(complex)
-        l_op = quantum.sld(rho, drho)
-        assert np.allclose(l_op, np.diag([2.0, -2.0]))
-        assert np.allclose(2.0 * drho, l_op @ rho + rho @ l_op, atol=1e-12)
+HALF = np.eye(2, dtype=complex) / 2
+HALF_PAIR = np.array([HALF, HALF])
 
-    def test_stationary_pure_state(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        l_op = quantum.sld(plus, np.zeros((2, 2), dtype=complex))
-        assert np.max(np.abs(l_op)) < 1e-12
 
-    def test_trig_point(self):
-        theta = math.pi / 4
-        rho = models.trig_model_state(theta)
-        drho = math.sin(2 * theta) * np.diag([1.0, -1.0]).astype(complex)
-        assert np.allclose(quantum.sld(rho, drho), np.diag([2.0, -2.0]), atol=1e-12)
-
-    def test_zero_matrix_degenerate(self):
-        with pytest.raises(DegenerateModelError):
-            quantum.sld(np.zeros((2, 2), dtype=complex), np.diag([1.0, -1.0]).astype(complex))
-
-    @given(seed=st.integers(0, 5_000), dim=st.sampled_from([2, 3, 4]))
-    def test_hermitian_and_solves_lyapunov(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        rho = random_density(dim, rng)
-        drho = random_hermitian(dim, rng)
-        l_op = quantum.sld(rho, drho)
-        assert np.max(np.abs(l_op - l_op.conj().T)) < 1e-10
-        # Full-rank input: the Lyapunov equation holds exactly.
-        assert np.max(np.abs(2.0 * drho - (l_op @ rho + rho @ l_op))) < 1e-8
+def random_pair(dim, rng):
+    return random_density(dim, rng), random_hermitian(dim, rng)
 
 
 class TestQfi:
@@ -160,13 +132,53 @@ class TestQfi:
 
     @given(seed=st.integers(0, 5_000), dim=st.sampled_from([2, 3, 4]))
     def test_matches_trace_form(self, seed, dim):
+        # Oracle independent of the spectral sum: the symmetric logarithmic
+        # derivative L of a full-rank state solves rho L + L rho = 2 drho
+        # (a Sylvester equation), and Q = tr(rho L^2).
         rng = np.random.default_rng(seed)
         rho = random_density(dim, rng)
         drho = random_hermitian(dim, rng)
         q = quantum.qfi(rho, drho)
-        l_op = quantum.sld(rho, drho)
+        l_op = solve_sylvester(rho, rho, 2.0 * drho)
         q_trace = float(np.real(np.trace(rho @ l_op @ l_op)))
         assert q == pytest.approx(q_trace, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "rho, drho",
+        [
+            *(random_pair(dim, np.random.default_rng(dim)) for dim in (2, 3, 4, 8)),
+            (models.classical_bit_state(0.0), np.diag([1.0, -1.0]).astype(complex)),
+            (models.classical_bit_state(1.0), np.diag([1.0, -1.0]).astype(complex)),
+        ],
+        ids=["d2", "d3", "d4", "d8", "bit-p0", "bit-p1"],
+    )
+    def test_is_the_one_block_model_qfi_bit_for_bit(self, rho, drho):
+        model = models.ParametricModel(
+            name="one-block",
+            state_fn=lambda th: rho,
+            blocks_fn=models.one_block(lambda th: rho, lambda th: drho, lambda th: 0 * drho),
+        )
+        assert quantum.qfi(rho, drho).hex() == quantum.model_qfi(model, 0.0).hex()
+
+    @pytest.mark.parametrize(
+        "rho, drho",
+        [
+            (HALF_PAIR, HALF_PAIR),  # a stack of states
+            (HALF, np.zeros((3, 3), dtype=complex)),
+            (np.eye(3, dtype=complex) / 3, np.zeros((2, 2), dtype=complex)),
+            (HALF, np.zeros(2, dtype=complex)),
+            (np.full((2, 3), 0.5, dtype=complex), np.zeros((2, 3), dtype=complex)),
+        ],
+        ids=["stack", "derivative-larger", "derivative-smaller", "derivative-vector", "non-square"],
+    )
+    def test_shapes_that_do_not_fit_are_invalid_input(self, rho, drho):
+        with pytest.raises(InvalidInputError):
+            quantum.qfi(rho, drho)
+
+    def test_zero_matrix_is_not_a_state(self):
+        # A zero matrix fails the trace check before any spectral sum.
+        with pytest.raises(InvalidInputError, match="trace"):
+            quantum.qfi(np.zeros((2, 2), dtype=complex), np.diag([1.0, -1.0]).astype(complex))
 
     @given(
         seed=st.integers(0, 5_000),
@@ -373,10 +385,6 @@ def block_model(parts, name="block-model"):
             ),
         ),
     )
-
-
-HALF = np.eye(2, dtype=complex) / 2
-HALF_PAIR = np.array([HALF, HALF])
 
 
 class TestDirectSum:
