@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfidisc import models, quantum
-from qfidisc.exceptions import DomainError, InvalidInputError
+from qfidisc.exceptions import DomainError, InvalidInputError, StepSizeError
 
 
 def fd_cross_derivative(m, n, kappa, t, h=1e-5, order=1):
@@ -280,7 +280,68 @@ class TestGhzBlocks:
             assert models.ghz_qfi_discontinuous(n, 1.0, 1.0) > 0.0
 
 
+def gather_form_integrate(n, theta, kappa, t_final, dt=None):
+    """The integrator with sx_j rho sx_j written as the fancy-index gather
+    rho[ix_(flip_j, flip_j)]: the reference the flipped-view form must match
+    bit for bit."""
+    dt = 1e-4 * min(1.0, 1.0 / kappa) if dt is None else dt
+    idx = np.arange(2**n)
+    z_sum = n - 2 * np.array([bin(s).count("1") for s in idx])
+    phase = -1j * (theta / 2.0) * (z_sum[:, None] - z_sum[None, :])
+    flips = [idx ^ (1 << j) for j in range(n)]
+
+    def rhs(r):
+        out = phase * r - (kappa / 2.0) * n * r
+        for flip in flips:
+            out += (kappa / 2.0) * r[np.ix_(flip, flip)]
+        return out
+
+    psi = models.ghz_state_vector(n)
+    rho = np.outer(psi, psi.conj())
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    step = t_final / n_steps
+    for _ in range(n_steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * step * k1)
+        k3 = rhs(rho + 0.5 * step * k2)
+        k4 = rhs(rho + step * k3)
+        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = (rho + rho.conj().T) / 2.0
+        rho = rho / float(np.real(np.trace(rho)))
+    return rho
+
+
 class TestLindbladIntegrator:
+    def test_flipped_views_match_gather_form_bit_for_bit(self):
+        rng = np.random.default_rng(20261017)
+        for n in range(1, 7):
+            for dt in (None, 1e-3):
+                kappa = float(rng.uniform(0.3, 2.0))
+                theta = float(rng.uniform(-0.49, 0.49) * kappa)
+                t = float(rng.uniform(5e-4, 0.004 if dt is None else 0.02))
+                got = models.lindblad_integrate(n, theta, kappa, t, dt=dt)
+                assert np.array_equal(got, gather_form_integrate(n, theta, kappa, t, dt)), (n, dt)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("t", [0.002, 0.006])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_matches_closed_form_in_benchmark_regime(self, n, t, kappa, sign):
+        theta = sign * 0.4 * kappa
+        rho = models.lindblad_integrate(n, theta, kappa, t)
+        assert np.max(np.abs(rho - models.ghz_state(n, theta, kappa, t))) <= 1e-12
+
+    def test_one_trace_per_step(self, monkeypatch):
+        # bench/tracing.py reads the numpy.trace calls inside the span as steps.
+        calls = []
+        trace = np.trace
+        monkeypatch.setattr(np, "trace", lambda a: calls.append(1) or trace(a))
+        models.lindblad_integrate(3, 0.1, 0.75, 0.004)
+        assert len(calls) == 40
+        calls.clear()
+        models.lindblad_integrate(3, 0.1, 0.75, 0.0)
+        assert calls == []
+
     def test_zero_frequency_leaves_plus_invariant(self):
         rho = models.lindblad_integrate(1, 0.0, 1.0, 0.7, dt=1e-3)
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -306,10 +367,24 @@ class TestLindbladIntegrator:
     def test_guards(self):
         with pytest.raises(DomainError):
             models.lindblad_integrate(11, 0.1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            models.lindblad_integrate(1, 0.1, 1.0, 1.0, dt=-1e-4)
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            models.lindblad_integrate(2.5, 0.1, 1.0, 1.0)
+        for dt in (-1e-4, math.nan):
+            with pytest.raises(DomainError, match="dt="):
+                models.lindblad_integrate(1, 0.1, 1.0, 1.0, dt=dt)
         with pytest.raises(DomainError):
             models.lindblad_integrate(1, 0.1, -1.0, 1.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_a_domain_error(self, theta):
+        with pytest.raises(DomainError, match="theta"):
+            models.lindblad_integrate(2, theta, 1.0, 0.01)
+
+    def test_nan_trace_fails_the_drift_check(self):
+        # kappa dt = 1e300 overflows a stage to inf, and inf - inf makes the
+        # trace NaN, which must not pass as "no drift".
+        with np.errstate(all="ignore"), pytest.raises(StepSizeError):
+            models.lindblad_integrate(2, 0.0, 1e300, 1.0, dt=1.0)
 
 
 class TestBlochQfi:
