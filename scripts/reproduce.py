@@ -10,7 +10,9 @@ Writes, under --output-dir (default results/):
   (second kind for the classical bit, jumps for the trig family, the
   transverse-noise qubit at three evolution times, and the N = 2, 3, 4
   GHZ states at theta = 0, where every block loses rank at once), with
-  the finite-difference prediction 2a beside the measured jump 4g - Q.
+  the prediction 2a from the vanishing eigenvalues' acceleration beside
+  the jump measured from the fidelity's second-order coefficient, and
+  the effective ranks at and beside theta_bar.
 * ghz_qfi_per_time.csv: GHZ QFI per unit time, continuous limit against
   the rank-change value, for N = 1..4.
 * cr_experiment_<case>.json: Monte Carlo Cramér-Rao experiments with zero

@@ -1,29 +1,40 @@
 """Quantum-side discontinuity analysis at rank-changing parameter values.
 
-Samples the vanishing weight w(theta), the sum of the eigenvalues that
-vanish at theta_bar, from the blocks of the model's direct sum: each block
-gives its k smallest eigenvalues, k its kernel dimension at theta_bar,
-times its multiplicity.  Jumps of eigenvalues that vanish together add, so
-the speed v and acceleration a of w, by finite differences, classify the
-QFI behaviour: continuous (v = a = 0), a jump of size 2a (v = 0, a != 0),
-or a discontinuity of the second kind (v != 0, divergent limit).  The jump
-prediction 2a is checked against the jump measured without steps at
-theta_bar: 4g - Q, the Bures metric's continuous limit of the QFI less
-the QFI itself, both from the spectrum and the first two derivatives of
-the blocks there (see ``quantum``).
+``classify`` reads theta_bar alone, with the first two derivatives of the
+blocks of the model's direct sum, and takes no step.  By perturbation
+theory (``quantum._block_motion``) the vanishing eigenvalues of each block,
+its kernel at theta_bar, move with speed v_j and acceleration a_j; their
+sums v and a over the blocks, weighted by multiplicity, classify the QFI
+behaviour: continuous (v = a = 0), a jump of size 2a (v = 0, a != 0), or a
+discontinuity of the second kind (v != 0, divergent limit).  Jumps of
+eigenvalues that vanish together add.
+
+The predicted jump 2a is checked against a jump measured another way at
+the same point: the fidelity F(rho, rho + e rho' + e^2 rho''/2) expanded
+over each block's support, whose e^2 coefficient gives 4g and whose e^1
+coefficient marks the second kind.  The two sides agree by construction
+up to the support cut and sum_j m_j tr A''_j = 0, so the check guards
+those, not a finite-difference error.
+
+``vanishing_eigenvalue_branch`` samples the same vanishing weight on a
+stencil around theta_bar, as an inspection view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import quantum
-from .classical import classify_from_derivatives
+from .classical import ACCEL_TOL, classify_from_derivatives
 from .exceptions import DomainError, MultiBranchError, NotADiscontinuityError, NumericalError
-from .numdiff import base_step, speed_and_acceleration
+from .numdiff import base_step
+
+# Not called here since classify takes no step; bench/tracing.py patches
+# this name in this module until its targets move to the step-free routines.
+from .numdiff import speed_and_acceleration  # noqa: F401
 
 # A sampled vanishing eigenvalue above this fraction of its block's smallest
 # non-vanishing eigenvalue at theta_bar cannot be told apart from it.
@@ -67,37 +78,38 @@ class BranchSamples:
         return dict(zip(self.offsets, self.values))
 
 
-def _branch(model, theta_bar: float, order: int) -> tuple[BranchSamples, list]:
-    """The vanishing weight around theta_bar, sorted by offset, and the read
-    it comes from, with the derivatives up to ``order``.
+def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
+    """Sample the vanishing weight at theta_bar + {0, +/-1/4, +/-1/2, +/-1} h,
+    h = ``numdiff.base_step(theta_bar)``, read in one stack without
+    derivatives and sorted by offset.
 
-    The offsets are in units of h = ``numdiff.base_step(theta_bar)``: 0
-    first, then +/- {1, 1/2, 1/4} on each side whose full step lies in the
-    domain (a ``DomainError`` where neither does).  A block's vanishing
-    eigenvalues are those past its effective rank r at theta_bar; the first
-    of them must stay within GAP_FRACTION of the block's eigenvalue r - 1
-    at theta_bar (when 0 < r < d).
+    Only sides whose full step lies in the domain are sampled (a
+    ``DomainError`` where neither does), and the rank must rise on each.
+    A block's vanishing eigenvalues are those past its effective rank r at
+    theta_bar; raises ``MultiBranchError`` when the first of them exceeds
+    GAP_FRACTION of the block's eigenvalue r - 1 at theta_bar (when
+    0 < r < d).  ``classify`` does not sample: this is the sampled view of
+    the same branch, for inspection.
     """
     h = base_step(theta_bar)
     sides = [s for s in (+1.0, -1.0) if model.in_domain(theta_bar + s * h)]
     if not sides:
         raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
     offsets = [0.0] + [frac * s for s in sides for frac in (1.0, 0.5, 0.25)]
-    stacks = quantum._model_blocks(model, [theta_bar + o * h for o in offsets], order=order)
+    stacks = quantum._model_blocks(model, [theta_bar + o * h for o in offsets], order=0)
     r0, r_beside = _ranks(theta_bar, offsets, stacks)
-    bar = offsets.index(0.0)
     rows = np.argsort(offsets, kind="stable")
     offsets = [offsets[i] for i in rows]
     weights, firsts, limits = [], [], []
     for st in stacks:  # one per block size
-        lam, rank = st.eigenvalues, st.ranks[bar]
+        lam, rank = st.eigenvalues, st.ranks[0]
         d = lam.shape[-1]
         tail = np.where(np.arange(d) >= rank[:, None], lam, 0.0)
         weights.append(st.multiplicities * np.sum(tail, axis=-1))
         j = np.arange(len(rank))
         firsts.append(lam[:, j, np.minimum(rank, d - 1)])
         inner = (0 < rank) & (rank < d)
-        limits.append(np.where(inner, GAP_FRACTION * lam[bar, j, rank - 1], np.inf))
+        limits.append(np.where(inner, GAP_FRACTION * lam[0, j, rank - 1], np.inf))
     first = np.concatenate(firsts, axis=-1)[rows]
     over = first > np.concatenate(limits, axis=-1)
     if over.any():
@@ -107,20 +119,41 @@ def _branch(model, theta_bar: float, order: int) -> tuple[BranchSamples, list]:
             f"{GAP_FRACTION} of its block's smallest non-vanishing one at theta_bar={theta_bar}"
         )
     values = quantum._point_sums(weights)[rows].tolist()
-    return BranchSamples(theta_bar, h, tuple(offsets), tuple(values), r0, r_beside), stacks
+    return BranchSamples(theta_bar, h, tuple(offsets), tuple(values), r0, r_beside)
 
 
-def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
-    """Sample the vanishing weight at theta_bar + {0, +/-1/4, +/-1/2, +/-1} h,
-    h = ``numdiff.base_step(theta_bar)``, read in one stack without
-    derivatives.
+def _fidelity_terms(lam, support, d_eig: np.ndarray, d2_eig: np.ndarray) -> tuple:
+    """The (P, B) coefficients F1 and F2 of F(A, A + e A' + e^2 A''/2) =
+    tr A + e F1 + e^2 F2 + O(e^3) for each block A, from its eigenvalues
+    ``lam`` and its derivatives in their eigenbasis, summed over its
+    support S (the fidelity sees A only there):
 
-    Only sides inside the domain are sampled, and the rank must rise on
-    each.  Raises ``MultiBranchError`` when a sampled vanishing eigenvalue
-    exceeds GAP_FRACTION of its block's smallest non-vanishing eigenvalue
-    at theta_bar.
+        F1 = 1/2 sum_S A'_kk,
+        F2 = 1/4 sum_S A''_kk - 1/4 sum_{k, l in S} |A'_kl|^2 / (lambda_k + lambda_l).
     """
-    return _branch(model, theta_bar, order=0)[0]
+    pairs = support[..., :, None] & support[..., None, :]
+    denom = lam[..., :, None] + lam[..., None, :]
+    terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=pairs)
+    first = np.where(support, d_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
+    second = np.where(support, d2_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
+    return 0.5 * first, 0.25 * second - 0.25 * terms.sum(axis=(-2, -1))
+
+
+def _moving_directions(lam, support, d_eig: np.ndarray, d2_eig: np.ndarray) -> np.ndarray:
+    """(P, B) counts of each block's kernel directions that move: the
+    eigenvalues of P A' P above SPEED_TOL times the block's largest
+    eigenvalue, or, where none is, those of P A'' P - 2 P A' A^+ A' P (the
+    vanishing eigenvalues' second derivatives) above ACCEL_TOL times it.
+    P projects on the kernel, the complement of the support, and A^+
+    inverts A on the support; both matrices are solved in one stack."""
+    on_kernel = ~(support[..., :, None] | support[..., None, :])
+    inverse = np.divide(1.0, lam, out=np.zeros(lam.shape), where=support)
+    curvature = d2_eig - 2.0 * d_eig @ (inverse[..., :, None] * d_eig)
+    firsts, seconds = np.abs(np.linalg.eigvalsh(np.where(on_kernel, [d_eig, curvature], 0.0)))
+    scale = lam[..., :1]
+    n_first = (firsts > quantum.SPEED_TOL * scale).sum(axis=-1)
+    n_second = (seconds > ACCEL_TOL * scale).sum(axis=-1)
+    return np.where(n_first > 0, n_first, n_second)
 
 
 @dataclass
@@ -135,20 +168,15 @@ class DiscontinuityReport:
     delta_q_measured: float
     qfi_at_bar: float
     qfi_limit: float
-    # Effective ranks at theta_bar and the highest at theta_bar +/- h; not in the JSON.
+    # Effective ranks at theta_bar and just beside it, weighted by multiplicity.
     rank_at_bar: int
     rank_beside: int
-    evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         def enc(x):
-            if isinstance(x, list):
-                return [enc(v) for v in x]
-            if isinstance(x, float) and math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
+            return ("inf" if x > 0 else "-inf") if math.isinf(x) else x
 
-        out = {
+        return {
             "theta_bar": self.theta_bar,
             "speed": self.speed,
             "acceleration": self.acceleration,
@@ -157,42 +185,66 @@ class DiscontinuityReport:
             "delta_q_measured": enc(self.delta_q_measured),
             "qfi_at_bar": self.qfi_at_bar,
             "qfi_limit": enc(self.qfi_limit),
+            "rank_at_bar": self.rank_at_bar,
+            "rank_beside": self.rank_beside,
         }
-        out.update({k: enc(v) for k, v in self.evidence.items()})
-        return out
 
 
 def classify(model, theta_bar: float) -> DiscontinuityReport:
-    """Full discontinuity analysis of a model at theta_bar.
+    """Full discontinuity analysis of a model at theta_bar, from one
+    ``quantum._model_blocks`` read of theta_bar alone with the first two
+    derivatives of its blocks.
 
-    One ``quantum._model_blocks`` call reads the points of
-    ``vanishing_eigenvalue_branch`` (theta_bar first) with the first two
-    derivatives of their blocks.  The vanishing weight there gives the
-    speed and the acceleration by finite differences at the base step
-    ``numdiff.base_step(theta_bar)``; theta_bar's own blocks give Q and
-    4g, so the QFI limit is 4g and the measured jump 4g - Q, infinite
-    where the kernel moves.  Each number equals the one those routines,
-    ``quantum.model_qfi`` and ``quantum.bures_metric_fd`` give alone.
+    The kernel side (``quantum._block_motion``): Q, 4g, the speed
+    v = sum_j m_j v_j and the acceleration a = sum_j m_j a_j of the
+    vanishing eigenvalues, by perturbation theory; ``classify_from_derivatives``
+    gives the kind, the predicted jump is 2a, and the QFI limit is 4g.  Q
+    and 4g equal what ``quantum.model_qfi`` and ``quantum.bures_metric_fd``
+    give alone.  ``rank_beside`` adds to the rank at theta_bar the kernel
+    directions that move (``_moving_directions``).
 
-    Raises ``NotADiscontinuityError`` when the rank does not change, and
-    ``NumericalError`` when 4g is infinite although the vanishing weight's
-    speed is below SPEED_TOL, or when the predicted jump 2a and the
-    measured one differ by more than JUMP_AGREEMENT relative.
+    The measured side: the fidelity's expansion over each block's support
+    (``_fidelity_terms``), summed as F1 and F2 with multiplicities, gives
+    the speed -2 F1 and 4g = -8 F2, so the measured jump is -8 F2 - Q,
+    infinite where the kind is second.  The two sides differ only by the
+    support cut and sum_j m_j tr A''_j = 0.
+
+    Raises ``NotADiscontinuityError`` where no kernel direction moves
+    (also at full rank), and ``NumericalError`` where the measured side's
+    kind differs, or where, at a jump, 2a and the measured jump differ by
+    more than JUMP_AGREEMENT relative.
     """
-    branch, stacks = _branch(model, theta_bar, order=2)
-    speed, accel = speed_and_acceleration(branch.h, branch.as_dict())
-    qfis, four_gs = quantum._direct_sum_metric([st.at([0]) for st in stacks])
-    qfi_at_bar, qfi_lim = float(qfis[0]), float(four_gs[0])
-    measured = qfi_lim - qfi_at_bar
+    stacks = quantum._model_blocks(model, [theta_bar], order=2)
+    rows = []
+    for st, (d_eig, d2_eig, q, speed, curvature) in zip(stacks, quantum._block_motion(stacks)):
+        lam = st.eigenvalues
+        support = np.arange(lam.shape[-1]) < quantum._support_rank(lam)[..., None]
+        f1, f2 = _fidelity_terms(lam, support, d_eig, d2_eig)
+        rank, moving = support.sum(axis=-1), _moving_directions(lam, support, d_eig, d2_eig)
+        terms = [q, q + 2.0 * curvature, speed, curvature, f1, f2, rank, moving]
+        rows.append(st.multiplicities * np.stack(terms))
+    # Each row summed over the blocks in block order at theta_bar, as
+    # quantum._direct_sum_metric sums Q and 4g.
+    qfi_at_bar, four_g, speed, accel, f1, f2, rank, moving = quantum._point_sums(rows)[:, 0].tolist()
+    rank_at_bar = int(rank)
+    if moving == 0:
+        raise NotADiscontinuityError(
+            f"no kernel direction of the state moves at theta_bar={theta_bar} "
+            f"(effective rank {rank_at_bar})"
+        )
 
     kind = classify_from_derivatives(speed, accel)
-    if math.isinf(qfi_lim) and kind != "second-kind":
+    qfi_lim = math.inf if kind == "second-kind" else four_g  # |v| >= SPEED_TOL
+    measured = -8.0 * f2 - qfi_at_bar
+    measured_kind = classify_from_derivatives(-2.0 * f1, measured / 2.0)
+    if measured_kind != kind:
         raise NumericalError(
-            f"4g at theta_bar={theta_bar} is inf, but the vanishing weight has "
-            f"speed {speed:.3e}, below {quantum.SPEED_TOL:g}"
+            f"at theta_bar={theta_bar} the kernel gives a {kind} (v = {speed:.3e}, "
+            f"a = {accel:.3e}) and the fidelity a {measured_kind} "
+            f"(v = {-2.0 * f1:.3e}, jump {measured:.3e})"
         )
     if kind == "second-kind":
-        predicted = math.inf
+        predicted = measured = math.inf
     else:
         predicted = 2.0 * accel
         if kind == "jump" and abs(predicted - measured) > JUMP_AGREEMENT * abs(measured):
@@ -202,14 +254,13 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
             )
     return DiscontinuityReport(
         theta_bar=theta_bar,
-        speed=float(speed),
-        acceleration=float(accel),
+        speed=speed,
+        acceleration=accel,
         kind=kind,
         delta_q_predicted=predicted,
         delta_q_measured=measured,
         qfi_at_bar=qfi_at_bar,
         qfi_limit=qfi_lim,
-        rank_at_bar=branch.rank_at_bar,
-        rank_beside=branch.rank_beside,
-        evidence={"h": branch.h, "branch_values": list(branch.values)},
+        rank_at_bar=rank_at_bar,
+        rank_beside=rank_at_bar + int(moving),
     )

@@ -32,7 +32,6 @@ from .exceptions import (
     DomainError,
     InsufficientReplicatesError,
     InvalidInputError,
-    MultiBranchError,
     NotADiscontinuityError,
     NumericalError,
     UnsupportedModelError,
@@ -189,10 +188,9 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str
 
     Where every block has full rank at theta, the rank cannot rise beside
     it and nothing more is read.  Otherwise the ranks and the limit are
-    those of ``discontinuity.classify``; where it cannot resolve the point,
-    the note withholds them and quotes why.  Where it finds no room in the
-    domain to look beside theta, the note says only that the state lacks
-    full rank there.
+    those of ``discontinuity.classify``, which reads theta once more with
+    second derivatives; where it cannot resolve the point, the note
+    withholds them and quotes why.
     """
     stacks = quantum._model_blocks(model, [theta])
     q = float(quantum._direct_sum_qfi(stacks)[0])
@@ -202,12 +200,7 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str
         report = discontinuity.classify(model, theta)
     except NotADiscontinuityError:
         return q, ""
-    except DomainError as err:
-        return q, (
-            f"the state lacks full rank at theta_true={theta}; "
-            f"whether the rank changes there is not resolved ({err})"
-        )
-    except (NumericalError, MultiBranchError) as err:
+    except NumericalError as err:
         ranks, limit = "", f"effective ranks and continuous-limit qfi not resolved ({err})"
     else:
         ranks = f" (effective rank {report.rank_at_bar} vs {report.rank_beside} nearby)"

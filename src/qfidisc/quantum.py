@@ -38,7 +38,11 @@ perturbation theory; the trace sums a degenerate kernel without splitting
 it.  Then 4g = sum_j m_j (Q_j + 2 a_j): 4g = Q wherever the rank is full,
 and 4g - Q is the QFI's jump at a rank change.  Where |sum_j m_j v_j| is at
 least SPEED_TOL the kernel moves at first order and g is infinite.  No
-step is taken.
+step is taken.  ``discontinuity.classify`` reads the same terms
+(``_block_motion``) at a rank change for v = sum_j m_j v_j and
+a = sum_j m_j a_j, and holds 4g against the fidelity expanded over each
+block's support: the two agree up to the support cut and
+sum_j m_j tr A_j'' = 0, which that check guards.
 
 Model-level routines read all their sample points in one stacked call
 (``_model_blocks``): each group's blocks at every point form one
@@ -71,8 +75,7 @@ from .numdiff import richardson_limit
 # density matrix) lies in the kernel.
 SUPPORT_TOL = 1e-12
 # A kernel speed |v| at or above this moves at first order: the metric is
-# infinite there, and the discontinuity is of the second kind.  Finite-
-# difference noise in v at the default step h = 1e-3 sits around 1e-8.
+# infinite there, and the discontinuity is of the second kind.
 SPEED_TOL = 1e-6
 # The one-sided QFI limit samples theta_bar +/- LIMIT_H0 * 2**-k for
 # k < LIMIT_STEPS; its last two extrapolants must agree within
@@ -343,12 +346,12 @@ def _direct_sum_qfi(stacks: list) -> np.ndarray:
     return _point_sums([st.multiplicities * q for st, (_, q) in zip(stacks, _block_qfis(stacks))])
 
 
-def _kernel_motion(st: BlockStack, d_eig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_motion(st: BlockStack, d_eig: np.ndarray, d2_eig: np.ndarray) -> tuple:
     """The (P, B) speed v and curvature a of each block's kernel (see the
-    module docstring); d_eig is the first derivative in the eigenbasis."""
+    module docstring), from its first and second derivatives in the
+    eigenbasis."""
     lam = st.eigenvalues
     kernel = np.arange(lam.shape[-1]) >= _support_rank(lam)[..., None]
-    d2_eig = _dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
     speed = np.where(kernel, d_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
     pairs = kernel[..., :, None] & ~kernel[..., None, :]
     coupling = np.divide(
@@ -358,12 +361,22 @@ def _kernel_motion(st: BlockStack, d_eig: np.ndarray) -> tuple[np.ndarray, np.nd
     return speed, curvature - 2.0 * coupling.sum(axis=(-2, -1))
 
 
+def _block_motion(stacks: list) -> list:
+    """Per stack of an order-2 read: the blocks' first and second derivatives
+    in their eigenbases, their QFIs, and their kernels' speeds and
+    curvatures (``_kernel_motion``), each per point and block."""
+    out = []
+    for st, (d_eig, q) in zip(stacks, _block_qfis(stacks)):
+        d2_eig = _dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
+        out.append((d_eig, d2_eig, q, *_kernel_motion(st, d_eig, d2_eig)))
+    return out
+
+
 def _direct_sum_metric(stacks: list) -> tuple[np.ndarray, np.ndarray]:
     """Q and 4g = sum_j m_j (Q_j + 2 a_j) at every point of an order-2 read;
     4g is inf where |sum_j m_j v_j| >= SPEED_TOL."""
     qfis, four_gs, speeds = [], [], []
-    for st, (d_eig, q) in zip(stacks, _block_qfis(stacks)):
-        speed, curvature = _kernel_motion(st, d_eig)
+    for st, (_, _, q, speed, curvature) in zip(stacks, _block_motion(stacks)):
         qfis.append(st.multiplicities * q)
         four_gs.append(st.multiplicities * (q + 2.0 * curvature))
         speeds.append(st.multiplicities * speed)

@@ -218,13 +218,10 @@ class TestDiscontinuityCommand:
         payload = json.loads(stdout)
         assert payload["kind"] == "jump"
         expected = 2.0 * math.exp(-1.0) - 4.0 * math.exp(-1.0) * math.sinh(0.5) ** 2
-        assert payload["delta_q_measured"] == pytest.approx(expected, rel=1e-3)
-        # The evidence behind the verdict: the vanishing eigenvalue at
-        # offsets -h..h, zero at theta_bar and growing quadratically.
-        branch = payload["branch_values"]
-        assert len(branch) == 7
-        assert abs(branch[3]) < 1e-12
-        assert branch[0] == pytest.approx(16.0 * branch[2], rel=1e-3)
+        assert payload["delta_q_measured"] == pytest.approx(expected, rel=1e-10)
+        assert payload["delta_q_predicted"] == pytest.approx(expected, rel=1e-10)
+        # The evidence behind the verdict: the pure state's rank rises beside it.
+        assert (payload["rank_at_bar"], payload["rank_beside"]) == (1, 2)
 
     @pytest.mark.parametrize("n", [2, 12, 24])
     def test_ghz_up_to_the_block_cap(self, capsys, n):
@@ -261,12 +258,11 @@ class TestDiscontinuityCommand:
         ],
     )
     def test_json_keys(self, capsys, options):
-        # The report's rank fields feed mc's note; they stay out of the JSON.
         code, stdout, _ = run_cli(["discontinuity", *options], capsys)
         assert code == 0
         assert list(json.loads(stdout)) == [
             "theta_bar", "speed", "acceleration", "kind", "delta_q_predicted",
-            "delta_q_measured", "qfi_at_bar", "qfi_limit", "h", "branch_values",
+            "delta_q_measured", "qfi_at_bar", "qfi_limit", "rank_at_bar", "rank_beside",
         ]
 
     def test_regular_point_distinct_exit(self, capsys):
@@ -387,6 +383,27 @@ class TestNonFiniteInputs:
         assert (code, out) == (2, "")
         assert err.startswith("domain error: ") and "finite" in err
 
+    @pytest.mark.parametrize("kappa", ["1e300", "1e-170"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["qfi-scan", "--model", "ghz", "--grid", "0:0.1:2"],
+            ["ghz-scan", "--grid", "0.1:0.2:2"],
+            ["discontinuity", "--model", "ghz", "--theta-bar", "0"],
+            ["mc", "--model", "ghz", "--theta-bar", "0", "--replicates", "5"],
+        ],
+        ids=["qfi-scan", "ghz-scan", "discontinuity", "mc"],
+    )
+    def test_kappa_whose_square_leaves_the_floats_is_a_domain_error(self, capsys, command, kappa):
+        # kappa^2 overflows (or underflows to 0) in xi and the closed-form
+        # QFIs, which once ended in an OverflowError or ZeroDivisionError.
+        code, out, err = run_cli([*command, "--qubits", "1", "--kappa", kappa], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"domain error: kappa={float(kappa)} out of range: "
+            "kappa**2 is not a positive finite float\n"
+        )
+
     @pytest.mark.parametrize("command", ["discontinuity", "mc"])
     @pytest.mark.parametrize("model", ["ghz", "trig"])
     def test_nan_theta_bar_is_a_domain_error(self, capsys, command, model):
@@ -457,18 +474,23 @@ class TestMcCommand:
         assert code == 2 and "not a discontinuity" in err
 
     @pytest.mark.parametrize(
-        "options",
+        "options, ranks, n",
         [
-            ["--model", "transverse-qubit"],
-            ["--model", "ghz", "--qubits", "3"],
+            (["--model", "transverse-qubit"], (1, 2), 1),
+            # The m = 0 block's vanishing eigenvalue curves at 1.3e-7 of its
+            # largest, so within |theta| < 5e-4 it stays under the support
+            # cut: only the three m = 1 blocks count as rising.
+            (["--model", "ghz", "--qubits", "3"], (4, 7), 3),
         ],
         ids=["transverse-qubit", "ghz-3"],
     )
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
-    def test_rank_deficient_point_with_no_room_beside_it_says_so(self, capsys, options):
-        # At kappa = 1e-3 the domain is narrower than classify's base step:
-        # the state lacks rank at theta = 0, classify cannot look beside it,
-        # and the note quotes why without claiming a rank change.
+    def test_rank_change_in_a_domain_narrower_than_a_step_resolves(
+        self, capsys, options, ranks, n
+    ):
+        # At kappa = 1e-3 the domain (-5e-4, 5e-4) is narrower than the
+        # branch step; classify reads theta_bar alone, so mc's note and the
+        # discontinuity report give the ranks and the closed-form jump.
         options = [*options, "--kappa", "1e-3", "--theta-bar", "0"]
         code, stdout, _ = run_cli(
             ["mc", *options, "--samples", "10", "--replicates", "10"], capsys
@@ -476,14 +498,17 @@ class TestMcCommand:
         assert code == 0
         report = json.loads(stdout)
         assert report["violated"] is True
-        name = options[1]
-        assert report["notes"] == (
-            "the state lacks full rank at theta_true=0.0; whether the rank changes there "
-            f"is not resolved (no room around theta_bar=0.0 in the domain of {name})"
+        assert report["notes"].startswith(
+            f"rank changes at theta_true=0.0 (effective rank {ranks[0]} vs {ranks[1]} nearby); "
         )
-        assert "rank changes at" not in report["notes"]
-        code, _, err = run_cli(["discontinuity", *options], capsys)
-        assert code != 0 and "no room" in err
+        code, stdout, _ = run_cli(["discontinuity", *options], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["kind"] == "jump"
+        assert (payload["rank_at_bar"], payload["rank_beside"]) == ranks
+        # The closed forms lose ~1e-10 n / kappa^2 to cancellation.
+        jump = models.ghz_qfi_continuous(n, 1e-3, 1.0) - models.ghz_qfi_discontinuous(n, 1e-3, 1.0)
+        assert payload["delta_q_measured"] == pytest.approx(jump, rel=1e-5)
 
     def test_library_sample_count_stays_invalid_input(self):
         model = models.make_model("classical-bit")
@@ -683,23 +708,28 @@ class TestOneRead:
         assert len(reads) == 1
 
     @pytest.mark.parametrize(
-        "options, theta, n_reads",
+        "options, theta, points",
         [
-            (["--model", "classical-bit"], "0.3", 1),
-            (["--model", "classical-bit"], "0", 2),
-            (["--model", "trig"], "0.7", 1),
-            (["--model", "trig"], "1.5707963267948966", 2),
-            (["--model", "transverse-qubit"], "0.1", 1),
-            (["--model", "transverse-qubit"], "0", 2),
-            (["--model", "ghz", "--qubits", "4"], "0.1", 1),
-            (["--model", "ghz", "--qubits", "4"], "0", 2),
-            # kappa/2 = 5e-5 leaves no room for the rank check: theta alone.
-            (["--model", "transverse-qubit", "--kappa", "1e-4"], "0", 1),
+            (["--model", "classical-bit"], "0.3", [1]),
+            (["--model", "classical-bit"], "0", [1, 1]),
+            (["--model", "trig"], "0.7", [1]),
+            (["--model", "trig"], "1.5707963267948966", [1, 1]),
+            (["--model", "transverse-qubit"], "0.1", [1]),
+            (["--model", "transverse-qubit"], "0", [1, 1]),
+            (["--model", "ghz", "--qubits", "4"], "0.1", [1]),
+            (["--model", "ghz", "--qubits", "4"], "0", [1, 1]),
+            # kappa/2 = 5e-5 is narrower than any branch step; classify
+            # still reads theta alone.
+            (["--model", "transverse-qubit", "--kappa", "1e-4"], "0", [1, 1]),
+            # Pure at every theta: a block lacks rank, classify reads theta
+            # and finds no kernel direction that moves.
+            (["--model", "ghz", "--qubits", "2", "--time", "0"], "0.1", [1, 1]),
         ],
     )
     def test_mc_reads_once_or_at_a_rank_change_twice(
-        self, monkeypatch, capsys, options, theta, n_reads
+        self, monkeypatch, capsys, options, theta, points
     ):
+        # Each entry is the number of points of one read.
         reads = count_reads(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundarySolutionWarning)
@@ -707,7 +737,7 @@ class TestOneRead:
                 ["mc", *options, "--theta-bar", theta, "--replicates", "20"], capsys
             )
         assert code == 0
-        assert len(reads) == n_reads
+        assert reads == points
 
 
 def per_row_scan(model, grid) -> tuple[str, str, int]:

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import diagonal_branch_model
-from qfidisc import discontinuity, models, quantum
+from qfidisc import discontinuity, models, numdiff, quantum
 from qfidisc.classical import SPEED_TOL
-from qfidisc.exceptions import DomainError, MultiBranchError, NotADiscontinuityError
+from qfidisc.exceptions import (
+    DomainError,
+    MultiBranchError,
+    NotADiscontinuityError,
+    NumericalError,
+)
 from qfidisc.models import ParametricModel
 
 
@@ -144,8 +149,9 @@ class TestVanishingEigenvalueBranch:
         report = discontinuity.classify(model, 0.0)
         twin_report = discontinuity.classify(dense, 0.0)
         assert report.kind == twin_report.kind
-        assert report.delta_q_predicted == pytest.approx(twin_report.delta_q_predicted, rel=1e-5)
-        assert report.delta_q_measured == pytest.approx(twin_report.delta_q_measured, rel=1e-5)
+        assert report.delta_q_predicted == pytest.approx(twin_report.delta_q_predicted, rel=1e-10)
+        assert report.delta_q_measured == pytest.approx(twin_report.delta_q_measured, rel=1e-10)
+        assert (report.rank_at_bar, report.rank_beside) == (twin.rank_at_bar, twin.rank_beside)
 
     def test_eigenvalue_near_the_kernel_is_refused(self):
         # diag(theta^2, eps, 1 - theta^2 - eps) at theta = 0.  With
@@ -203,28 +209,34 @@ class TestVanishingEigenvalueBranch:
             assert val == pytest.approx(math.sin(off * branch.h) ** 2, abs=1e-13)
 
 
+# (N, kappa, kappa t) of the one sweep case whose sampled branch misses the
+# rank rise beside theta = 0 (see the test of that name).
+BRANCH_UNDER_THE_CUT = (4, 3.0, 0.1)
+
+
 class TestClassify:
     def test_classical_bit_second_kind(self):
         report = discontinuity.classify(models.make_model("classical-bit"), 0.0)
         assert report.kind == "second-kind"
-        assert report.speed == pytest.approx(1.0, abs=1e-6)
+        assert report.speed == 1.0 and report.acceleration == 0.0
         assert math.isinf(report.qfi_limit)
         assert math.isinf(report.delta_q_measured)
-        assert len(report.evidence["branch_values"]) == 4  # one-sided at the edge
+        assert (report.rank_at_bar, report.rank_beside) == (1, 2)
 
     def test_trig_jump(self):
         report = discontinuity.classify(models.make_model("trig"), 0.0)
         assert report.kind == "jump"
         assert abs(report.speed) < 1e-6
-        assert report.acceleration == pytest.approx(2.0, rel=1e-4)
-        assert report.delta_q_measured == pytest.approx(4.0, rel=1e-6)
+        assert report.acceleration == pytest.approx(2.0, rel=1e-14)
+        assert report.delta_q_measured == pytest.approx(4.0, rel=1e-14)
         assert report.qfi_at_bar == pytest.approx(0.0, abs=1e-12)
-        assert report.delta_q_predicted == pytest.approx(report.delta_q_measured, rel=1e-2)
+        assert report.delta_q_predicted == pytest.approx(report.delta_q_measured, rel=1e-14)
 
     def test_trig_jump_at_upper_endpoint(self):
         report = discontinuity.classify(models.make_model("trig"), math.pi / 2)
         assert report.kind == "jump"
-        assert report.delta_q_measured == pytest.approx(4.0, rel=1e-6)
+        assert report.acceleration == pytest.approx(2.0, rel=1e-14)
+        assert report.delta_q_measured == pytest.approx(4.0, rel=1e-14)
 
     def test_transverse_jump_identity(self):
         for t in (0.5, 1.0, 2.0):
@@ -235,8 +247,8 @@ class TestClassify:
             expected_delta = models.ghz_qfi_continuous(1, 1.0, t) - models.ghz_qfi_discontinuous(
                 1, 1.0, t
             )
-            assert report.delta_q_measured == pytest.approx(expected_delta, rel=1e-3)
-            assert report.delta_q_predicted == pytest.approx(report.delta_q_measured, rel=1e-2)
+            assert report.delta_q_measured == pytest.approx(expected_delta, rel=1e-10)
+            assert report.delta_q_predicted == pytest.approx(report.delta_q_measured, rel=1e-10)
 
     @pytest.mark.parametrize(
         "n,kappa,t",
@@ -251,8 +263,8 @@ class TestClassify:
         jump = models.ghz_qfi_continuous(n, kappa, t) - models.ghz_qfi_discontinuous(n, kappa, t)
         assert report.kind == "jump"
         assert abs(report.speed) < SPEED_TOL
-        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-2)
-        assert report.delta_q_measured == pytest.approx(jump, rel=1e-2)
+        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-8)
+        assert report.delta_q_measured == pytest.approx(jump, rel=1e-8)
         assert report.qfi_at_bar == pytest.approx(
             models.ghz_qfi_discontinuous(n, kappa, t), rel=1e-10
         )
@@ -266,12 +278,13 @@ class TestClassify:
         jump = models.ghz_qfi_continuous(24, kappa, t) - models.ghz_qfi_discontinuous(24, kappa, t)
         assert report.kind == "jump"
         assert report.delta_q_measured == pytest.approx(jump, rel=1e-8)
-        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-3)
+        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-8)
+        assert (report.rank_at_bar, report.rank_beside) == (2**23, 2**24)
 
     def test_every_ghz_jump_of_the_sweep_is_the_closed_form(self):
         # N = 1..24 x kappa x kappa*t, 720 rank changes at theta = 0: the
-        # measured jump 4g - Q and 4g itself against the closed forms, the
-        # finite-difference prediction 2a against the jump.
+        # measured jump -8 F2 - Q, the prediction 2a and 4g itself against
+        # the closed forms, and the ranks against the sampled branch's.
         misses = []
         for n in range(1, 25):
             for kappa in (0.3, 0.5, 1.0, 2.0, 3.0):
@@ -282,19 +295,122 @@ class TestClassify:
                     jump = limit - models.ghz_qfi_discontinuous(n, kappa, t)
                     report = discontinuity.classify(model, 0.0)
                     four_g = 4.0 * quantum.bures_metric_fd(model, 0.0)
+                    branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
+                    if (n, kappa, kappa_t) == BRANCH_UNDER_THE_CUT:
+                        branch = dataclasses.replace(branch, rank_beside=2**n)
                     if not (
                         report.kind == "jump"
                         and abs(report.delta_q_measured - jump) <= 1e-8 * jump
-                        and abs(report.delta_q_predicted - jump) <= 1e-3 * jump
+                        and abs(report.delta_q_predicted - jump) <= 1e-8 * jump
                         and abs(four_g - limit) <= 1e-10 * limit
+                        and (report.rank_at_bar, report.rank_beside)
+                        == (branch.rank_at_bar, branch.rank_beside)
                     ):
                         misses.append((n, kappa, kappa_t, report.delta_q_measured, four_g))
         assert misses == []
 
+    def test_the_sweep_case_whose_sampled_branch_stays_under_the_cut(self):
+        # At N = 4, kappa = 3, kappa t = 0.1 the heaviest block's vanishing
+        # eigenvalue has a'' = 1.9e-6 of its largest, so at the branch step
+        # h = 1e-3 it is 7.8e-13 of it, under the 1e-12 support cut: the
+        # sampled rank beside theta = 0 is 15.  It rises at 2h, and the
+        # kernel count sees all 16 at theta_bar.
+        n, kappa, kappa_t = BRANCH_UNDER_THE_CUT
+        model = models.make_model("ghz", kappa=kappa, t=kappa_t / kappa, n_qubits=n)
+        branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
+        assert (branch.rank_at_bar, branch.rank_beside) == (8, 15)
+        (beside,) = quantum._model_blocks(model, [2.0 * branch.h], order=0)
+        assert int(quantum._weighted_ranks([beside])[0]) == 16
+        report = discontinuity.classify(model, 0.0)
+        assert (report.rank_at_bar, report.rank_beside) == (8, 16)
+
+    def test_transverse_qubit_at_kappa_1e_3_resolves(self):
+        # The domain (-5e-4, 5e-4) is narrower than the branch step, and the
+        # vanishing eigenvalue at 1e-4 is under the support cut; at theta_bar
+        # the acceleration is the closed form
+        # a = (2 kappa t + 4 e^(-kappa t) - e^(-2 kappa t) - 3) / (2 kappa^2),
+        # written with expm1 so that its O(1) terms do not cancel.
+        kappa, t = 1e-3, 1.0
+        x = kappa * t
+        accel = (2.0 * x + 4.0 * math.expm1(-x) - math.expm1(-2.0 * x)) / (2.0 * kappa**2)
+        model = models.make_model("transverse-qubit", kappa=kappa, t=t)
+        report = discontinuity.classify(model, 0.0)
+        assert report.kind == "jump"
+        assert report.acceleration == pytest.approx(accel, rel=1e-8)
+        assert report.delta_q_predicted == pytest.approx(report.delta_q_measured, rel=1e-8)
+        assert (report.rank_at_bar, report.rank_beside) == (1, 2)
+        with pytest.raises(DomainError):
+            discontinuity.vanishing_eigenvalue_branch(model, 0.0)
+
+    @pytest.mark.parametrize(
+        "build, theta_bar",
+        [
+            (lambda: models.make_model("classical-bit"), 0.5),  # full rank
+            (lambda: models.make_model("ghz", n_qubits=2, t=0.0), 0.1),  # pure at every theta
+            (  # rises on one side only: no derivative at theta_bar sees it
+                lambda: diagonal_branch_model(
+                    lambda th: max(th, 0.0) ** 2,
+                    lambda th: 2.0 * max(th, 0.0),
+                    lambda th: 2.0 if th > 0.0 else 0.0,
+                ),
+                0.0,
+            ),
+            (  # a cubic vanishing eigenvalue: v = a = 0
+                lambda: diagonal_branch_model(lambda th: th**3, lambda th: 3 * th**2, lambda th: 6 * th),
+                0.0,
+            ),
+        ],
+        ids=["full-rank", "ghz-t0", "one-sided", "cubic"],
+    )
+    def test_no_moving_kernel_direction_is_not_a_discontinuity(self, build, theta_bar):
+        with pytest.raises(NotADiscontinuityError):
+            discontinuity.classify(build(), theta_bar)
+
+    def test_a_second_derivative_with_nonzero_trace_is_refused(self):
+        # trig at 0 with A'' = diag(2, 0) (the true one is diag(2, -2)): the
+        # kernel side still gives a = 2, but the fidelity's support sees
+        # tr_S A'' = 0 and a continuous state, so the two kinds differ.
+        model = ParametricModel(
+            name="bad-trig",
+            state_fn=models.trig_model_state,
+            blocks_fn=models.one_block(
+                models.trig_model_state,
+                models.trig_model_derivative,
+                lambda th: np.diag([2.0, 0.0]).astype(complex),
+            ),
+            domain=(0.0, math.pi / 2),
+        )
+        with pytest.raises(NumericalError, match="the kernel gives a jump"):
+            discontinuity.classify(model, 0.0)
+
+    def test_only_the_moving_kernel_directions_count_beside(self):
+        # diag(sin^2, cos^2, 0) at 0: a two-dimensional kernel of which one
+        # direction moves, so the rank rises from 1 to 2, not 3.
+        def state(theta):
+            q = math.sin(theta) ** 2
+            return np.diag([q, 1.0 - q, 0.0]).astype(complex)
+
+        def derivative(theta):
+            return math.sin(2.0 * theta) * np.diag([1.0, -1.0, 0.0]).astype(complex)
+
+        def second(theta):
+            return 2.0 * math.cos(2.0 * theta) * np.diag([1.0, -1.0, 0.0]).astype(complex)
+
+        model = ParametricModel(
+            name="qutrit-with-kernel",
+            state_fn=state,
+            blocks_fn=models.one_block(state, derivative, second),
+        )
+        report = discontinuity.classify(model, 0.0)
+        assert (report.kind, report.acceleration) == ("jump", 2.0)
+        assert (report.rank_at_bar, report.rank_beside) == (1, 2)
+
     @pytest.mark.parametrize("name", ["trig", "classical-bit", "transverse-qubit"])
     def test_measured_jump_is_limit_minus_value(self, name):
+        # The measured side is the fidelity's, not 4g: equal up to rounding.
         report = discontinuity.classify(models.make_model(name), 0.0)
-        assert report.delta_q_measured == report.qfi_limit - report.qfi_at_bar
+        limit = report.qfi_limit - report.qfi_at_bar
+        assert report.delta_q_measured == pytest.approx(limit, rel=1e-12)
 
     def test_transverse_jump_at_small_kappa_is_the_closed_form(self):
         # kappa = 0.01: the jump is 0.66% of Q, and the domain is
@@ -304,7 +420,7 @@ class TestClassify:
         jump = models.ghz_qfi_continuous(1, 0.01, 1.0) - models.ghz_qfi_discontinuous(1, 0.01, 1.0)
         assert report.kind == "jump"
         assert report.delta_q_measured == pytest.approx(jump, rel=1e-8)
-        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-4)
+        assert report.delta_q_predicted == pytest.approx(jump, rel=1e-8)
 
     @given(
         curvature=st.floats(0.5, 5.0),
@@ -322,8 +438,8 @@ class TestClassify:
         )
         report = discontinuity.classify(model, center)
         assert report.kind == "jump"
-        assert report.acceleration == pytest.approx(2.0 * curvature, rel=1e-4)
-        assert report.delta_q_predicted == pytest.approx(report.delta_q_measured, rel=1e-2)
+        assert report.acceleration == pytest.approx(2.0 * curvature, rel=1e-12)
+        assert report.delta_q_predicted == pytest.approx(report.delta_q_measured, rel=1e-10)
 
     def test_report_serializes_infinities(self):
         report = discontinuity.classify(models.make_model("classical-bit"), 0.0)
@@ -354,11 +470,20 @@ def bits(*values):
 @pytest.mark.parametrize("build, theta_bar", [c[1:] for c in RANK_CHANGE_POINTS],
                          ids=[c[0] for c in RANK_CHANGE_POINTS])
 def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build, theta_bar):
+    # One read of theta_bar alone: Q and 4g bit for bit as model_qfi and
+    # bures_metric_fd give them, v and a as the multiplicity-weighted sums
+    # of _kernel_motion's per-block terms, in block order.
     model = build()
-    branch = discontinuity.vanishing_eigenvalue_branch(model, theta_bar)
-    speed, accel = discontinuity.speed_and_acceleration(branch.h, branch.as_dict())
     qfi_at_bar = quantum.model_qfi(model, theta_bar)
     limit = 4.0 * quantum.bures_metric_fd(model, theta_bar)
+    speed = accel = 0.0
+    for st in quantum._model_blocks(model, [theta_bar], order=2):
+        d_eig = quantum._dagger(st.eigenvectors) @ st.dblocks @ st.eigenvectors
+        d2_eig = quantum._dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
+        v, a = quantum._kernel_motion(st, d_eig, d2_eig)
+        for mult, v_j, a_j in zip(st.multiplicities.tolist(), v[0].tolist(), a[0].tolist()):
+            speed += mult * v_j
+            accel += mult * a_j
 
     reads = []
     model_blocks = quantum._model_blocks
@@ -368,11 +493,17 @@ def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build
         return model_blocks(*args, **kwargs)
 
     monkeypatch.setattr(quantum, "_model_blocks", counted)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("classify called a numdiff routine")
+
+    for name, fn in vars(numdiff).items():
+        if callable(fn) and getattr(fn, "__module__", None) == numdiff.__name__:
+            monkeypatch.setattr(numdiff, name, no_step)
+            if hasattr(discontinuity, name):
+                monkeypatch.setattr(discontinuity, name, no_step)
     report = discontinuity.classify(model, theta_bar)
-    assert len(reads) == 1
+    assert [list(thetas) for _, thetas in reads] == [[theta_bar]]
     assert bits(report.speed, report.acceleration, report.qfi_at_bar, report.qfi_limit) == bits(
         speed, accel, qfi_at_bar, limit
     )
-    assert bits(*report.evidence["branch_values"]) == bits(*branch.values)
-    assert report.evidence["h"] == branch.h and len(report.evidence) == 2
-    assert len(reads[0][1]) == len(branch.values)

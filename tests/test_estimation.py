@@ -403,8 +403,8 @@ class TestRunCrExperiment:
         [
             ("classical-bit", 0.3, 1),  # full rank at theta: theta alone
             ("transverse-qubit", 0.2, 1),
-            ("trig", 0.0, 5),  # theta, then classify's 4 points on the one side
-            ("transverse-qubit", 0.0, 8),  # theta, then classify's 7
+            ("trig", 0.0, 2),  # theta, then classify's theta alone
+            ("transverse-qubit", 0.0, 2),
         ],
     )
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")

@@ -381,10 +381,38 @@ class TestLindbladIntegrator:
             models.lindblad_integrate(2, theta, 1.0, 0.01)
 
     def test_nan_trace_fails_the_drift_check(self):
-        # kappa dt = 1e300 overflows a stage to inf, and inf - inf makes the
+        # kappa dt = 1e150 overflows a stage to inf, and inf - inf makes the
         # trace NaN, which must not pass as "no drift".
         with np.errstate(all="ignore"), pytest.raises(StepSizeError):
-            models.lindblad_integrate(2, 0.0, 1e300, 1.0, dt=1.0)
+            models.lindblad_integrate(2, 0.0, 1e150, 1.0, dt=1.0)
+
+    @pytest.mark.parametrize(
+        "kappa, t, dt",
+        [
+            (1e10, 1.0, None),  # the default dt = 1e-14: 1e14 steps
+            (1.0, 1.0, 1e-7),  # 1e7 steps
+            (1.0, 1e300, 5e-324),  # t / dt overflows to inf
+            (1.0, 10.0 + 1e-4, None),  # one step past the cap
+        ],
+    )
+    def test_step_count_over_the_cap_is_refused_before_stepping(self, monkeypatch, kappa, t, dt):
+        monkeypatch.setattr(np, "trace", None)  # a step would call it
+        with pytest.raises(DomainError, match="RK4 steps"):
+            models.lindblad_integrate(1, 0.0, kappa, t, dt=dt)
+
+    def test_the_cap_admits_its_own_step_count(self, monkeypatch):
+        # ceil(t / dt) = RK4_MAX_STEPS steps pass the check; the count is
+        # read from the first step's trace, which stops the call.
+        class FirstStep(Exception):
+            pass
+
+        def trace(a):
+            raise FirstStep
+
+        monkeypatch.setattr(np, "trace", trace)
+        assert models.RK4_MAX_STEPS == 10**5
+        with pytest.raises(FirstStep):
+            models.lindblad_integrate(1, 0.0, 1.0, 10.0)
 
 
 class TestBlochQfi:
