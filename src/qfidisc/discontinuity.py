@@ -193,7 +193,13 @@ class DiscontinuityReport:
 def classify(model, theta_bar: float) -> DiscontinuityReport:
     """Full discontinuity analysis of a model at theta_bar, from one
     ``quantum._model_blocks`` read of theta_bar alone with the first two
-    derivatives of its blocks.
+    derivatives of its blocks, which ``_classify`` analyses.  ``mc``'s
+    rank-change note hands its own read of that point to ``_classify``."""
+    return _classify(theta_bar, quantum._model_blocks(model, [theta_bar], order=2))
+
+
+def _classify(theta_bar: float, stacks: list) -> DiscontinuityReport:
+    """``classify`` on ``stacks``, an order-2 read of theta_bar alone.
 
     The kernel side (``quantum._block_motion``): Q, 4g, the speed
     v = sum_j m_j v_j and the acceleration a = sum_j m_j a_j of the
@@ -214,7 +220,6 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
     kind differs, or where, at a jump, 2a and the measured jump differ by
     more than JUMP_AGREEMENT relative.
     """
-    stacks = quantum._model_blocks(model, [theta_bar], order=2)
     rows = []
     for st, (d_eig, d2_eig, q, speed, curvature) in zip(stacks, quantum._block_motion(stacks)):
         lam = st.eigenvalues

@@ -7,7 +7,8 @@ that outcome (``ParametricModel.estimate``).  Neither reads the density
 matrix, so the sampling costs the same for every GHZ N.  The replicate
 variance is compared with the fixed-rank bound 1/(M Q); at rank-changing
 parameter values the bound is deliberately still reported so its
-violation is visible.
+violation is visible.  The QFI and the note on a rank change share one
+read of the model's blocks at the true value alone.
 
 Randomness: replicate r draws from its own NumPy PCG64 stream, seeded
 through SeedSequence with the pair (seed, r); no stream is drawn where the
@@ -178,26 +179,29 @@ class EstimationReport:
             "cr_bound": "inf" if math.isinf(self.cr_bound) else self.cr_bound,
             "violated": self.violated,
             "notes": self.notes,
-            "estimates": [float(x) for x in self.estimates],
+            "estimates": self.estimates.tolist(),
         }
 
 
 def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str]:
-    """Q(theta), read alone as ``quantum.model_qfi`` reads it, and the note on
-    a rank change there ("" where there is none).
+    """Q(theta) and the note on a rank change there ("" where there is
+    none), from one read of the blocks at theta alone with their first two
+    derivatives.
 
-    Where every block has full rank at theta, the rank cannot rise beside
-    it and nothing more is read.  Otherwise the ranks and the limit are
-    those of ``discontinuity.classify``, which reads theta once more with
-    second derivatives; where it cannot resolve the point, the note
+    Q is ``quantum.model_qfi``'s, bit for bit: the same blocks and first
+    derivatives, summed the same way.  Where every block has full rank at
+    theta, the rank cannot rise beside it and no note is made.  Otherwise
+    the same read goes to ``discontinuity._classify``, which is
+    ``discontinuity.classify`` without its read, and the ranks and the
+    limit are its report's; where it cannot resolve the point, the note
     withholds them and quotes why.
     """
-    stacks = quantum._model_blocks(model, [theta])
+    stacks = quantum._model_blocks(model, [theta], order=2)
     q = float(quantum._direct_sum_qfi(stacks)[0])
     if all((st.ranks == st.blocks.shape[-1]).all() for st in stacks):
         return q, ""
     try:
-        report = discontinuity.classify(model, theta)
+        report = discontinuity._classify(theta, stacks)
     except NotADiscontinuityError:
         return q, ""
     except NumericalError as err:
@@ -231,10 +235,11 @@ def run_cr_experiment(
     nothing else.  ``seed`` must be a non-negative int.  Where the
     first probability is exactly 0 or 1 the law is a point mass: every
     replicate gets the estimate of the one count vector it allows, and no
-    stream is drawn.  Neither step calls ``state_fn``.  The QFI comes from
-    one read of the model's blocks at theta_true alone; only where a block
-    lacks full rank there does the note read again, in
-    ``discontinuity.classify``, whose report gives the ranks and the limit.
+    stream is drawn.  Neither step calls ``state_fn``.  The QFI and the
+    rank-change note come from one read of the model's blocks and their
+    first two derivatives at theta_true alone; where a block lacks full
+    rank there, ``discontinuity._classify`` analyses that same read, and
+    its report gives the ranks and the limit.
     The violation flag is set when the replicate variance falls more than
     three standard errors of the variance below the bound, with
     Var(s^2) ~ 2 s^4 / (R - 1).

@@ -167,14 +167,16 @@ def one_block(state_fn, derivative_fn, second_fn):
 
 def _check_ghz_rates(kappa: float, t: float) -> None:
     """kappa finite and positive, with kappa^2 (in xi and the closed-form QFIs)
-    a positive finite float, and t finite and nonnegative; written so that
-    NaN fails."""
+    a positive finite float, and t finite and nonnegative, with t^2 (in the
+    blocks' second derivatives) finite; written so that NaN fails."""
     if not 0 < kappa < math.inf:
         raise DomainError(f"kappa={kappa} must be positive and finite")
     if not 0 < kappa * kappa < math.inf:
         raise DomainError(f"kappa={kappa} out of range: kappa**2 is not a positive finite float")
     if not 0 <= t < math.inf:
         raise DomainError(f"t={t} must be nonnegative and finite")
+    if not t * t < math.inf:
+        raise DomainError(f"t={t} out of range: t**2 is not a finite float")
 
 
 def _check_ghz_domain(theta: float, kappa: float, t: float) -> None:

@@ -404,6 +404,32 @@ class TestNonFiniteInputs:
             "kappa**2 is not a positive finite float\n"
         )
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["qfi-scan", "--model", "ghz", "--grid", "0:0.1:2"],
+            ["ghz-scan", "--grid"],
+            ["discontinuity", "--model", "ghz", "--theta-bar", "0"],
+            ["mc", "--model", "ghz", "--theta-bar", "0", "--replicates", "5"],
+            ["mc", "--model", "ghz", "--theta-bar", "0.1", "--replicates", "5"],
+        ],
+        ids=["qfi-scan", "ghz-scan", "discontinuity", "mc-rank-change", "mc-regular"],
+    )
+    def test_time_whose_square_leaves_the_floats_is_a_domain_error(self, capsys, command):
+        # t^2 overflows in the blocks' second derivatives, which once ended
+        # in an OverflowError; ghz-scan takes its times from the grid.
+        def run(t):
+            time = [f"{t}:{t}:2"] if command[0] == "ghz-scan" else ["--time", t]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundarySolutionWarning)
+                return run_cli([*command, *time, "--qubits", "2"], capsys)
+
+        assert run("1e300") == (
+            2, "", "domain error: t=1e+300 out of range: t**2 is not a finite float\n"
+        )
+        code, out, _ = run("1e150")
+        assert code == 0 and out
+
     @pytest.mark.parametrize("command", ["discontinuity", "mc"])
     @pytest.mark.parametrize("model", ["ghz", "trig"])
     def test_nan_theta_bar_is_a_domain_error(self, capsys, command, model):
@@ -708,28 +734,28 @@ class TestOneRead:
         assert len(reads) == 1
 
     @pytest.mark.parametrize(
-        "options, theta, points",
+        "options, theta",
         [
-            (["--model", "classical-bit"], "0.3", [1]),
-            (["--model", "classical-bit"], "0", [1, 1]),
-            (["--model", "trig"], "0.7", [1]),
-            (["--model", "trig"], "1.5707963267948966", [1, 1]),
-            (["--model", "transverse-qubit"], "0.1", [1]),
-            (["--model", "transverse-qubit"], "0", [1, 1]),
-            (["--model", "ghz", "--qubits", "4"], "0.1", [1]),
-            (["--model", "ghz", "--qubits", "4"], "0", [1, 1]),
-            # kappa/2 = 5e-5 is narrower than any branch step; classify
+            (["--model", "classical-bit"], "0.3"),
+            (["--model", "classical-bit"], "0"),
+            (["--model", "trig"], "0.7"),
+            (["--model", "trig"], "1.5707963267948966"),
+            (["--model", "transverse-qubit"], "0.1"),
+            (["--model", "transverse-qubit"], "0"),
+            (["--model", "ghz", "--qubits", "4"], "0.1"),
+            (["--model", "ghz", "--qubits", "4"], "0"),
+            # kappa/2 = 5e-5 is narrower than any branch step; the note
             # still reads theta alone.
-            (["--model", "transverse-qubit", "--kappa", "1e-4"], "0", [1, 1]),
-            # Pure at every theta: a block lacks rank, classify reads theta
-            # and finds no kernel direction that moves.
-            (["--model", "ghz", "--qubits", "2", "--time", "0"], "0.1", [1, 1]),
+            (["--model", "transverse-qubit", "--kappa", "1e-4"], "0"),
+            # Pure at every theta: a block lacks rank, and the note's
+            # classification of the same read finds no kernel direction
+            # that moves.
+            (["--model", "ghz", "--qubits", "2", "--time", "0"], "0.1"),
         ],
     )
-    def test_mc_reads_once_or_at_a_rank_change_twice(
-        self, monkeypatch, capsys, options, theta, points
-    ):
-        # Each entry is the number of points of one read.
+    def test_mc_reads_once(self, monkeypatch, capsys, options, theta):
+        # Each entry is the number of points of one read: the QFI and the
+        # rank-change note share one read of theta alone.
         reads = count_reads(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundarySolutionWarning)
@@ -737,7 +763,32 @@ class TestOneRead:
                 ["mc", *options, "--theta-bar", theta, "--replicates", "20"], capsys
             )
         assert code == 0
-        assert reads == points
+        assert reads == [1]
+
+
+class TestMcText:
+    @pytest.mark.parametrize("replicates", [2, 1000])
+    @pytest.mark.parametrize(
+        "options, theta",
+        [
+            (["--model", "classical-bit"], 0.3),
+            (["--model", "trig"], math.pi / 2),
+            (["--model", "transverse-qubit"], 0.0),
+            (["--model", "ghz", "--qubits", "8"], 0.1),
+        ],
+        ids=["classical-bit", "trig", "transverse-qubit", "ghz-8"],
+    )
+    def test_is_the_indented_json_of_the_report(self, capsys, options, theta, replicates):
+        args = ["mc", *options, f"--theta-bar={theta!r}", "--replicates", str(replicates)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundarySolutionWarning)
+            code, stdout, _ = run_cli([*args, "--seed", "7"], capsys)
+            report = estimation.run_cr_experiment(
+                cli._build_model(cli._parser().parse_args(args)),
+                theta, n_samples=100, n_replicates=replicates, seed=7,
+            )
+        assert code == 0
+        assert stdout == json.dumps(report.to_json(), indent=2) + "\n"
 
 
 def per_row_scan(model, grid) -> tuple[str, str, int]:

@@ -507,3 +507,13 @@ def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build
     assert bits(report.speed, report.acceleration, report.qfi_at_bar, report.qfi_limit) == bits(
         speed, accel, qfi_at_bar, limit
     )
+
+
+@pytest.mark.parametrize("build, theta_bar", [c[1:] for c in RANK_CHANGE_POINTS],
+                         ids=[c[0] for c in RANK_CHANGE_POINTS])
+def test_classify_is_its_analysis_of_one_read(build, theta_bar):
+    # classify is _classify on its own read; mc's note hands _classify a
+    # read it took itself.
+    model = build()
+    stacks = quantum._model_blocks(model, [theta_bar], order=2)
+    assert discontinuity.classify(model, theta_bar) == discontinuity._classify(theta_bar, stacks)

@@ -386,10 +386,10 @@ class TestRunCrExperiment:
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
     def test_unresolved_rank_change_withholds_ranks_and_limit(self, monkeypatch):
         # Where classify cannot reconcile its numbers, the note quotes why.
-        def unresolved(model, theta):
+        def unresolved(theta, stacks):
             raise NumericalError("predicted and measured jumps differ")
 
-        monkeypatch.setattr(discontinuity, "classify", unresolved)
+        monkeypatch.setattr(discontinuity, "_classify", unresolved)
         model = models.make_model("transverse-qubit")
         report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
         assert report.notes == (
@@ -399,41 +399,44 @@ class TestRunCrExperiment:
         )
 
     @pytest.mark.parametrize(
-        "name, theta, n_calls",
+        "name, theta",
         [
-            ("classical-bit", 0.3, 1),  # full rank at theta: theta alone
-            ("transverse-qubit", 0.2, 1),
-            ("trig", 0.0, 2),  # theta, then classify's theta alone
-            ("transverse-qubit", 0.0, 2),
+            ("classical-bit", 0.3),  # full rank at theta
+            ("transverse-qubit", 0.2),
+            ("trig", 0.0),  # a rank change: the note classifies the same read
+            ("transverse-qubit", 0.0),
         ],
     )
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
-    def test_blocks_are_read_at_theta_alone_and_again_only_in_classify(
-        self, name, theta, n_calls
-    ):
+    def test_blocks_are_read_once_at_theta_alone(self, name, theta):
         model = models.make_model(name)
         calls = []
 
         def counted(th, order):
-            calls.append(th)
+            calls.append((th, order))
             return model.blocks_fn(th, order)
 
         args = dict(n_samples=50, n_replicates=20, seed=1)
         report = estimation.run_cr_experiment(
             dataclasses.replace(model, blocks_fn=counted), theta, **args
         )
-        assert len(calls) == n_calls
-        assert calls[0] == theta
+        assert calls == [(theta, 2)]
         assert report.to_json() == estimation.run_cr_experiment(model, theta, **args).to_json()
+
+    @pytest.mark.parametrize("name, theta", [("classical-bit", 0.3), ("ghz", 0.1), ("ghz", 0.0)])
+    def test_qfi_is_model_qfi_bit_for_bit(self, name, theta):
+        model = models.make_model(name, n_qubits=4)
+        q, _ = estimation._qfi_and_rank_note(model, theta)
+        assert q == quantum.model_qfi(model, theta)
 
     def test_note_takes_its_ranks_from_the_classify_report(self, monkeypatch):
         # The ranks in the note are the report's, not a second rank test.
-        classify = discontinuity.classify
+        classify = discontinuity._classify
 
-        def relabelled(model, theta):
-            return dataclasses.replace(classify(model, theta), rank_at_bar=7, rank_beside=9)
+        def relabelled(theta, stacks):
+            return dataclasses.replace(classify(theta, stacks), rank_at_bar=7, rank_beside=9)
 
-        monkeypatch.setattr(discontinuity, "classify", relabelled)
+        monkeypatch.setattr(discontinuity, "_classify", relabelled)
         model = models.make_model("classical-bit")
         report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
         assert "(effective rank 7 vs 9 nearby)" in report.notes

@@ -391,7 +391,7 @@ class TestLindbladIntegrator:
         [
             (1e10, 1.0, None),  # the default dt = 1e-14: 1e14 steps
             (1.0, 1.0, 1e-7),  # 1e7 steps
-            (1.0, 1e300, 5e-324),  # t / dt overflows to inf
+            (1.0, 1e150, 5e-324),  # t / dt overflows to inf
             (1.0, 10.0 + 1e-4, None),  # one step past the cap
         ],
     )
