@@ -70,13 +70,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.17g}"
-    return str(x)
+    """A CSV cell: a float to 17 significant digits ("inf", "-inf" and "nan"
+    where it is not finite), anything else as ``str`` gives it."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _json_cell(x):

@@ -205,9 +205,12 @@ def _ghz_series(theta: float, kappa: float, t: float, order: int = 0) -> tuple:
     derivatives follow from dxi/dtheta = -4 theta / xi through S = s / xi
     and W = (t b - 2 S) / xi^2:
 
-        S' = -2 theta W,    S'' = -2 W - 4 theta^2 (6 W - t^2 S) / xi^2,
+        S' = -2 theta W,    S'' = -2 W - (24 theta^2 W - 4 (theta t)^2 S) / xi^2,
         b' = -2 theta t S,  f' = kappa S',  c' = 2 S + 2 theta S',
         b'' = -2 t S - 2 theta t S',  f'' = kappa S'',  c'' = 4 S' + 2 theta S''.
+
+    S'' takes t only in (theta t)^2: t^2 S alone overflows for a t near the
+    largest t^2 allowed, and 0 * inf at theta = 0 would be NaN.
 
     The domain check, xi and the exponentials are computed once.  At
     theta = 0, e_+ = 1 and xi = kappa, so b and f equal a and d bit for bit.
@@ -227,7 +230,7 @@ def _ghz_series(theta: float, kappa: float, t: float, order: int = 0) -> tuple:
         ds = -2.0 * theta * w
         bfc.append((-2.0 * theta * t * big_s, kappa * ds, 2.0 * big_s + 2.0 * theta * ds))
         if order > 1:
-            d2s = -2.0 * w - 4.0 * theta**2 * (6.0 * w - t**2 * big_s) / xi**2
+            d2s = -2.0 * w - (24.0 * theta**2 * w - 4.0 * (theta * t) ** 2 * big_s) / xi**2
             bfc.append(
                 (-2.0 * t * big_s - 2.0 * theta * t * ds, kappa * d2s, 4.0 * ds + 2.0 * theta * d2s)
             )
@@ -390,27 +393,58 @@ def qubit_bloch_qfi(v, dv) -> float:
     return float(dv @ dv + (v @ dv) ** 2 / (1.0 - norm2))
 
 
+@functools.lru_cache(maxsize=32)
+def _log_binomials(n_qubits: int) -> tuple[float, ...]:
+    """log binomial(N, m) for m < N/2, each the log of the exact integer.
+    The recurrence binomial(N, m+1) = binomial(N, m) (N-m) / (m+1) builds
+    them all in O(N^2) bit operations, about N times fewer than calling
+    math.comb for each m."""
+    logs, binomial = [], 1
+    for m in range((n_qubits + 1) // 2):
+        logs.append(math.log(binomial))
+        binomial = binomial * (n_qubits - m) // (m + 1)
+    return tuple(logs)
+
+
 def ghz_qfi_discontinuous(n_qubits: int, kappa: float, t: float) -> float:
     """QFI of the evolved GHZ state exactly at theta = 0.
 
-    Population-weighted average of the pure-branch Bloch QFIs of the
-    normalized 2x2 blocks m = 0..floor(N/2), which all become pure at
-    theta = 0; block m holds 2 r_m of the population per copy.
+    At theta = 0, b = a, f = d and c = 0, so block m is r_m [[1, 1], [1, 1]]
+    with r_m = (d^m a^(N-m) + d^(N-m) a^m) / 2: every block is pure, 2 r_m
+    times a pure qubit.  Only c moves (b' = f' = 0, c' = 2d / kappa), so the
+    cross element moves by
+
+        x'_m = i (d / kappa) (m d^(N-m) a^(m-1) - (N-m) d^m a^(N-m-1)),
+
+    and the pure qubit's QFI is |x'_m|^2 / r_m^2 (Dittmann, J. Phys. A 32,
+    2663 (1999)).  Weighted by the blocks' populations 2 mu_m r_m, with mu_m
+    their multiplicities,
+
+        Q(0) = sum_m 2 mu_m |x'_m|^2 / r_m    (blocks with r_m = 0 left out).
+
+    As a + d = 1, P_k = binomial(N, k) d^k a^(N-k) is a Binomial(N, d)
+    probability and 2 mu_m r_m = P_m + P_(N-m).  With rho_m = P_(N-m) / P_m
+    = (d/a)^(N-2m) <= 1 (d <= a), the term of block m is
+
+        (2d / (kappa a))^2 P_m (N - m - m rho_m)^2 / (1 + rho_m),
+
+    zero at the central m of even N.  P_m is formed from logarithms, so no
+    binomial overflows a float for any N and a term that underflows is one
+    that adds nothing.
     """
     _check_qubits(n_qubits)
-    a, d, _, _, bfc = _ghz_series(0.0, kappa, t, 1)
-    ms = range(n_qubits // 2 + 1)
-    mults = _block_multiplicities(n_qubits).tolist()
+    _check_ghz_domain(0.0, kappa, t)
+    em1 = math.expm1(-kappa * t)
+    a, d = 1.0 + em1 / 2.0, -em1 / 2.0
+    if d == 0.0:
+        return 0.0  # no evolution: the state does not depend on theta
+    n, log_d, log_a, ratio = n_qubits, math.log(d), math.log(a), d / a
     total = 0.0
-    for m, mult, (cross, dcross) in zip(ms, mults, _cross_series(n_qubits, ms, bfc)):
-        rmm = _diag_element(m, n_qubits, a, d)
-        weight = 2 * mult * rmm
-        if weight <= 0.0:
-            continue  # no population in this sector (t = 0 extremes)
-        v = np.array([cross.real / rmm, cross.imag / rmm, 0.0])
-        dv = np.array([dcross.real / rmm, dcross.imag / rmm, 0.0])
-        total += weight * qubit_bloch_qfi(v, dv)
-    return total
+    for m, log_binomial in enumerate(_log_binomials(n)):
+        p = math.exp(log_binomial + m * log_d + (n - m) * log_a)
+        rho = ratio ** (n - 2 * m)
+        total += p * (n - m - m * rho) ** 2 / (1.0 + rho)
+    return (2.0 * d / (kappa * a)) ** 2 * total
 
 
 def ghz_qfi_continuous(n_qubits: int, kappa: float, t: float) -> float:

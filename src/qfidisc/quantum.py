@@ -103,11 +103,15 @@ class SpectralData:
 
 
 def validate_hermitian(op: np.ndarray, tol: float = 1e-10, what: str = "operator") -> np.ndarray:
-    """Check that ``op`` is a Hermitian matrix, or a stack of them along its
-    leading axes, within ``tol`` entrywise; returns it as a complex array."""
+    """Check that ``op`` is a finite Hermitian matrix, or a stack of them
+    along its leading axes, within ``tol`` entrywise; returns it as a
+    complex array."""
     op = np.asarray(op, dtype=complex)
     if op.ndim < 2 or op.shape[-2] != op.shape[-1]:
         raise InvalidInputError(f"{what} must be a square matrix, got shape {op.shape}")
+    # Apart from the gap: a NaN gap passes `> tol`, and inf - inf would warn.
+    if not np.isfinite(op).all():
+        raise InvalidInputError(f"{what} has a non-finite entry")
     if np.abs(op - op.conj().swapaxes(-1, -2)).max() > tol:
         raise InvalidInputError(f"{what} is not Hermitian within {tol:g}")
     return op

@@ -322,6 +322,15 @@ class TestGhzScan:
         code, _, err = run_cli(["ghz-scan", "--qubits", "1,x", "--grid", "0:1:3"], capsys)
         assert code == 1
 
+    def test_qubit_counts_whose_binomials_overflow_a_float(self, capsys):
+        # binomial(1100, m) leaves the floats from m ~ 480; the block sum
+        # once ended in a traceback (OverflowError, exit 1).
+        code, stdout, err = run_cli(["ghz-scan", "--qubits", "1100", "--grid", "0.5:1:2"], capsys)
+        assert (code, err) == (0, "")
+        for row in csv.DictReader(stdout.splitlines()):
+            qd, qc = float(row["qfi_discontinuous"]), float(row["qfi_continuous"])
+            assert math.isfinite(qd) and 0.0 < qd < qc
+
 
 class TestQubitCounts:
     @pytest.mark.parametrize("n", ["0", "-3"])
@@ -448,6 +457,32 @@ class TestNonFiniteInputs:
             code, out, err = run_cli([command, *model, "--qubits", "2", f"--grid={grid}"], capsys)
         assert (code, out) == (1, "")
         assert err == f"usage error: bad grid {grid!r}: endpoints must be finite\n"
+
+    LARGEST_TIME = [
+        "--model", "transverse-qubit", "--kappa", "1e-3", "--time", "1.3407807929942596e154"
+    ]
+
+    def test_discontinuity_at_the_largest_time(self, capsys):
+        # t^2 is finite but t^2 S is not: the blocks' second derivatives
+        # were NaN at theta = 0, passed the Hermiticity check, and the
+        # jump read as "not a discontinuity" (exit 2).
+        argv = ["discontinuity", *self.LARGEST_TIME, "--theta-bar", "0"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(stdout)
+        assert (report["kind"], report["rank_at_bar"], report["rank_beside"]) == ("jump", 1, 2)
+        assert report["qfi_limit"] == pytest.approx(
+            models.ghz_qfi_continuous(1, 1e-3, 1.3407807929942596e154), rel=1e-12
+        )
+
+    def test_mc_notes_the_rank_change_at_the_largest_time(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundarySolutionWarning)
+            code, stdout, _ = run_cli(
+                ["mc", *self.LARGEST_TIME, "--theta-bar", "0", "--replicates", "5"], capsys
+            )
+        assert code == 0
+        assert json.loads(stdout)["notes"].startswith("rank changes at theta_true=0.0")
 
     def test_library_entry_points_reject_nan(self):
         nan = float("nan")
@@ -875,6 +910,26 @@ REPEATED_CALLS = [
     ("usage.csv", ["qfi-scan", "--model", "trig", "--grid", "0:1"]),
     ("domain.csv", ["ghz-scan", "--qubits", "1", "--grid", "-1:1:3"]),
 ]
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (7, "7"),
+        ("error(DomainError)", "error(DomainError)"),
+    ],
+)
+def test_csv_cells(value, cell):
+    # Floats to 17 significant digits, non-finite ones as Python names them;
+    # counts and error markers as they are.
+    assert cli._fmt(value) == cell
 
 
 def run_all(directory, capsys):

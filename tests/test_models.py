@@ -153,6 +153,15 @@ class TestGhzCoefficients:
         assert c == pytest.approx(2.0 * theta * slow / (2.0 * xi), rel=1e-12)
         assert all(map(math.isfinite, np.ravel(models._ghz_series(theta, kappa, t, 2)[4])))
 
+    def test_second_derivatives_finite_where_t_squared_times_s_overflows(self):
+        # t^2 is finite at the largest t allowed, but t^2 S is not; written
+        # as 4 theta^2 (6 W - t^2 S), S'' was 0 * inf = NaN at theta = 0.
+        t = 1.3407807929942596e154
+        (b, f, c), (db, df, dc), (d2b, d2f, d2c) = models._ghz_series(0.0, 1e-3, t, 2)[4]
+        w = (t * b - 2.0 * f / 1e-3) / 1e-3**2  # S = f / kappa at theta = 0
+        assert (db, df, dc, d2c) == (0.0, 0.0, 2.0 * f / 1e-3, 0.0)
+        assert math.isfinite(d2b) and d2f == -2.0 * 1e-3 * w
+
     @given(
         theta=st.floats(-0.4, 0.4),
         kappa=st.floats(0.5, 2.0),
@@ -454,6 +463,28 @@ class TestGhzClosedFormQfis:
             closed = models.ghz_qfi_discontinuous(n, 1.0, t)
             brute = brute_force_qfi_discontinuous(n, 1.0, t)
             assert closed == pytest.approx(brute, rel=1e-6)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_discontinuous_matches_the_eigensolved_model_qfi(self, n):
+        # model_qfi eigensolves every block; it does not use the formula.
+        for kappa in (1e-3, 0.3, 1.0, 3.0):
+            for t in (1e-3, 0.3, 1.0, 2.5, 2000.0):
+                model = models.make_model("ghz", n_qubits=n, kappa=kappa, t=t)
+                assert models.ghz_qfi_discontinuous(n, kappa, t) == pytest.approx(
+                    quantum.model_qfi(model, 0.0), rel=1e-12
+                )
+            assert models.ghz_qfi_discontinuous(n, kappa, 0.0) == 0.0
+
+    @pytest.mark.parametrize("kappa_t", [0.5, 1.0, 3.0, 2000.0])
+    def test_discontinuous_past_the_binomials_that_fit_a_float(self, kappa_t):
+        # binomial(1100, 550) overflows a float and 2^-1100 underflows; the
+        # block sum is finite and below the continuous limit.  Past
+        # kappa t ~ 40, a = d = 1/2 and Q(0) = N / kappa^2.
+        n, kappa = 1100, 2.0
+        closed = models.ghz_qfi_discontinuous(n, kappa, kappa_t / kappa)
+        assert 0.0 < closed < models.ghz_qfi_continuous(n, kappa, kappa_t / kappa)
+        if kappa_t > 40.0:
+            assert closed == pytest.approx(n / kappa**2, rel=1e-12)
 
     def test_continuous_single_qubit_value(self):
         assert models.ghz_qfi_continuous(1, 1.0, 1.0) == pytest.approx(

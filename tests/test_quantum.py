@@ -49,6 +49,19 @@ class TestSpectralDecompose:
         with pytest.raises(InvalidInputError):
             quantum.validate_hermitian(stack)
 
+    @pytest.mark.parametrize(
+        "entry", [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 0.0)]
+    )
+    def test_validate_hermitian_rejects_non_finite_entries(self, entry):
+        # NaN once passed: `max() > tol` is False for NaN.  Symmetric on
+        # the diagonal and off it, so only finiteness can fail.
+        for where in ((1, 1, 1), (2, 0, 1)):
+            stack = np.array([np.eye(2), np.eye(2), np.eye(2)], dtype=complex)
+            stack[where] = entry
+            stack[where[0], where[2], where[1]] = np.conj(entry)
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                quantum.validate_hermitian(stack)
+
     @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3, 4, 8, 16]))
     def test_reconstruction_and_orthonormality(self, seed, dim):
         rho = random_density(dim, np.random.default_rng(seed))
