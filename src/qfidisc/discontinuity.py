@@ -43,11 +43,11 @@ GAP_FRACTION = 0.5
 JUMP_AGREEMENT = 1e-2
 
 
-def _ranks(theta_bar: float, offsets, stacks: list) -> tuple[int, int]:
+def _ranks(theta_bar: float, offsets, st: quantum.BlockStack) -> tuple[int, int]:
     """Multiplicity-weighted effective ranks at theta_bar and the highest at
     theta_bar +/- h, from a read of the points at ``offsets``; raises
     ``NotADiscontinuityError`` unless the rank rises on every sampled side."""
-    ranks = quantum._weighted_ranks(stacks).tolist()
+    ranks = quantum._weighted_ranks(st).tolist()
     r0 = ranks[offsets.index(0.0)]
     side_ranks = {s: ranks[offsets.index(s)] for s in (+1.0, -1.0) if s in offsets}
     if any(r <= r0 for r in side_ranks.values()):
@@ -74,9 +74,6 @@ class BranchSamples:
     rank_at_bar: int
     rank_beside: int
 
-    def as_dict(self) -> dict[float, float]:
-        return dict(zip(self.offsets, self.values))
-
 
 def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     """Sample the vanishing weight at theta_bar + {0, +/-1/4, +/-1/2, +/-1} h,
@@ -96,29 +93,24 @@ def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     if not sides:
         raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
     offsets = [0.0] + [frac * s for s in sides for frac in (1.0, 0.5, 0.25)]
-    stacks = quantum._model_blocks(model, [theta_bar + o * h for o in offsets], order=0)
-    r0, r_beside = _ranks(theta_bar, offsets, stacks)
+    st = quantum._model_blocks(model, [theta_bar + o * h for o in offsets], order=0)
+    r0, r_beside = _ranks(theta_bar, offsets, st)
     rows = np.argsort(offsets, kind="stable")
     offsets = [offsets[i] for i in rows]
-    weights, firsts, limits = [], [], []
-    for st in stacks:  # one per block size
-        lam, rank = st.eigenvalues, st.ranks[0]
-        d = lam.shape[-1]
-        tail = np.where(np.arange(d) >= rank[:, None], lam, 0.0)
-        weights.append(st.multiplicities * np.sum(tail, axis=-1))
-        j = np.arange(len(rank))
-        firsts.append(lam[:, j, np.minimum(rank, d - 1)])
-        inner = (0 < rank) & (rank < d)
-        limits.append(np.where(inner, GAP_FRACTION * lam[0, j, rank - 1], np.inf))
-    first = np.concatenate(firsts, axis=-1)[rows]
-    over = first > np.concatenate(limits, axis=-1)
+    lam, rank = st.eigenvalues, st.ranks[0]
+    d = lam.shape[-1]
+    tail = np.where(np.arange(d) >= rank[:, None], lam, 0.0)
+    j = np.arange(len(rank))
+    first = lam[:, j, np.minimum(rank, d - 1)][rows]
+    inner = (0 < rank) & (rank < d)
+    over = first > np.where(inner, GAP_FRACTION * lam[0, j, rank - 1], np.inf)
     if over.any():
         point, block = np.argwhere(over)[0]
         raise MultiBranchError(
             f"vanishing eigenvalue {first[point, block]:.3e} at offset {offsets[point]} exceeds "
             f"{GAP_FRACTION} of its block's smallest non-vanishing one at theta_bar={theta_bar}"
         )
-    values = quantum._point_sums(weights)[rows].tolist()
+    values = quantum._point_sums(st.multiplicities * np.sum(tail, axis=-1))[rows].tolist()
     return BranchSamples(theta_bar, h, tuple(offsets), tuple(values), r0, r_beside)
 
 
@@ -198,8 +190,8 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
     return _classify(theta_bar, quantum._model_blocks(model, [theta_bar], order=2))
 
 
-def _classify(theta_bar: float, stacks: list) -> DiscontinuityReport:
-    """``classify`` on ``stacks``, an order-2 read of theta_bar alone.
+def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
+    """``classify`` on ``st``, an order-2 read of theta_bar alone.
 
     The kernel side (``quantum._block_motion``): Q, 4g, the speed
     v = sum_j m_j v_j and the acceleration a = sum_j m_j a_j of the
@@ -220,17 +212,16 @@ def _classify(theta_bar: float, stacks: list) -> DiscontinuityReport:
     kind differs, or where, at a jump, 2a and the measured jump differ by
     more than JUMP_AGREEMENT relative.
     """
-    rows = []
-    for st, (d_eig, d2_eig, q, speed, curvature) in zip(stacks, quantum._block_motion(stacks)):
-        lam = st.eigenvalues
-        support = np.arange(lam.shape[-1]) < quantum._support_rank(lam)[..., None]
-        f1, f2 = _fidelity_terms(lam, support, d_eig, d2_eig)
-        rank, moving = support.sum(axis=-1), _moving_directions(lam, support, d_eig, d2_eig)
-        terms = [q, q + 2.0 * curvature, speed, curvature, f1, f2, rank, moving]
-        rows.append(st.multiplicities * np.stack(terms))
-    # Each row summed over the blocks in block order at theta_bar, as
+    d_eig, d2_eig, q, speed, curvature = quantum._block_motion(st)
+    lam = st.eigenvalues
+    support = np.arange(lam.shape[-1]) < quantum._support_rank(lam)[..., None]
+    f1, f2 = _fidelity_terms(lam, support, d_eig, d2_eig)
+    rank, moving = support.sum(axis=-1), _moving_directions(lam, support, d_eig, d2_eig)
+    terms = [q, q + 2.0 * curvature, speed, curvature, f1, f2, rank, moving]
+    # Each term summed over the blocks in block order at theta_bar, as
     # quantum._direct_sum_metric sums Q and 4g.
-    qfi_at_bar, four_g, speed, accel, f1, f2, rank, moving = quantum._point_sums(rows)[:, 0].tolist()
+    sums = quantum._point_sums(st.multiplicities * np.stack(terms))[:, 0].tolist()
+    qfi_at_bar, four_g, speed, accel, f1, f2, rank, moving = sums
     rank_at_bar = int(rank)
     if moving == 0:
         raise NotADiscontinuityError(

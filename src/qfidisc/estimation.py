@@ -42,6 +42,9 @@ from .models import ParametricModel
 if TYPE_CHECKING:
     from .classical import Distribution
 
+# numpy draws a binomial count as a C long.
+_MAX_SAMPLES = 2**63 - 1
+
 
 def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
     """Multinomial outcome counts, deterministic in the seed.
@@ -196,12 +199,12 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str
     limit are its report's; where it cannot resolve the point, the note
     withholds them and quotes why.
     """
-    stacks = quantum._model_blocks(model, [theta], order=2)
-    q = float(quantum._direct_sum_qfi(stacks)[0])
-    if all((st.ranks == st.blocks.shape[-1]).all() for st in stacks):
+    st = quantum._model_blocks(model, [theta], order=2)
+    q = float(quantum._direct_sum_qfi(st)[0])
+    if (st.ranks == st.blocks.shape[-1]).all():
         return q, ""
     try:
-        report = discontinuity._classify(theta, stacks)
+        report = discontinuity._classify(theta, st)
     except NotADiscontinuityError:
         return q, ""
     except NumericalError as err:
@@ -232,14 +235,15 @@ def run_cr_experiment(
     from one array pass (``_replicate_states``), and the first outcome's
     count is one binomial draw from a generator set to each in turn.  The
     estimate is solved once per distinct count, since it depends on
-    nothing else.  ``seed`` must be a non-negative int.  Where the
-    first probability is exactly 0 or 1 the law is a point mass: every
-    replicate gets the estimate of the one count vector it allows, and no
-    stream is drawn.  Neither step calls ``state_fn``.  The QFI and the
-    rank-change note come from one read of the model's blocks and their
-    first two derivatives at theta_true alone; where a block lacks full
-    rank there, ``discontinuity._classify`` analyses that same read, and
-    its report gives the ranks and the limit.
+    nothing else.  ``seed`` must be a non-negative int, and ``n_samples``
+    at most 2**63 - 1 at every theta_true.  Where the first probability is
+    exactly 0 or 1 the law is a point mass: every replicate gets the
+    estimate of the one count vector it allows, and no stream is drawn.
+    Neither step calls ``state_fn``.  The QFI and the rank-change note
+    come from one read of the model's blocks and their first two
+    derivatives at theta_true alone; where a block lacks full rank there,
+    ``discontinuity._classify`` analyses that same read, and its report
+    gives the ranks and the limit.
     The violation flag is set when the replicate variance falls more than
     three standard errors of the variance below the bound, with
     Var(s^2) ~ 2 s^4 / (R - 1).
@@ -252,6 +256,8 @@ def run_cr_experiment(
         raise DomainError(f"theta={theta_true} outside the domain {model.domain} of {model.name!r}")
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
+    if n_samples > _MAX_SAMPLES:
+        raise DomainError(f"n_samples={n_samples} exceeds 2**63 - 1, the largest binomial draw")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     p = model.p_first(theta_true)

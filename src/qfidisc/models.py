@@ -44,7 +44,7 @@ its state to the QFI, the Bures metric and the discontinuity analysis as
 such a direct sum through ``ParametricModel.blocks_fn``: the GHZ models
 (and ``transverse-qubit``, their N = 1 member) as one (B, 2, 2) array of
 their blocks per point, so those never assemble the 2^N matrix, and the
-diagonal families as one block; each model also gives the first and
+diagonal families as one 2x2 block; each model also gives the first and
 second theta-derivatives of its blocks in closed form.
 The Monte Carlo experiments measure the parity X on every qubit, whose +
 probability (1 + Re (b + f + i c)^N) / 2 needs no matrix either.
@@ -56,7 +56,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,9 +68,9 @@ from .exceptions import (
 )
 
 
-# The blocks of one size in a direct sum: multiplicities (B,), blocks
-# (B, d, d), and their first and second theta-derivatives (B, d, d), each
-# None where it was not asked for.
+# A direct sum of equal-size blocks: multiplicities (B,), blocks (B, d, d),
+# and their first and second theta-derivatives (B, d, d), each None where
+# it was not asked for.
 BlockGroup = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
 
 
@@ -78,14 +78,15 @@ BlockGroup = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
 class ParametricModel:
     """A named family theta -> rho_theta.
 
-    ``blocks_fn(theta, order)`` returns rho_theta as a direct sum: a list
-    of groups, one per block size, each the 4-tuple (multiplicities,
-    blocks, first, second) of ``BlockGroup``, with positive integer
-    multiplicities and the analytic first and second theta-derivatives up
-    to ``order`` (0, 1 or 2), None past it.  The multiplicity-weighted
-    block traces sum to 1, and the groups, their block counts and
-    multiplicities are the same at every theta.  The QFI, the Bures metric and the discontinuity
-    analysis read only the blocks.  ``state_fn`` returns the dense state;
+    ``blocks_fn(theta, order)`` returns rho_theta as a direct sum of
+    equal-size blocks, the 4-tuple (multiplicities, blocks, first, second)
+    of ``BlockGroup``: positive integer multiplicities and the analytic
+    first and second theta-derivatives up to ``order`` (0, 1 or 2), None
+    past it.  The weighted block traces sum to 1, and the block count,
+    size and multiplicities are the same at every theta; blocks of
+    different sizes are given as one dense block (``one_block``).  The
+    QFI, the Bures metric and the discontinuity analysis read only the
+    blocks.  ``state_fn`` returns the dense state;
     no library routine reads it.
 
     ``p_first`` is the probability of the first outcome of the
@@ -96,7 +97,7 @@ class ParametricModel:
 
     name: str
     state_fn: Callable[[float], np.ndarray]
-    blocks_fn: Callable[[float, int], Sequence[BlockGroup]]
+    blocks_fn: Callable[[float, int], BlockGroup]
     domain: tuple[float, float] = (-math.inf, math.inf)
     open_domain: bool = False
     p_first: Callable[[float], float] | None = None
@@ -153,9 +154,9 @@ def one_block(state_fn, derivative_fn, second_fn):
     its state and its first and second theta-derivatives."""
     fns = (state_fn, derivative_fn, second_fn)
 
-    def blocks(theta: float, order: int) -> list[BlockGroup]:
+    def blocks(theta: float, order: int) -> BlockGroup:
         arrays = (fn(theta)[None] if k <= order else None for k, fn in enumerate(fns))
-        return [(np.ones(1, dtype=int), *arrays)]
+        return (np.ones(1, dtype=int), *arrays)
 
     return blocks
 
@@ -680,7 +681,7 @@ def make_model(name: str, kappa: float = 1.0, t: float = 1.0, n_qubits: int = 1)
         return ParametricModel(
             name=name,
             state_fn=lambda th: ghz_state(n, th, kappa, t),
-            blocks_fn=lambda th, order: [ghz_block_arrays(n, th, kappa, t, order)],
+            blocks_fn=lambda th, order: ghz_block_arrays(n, th, kappa, t, order),
             domain=(-kappa / 2.0, kappa / 2.0),
             open_domain=True,
             p_first=lambda th: ghz_parity_probability(n, th, kappa, t),

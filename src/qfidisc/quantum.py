@@ -18,10 +18,10 @@ The central objects:
 
 Model-level helpers work on direct sums.  Every model supplies its state
 as unnormalized blocks A_j, each repeated m_j times
-(``ParametricModel.blocks_fn``), as arrays: one group per block size of
-multiplicities (B,), blocks (B, d, d) and, up to the order asked for,
-their analytic first and second derivatives (B, d, d); a state with no
-structure is one block of multiplicity 1.  The QFI splits over such a
+(``ParametricModel.blocks_fn``), as one group of arrays of equal-size
+blocks: multiplicities (B,), blocks (B, d, d) and, up to the order asked
+for, their analytic first and second derivatives (B, d, d); a state with
+no structure is one block of multiplicity 1.  The QFI splits over such a
 direct sum, Q(rho) = sum_j m_j Q(A_j, A_j'), and the eigenvalues of the
 blocks are those of the full matrix.  The support cut is relative to each
 block: an eigenvalue counts when it exceeds SUPPORT_TOL times the largest
@@ -45,11 +45,11 @@ block's support: the two agree up to the support cut and
 sum_j m_j tr A_j'' = 0, which that check guards.
 
 Model-level routines read all their sample points in one stacked call
-(``_model_blocks``): each group's blocks at every point form one
+(``_model_blocks``): the blocks at every point form one
 (points, blocks, d, d) array, checked and eigendecomposed once, and each
 block's result equals the one it gets when read alone, bit for bit.  The
 QFI, the metric and the vanishing weight are then array expressions over
-those stacks, summed over the blocks of a point in block order.
+that stack, summed over the blocks of a point in block order.
 ``qfi_and_metric``, which ``qfi-scan`` calls once per grid, reads the
 whole grid in one such call.  Where it fails, ``qfi-scan`` reads each row
 alone, so that each failing row keeps its own error.
@@ -210,7 +210,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 class BlockStack(NamedTuple):
-    """The blocks of one size at every point of a ``_model_blocks`` read.
+    """The blocks of a direct sum at every point of a ``_model_blocks`` read.
 
     Arrays carry the point on their first axis and the block on the second:
     ``blocks`` and their first and second derivatives ``dblocks`` and
@@ -232,36 +232,26 @@ class BlockStack(NamedTuple):
         """(P, B) effective ranks: eigenvalues above the support cut per block."""
         return _support_rank(self.eigenvalues)
 
-    def at(self, points) -> BlockStack:
-        """The same blocks at a subset of the points (an index list or a slice)."""
-        mults, *arrays = self
-        return BlockStack(mults, *(None if a is None else a[points] for a in arrays))
+
+def _point_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum (..., B) terms over the blocks, per point, left to right in block
+    order (the order a running total over the blocks takes)."""
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _columns(columns: list) -> np.ndarray:
-    """(P, B_k) arrays side by side: one column per block, in block order."""
-    return columns[0] if len(columns) == 1 else np.concatenate(columns, axis=-1)
-
-
-def _point_sums(columns: list) -> np.ndarray:
-    """Sum (P, B_k) arrays over all their columns, per point, left to right in
-    block order (the order a running total over the blocks takes)."""
-    return np.cumsum(_columns(columns), axis=-1)[..., -1]
-
-
-def _stack_groups(reads: list, k: int, order: int) -> list:
-    """Group k of every point's direct sum, stacked on a point axis: the
-    multiplicities, the blocks and their derivatives up to ``order``, and
-    None past it."""
-    groups = [read[k] for read in reads]
-    if not all(isinstance(group, tuple) and len(group) == 4 for group in groups):
-        raise InvalidInputError("a block group must be (multiplicities, blocks, first, second)")
-    if any(group[j] is None for group in groups for j in range(1, order + 2)):
-        raise InvalidInputError(f"a block group lacks the derivatives of order <= {order}")
+def _stack_points(reads: list, order: int) -> list:
+    """Every point's direct sum, stacked on a point axis: the multiplicities,
+    the blocks and their derivatives up to ``order``, and None past it."""
+    if not all(isinstance(read, tuple) and len(read) == 4 for read in reads):
+        raise InvalidInputError(
+            "a direct sum must be the 4-tuple (multiplicities, blocks, first, second)"
+        )
+    if any(read[j] is None for read in reads for j in range(1, order + 2)):
+        raise InvalidInputError(f"a direct sum lacks the derivatives of order <= {order}")
     try:
-        mults = np.array([group[0] for group in groups])
+        mults = np.array([read[0] for read in reads])
         arrays = [
-            np.array([group[j] for group in groups], dtype=complex) for j in range(1, order + 2)
+            np.array([read[j] for read in reads], dtype=complex) for j in range(1, order + 2)
         ]
     except ValueError:  # ragged: the point reads differ in shape
         raise InvalidInputError("block structure differs between points") from None
@@ -278,76 +268,64 @@ def _stack_groups(reads: list, k: int, order: int) -> list:
     return [mults, *arrays, *[None] * (2 - order)]
 
 
-def _checked_blocks(reads: list, order: int) -> list:
-    """Per-point direct sums (each a list of block groups, as ``blocks_fn``
-    returns them) as checked stacks: one ``BlockStack`` per block size,
-    with the points on its first axis in the order of ``reads``.
+def _checked_blocks(reads: list, order: int) -> BlockStack:
+    """Per-point direct sums (each the 4-tuple ``blocks_fn`` returns) as one
+    checked ``BlockStack``, with the points on its first axis in the order
+    of ``reads``.
 
-    Each stack is read at once: one check that its groups are 4-tuples
-    with the same positive integer multiplicities at every point, one
-    Hermiticity check of its blocks (within 1e-12), one of each derivative
+    The stack is read at once: one check that every read is a 4-tuple with
+    the same positive integer multiplicities at every point, one
+    Hermiticity check of the blocks (within 1e-12), one of each derivative
     up to ``order`` (within 1e-10), one trace per block, and one
     eigendecomposition.  At every point the weighted traces must sum to 1
     within 1e-10, summed in block order.
     """
-    if len({len(read) for read in reads}) > 1:
-        raise InvalidInputError("block structure differs between points")
-    if not reads[0]:
-        raise InvalidInputError("the direct sum has no block groups")
-    stacks, weighted_traces = [], []
-    for k in range(len(reads[0])):  # one group per block size
-        mults, blocks, *derivatives = _stack_groups(reads, k, order)
-        blocks = validate_hermitian(blocks, _HERMITIAN_TOL, "density block")
-        derivatives = [
-            None if d is None else validate_hermitian(d, 1e-10, "state derivative")
-            for d in derivatives
-        ]
-        stacks.append(BlockStack(mults, blocks, *derivatives, *_decompose(blocks)))
-        weighted_traces.append(mults * blocks.trace(axis1=-2, axis2=-1).real)
-    for total in _point_sums(weighted_traces).tolist():
+    mults, blocks, *derivatives = _stack_points(reads, order)
+    blocks = validate_hermitian(blocks, _HERMITIAN_TOL, "density block")
+    derivatives = [
+        None if d is None else validate_hermitian(d, 1e-10, "state derivative")
+        for d in derivatives
+    ]
+    for total in _point_sums(mults * blocks.trace(axis1=-2, axis2=-1).real).tolist():
         if abs(total - 1.0) > _TRACE_TOL:
             raise InvalidInputError(
                 f"density matrix trace {total} differs from 1 beyond {_TRACE_TOL:g}"
             )
-    return stacks
+    return BlockStack(mults, blocks, *derivatives, *_decompose(blocks))
 
 
-def _model_blocks(model, thetas, order: int = 1) -> list:
+def _model_blocks(model, thetas, order: int = 1) -> BlockStack:
     """The state at each of ``thetas`` as a checked direct sum
     (``_checked_blocks``), from ``model.blocks_fn`` asked for the
     derivatives up to ``order`` (0, 1 or 2)."""
     return _checked_blocks([model.blocks_fn(theta, order) for theta in thetas], order)
 
 
-def _weighted_ranks(stacks: list) -> np.ndarray:
+def _weighted_ranks(st: BlockStack) -> np.ndarray:
     """(P,) effective ranks of the whole state, weighted by multiplicity."""
-    return sum((st.ranks * st.multiplicities).sum(axis=-1) for st in stacks)
+    return (st.ranks * st.multiplicities).sum(axis=-1)
 
 
-def _block_qfis(stacks: list) -> list:
-    """Per stack, the blocks' first derivatives in their eigenbases and
-    their QFIs (P, B); a ``DegenerateModelError`` where a point has no
-    eigenvalue pair on the support."""
-    out, on_support = [], []
-    for st in stacks:  # one per block size
-        lam = st.eigenvalues
-        d_eig = _dagger(st.eigenvectors) @ st.dblocks @ st.eigenvectors
-        # Q = 2 sum |d_eig|^2 / (lk + ll) over the pairs on the support:
-        # sums above 2 SUPPORT_TOL times the block's largest eigenvalue.
-        denom = lam[..., :, None] + lam[..., None, :]
-        mask = denom > 2.0 * SUPPORT_TOL * lam[..., :1, None]
-        terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
-        out.append((d_eig, 2.0 * terms.reshape(*denom.shape[:-2], -1).sum(axis=-1)))
-        # The eigenvalues descend: a block has a pair on the support iff its first is.
-        on_support.append(mask[..., 0, 0])
-    if not _columns(on_support).any(axis=-1).all():
+def _block_qfis(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks' first derivatives in their eigenbases and their QFIs
+    (P, B); a ``DegenerateModelError`` where a point has no eigenvalue pair
+    on the support."""
+    lam = st.eigenvalues
+    d_eig = _dagger(st.eigenvectors) @ st.dblocks @ st.eigenvectors
+    # Q = 2 sum |d_eig|^2 / (lk + ll) over the pairs on the support:
+    # sums above 2 SUPPORT_TOL times the block's largest eigenvalue.
+    denom = lam[..., :, None] + lam[..., None, :]
+    mask = denom > 2.0 * SUPPORT_TOL * lam[..., :1, None]
+    # The eigenvalues descend: a block has a pair on the support iff its first is.
+    if not mask[..., 0, 0].any(axis=-1).all():
         raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
-    return out
+    terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
+    return d_eig, 2.0 * terms.reshape(*denom.shape[:-2], -1).sum(axis=-1)
 
 
-def _direct_sum_qfi(stacks: list) -> np.ndarray:
+def _direct_sum_qfi(st: BlockStack) -> np.ndarray:
     """sum_j m_j Q(B_j, dB_j) at every point of a ``_model_blocks`` read."""
-    return _point_sums([st.multiplicities * q for st, (_, q) in zip(stacks, _block_qfis(stacks))])
+    return _point_sums(st.multiplicities * _block_qfis(st)[1])
 
 
 def _kernel_motion(st: BlockStack, d_eig: np.ndarray, d2_eig: np.ndarray) -> tuple:
@@ -365,27 +343,23 @@ def _kernel_motion(st: BlockStack, d_eig: np.ndarray, d2_eig: np.ndarray) -> tup
     return speed, curvature - 2.0 * coupling.sum(axis=(-2, -1))
 
 
-def _block_motion(stacks: list) -> list:
-    """Per stack of an order-2 read: the blocks' first and second derivatives
-    in their eigenbases, their QFIs, and their kernels' speeds and
-    curvatures (``_kernel_motion``), each per point and block."""
-    out = []
-    for st, (d_eig, q) in zip(stacks, _block_qfis(stacks)):
-        d2_eig = _dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
-        out.append((d_eig, d2_eig, q, *_kernel_motion(st, d_eig, d2_eig)))
-    return out
+def _block_motion(st: BlockStack) -> tuple:
+    """For an order-2 read: the blocks' first and second derivatives in
+    their eigenbases, their QFIs, and their kernels' speeds and curvatures
+    (``_kernel_motion``), each per point and block."""
+    d_eig, q = _block_qfis(st)
+    d2_eig = _dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
+    return d_eig, d2_eig, q, *_kernel_motion(st, d_eig, d2_eig)
 
 
-def _direct_sum_metric(stacks: list) -> tuple[np.ndarray, np.ndarray]:
+def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
     """Q and 4g = sum_j m_j (Q_j + 2 a_j) at every point of an order-2 read;
     4g is inf where |sum_j m_j v_j| >= SPEED_TOL."""
-    qfis, four_gs, speeds = [], [], []
-    for st, (_, _, q, speed, curvature) in zip(stacks, _block_motion(stacks)):
-        qfis.append(st.multiplicities * q)
-        four_gs.append(st.multiplicities * (q + 2.0 * curvature))
-        speeds.append(st.multiplicities * speed)
-    moving = np.abs(_point_sums(speeds)) >= SPEED_TOL
-    return _point_sums(qfis), np.where(moving, np.inf, _point_sums(four_gs))
+    _, _, q, speed, curvature = _block_motion(st)
+    mults = st.multiplicities
+    moving = np.abs(_point_sums(mults * speed)) >= SPEED_TOL
+    four_g = _point_sums(mults * (q + 2.0 * curvature))
+    return _point_sums(mults * q), np.where(moving, np.inf, four_g)
 
 
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
@@ -396,8 +370,8 @@ def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
         raise InvalidInputError(
             f"state and derivative must be matrices, got shapes {rho.shape} and {drho.shape}"
         )
-    group = (np.ones(1, dtype=int), rho[None], drho[None], None)
-    return float(_direct_sum_qfi(_checked_blocks([[group]], order=1))[0])
+    one = (np.ones(1, dtype=int), rho[None], drho[None], None)
+    return float(_direct_sum_qfi(_checked_blocks([one], order=1))[0])
 
 
 def model_qfi(model, theta: float) -> float:
@@ -460,14 +434,14 @@ def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate
     for th in thetas:
         if not model.in_domain(th):
             raise DomainError(f"theta={th} outside the domain of {model.name} (side={side})")
-    stacks = _model_blocks(model, thetas)
-    ranks = _weighted_ranks(stacks)
+    st = _model_blocks(model, thetas)
+    ranks = _weighted_ranks(st)
     if (ranks != ranks[0]).any():
         raise NumericalError(
             f"QFI limit at theta_bar={theta_bar} ({side}): the effective rank differs "
             f"between the samples (ranks {ranks.tolist()})"
         )
-    values = _direct_sum_qfi(stacks)
+    values = _direct_sum_qfi(st)
     extrapolants = richardson_limit(values)
     diff = abs(extrapolants[-1] - extrapolants[-2])
     scale = max(abs(extrapolants[-1]), 1e-6)

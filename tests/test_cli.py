@@ -515,6 +515,17 @@ class TestMcCommand:
         assert (code, out) == (1, "")
         assert err == "usage error: argument --seed: must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("theta", ["0", "0.3"])  # a point mass and a sampled law
+    def test_sample_count_past_a_c_long_is_a_domain_error(self, capsys, theta):
+        code, out, err = run_cli(
+            ["mc", "--model", "classical-bit", "--theta-bar", theta, "--replicates", "2",
+             "--samples", str(10**20)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error:")
+        assert "Traceback" not in err
+
     def test_replicate_count_below_two_is_a_usage_error(self, capsys):
         code, out, err = run_cli(
             ["mc", "--model", "classical-bit", "--theta-bar", "0.3", "--replicates", "1"], capsys
@@ -851,15 +862,15 @@ def failing_at(model, point, error):
     with "hermitian" the first block gets an upper-triangle entry."""
 
     def blocks(theta, order):
-        groups = model.blocks_fn(theta, order)
+        direct_sum = model.blocks_fn(theta, order)
         if theta != point:
-            return groups
+            return direct_sum
         if error != "hermitian":
             raise error(f"blocks at theta={theta} fail")
-        (mults, mats, *derivatives), *rest = groups
+        mults, mats, *derivatives = direct_sum
         mats = mats.copy()
         mats[0] += np.triu(np.full(mats.shape[1:], 1e-6), 1)
-        return [(mults, mats, *derivatives), *rest]
+        return (mults, mats, *derivatives)
 
     return dataclasses.replace(model, blocks_fn=blocks)
 

@@ -78,10 +78,10 @@ class TestVanishingEigenvalueBranch:
         # read alone, bit for bit.
         model = models.make_model(name, kappa=kappa, t=t, n_qubits=n)
         branch = discontinuity.vanishing_eigenvalue_branch(model, theta_bar)
-        (at_bar,) = quantum._model_blocks(model, [theta_bar], order=0)
+        at_bar = quantum._model_blocks(model, [theta_bar], order=0)
         for offset, value in zip(branch.offsets, branch.values):
             theta = theta_bar + offset * branch.h
-            (alone,) = quantum._model_blocks(model, [theta], order=0)
+            alone = quantum._model_blocks(model, [theta], order=0)
             w = 0.0
             for mult, rank, lam in zip(at_bar.multiplicities, at_bar.ranks[0], alone.eigenvalues[0]):
                 w += mult * float(np.sum(lam[rank:]))
@@ -319,8 +319,8 @@ class TestClassify:
         model = models.make_model("ghz", kappa=kappa, t=kappa_t / kappa, n_qubits=n)
         branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
         assert (branch.rank_at_bar, branch.rank_beside) == (8, 15)
-        (beside,) = quantum._model_blocks(model, [2.0 * branch.h], order=0)
-        assert int(quantum._weighted_ranks([beside])[0]) == 16
+        beside = quantum._model_blocks(model, [2.0 * branch.h], order=0)
+        assert int(quantum._weighted_ranks(beside)[0]) == 16
         report = discontinuity.classify(model, 0.0)
         assert (report.rank_at_bar, report.rank_beside) == (8, 16)
 
@@ -477,13 +477,13 @@ def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build
     qfi_at_bar = quantum.model_qfi(model, theta_bar)
     limit = 4.0 * quantum.bures_metric_fd(model, theta_bar)
     speed = accel = 0.0
-    for st in quantum._model_blocks(model, [theta_bar], order=2):
-        d_eig = quantum._dagger(st.eigenvectors) @ st.dblocks @ st.eigenvectors
-        d2_eig = quantum._dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
-        v, a = quantum._kernel_motion(st, d_eig, d2_eig)
-        for mult, v_j, a_j in zip(st.multiplicities.tolist(), v[0].tolist(), a[0].tolist()):
-            speed += mult * v_j
-            accel += mult * a_j
+    st = quantum._model_blocks(model, [theta_bar], order=2)
+    d_eig = quantum._dagger(st.eigenvectors) @ st.dblocks @ st.eigenvectors
+    d2_eig = quantum._dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
+    v, a = quantum._kernel_motion(st, d_eig, d2_eig)
+    for mult, v_j, a_j in zip(st.multiplicities.tolist(), v[0].tolist(), a[0].tolist()):
+        speed += mult * v_j
+        accel += mult * a_j
 
     reads = []
     model_blocks = quantum._model_blocks
@@ -515,5 +515,5 @@ def test_classify_is_its_analysis_of_one_read(build, theta_bar):
     # classify is _classify on its own read; mc's note hands _classify a
     # read it took itself.
     model = build()
-    stacks = quantum._model_blocks(model, [theta_bar], order=2)
-    assert discontinuity.classify(model, theta_bar) == discontinuity._classify(theta_bar, stacks)
+    stack = quantum._model_blocks(model, [theta_bar], order=2)
+    assert discontinuity.classify(model, theta_bar) == discontinuity._classify(theta_bar, stack)

@@ -327,6 +327,22 @@ class TestRunCrExperiment:
         with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
             estimation.run_cr_experiment(model, theta, n_samples=40, n_replicates=30, seed=-1)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3])  # a point mass and a sampled law
+    def test_sample_count_past_a_c_long_is_a_domain_error(self, theta):
+        model = models.make_model("classical-bit")
+        with pytest.raises(DomainError, match=r"exceeds 2\*\*63 - 1"):
+            estimation.run_cr_experiment(model, theta, n_samples=10**20, n_replicates=2, seed=0)
+        with pytest.raises(DomainError):
+            estimation.run_cr_experiment(model, theta, n_samples=2**63, n_replicates=2, seed=0)
+
+    def test_largest_sample_count_runs(self):
+        model = models.make_model("classical-bit")
+        report = estimation.run_cr_experiment(
+            model, 0.3, n_samples=2**63 - 1, n_replicates=2, seed=0
+        )
+        assert np.isfinite(report.estimates).all()
+        assert report.n_samples == 2**63 - 1
+
     def test_insufficient_replicates(self):
         model = models.make_model("classical-bit")
         with pytest.raises(InsufficientReplicatesError):
@@ -386,7 +402,7 @@ class TestRunCrExperiment:
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
     def test_unresolved_rank_change_withholds_ranks_and_limit(self, monkeypatch):
         # Where classify cannot reconcile its numbers, the note quotes why.
-        def unresolved(theta, stacks):
+        def unresolved(theta, stack):
             raise NumericalError("predicted and measured jumps differ")
 
         monkeypatch.setattr(discontinuity, "_classify", unresolved)
@@ -433,8 +449,8 @@ class TestRunCrExperiment:
         # The ranks in the note are the report's, not a second rank test.
         classify = discontinuity._classify
 
-        def relabelled(theta, stacks):
-            return dataclasses.replace(classify(theta, stacks), rank_at_bar=7, rank_beside=9)
+        def relabelled(theta, stack):
+            return dataclasses.replace(classify(theta, stack), rank_at_bar=7, rank_beside=9)
 
         monkeypatch.setattr(discontinuity, "_classify", relabelled)
         model = models.make_model("classical-bit")

@@ -284,7 +284,7 @@ class TestGhzBlocks:
 
     def test_integral_counts_build(self):
         for n in [*range(1, 25), np.int64(3)]:
-            mults = models.make_model("ghz", n_qubits=n).blocks_fn(0.1, 0)[0][0]
+            mults = models.make_model("ghz", n_qubits=n).blocks_fn(0.1, 0)[0]
             assert mults.sum() == 2 ** (n - 1)
             assert models.ghz_qfi_discontinuous(n, 1.0, 1.0) > 0.0
 
@@ -517,9 +517,29 @@ class TestRegistry:
         if not (model.in_domain(theta - h) and model.in_domain(theta + h)):
             return
         below, at, above = (model.blocks_fn(theta + k * h, 2) for k in (-1, 0, 1))
-        for lo_group, (_, _, dblk, d2blk), hi_group in zip(below, at, above):
-            assert np.max(np.abs(dblk - (hi_group[1] - lo_group[1]) / (2.0 * h))) < 1e-6
-            assert np.max(np.abs(d2blk - (hi_group[2] - lo_group[2]) / (2.0 * h))) < 1e-6
+        assert np.max(np.abs(at[2] - (above[1] - below[1]) / (2.0 * h))) < 1e-6
+        assert np.max(np.abs(at[3] - (above[2] - below[2]) / (2.0 * h))) < 1e-6
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, 1) for name in models.MODEL_NAMES if name != "ghz"]
+        + [("ghz", 1), ("ghz", 3), ("ghz", 24)],
+    )
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_blocks_fn_returns_one_block_group(self, name, n, order):
+        direct_sum = models.make_model(name, n_qubits=n).blocks_fn(0.1, order)
+        assert isinstance(direct_sum, tuple) and len(direct_sum) == 4
+        mults, blocks, *derivatives = direct_sum
+        assert mults.ndim == 1 and mults.dtype.kind in "iu" and (mults >= 1).all()
+        assert blocks.dtype == complex and blocks.ndim == 3
+        assert blocks.shape[0] == len(mults) and blocks.shape[1] == blocks.shape[2]
+        for k, derivative in enumerate(derivatives, start=1):
+            if k <= order:
+                assert derivative.dtype == complex and derivative.shape == blocks.shape
+            else:
+                assert derivative is None
+        traces = blocks.trace(axis1=-2, axis2=-1).real
+        assert abs(float(mults @ traces) - 1.0) <= 1e-10
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):

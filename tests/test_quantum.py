@@ -274,10 +274,8 @@ def reparametrized(model, scale):
     """``model`` read at theta = scale * phi, as a family in phi."""
 
     def blocks(phi, order):
-        return [
-            (mults, *(None if a is None else scale**k * a for k, a in enumerate(arrays)))
-            for mults, *arrays in model.blocks_fn(scale * phi, order)
-        ]
+        mults, *arrays = model.blocks_fn(scale * phi, order)
+        return (mults, *(None if a is None else scale**k * a for k, a in enumerate(arrays)))
 
     lo, hi = (bound / scale for bound in model.domain)
     return dataclasses.replace(model, blocks_fn=blocks, domain=(lo, hi))
@@ -345,8 +343,8 @@ class TestQfiLimit:
         # cut, so it lies on another branch; extrapolating would miss the
         # closed-form limit (by -1.1% at N = 2) and report a tiny error.
         model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
-        stacks = quantum._model_blocks(model, 1e-2 * 2.0 ** -np.arange(quantum.LIMIT_STEPS))
-        ranks = quantum._weighted_ranks(stacks).tolist()
+        stack = quantum._model_blocks(model, 1e-2 * 2.0 ** -np.arange(quantum.LIMIT_STEPS))
+        ranks = quantum._weighted_ranks(stack).tolist()
         assert ranks[0] == 2**n and ranks[-1] < 2**n
         with pytest.raises(NumericalError, match="effective rank differs between the samples"):
             quantum.qfi_limit(model, 0.0)
@@ -356,33 +354,21 @@ class TestQfiLimit:
 
 
 def block_model(parts, name="block-model"):
-    """Direct-sum model from (multiplicity, weight, fixed-rank family) parts,
-    and its dense twin.
+    """Direct-sum model from (multiplicity, weight, fixed-rank family) parts
+    whose blocks share one size, and its dense twin.
 
-    The block of a part is weight times the family's one block, grouped
-    with the other parts' blocks of its size; the twin's state and
-    derivatives are block-diagonal with every block repeated.
+    The block of a part is weight times the family's one block; the twin's
+    state and derivatives are block-diagonal with every block repeated.
     """
 
     def part_blocks(theta, order):
         for mult, w, fam in parts:
-            [(_, *arrays)] = fam.blocks_fn(theta, order)
+            _, *arrays = fam.blocks_fn(theta, order)
             yield mult, *(None if a is None else w * a[0] for a in arrays)
 
     def blocks(theta, order):
-        by_size = {}
-        for part in part_blocks(theta, order):
-            by_size.setdefault(part[1].shape, []).append(part)
-        return [
-            (
-                np.array([part[0] for part in group]),
-                *(
-                    np.array([part[k] for part in group]) if k <= order + 1 else None
-                    for k in (1, 2, 3)
-                ),
-            )
-            for group in by_size.values()
-        ]
+        mults, *arrays = zip(*part_blocks(theta, order))
+        return (np.array(mults), *(None if a[0] is None else np.array(a) for a in arrays))
 
     def dense(theta, k):
         parts_at = list(part_blocks(theta, k))
@@ -448,10 +434,10 @@ class TestDirectSum:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_weighted_blocks_match_block_diagonal_state(self, seed):
-        # A 2x2 block and a 3x3 block, the second repeated twice, against
-        # the assembled 7x7 state.
+        # Two 3x3 blocks of different weights, the second repeated twice,
+        # against the assembled 9x9 state.
         model, dense = block_model(
-            [(1, 0.4, rotation_model(2, seed)), (2, 0.3, rotation_model(3, seed + 100))]
+            [(1, 0.4, rotation_model(3, seed)), (2, 0.3, rotation_model(3, seed + 100))]
         )
         for theta in (-0.7, 0.2, 1.1):
             assert quantum.model_qfi(model, theta) == pytest.approx(
@@ -480,35 +466,41 @@ class TestDirectSum:
             quantum.model_qfi(model, 0.0)
 
     @pytest.mark.parametrize(
-        "groups",
+        "direct_sum",
         [
-            [],
-            [(np.ones(1, dtype=int), HALF[None])],
-            [(np.ones(1, dtype=int), HALF[None], np.zeros_like(HALF[None]))],
-            [(np.zeros(0, dtype=int), HALF_PAIR[:0], HALF_PAIR[:0], HALF_PAIR[:0])],
-            [(np.array([-1, 2]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR))],
-            [(np.array([0, 1]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR))],
-            [(np.array([0.5, 0.5]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR))],
+            (),
+            (np.ones(1, dtype=int), HALF[None]),
+            (np.ones(1, dtype=int), HALF[None], np.zeros_like(HALF[None])),
+            [(np.ones(1, dtype=int), HALF[None], np.zeros_like(HALF[None]), None)],
+            (np.zeros(0, dtype=int), HALF_PAIR[:0], HALF_PAIR[:0], HALF_PAIR[:0]),
+            (np.array([-1, 2]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR)),
+            (np.array([0, 1]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR)),
+            (np.array([0.5, 0.5]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR)),
         ],
-        ids=["empty", "two-tuple", "three-tuple", "no-blocks", "negative", "zero", "fractional"],
+        ids=[
+            "empty", "two-tuple", "three-tuple", "list-of-groups", "no-blocks", "negative",
+            "zero", "fractional",
+        ],
     )
-    def test_malformed_direct_sum_rejected(self, groups):
-        # The weighted traces of the last three sum to 1: only the
-        # multiplicities are wrong.
+    def test_malformed_direct_sum_rejected(self, direct_sum):
+        # A list holding one valid 4-tuple is the retired "one group per
+        # block size" form.  The weighted traces of the last three sum to
+        # 1: only the multiplicities are wrong.
         model = models.ParametricModel(
-            name="malformed", state_fn=None, blocks_fn=lambda theta, order: groups
+            name="malformed", state_fn=None, blocks_fn=lambda theta, order: direct_sum
         )
-        with pytest.raises(InvalidInputError):
-            quantum.model_qfi(model, 0.0)
-        with pytest.raises(InvalidInputError):
-            quantum.bures_metric_fd(model, 0.0)
+        for routine in (quantum.model_qfi, quantum.bures_metric_fd):
+            with pytest.raises(InvalidInputError) as err:
+                routine(model, 0.0)
+            if isinstance(direct_sum, list):
+                assert "4-tuple" in str(err.value)
 
     @pytest.mark.parametrize("second", [None, HALF_PAIR], ids=["missing", "wrong-shape"])
     def test_metric_needs_the_second_derivatives(self, second):
         # The QFI reads no second derivative; the metric rejects a bad one.
-        groups = [(np.ones(1, dtype=int), HALF[None], np.zeros_like(HALF[None]), second)]
+        direct_sum = (np.ones(1, dtype=int), HALF[None], np.zeros_like(HALF[None]), second)
         model = models.ParametricModel(
-            name="no-second", state_fn=None, blocks_fn=lambda theta, order: groups
+            name="no-second", state_fn=None, blocks_fn=lambda theta, order: direct_sum
         )
         assert quantum.model_qfi(model, 0.0) == 0.0
         with pytest.raises(InvalidInputError):
@@ -516,7 +508,7 @@ class TestDirectSum:
 
 
 # (model, a point to read around): every registry model, GHZ at three N,
-# rotation models in 3 and 4 dimensions, and the 2x2 + 3x3 direct sum.
+# rotation models in 3 and 4 dimensions, and a weighted sum of 3x3 blocks.
 STACKED_CASES = [
     ("classical-bit", lambda: models.make_model("classical-bit"), 0.0),
     ("trig", lambda: models.make_model("trig"), math.pi / 2),
@@ -527,9 +519,9 @@ STACKED_CASES = [
     ("rotation-3", lambda: rotation_model(3, 4), 0.3),
     ("rotation-4", lambda: rotation_model(4, 5), -0.8),
     (
-        "mixed-blocks",
+        "weighted-blocks",
         lambda: block_model(
-            [(1, 0.4, rotation_model(2, 0)), (2, 0.3, rotation_model(3, 100))]
+            [(1, 0.4, rotation_model(3, 0)), (2, 0.3, rotation_model(3, 100))]
         )[0],
         0.2,
     ),
@@ -560,13 +552,11 @@ class TestStackedReads:
         stacked = quantum._model_blocks(model, thetas, order=2)
         for i, theta in enumerate(thetas):
             alone = quantum._model_blocks(model, [theta], order=2)
-            assert len(stacked) == len(alone)
-            for group, group1 in zip(stacked, alone):
-                assert np.array_equal(group.multiplicities, group1.multiplicities)
-                fields = ("blocks", "dblocks", "d2blocks", "eigenvalues", "eigenvectors", "ranks")
-                for field in fields:
-                    got, want = getattr(group, field)[i], getattr(group1, field)[0]
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+            assert np.array_equal(stacked.multiplicities, alone.multiplicities)
+            fields = ("blocks", "dblocks", "d2blocks", "eigenvalues", "eigenvectors", "ranks")
+            for field in fields:
+                got, want = getattr(stacked, field)[i], getattr(alone, field)[0]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
     def test_spectra_equal_one_matrix_eigensolves(self):
         rng = np.random.default_rng(11)
@@ -586,8 +576,8 @@ def hex_pairs(pairs):
 
 # (model, grid): every built-in model.  The classical bit's grid has rows
 # on both domain edges, and the transverse qubit's rows at +/-0.49995 lie
-# within 1e-4 of +/-kappa/2; the rotation models and the mixed direct sum
-# read 3x3 and 4x4 blocks.
+# within 1e-4 of +/-kappa/2; the rotation models and the weighted direct
+# sum read 3x3 and 4x4 blocks.
 ONE_READ_CASES = [
     ("classical-bit", lambda: models.make_model("classical-bit"), np.linspace(0.0, 1.0, 11)),
     ("trig", lambda: models.make_model("trig"), np.linspace(0.0, math.pi / 2, 7)),
@@ -602,9 +592,9 @@ ONE_READ_CASES = [
     ("rotation-3", lambda: rotation_model(3, 4), [-0.8, 0.3]),
     ("rotation-4", lambda: rotation_model(4, 5), [0.1, 1.2]),
     (
-        "mixed-blocks",
+        "weighted-blocks",
         lambda: block_model(
-            [(1, 0.4, rotation_model(2, 0)), (2, 0.3, rotation_model(3, 100))]
+            [(1, 0.4, rotation_model(3, 0)), (2, 0.3, rotation_model(3, 100))]
         )[0],
         [-0.7, 0.2, 1.1],
     ),
@@ -640,7 +630,7 @@ class TestQfiAndMetric:
         def blocks(theta, order):
             mult, block = (2, HALF / 2) if theta == 0.0 else (1, HALF)
             zero = np.zeros((1, 2, 2), dtype=complex)
-            return [(np.array([mult]), block[None], zero, zero)]
+            return (np.array([mult]), block[None], zero, zero)
 
         model = models.ParametricModel(name="changing", state_fn=None, blocks_fn=blocks)
         assert quantum.qfi_and_metric(model, [0.0]) == [(0.0, 0.0)]
@@ -657,16 +647,16 @@ def poisoned(model, call, kind):
     calls = iter(range(10**6))
 
     def blocks(theta, order):
-        groups = model.blocks_fn(theta, order)
+        direct_sum = model.blocks_fn(theta, order)
         if next(calls) != call:
-            return groups
-        (mults, mats, *derivatives), *rest = groups
+            return direct_sum
+        mults, mats, *derivatives = direct_sum
         mats = mats.copy()
         if kind == "hermitian":
             mats[0] += np.triu(np.full(mats.shape[1:], 1e-6), 1)
         else:
             mats[0] *= 1.01
-        return [(mults, mats, *derivatives), *rest]
+        return (mults, mats, *derivatives)
 
     return dataclasses.replace(model, blocks_fn=blocks)
 
