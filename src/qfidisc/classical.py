@@ -26,11 +26,11 @@ from .exceptions import (
     SingularModelWarning,
 )
 from .numdiff import base_step, speed_and_acceleration
-from .quantum import SPEED_TOL, SUPPORT_TOL
 
-# |a| below this counts as zero, as |v| below SPEED_TOL does: finite-
-# difference noise at the default step h = 1e-3 sits around 1e-8.
-ACCEL_TOL = 1e-6
+# |v| at or above SPEED_TOL is a second kind, and else |a| at or above
+# ACCEL_TOL a jump: on this finite-difference path, absolute numbers in
+# units of theta, whose noise at the default step h = 1e-3 sits around 1e-8.
+from .quantum import ACCEL_TOL, SPEED_TOL, SUPPORT_TOL, _kind
 
 
 @dataclass
@@ -118,14 +118,6 @@ class ClassicalDiscontinuityReport:
     evidence: dict = field(default_factory=dict)
 
 
-def classify_from_derivatives(speed: float, acceleration: float) -> str:
-    if abs(speed) >= SPEED_TOL:
-        return "second-kind"
-    if abs(acceleration) >= ACCEL_TOL:
-        return "jump"
-    return "continuous"
-
-
 def _sample_branch(value_fn: Callable[[float], float], theta_bar: float, h: float):
     """Evaluate a scalar branch at theta_bar and theta_bar +/- {h, h/2, h/4},
     dropping a side that falls outside the family's domain."""
@@ -170,7 +162,7 @@ def classical_discontinuity(
             "relative to its neighborhood"
         )
     speed, accel = speed_and_acceleration(h, samples)
-    kind = classify_from_derivatives(speed, accel)
+    kind = _kind(abs(speed) >= SPEED_TOL, abs(accel) >= ACCEL_TOL)
     note = ""
     evidence: dict = {"h": h, "prob_at_bar": q_bar}
     if kind == "continuous":

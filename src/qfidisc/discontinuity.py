@@ -3,11 +3,13 @@
 ``classify`` reads theta_bar alone, with the first two derivatives of the
 blocks of the model's direct sum, and takes no step.  By perturbation
 theory (``quantum._block_motion``) the vanishing eigenvalues of each block,
-its kernel at theta_bar, move with speed v_j and acceleration a_j; their
-sums v and a over the blocks, weighted by multiplicity, classify the QFI
-behaviour: continuous (v = a = 0), a jump of size 2a (v = 0, a != 0), or a
-discontinuity of the second kind (v != 0, divergent limit).  Jumps of
-eigenvalues that vanish together add.
+its kernel at theta_bar, move with speed v_j and acceleration a_j.  Where
+a block's kernel moves at first order the QFI has a discontinuity of the
+second kind (divergent limit); else, where one moves at second order, a
+jump of size 2a, with a = sum_j m_j a_j; else theta_bar is no
+discontinuity.  ``quantum._kernel_motion`` holds each block's v_j and a_j
+against the size of its own derivatives, so the verdict does not depend on
+the scale of theta.  Jumps of eigenvalues that vanish together add.
 
 The predicted jump 2a is checked against a jump measured another way at
 the same point: the fidelity F(rho, rho + e rho' + e^2 rho''/2) expanded
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .classical import ACCEL_TOL, classify_from_derivatives
 from .exceptions import DomainError, MultiBranchError, NotADiscontinuityError, NumericalError
 from .numdiff import base_step
 
@@ -131,23 +132,6 @@ def _fidelity_terms(lam, support, d_eig: np.ndarray, d2_eig: np.ndarray) -> tupl
     return 0.5 * first, 0.25 * second - 0.25 * terms.sum(axis=(-2, -1))
 
 
-def _moving_directions(lam, support, d_eig: np.ndarray, d2_eig: np.ndarray) -> np.ndarray:
-    """(P, B) counts of each block's kernel directions that move: the
-    eigenvalues of P A' P above SPEED_TOL times the block's largest
-    eigenvalue, or, where none is, those of P A'' P - 2 P A' A^+ A' P (the
-    vanishing eigenvalues' second derivatives) above ACCEL_TOL times it.
-    P projects on the kernel, the complement of the support, and A^+
-    inverts A on the support; both matrices are solved in one stack."""
-    on_kernel = ~(support[..., :, None] | support[..., None, :])
-    inverse = np.divide(1.0, lam, out=np.zeros(lam.shape), where=support)
-    curvature = d2_eig - 2.0 * d_eig @ (inverse[..., :, None] * d_eig)
-    firsts, seconds = np.abs(np.linalg.eigvalsh(np.where(on_kernel, [d_eig, curvature], 0.0)))
-    scale = lam[..., :1]
-    n_first = (firsts > quantum.SPEED_TOL * scale).sum(axis=-1)
-    n_second = (seconds > ACCEL_TOL * scale).sum(axis=-1)
-    return np.where(n_first > 0, n_first, n_second)
-
-
 @dataclass
 class DiscontinuityReport:
     """Classification of the QFI behaviour at a rank-change point."""
@@ -155,7 +139,7 @@ class DiscontinuityReport:
     theta_bar: float
     speed: float
     acceleration: float
-    kind: str  # "continuous" | "jump" | "second-kind"
+    kind: str  # "second-kind" or "jump"; where no kernel direction moves, classify raises
     delta_q_predicted: float
     delta_q_measured: float
     qfi_at_bar: float
@@ -195,44 +179,46 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
 
     The kernel side (``quantum._block_motion``): Q, 4g, the speed
     v = sum_j m_j v_j and the acceleration a = sum_j m_j a_j of the
-    vanishing eigenvalues, by perturbation theory; ``classify_from_derivatives``
-    gives the kind, the predicted jump is 2a, and the QFI limit is 4g.  Q
-    and 4g equal what ``quantum.model_qfi`` and ``quantum.bures_metric_fd``
+    vanishing eigenvalues, by perturbation theory.  The kind is
+    ``quantum._kernel_motion``'s verdict: of the second kind where a
+    block's kernel moves at first order, and else a jump where one moves
+    at second order.  The predicted jump is 2a, and the QFI limit is 4g.
+    Q and 4g equal what ``quantum.model_qfi`` and ``quantum.bures_metric_fd``
     give alone.  ``rank_beside`` adds to the rank at theta_bar the kernel
-    directions that move (``_moving_directions``).
+    directions that move.
 
     The measured side: the fidelity's expansion over each block's support
     (``_fidelity_terms``), summed as F1 and F2 with multiplicities, gives
     the speed -2 F1 and 4g = -8 F2, so the measured jump is -8 F2 - Q,
-    infinite where the kind is second.  The two sides differ only by the
-    support cut and sum_j m_j tr A''_j = 0.
+    infinite where the kind is second; its kind holds -2 F1 and half the
+    jump against the kernel's bounds, summed with multiplicities.  The two
+    sides differ only by the support cut and sum_j m_j tr A''_j = 0.
 
     Raises ``NotADiscontinuityError`` where no kernel direction moves
     (also at full rank), and ``NumericalError`` where the measured side's
     kind differs, or where, at a jump, 2a and the measured jump differ by
     more than JUMP_AGREEMENT relative.
     """
-    d_eig, d2_eig, q, speed, curvature = quantum._block_motion(st)
+    d_eig, d2_eig, q, speed, accel, bounds, moves, moving = quantum._block_motion(st)
     lam = st.eigenvalues
     support = np.arange(lam.shape[-1]) < quantum._support_rank(lam)[..., None]
     f1, f2 = _fidelity_terms(lam, support, d_eig, d2_eig)
-    rank, moving = support.sum(axis=-1), _moving_directions(lam, support, d_eig, d2_eig)
-    terms = [q, q + 2.0 * curvature, speed, curvature, f1, f2, rank, moving]
+    kind = quantum._kind(*moves.any(axis=(-2, -1)))
+    terms = [q, q + 2.0 * accel, speed, accel, f1, f2, support.sum(axis=-1), moving, *bounds]
     # Each term summed over the blocks in block order at theta_bar, as
     # quantum._direct_sum_metric sums Q and 4g.
     sums = quantum._point_sums(st.multiplicities * np.stack(terms))[:, 0].tolist()
-    qfi_at_bar, four_g, speed, accel, f1, f2, rank, moving = sums
+    qfi_at_bar, four_g, speed, accel, f1, f2, rank, moving, *bounds = sums
     rank_at_bar = int(rank)
-    if moving == 0:
+    if kind == "continuous":
         raise NotADiscontinuityError(
             f"no kernel direction of the state moves at theta_bar={theta_bar} "
             f"(effective rank {rank_at_bar})"
         )
 
-    kind = classify_from_derivatives(speed, accel)
-    qfi_lim = math.inf if kind == "second-kind" else four_g  # |v| >= SPEED_TOL
+    qfi_lim = math.inf if kind == "second-kind" else four_g
     measured = -8.0 * f2 - qfi_at_bar
-    measured_kind = classify_from_derivatives(-2.0 * f1, measured / 2.0)
+    measured_kind = quantum._kind(*(np.abs([2.0 * f1, measured / 2.0]) > bounds))
     if measured_kind != kind:
         raise NumericalError(
             f"at theta_bar={theta_bar} the kernel gives a {kind} (v = {speed:.3e}, "
@@ -243,7 +229,7 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
         predicted = measured = math.inf
     else:
         predicted = 2.0 * accel
-        if kind == "jump" and abs(predicted - measured) > JUMP_AGREEMENT * abs(measured):
+        if abs(predicted - measured) > JUMP_AGREEMENT * abs(measured):
             raise NumericalError(
                 f"predicted jump 2a = {predicted:.6g} and measured jump {measured:.6g} "
                 f"at theta_bar={theta_bar} differ by more than {JUMP_AGREEMENT:g} relative"

@@ -42,7 +42,7 @@ from .models import ParametricModel
 if TYPE_CHECKING:
     from .classical import Distribution
 
-# numpy draws a binomial count as a C long.
+# numpy draws a binomial or multinomial count as a C long.
 _MAX_SAMPLES = 2**63 - 1
 
 
@@ -57,6 +57,8 @@ def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
+    if n_samples > _MAX_SAMPLES:
+        raise DomainError(f"n_samples={n_samples} exceeds 2**63 - 1, the largest binomial draw")
     rng = np.random.default_rng(seed)
     return rng.multinomial(n_samples, dist.probs)
 

@@ -36,9 +36,9 @@ projector P_j, moves with speed v_j = tr(P_j A_j') and curvature
 the sum of the vanishing eigenvalues' second derivatives by second-order
 perturbation theory; the trace sums a degenerate kernel without splitting
 it.  Then 4g = sum_j m_j (Q_j + 2 a_j): 4g = Q wherever the rank is full,
-and 4g - Q is the QFI's jump at a rank change.  Where |sum_j m_j v_j| is at
-least SPEED_TOL the kernel moves at first order and g is infinite.  No
-step is taken.  ``discontinuity.classify`` reads the same terms
+and 4g - Q is the QFI's jump at a rank change.  Where a block's kernel
+moves at first order (``_kernel_motion``) g is infinite.  No step is
+taken.  ``discontinuity.classify`` reads the same terms
 (``_block_motion``) at a rank change for v = sum_j m_j v_j and
 a = sum_j m_j a_j, and holds 4g against the fidelity expanded over each
 block's support: the two agree up to the support cut and
@@ -74,9 +74,11 @@ from .numdiff import richardson_limit
 # An eigenvalue at or below SUPPORT_TOL times the largest of its block (or
 # density matrix) lies in the kernel.
 SUPPORT_TOL = 1e-12
-# A kernel speed |v| at or above this moves at first order: the metric is
-# infinite there, and the discontinuity is of the second kind.
+# A block's kernel moves at first order where |v| exceeds SPEED_TOL, and
+# else at second order where |a| exceeds ACCEL_TOL, each times the size of
+# the block's own derivatives (``_kernel_motion``).
 SPEED_TOL = 1e-6
+ACCEL_TOL = 1e-6
 # The one-sided QFI limit samples theta_bar +/- LIMIT_H0 * 2**-k for
 # k < LIMIT_STEPS; its last two extrapolants must agree within
 # LIMIT_REL_TOL relative.
@@ -329,23 +331,40 @@ def _direct_sum_qfi(st: BlockStack) -> np.ndarray:
 
 
 def _kernel_motion(st: BlockStack, d_eig: np.ndarray, d2_eig: np.ndarray) -> tuple:
-    """The (P, B) speed v and curvature a of each block's kernel (see the
-    module docstring), from its first and second derivatives in the
-    eigenbasis."""
+    """Per point and block, from the derivatives in the eigenbasis: the
+    kernel's speed v and curvature a, the (2, P, B) bounds they must exceed
+    and whether they do (a move at first, at second order), and the count
+    of kernel directions that move: the eigenvalues above the bounds of
+    P A' P, else of P (A'' - 2 A' A^+ A') P (P the kernel's projector, A^+
+    the inverse on the support), whose traces are v and a.  With |.| the
+    largest absolute entry, the bounds SPEED_TOL (|A'| + sqrt(lambda_max
+    |A''|)) and ACCEL_TOL (|A''| + |A'|^2 / lambda_min) scale as v and a
+    with theta, are 0 for a block constant in theta, and by the sqrt term
+    keep a rounded A' = 0 (trig at pi/2) from reading as motion."""
     lam = st.eigenvalues
-    kernel = np.arange(lam.shape[-1]) >= _support_rank(lam)[..., None]
-    speed = np.where(kernel, d_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
-    pairs = kernel[..., :, None] & ~kernel[..., None, :]
-    coupling = np.divide(
-        np.abs(d_eig) ** 2, lam[..., None, :], out=np.zeros(pairs.shape), where=pairs
-    )
-    curvature = np.where(kernel, d2_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
-    return speed, curvature - 2.0 * coupling.sum(axis=(-2, -1))
+    support = lam > SUPPORT_TOL * lam[..., :1]  # the first _support_rank(lam)
+    inverse = np.divide(1.0, lam, out=np.zeros(lam.shape), where=support)
+    curvature = d2_eig - 2.0 * d_eig @ (inverse[..., :, None] * d_eig)
+    on_kernel = ~(support[..., :, None] | support[..., None, :])
+    parts = np.where(on_kernel, [d_eig, curvature], 0.0)
+    motion = parts.trace(axis1=-2, axis2=-1).real
+    d1, d2 = np.abs([st.dblocks, st.d2blocks]).max(axis=(-2, -1))
+    # 1 / lambda_min is the largest entry of A^+, and 0 with no support.
+    coupling = d1**2 * inverse.max(axis=-1)
+    bounds = np.array([SPEED_TOL * (d1 + np.sqrt(lam[..., 0] * d2)), ACCEL_TOL * (d2 + coupling)])
+    firsts, seconds = (np.abs(np.linalg.eigvalsh(parts)) > bounds[..., None]).sum(axis=-1)
+    return *motion, bounds, np.abs(motion) > bounds, np.where(firsts, firsts, seconds)
+
+
+def _kind(first, second) -> str:
+    """The Fisher information's behaviour where a vanishing eigenvalue or
+    probability moves at first order, else at second, else not at all."""
+    return "second-kind" if first else "jump" if second else "continuous"
 
 
 def _block_motion(st: BlockStack) -> tuple:
     """For an order-2 read: the blocks' first and second derivatives in
-    their eigenbases, their QFIs, and their kernels' speeds and curvatures
+    their eigenbases, their QFIs, and their kernels' motion
     (``_kernel_motion``), each per point and block."""
     d_eig, q = _block_qfis(st)
     d2_eig = _dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
@@ -354,10 +373,10 @@ def _block_motion(st: BlockStack) -> tuple:
 
 def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
     """Q and 4g = sum_j m_j (Q_j + 2 a_j) at every point of an order-2 read;
-    4g is inf where |sum_j m_j v_j| >= SPEED_TOL."""
-    _, _, q, speed, curvature = _block_motion(st)
+    4g is inf where a block's kernel moves at first order."""
+    _, _, q, _, curvature, _, moves, _ = _block_motion(st)
     mults = st.multiplicities
-    moving = np.abs(_point_sums(mults * speed)) >= SPEED_TOL
+    moving = moves[0].any(axis=-1)
     four_g = _point_sums(mults * (q + 2.0 * curvature))
     return _point_sums(mults * q), np.where(moving, np.inf, four_g)
 

@@ -1,5 +1,7 @@
 """Shared builders for randomized states and test-only model families."""
 
+import dataclasses
+
 import numpy as np
 
 from qfidisc import quantum
@@ -63,6 +65,17 @@ def diagonal_branch_model(branch, dbranch, d2branch, name="diagonal-branch") -> 
     return ParametricModel(
         name=name, state_fn=state, blocks_fn=one_block(state, derivative, second)
     )
+
+
+def reparametrized(model, scale):
+    """``model`` read at theta = scale * phi, as a family in phi."""
+
+    def blocks(phi, order):
+        mults, *arrays = model.blocks_fn(scale * phi, order)
+        return (mults, *(None if a is None else scale**k * a for k, a in enumerate(arrays)))
+
+    lo, hi = (bound / scale for bound in model.domain)
+    return dataclasses.replace(model, blocks_fn=blocks, domain=(lo, hi))
 
 
 def bernoulli_family(theta: float):

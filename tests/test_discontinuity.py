@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diagonal_branch_model
+from helpers import diagonal_branch_model, reparametrized
 from qfidisc import discontinuity, models, numdiff, quantum
-from qfidisc.classical import SPEED_TOL
+from qfidisc.quantum import SPEED_TOL
 from qfidisc.exceptions import (
     DomainError,
     MultiBranchError,
@@ -480,7 +480,7 @@ def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build
     st = quantum._model_blocks(model, [theta_bar], order=2)
     d_eig = quantum._dagger(st.eigenvectors) @ st.dblocks @ st.eigenvectors
     d2_eig = quantum._dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
-    v, a = quantum._kernel_motion(st, d_eig, d2_eig)
+    v, a, *_ = quantum._kernel_motion(st, d_eig, d2_eig)
     for mult, v_j, a_j in zip(st.multiplicities.tolist(), v[0].tolist(), a[0].tolist()):
         speed += mult * v_j
         accel += mult * a_j
@@ -517,3 +517,72 @@ def test_classify_is_its_analysis_of_one_read(build, theta_bar):
     model = build()
     stack = quantum._model_blocks(model, [theta_bar], order=2)
     assert discontinuity.classify(model, theta_bar) == discontinuity._classify(theta_bar, stack)
+
+
+# Every built-in rank-change point: RANK_CHANGE_POINTS and the transverse
+# qubit at kappa = 1e-3, whose domain is narrower than any fixed step.
+BUILT_IN_POINTS = RANK_CHANGE_POINTS + [
+    (
+        "transverse-qubit-kappa-1e-3",
+        lambda: models.make_model("transverse-qubit", kappa=1e-3),
+        0.0,
+    ),
+]
+
+
+def scaled_reading(build, theta_bar, scale):
+    """``classify`` and 4 ``bures_metric_fd`` at theta_bar, read as theta =
+    scale * phi: the kind and ranks, and Q, 4g, the limit and both jumps
+    over scale^2."""
+    model = reparametrized(build(), scale)
+    report = discontinuity.classify(model, theta_bar / scale)
+    four_g = 4.0 * quantum.bures_metric_fd(model, theta_bar / scale)
+    values = (report.qfi_at_bar, four_g, report.qfi_limit, report.delta_q_predicted,
+              report.delta_q_measured)
+    return (report.kind, report.rank_at_bar, report.rank_beside), [v / scale**2 for v in values]
+
+
+@pytest.mark.parametrize("build, theta_bar", [c[1:] for c in BUILT_IN_POINTS],
+                         ids=[c[0] for c in BUILT_IN_POINTS])
+def test_rank_change_points_do_not_depend_on_the_scale_of_theta(build, theta_bar):
+    # theta = c phi: the kernel's speed scales as c and its curvature as
+    # c^2, as do the bounds they are held against, so the kind and the
+    # ranks stay, and Q, 4g and the jump scale as c^2 (inf stays inf).
+    verdict, values = scaled_reading(build, theta_bar, 1.0)
+    for scale in (1e-8, 1e-4, 1e4, 1e8):
+        scaled_verdict, scaled_values = scaled_reading(build, theta_bar, scale)
+        assert scaled_verdict == verdict, scale
+        assert scaled_values == pytest.approx(values, rel=1e-12, abs=0.0), scale
+
+
+@given(
+    n=st.integers(1, 8),
+    log_kappa=st.floats(-2.0, math.log10(3.0)),
+    kappa_t=st.floats(0.1, 3.0),
+    log_scale=st.floats(-8.0, 8.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_ghz_verdict_does_not_depend_on_the_scale_of_theta(n, log_kappa, kappa_t, log_scale):
+    # The GHZ box at theta = 0, read at theta = c phi: the same kind and
+    # ranks at every c, and a second kind exactly where the metric is inf.
+    kappa = 10.0**log_kappa
+    model = models.make_model("ghz", n_qubits=n, kappa=kappa, t=kappa_t / kappa)
+    verdicts = []
+    for read in (model, reparametrized(model, 10.0**log_scale)):
+        report = discontinuity.classify(read, 0.0)
+        verdicts.append((report.kind, report.rank_at_bar, report.rank_beside))
+        infinite = math.isinf(4.0 * quantum.bures_metric_fd(read, 0.0))
+        assert (report.kind == "second-kind") == infinite
+    assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the m = 0 block's vanishing eigenvalue curves at 1.3e-7 of its largest, "
+    "under ACCEL_TOL times the size of its derivatives, so rank_beside reads 7",
+)
+def test_ghz_3_at_kappa_1e_3_is_full_rank_beside_zero():
+    # Every GHZ block has full rank at theta != 0, so the rank beside 0 is
+    # 2^3 = 8, as it reads at kappa = 1e-2.
+    report = discontinuity.classify(models.make_model("ghz", n_qubits=3, kappa=1e-3), 0.0)
+    assert (report.rank_at_bar, report.rank_beside) == (4, 8)

@@ -88,6 +88,15 @@ class TestSampleOutcomes:
         with pytest.raises(InvalidInputError):
             estimation.sample_outcomes(dist, 0, seed=1)
 
+    def test_sample_count_past_a_c_long_is_a_domain_error(self):
+        # run_cr_experiment's message; numpy's multinomial would raise an
+        # OverflowError here.  The largest count still draws.
+        dist = classical.Distribution(("0", "1"), np.array([0.3, 0.7]))
+        for n_samples in (10**20, 2**63):
+            with pytest.raises(DomainError, match=rf"^n_samples={n_samples} exceeds 2\*\*63 - 1, "):
+                estimation.sample_outcomes(dist, n_samples, seed=1)
+        assert estimation.sample_outcomes(dist, 2**63 - 1, seed=1).sum() == 2**63 - 1
+
 
 # Seeds at the edges of SeedSequence's 32-bit word splitting.
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1]

@@ -36,3 +36,12 @@ def test_no_module_imports_scipy(path):
 def test_every_export_resolves():
     assert len(set(qfidisc.__all__)) == len(qfidisc.__all__)
     assert [name for name in qfidisc.__all__ if not hasattr(qfidisc, name)] == []
+
+
+@pytest.mark.parametrize("name", ["quantum.py", "discontinuity.py"])
+def test_the_quantum_side_imports_nothing_from_classical(name):
+    # The kernel-motion rule lives in quantum alone; the classical
+    # finite-difference path keeps its own absolute thresholds.
+    [path] = [path for path in SOURCES if path.name == name]
+    modules = imported_modules(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert [m for m in modules if m == ".classical"] == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, solve_sylvester, sqrtm
 
-from helpers import count_reads, random_density, random_hermitian, rotation_model
+from helpers import count_reads, random_density, random_hermitian, reparametrized, rotation_model
 from qfidisc import discontinuity, models, quantum
 from qfidisc.exceptions import (
     DivergenceError,
@@ -268,17 +268,6 @@ class TestBuresMetric:
         model = models.make_model("transverse-qubit", kappa=kappa)
         four_g = 4.0 * quantum.bures_metric_fd(model, 0.0)
         assert four_g == pytest.approx(2.0 * (math.expm1(-kappa) + kappa) / kappa**2, rel=1e-10)
-
-
-def reparametrized(model, scale):
-    """``model`` read at theta = scale * phi, as a family in phi."""
-
-    def blocks(phi, order):
-        mults, *arrays = model.blocks_fn(scale * phi, order)
-        return (mults, *(None if a is None else scale**k * a for k, a in enumerate(arrays)))
-
-    lo, hi = (bound / scale for bound in model.domain)
-    return dataclasses.replace(model, blocks_fn=blocks, domain=(lo, hi))
 
 
 # (model, a regular point, its rank-change point), with theta = scale * phi.
