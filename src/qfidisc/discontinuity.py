@@ -194,27 +194,30 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
     jump against the kernel's bounds, summed with multiplicities.  The two
     sides differ only by the support cut and sum_j m_j tr A''_j = 0.
 
-    Raises ``NotADiscontinuityError`` where no kernel direction moves
-    (also at full rank), and ``NumericalError`` where the measured side's
-    kind differs, or where, at a jump, 2a and the measured jump differ by
-    more than JUMP_AGREEMENT relative.
+    The ranks are summed in int64, exact past 2**53.  Raises
+    ``NotADiscontinuityError`` where no kernel direction moves: at full
+    rank before any of the kernel analysis runs, since there is no kernel
+    to move.  Raises ``NumericalError`` where the measured side's kind
+    differs, or where, at a jump, 2a and the measured jump differ by more
+    than JUMP_AGREEMENT relative.
     """
+    if st.full_rank:
+        raise _standing_still(theta_bar, int(quantum._weighted_ranks(st)[0]))
     d_eig, d2_eig, q, speed, accel, bounds, moves, moving = quantum._block_motion(st)
-    lam = st.eigenvalues
-    support = np.arange(lam.shape[-1]) < quantum._support_rank(lam)[..., None]
-    f1, f2 = _fidelity_terms(lam, support, d_eig, d2_eig)
+    ranks = st.ranks
+    rank_at_bar = int(ranks[0] @ st.multiplicities)
+    moved = int(moving[0] @ st.multiplicities)
     kind = quantum._kind(*moves.any(axis=(-2, -1)))
-    terms = [q, q + 2.0 * accel, speed, accel, f1, f2, support.sum(axis=-1), moving, *bounds]
+    if kind == "continuous":
+        raise _standing_still(theta_bar, rank_at_bar)
+    lam = st.eigenvalues
+    support = np.arange(lam.shape[-1]) < ranks[..., None]
+    f1, f2 = _fidelity_terms(lam, support, d_eig, d2_eig)
+    terms = [q, q + 2.0 * accel, speed, accel, f1, f2, *bounds]
     # Each term summed over the blocks in block order at theta_bar, as
     # quantum._direct_sum_metric sums Q and 4g.
     sums = quantum._point_sums(st.multiplicities * np.stack(terms))[:, 0].tolist()
-    qfi_at_bar, four_g, speed, accel, f1, f2, rank, moving, *bounds = sums
-    rank_at_bar = int(rank)
-    if kind == "continuous":
-        raise NotADiscontinuityError(
-            f"no kernel direction of the state moves at theta_bar={theta_bar} "
-            f"(effective rank {rank_at_bar})"
-        )
+    qfi_at_bar, four_g, speed, accel, f1, f2, *bounds = sums
 
     qfi_lim = math.inf if kind == "second-kind" else four_g
     measured = -8.0 * f2 - qfi_at_bar
@@ -244,5 +247,11 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
         qfi_at_bar=qfi_at_bar,
         qfi_limit=qfi_lim,
         rank_at_bar=rank_at_bar,
-        rank_beside=rank_at_bar + int(moving),
+        rank_beside=rank_at_bar + moved,
+    )
+
+
+def _standing_still(theta_bar: float, rank: int) -> NotADiscontinuityError:
+    return NotADiscontinuityError(
+        f"no kernel direction of the state moves at theta_bar={theta_bar} (effective rank {rank})"
     )

@@ -164,7 +164,7 @@ class EstimationReport:
     seed: int
     estimates: np.ndarray
     sample_variance: float
-    cr_bound: float  # inf when the bound is not applicable (zero QFI)
+    cr_bound: float  # inf when the bound is not applicable (a QFI that reads as zero)
     violated: bool
     notes: str = ""
 
@@ -188,27 +188,33 @@ class EstimationReport:
         }
 
 
-def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str]:
-    """Q(theta) and the note on a rank change there ("" where there is
-    none), from one read of the blocks at theta alone with their first two
-    derivatives.
+def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, float, str]:
+    """Q(theta), the floor at or below which Q reads as zero, and the note
+    on a rank change there ("" where there is none), from one read of the
+    blocks at theta alone with their first two derivatives.
 
     Q is ``quantum.model_qfi``'s, bit for bit: the same blocks and first
-    derivatives, summed the same way.  Where every block has full rank at
-    theta, the rank cannot rise beside it and no note is made.  Otherwise
-    the same read goes to ``discontinuity._classify``, which is
-    ``discontinuity.classify`` without its read, and the ranks and the
-    limit are its report's; where it cannot resolve the point, the note
+    derivatives, summed the same way.  Q reads as zero at or below
+    sum_j m_j b_j^2 / lambda_max,j, with b_j the speed a kernel must exceed
+    to move (``quantum._speed_bound``): the QFI of a block whose
+    derivative is of that size, in Q's units, so the cut does not depend on
+    the scale of theta.  A block with no weight adds nothing.  The same
+    read goes to ``discontinuity._classify``, which is
+    ``discontinuity.classify`` without its read: where it finds no
+    discontinuity, as at full rank, no note is made; else the ranks and the
+    limit are its report's, and where it cannot resolve the point, the note
     withholds them and quotes why.
     """
     st = quantum._model_blocks(model, [theta], order=2)
     q = float(quantum._direct_sum_qfi(st)[0])
-    if (st.ranks == st.blocks.shape[-1]).all():
-        return q, ""
+    speed_bound = quantum._speed_bound(st)[0]
+    top = st.eigenvalues[..., 0]
+    floors = np.divide(speed_bound**2, top, out=np.zeros(top.shape), where=top > 0.0)
+    floor = float(floors[0] @ st.multiplicities)
     try:
         report = discontinuity._classify(theta, st)
     except NotADiscontinuityError:
-        return q, ""
+        return q, floor, ""
     except NumericalError as err:
         ranks, limit = "", f"effective ranks and continuous-limit qfi not resolved ({err})"
     else:
@@ -219,7 +225,7 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, str
             else f"continuous-limit qfi = {value:.6g} (reported, not asserted attainable)"
         )
     not_valid = "the fixed-rank Cramér-Rao bound is not valid here"
-    return q, f"rank changes at theta_true={theta}{ranks}; {not_valid}; {limit}"
+    return q, floor, f"rank changes at theta_true={theta}{ranks}; {not_valid}; {limit}"
 
 
 def run_cr_experiment(
@@ -243,9 +249,12 @@ def run_cr_experiment(
     estimate of the one count vector it allows, and no stream is drawn.
     Neither step calls ``state_fn``.  The QFI and the rank-change note
     come from one read of the model's blocks and their first two
-    derivatives at theta_true alone; where a block lacks full rank there,
-    ``discontinuity._classify`` analyses that same read, and its report
-    gives the ranks and the limit.
+    derivatives at theta_true alone; ``discontinuity._classify`` analyses
+    that same read, and its report gives the ranks and the limit.  The
+    bound is not applicable (reported as inf) where Q is at or below the
+    size of the QFI that the kernel-motion speed bound leaves unresolved
+    (``_qfi_and_rank_note``), a cut in Q's own units, so a regular point
+    stays regular at any scale of theta.
     The violation flag is set when the replicate variance falls more than
     three standard errors of the variance below the bound, with
     Var(s^2) ~ 2 s^4 / (R - 1).
@@ -292,9 +301,9 @@ def run_cr_experiment(
     # Shifted two-pass variance: identical replicate estimates must give
     # exactly zero, which the unshifted mean subtraction misses by rounding.
     sample_variance = float(np.var(estimates - estimates[0], ddof=1))
-    q, rank_note = _qfi_and_rank_note(model, theta_true)
+    q, q_floor, rank_note = _qfi_and_rank_note(model, theta_true)
     notes = []
-    if q <= 1e-12:
+    if q <= q_floor:
         cr_bound = math.inf
         notes.append(f"QFI = {q:.3g} at theta_true; Cramér-Rao bound not applicable")
     else:

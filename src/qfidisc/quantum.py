@@ -42,7 +42,10 @@ taken.  ``discontinuity.classify`` reads the same terms
 (``_block_motion``) at a rank change for v = sum_j m_j v_j and
 a = sum_j m_j a_j, and holds 4g against the fidelity expanded over each
 block's support: the two agree up to the support cut and
-sum_j m_j tr A_j'' = 0, which that check guards.
+sum_j m_j tr A_j'' = 0, which that check guards.  The kernel analysis
+runs only on a read that has a kernel: where every block at every point
+has full rank (``BlockStack.full_rank``) the metric is Q itself, and
+``classify`` raises that there is no discontinuity, before any of it.
 
 Model-level routines read all their sample points in one stacked call
 (``_model_blocks``): the blocks at every point form one
@@ -234,6 +237,15 @@ class BlockStack(NamedTuple):
         """(P, B) effective ranks: eigenvalues above the support cut per block."""
         return _support_rank(self.eigenvalues)
 
+    @property
+    def full_rank(self) -> bool:
+        """Whether every block at every point has full rank: no kernel, so
+        nothing for the kernel analysis (``_block_motion``) to read.  The
+        eigenvalues descend, so a block has full rank iff its last is on
+        the support."""
+        lam = self.eigenvalues
+        return bool((lam[..., -1] > SUPPORT_TOL * lam[..., 0]).all())
+
 
 def _point_sums(terms: np.ndarray) -> np.ndarray:
     """Sum (..., B) terms over the blocks, per point, left to right in block
@@ -330,6 +342,14 @@ def _direct_sum_qfi(st: BlockStack) -> np.ndarray:
     return _point_sums(st.multiplicities * _block_qfis(st)[1])
 
 
+def _speed_bound(st: BlockStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point and block of an order-2 read: SPEED_TOL (|A'| +
+    sqrt(lambda_max |A''|)), the speed a kernel must exceed to move at
+    first order, with |A'| and |A''|, |.| the largest absolute entry."""
+    d1, d2 = np.abs([st.dblocks, st.d2blocks]).max(axis=(-2, -1))
+    return SPEED_TOL * (d1 + np.sqrt(st.eigenvalues[..., 0] * d2)), d1, d2
+
+
 def _kernel_motion(st: BlockStack, d_eig: np.ndarray, d2_eig: np.ndarray) -> tuple:
     """Per point and block, from the derivatives in the eigenbasis: the
     kernel's speed v and curvature a, the (2, P, B) bounds they must exceed
@@ -337,10 +357,10 @@ def _kernel_motion(st: BlockStack, d_eig: np.ndarray, d2_eig: np.ndarray) -> tup
     of kernel directions that move: the eigenvalues above the bounds of
     P A' P, else of P (A'' - 2 A' A^+ A') P (P the kernel's projector, A^+
     the inverse on the support), whose traces are v and a.  With |.| the
-    largest absolute entry, the bounds SPEED_TOL (|A'| + sqrt(lambda_max
-    |A''|)) and ACCEL_TOL (|A''| + |A'|^2 / lambda_min) scale as v and a
-    with theta, are 0 for a block constant in theta, and by the sqrt term
-    keep a rounded A' = 0 (trig at pi/2) from reading as motion."""
+    largest absolute entry, the bounds ``_speed_bound`` and ACCEL_TOL
+    (|A''| + |A'|^2 / lambda_min) scale as v and a with theta, are 0 for a
+    block constant in theta, and by the speed bound's sqrt term keep a
+    rounded A' = 0 (trig at pi/2) from reading as motion."""
     lam = st.eigenvalues
     support = lam > SUPPORT_TOL * lam[..., :1]  # the first _support_rank(lam)
     inverse = np.divide(1.0, lam, out=np.zeros(lam.shape), where=support)
@@ -348,10 +368,10 @@ def _kernel_motion(st: BlockStack, d_eig: np.ndarray, d2_eig: np.ndarray) -> tup
     on_kernel = ~(support[..., :, None] | support[..., None, :])
     parts = np.where(on_kernel, [d_eig, curvature], 0.0)
     motion = parts.trace(axis1=-2, axis2=-1).real
-    d1, d2 = np.abs([st.dblocks, st.d2blocks]).max(axis=(-2, -1))
+    speed_bound, d1, d2 = _speed_bound(st)
     # 1 / lambda_min is the largest entry of A^+, and 0 with no support.
     coupling = d1**2 * inverse.max(axis=-1)
-    bounds = np.array([SPEED_TOL * (d1 + np.sqrt(lam[..., 0] * d2)), ACCEL_TOL * (d2 + coupling)])
+    bounds = np.array([speed_bound, ACCEL_TOL * (d2 + coupling)])
     firsts, seconds = (np.abs(np.linalg.eigvalsh(parts)) > bounds[..., None]).sum(axis=-1)
     return *motion, bounds, np.abs(motion) > bounds, np.where(firsts, firsts, seconds)
 
@@ -373,7 +393,13 @@ def _block_motion(st: BlockStack) -> tuple:
 
 def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
     """Q and 4g = sum_j m_j (Q_j + 2 a_j) at every point of an order-2 read;
-    4g is inf where a block's kernel moves at first order."""
+    4g is inf where a block's kernel moves at first order.
+
+    The kernel analysis (``_block_motion``) runs only on a read that has a
+    kernel: at full rank every a_j is 0, so 4g is Q, bit for bit."""
+    if st.full_rank:
+        q = _direct_sum_qfi(st)
+        return q, q
     _, _, q, _, curvature, _, moves, _ = _block_motion(st)
     mults = st.multiplicities
     moving = moves[0].any(axis=-1)
@@ -412,7 +438,9 @@ def bures_metric_fd(model, theta: float) -> float:
 
 def qfi_and_metric(model, thetas) -> list[tuple[float, float]]:
     """(Q, g) at each of ``thetas``: ``model_qfi`` and ``bures_metric_fd``,
-    bit for bit, from one order-2 read of every theta.
+    bit for bit, from one order-2 read of every theta.  The kernel analysis
+    runs only where the read has a kernel somewhere on the grid; a grid of
+    full rank gives 4g = Q from the QFI sum alone.
 
     An error at any point fails the whole call; a caller that wants each
     row's own outcome calls it again on ``[theta]``.

@@ -68,14 +68,27 @@ def diagonal_branch_model(branch, dbranch, d2branch, name="diagonal-branch") -> 
 
 
 def reparametrized(model, scale):
-    """``model`` read at theta = scale * phi, as a family in phi."""
+    """``model`` read at theta = scale * phi, as a family in phi, with its
+    measurement and estimator where it has them."""
 
     def blocks(phi, order):
         mults, *arrays = model.blocks_fn(scale * phi, order)
         return (mults, *(None if a is None else scale**k * a for k, a in enumerate(arrays)))
 
+    def p_first(phi):
+        return model.p_first(scale * phi)
+
+    def estimate(freq):
+        return model.estimate(freq) / scale
+
     lo, hi = (bound / scale for bound in model.domain)
-    return dataclasses.replace(model, blocks_fn=blocks, domain=(lo, hi))
+    return dataclasses.replace(
+        model,
+        blocks_fn=blocks,
+        domain=(lo, hi),
+        p_first=None if model.p_first is None else p_first,
+        estimate=None if model.estimate is None else estimate,
+    )
 
 
 def bernoulli_family(theta: float):

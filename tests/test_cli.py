@@ -482,7 +482,15 @@ class TestNonFiniteInputs:
                 ["mc", *self.LARGEST_TIME, "--theta-bar", "0", "--replicates", "5"], capsys
             )
         assert code == 0
-        assert json.loads(stdout)["notes"].startswith("rank changes at theta_true=0.0")
+        # The block's second derivative reaches 1.3e157 at this t, so the
+        # speed bound 1e-6 sqrt(lambda_max |A''|) = 3.7e72 dwarfs |A'| = 500,
+        # and Q = 1e6 reads as zero in the units of the block's derivatives.
+        report = json.loads(stdout)
+        assert report["cr_bound"] == "inf"
+        assert report["notes"].startswith(
+            "QFI = 1e+06 at theta_true; Cramér-Rao bound not applicable; "
+            "rank changes at theta_true=0.0 (effective rank 1 vs 2 nearby)"
+        )
 
     def test_library_entry_points_reject_nan(self):
         nan = float("nan")

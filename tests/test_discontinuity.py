@@ -405,6 +405,27 @@ class TestClassify:
         assert (report.kind, report.acceleration) == ("jump", 2.0)
         assert (report.rank_at_bar, report.rank_beside) == (1, 2)
 
+    def test_ranks_past_2_53_are_summed_in_integers(self):
+        # One block diag(theta^2, 1 - theta^2) / m of multiplicity
+        # m = 2^53 + 1: a float64 sum reads the ranks 2^53 and 2^54.
+        m = 2**53 + 1
+        sign = np.diag([1.0, -1.0]).astype(complex)
+
+        def blocks(theta, order):
+            arrays = (
+                np.diag([theta**2, 1.0 - theta**2]).astype(complex) / m,
+                2.0 * theta * sign / m,
+                2.0 * sign / m,
+            )
+            return (np.array([m]), *(a[None] if k <= order else None for k, a in enumerate(arrays)))
+
+        model = ParametricModel(name="heavy-block", state_fn=None, blocks_fn=blocks)
+        report = discontinuity.classify(model, 0.0)
+        assert report.kind == "jump"
+        assert (report.rank_at_bar, report.rank_beside) == (m, 2 * m)
+        with pytest.raises(NotADiscontinuityError, match=f"effective rank {2 * m}\\)"):
+            discontinuity.classify(model, 0.3)
+
     @pytest.mark.parametrize("name", ["trig", "classical-bit", "transverse-qubit"])
     def test_measured_jump_is_limit_minus_value(self, name):
         # The measured side is the fidelity's, not 4g: equal up to rounding.

@@ -16,7 +16,7 @@ from qfidisc.exceptions import (
     UnsupportedModelError,
 )
 
-from helpers import diagonal_branch_model
+from helpers import diagonal_branch_model, reparametrized
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -451,8 +451,55 @@ class TestRunCrExperiment:
     @pytest.mark.parametrize("name, theta", [("classical-bit", 0.3), ("ghz", 0.1), ("ghz", 0.0)])
     def test_qfi_is_model_qfi_bit_for_bit(self, name, theta):
         model = models.make_model(name, n_qubits=4)
-        q, _ = estimation._qfi_and_rank_note(model, theta)
+        q, _, _ = estimation._qfi_and_rank_note(model, theta)
         assert q == quantum.model_qfi(model, theta)
+
+    @pytest.mark.parametrize("name, theta", [("classical-bit", 0.3), ("transverse-qubit", 0.2)])
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_full_rank_point_runs_no_kernel_analysis(self, monkeypatch, name, theta):
+        def refused(*args):
+            raise AssertionError("kernel analysis run on a read of full rank")
+
+        model = models.make_model(name)
+        args = dict(n_samples=200, n_replicates=50, seed=4)
+        expected = estimation.run_cr_experiment(model, theta, **args).to_json()
+        monkeypatch.setattr(quantum, "_kernel_motion", refused)
+        report = estimation.run_cr_experiment(model, theta, **args)
+        assert report.to_json() == expected
+        assert report.notes == "" and math.isfinite(report.cr_bound)
+
+    @pytest.mark.parametrize("name, theta", [("classical-bit", 0.3), ("transverse-qubit", 0.2)])
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_regular_point_stays_regular_at_every_scale_of_theta(self, name, theta):
+        # theta = c phi: the estimates, the variance and the bound scale by
+        # 1/c and 1/c^2, so the verdict and the notes cannot move.  At the
+        # parent a fixed cut Q <= 1e-12 made the classical bit at c <= 1e-7
+        # a violation with bound "inf".
+        model = models.make_model(name)
+        args = dict(n_samples=1000, n_replicates=200, seed=11)
+        base = estimation.run_cr_experiment(model, theta, **args)
+        assert base.notes == "" and math.isfinite(base.cr_bound)
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            report = estimation.run_cr_experiment(
+                reparametrized(model, scale), theta / scale, **args
+            )
+            assert (report.violated, report.notes) == (base.violated, base.notes), scale
+            assert report.cr_bound * scale**2 == pytest.approx(base.cr_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_trig_bound_is_not_applicable_at_every_scale_of_theta(self, theta):
+        # At pi/2, A' = sin(pi) is 1.2e-16 of rounding: its QFI lies under
+        # the cut, which the sqrt(lambda_max |A''|) term of the speed bound
+        # keeps in Q's units at every scale.
+        model = models.make_model("trig")
+        args = dict(n_samples=100, n_replicates=20, seed=3)
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            report = estimation.run_cr_experiment(
+                reparametrized(model, scale), theta / scale, **args
+            )
+            assert report.to_json()["cr_bound"] == "inf", scale
+            assert "Cramér-Rao bound not applicable" in report.notes
 
     def test_note_takes_its_ranks_from_the_classify_report(self, monkeypatch):
         # The ranks in the note are the report's, not a second rank test.

@@ -12,6 +12,7 @@ from qfidisc import discontinuity, models, quantum
 from qfidisc.exceptions import (
     DivergenceError,
     InvalidInputError,
+    NotADiscontinuityError,
     NumericalError,
 )
 
@@ -613,6 +614,27 @@ class TestQfiAndMetric:
         quantum.qfi_and_metric(model, list(np.linspace(-0.2, 0.2, n_points)))
         assert reads == [n_points]
 
+    def test_a_grid_through_the_rank_change_runs_the_analysis(self, monkeypatch):
+        # GHZ N = 4 over -0.2:0.2:5: theta = 0 has a kernel, so the whole
+        # read goes through the kernel analysis once, and its full-rank
+        # rows add 2 a_j = 0 to Q.
+        kappa, t = 1.0, 1.0
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=4)
+        calls = []
+        kernel_motion = quantum._kernel_motion
+
+        def counted(st, *args):
+            calls.append(st.blocks.shape[0])
+            return kernel_motion(st, *args)
+
+        monkeypatch.setattr(quantum, "_kernel_motion", counted)
+        rows = quantum.qfi_and_metric(model, list(np.linspace(-0.2, 0.2, 5)))
+        assert calls == [5]
+        four_gs = [4.0 * g for _, g in rows]
+        assert four_gs[2] == pytest.approx(models.ghz_qfi_continuous(4, kappa, t), rel=1e-12)
+        assert four_gs[2] > rows[2][0]
+        assert [four_gs[i] for i in (0, 1, 3, 4)] == [rows[i][0] for i in (0, 1, 3, 4)]
+
     def test_structure_must_match_between_points(self):
         # One block of multiplicity 2 at theta = 0, one of multiplicity 1
         # elsewhere: each point is a valid direct sum, the pair is not.
@@ -625,6 +647,48 @@ class TestQfiAndMetric:
         assert quantum.qfi_and_metric(model, [0.0]) == [(0.0, 0.0)]
         with pytest.raises(InvalidInputError, match="multiplicities differ"):
             quantum.qfi_and_metric(model, [0.0, 0.5])
+
+
+class TestFullRankReads:
+    """A read whose every block has full rank at every point has no
+    kernel: the metric is Q and classify raises, with none of the kernel
+    analysis run."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel_analysis(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("kernel analysis run on a read of full rank")
+
+        monkeypatch.setattr(quantum, "_kernel_motion", refused)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_ghz_grid_off_zero_has_4g_equal_to_q(self, n):
+        model = models.make_model("ghz", n_qubits=n)
+        thetas = [-0.3, -0.05, 0.1, 0.4]
+        rows = quantum.qfi_and_metric(model, thetas)
+        assert [q for q, _ in rows] == [quantum.model_qfi(model, theta) for theta in thetas]
+        assert [4.0 * g for _, g in rows] == [q for q, _ in rows]
+
+    def test_metric_at_a_regular_rotation_point_is_q(self):
+        model = rotation_model(3, 4)
+        assert 4.0 * quantum.bures_metric_fd(model, 0.3) == quantum.model_qfi(model, 0.3)
+
+    @pytest.mark.parametrize(
+        "build, theta_bar, rank",
+        [
+            (lambda: models.make_model("classical-bit"), 0.5, 2),
+            (lambda: models.make_model("ghz", n_qubits=4), 0.1, 16),
+            (lambda: rotation_model(3, 4), 0.3, 3),
+        ],
+        ids=["classical-bit", "ghz-4", "rotation-3"],
+    )
+    def test_classify_raises_before_the_analysis(self, build, theta_bar, rank):
+        with pytest.raises(NotADiscontinuityError) as err:
+            discontinuity.classify(build(), theta_bar)
+        assert str(err.value) == (
+            f"no kernel direction of the state moves at theta_bar={theta_bar} "
+            f"(effective rank {rank})"
+        )
 
 
 def poisoned(model, call, kind):
