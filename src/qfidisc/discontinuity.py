@@ -7,7 +7,7 @@ its kernel at theta_bar, move with speed v_j and acceleration a_j.  Where
 a block's kernel moves at first order the QFI has a discontinuity of the
 second kind (divergent limit); else, where one moves at second order, a
 jump of size 2a, with a = sum_j m_j a_j; else theta_bar is no
-discontinuity.  ``quantum._kernel_motion`` holds each block's v_j and a_j
+discontinuity.  ``quantum._block_motion`` holds each block's v_j and a_j
 against the size of its own derivatives, so the verdict does not depend on
 the scale of theta.  Jumps of eigenvalues that vanish together add.
 
@@ -100,7 +100,7 @@ def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     offsets = [offsets[i] for i in rows]
     lam, rank = st.eigenvalues, st.ranks[0]
     d = lam.shape[-1]
-    tail = np.where(np.arange(d) >= rank[:, None], lam, 0.0)
+    tail = np.where(st.support[0], 0.0, lam)
     j = np.arange(len(rank))
     first = lam[:, j, np.minimum(rank, d - 1)][rows]
     inner = (0 < rank) & (rank < d)
@@ -179,13 +179,13 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
 
     The kernel side (``quantum._block_motion``): Q, 4g, the speed
     v = sum_j m_j v_j and the acceleration a = sum_j m_j a_j of the
-    vanishing eigenvalues, by perturbation theory.  The kind is
-    ``quantum._kernel_motion``'s verdict: of the second kind where a
-    block's kernel moves at first order, and else a jump where one moves
-    at second order.  The predicted jump is 2a, and the QFI limit is 4g.
-    Q and 4g equal what ``quantum.model_qfi`` and ``quantum.bures_metric_fd``
-    give alone.  ``rank_beside`` adds to the rank at theta_bar the kernel
-    directions that move.
+    vanishing eigenvalues, by perturbation theory.  The kind is its
+    verdict: of the second kind where a block's kernel moves at first
+    order, and else a jump where one moves at second order.  The predicted
+    jump is 2a, and the QFI limit is 4g.  Q and 4g equal what
+    ``quantum.model_qfi`` and ``quantum.bures_metric_fd`` give alone.
+    ``rank_beside`` adds to the rank at theta_bar the kernel directions
+    that move at either order (``quantum._moving_count``).
 
     The measured side: the fidelity's expansion over each block's support
     (``_fidelity_terms``), summed as F1 and F2 with multiplicities, gives
@@ -201,18 +201,15 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
     differs, or where, at a jump, 2a and the measured jump differ by more
     than JUMP_AGREEMENT relative.
     """
+    rank_at_bar = int(quantum._weighted_ranks(st)[0])
     if st.full_rank:
-        raise _standing_still(theta_bar, int(quantum._weighted_ranks(st)[0]))
-    d_eig, d2_eig, q, speed, accel, bounds, moves, moving = quantum._block_motion(st)
-    ranks = st.ranks
-    rank_at_bar = int(ranks[0] @ st.multiplicities)
-    moved = int(moving[0] @ st.multiplicities)
+        raise _standing_still(theta_bar, rank_at_bar)
+    d_eig, d2_eig, q, parts, speed, accel, bounds, moves = quantum._block_motion(st)
     kind = quantum._kind(*moves.any(axis=(-2, -1)))
     if kind == "continuous":
         raise _standing_still(theta_bar, rank_at_bar)
-    lam = st.eigenvalues
-    support = np.arange(lam.shape[-1]) < ranks[..., None]
-    f1, f2 = _fidelity_terms(lam, support, d_eig, d2_eig)
+    moved = int(quantum._moving_count(parts, bounds)[0] @ st.multiplicities)
+    f1, f2 = _fidelity_terms(st.eigenvalues, st.support, d_eig, d2_eig)
     terms = [q, q + 2.0 * accel, speed, accel, f1, f2, *bounds]
     # Each term summed over the blocks in block order at theta_bar, as
     # quantum._direct_sum_metric sums Q and 4g.

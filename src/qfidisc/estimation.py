@@ -42,8 +42,13 @@ from .models import ParametricModel
 if TYPE_CHECKING:
     from .classical import Distribution
 
-# numpy draws a binomial or multinomial count as a C long.
-_MAX_SAMPLES = 2**63 - 1
+
+def _check_samples(n_samples: int) -> None:
+    """A sample count numpy can draw as a C long: 1 to 2**63 - 1."""
+    if n_samples < 1:
+        raise InvalidInputError("n_samples must be >= 1")
+    if n_samples > 2**63 - 1:
+        raise DomainError(f"n_samples={n_samples} exceeds 2**63 - 1, the largest binomial draw")
 
 
 def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
@@ -55,10 +60,7 @@ def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
     ``run_cr_experiment`` draws the first of the counts it returns for
     seed=(seed, r).
     """
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
-    if n_samples > _MAX_SAMPLES:
-        raise DomainError(f"n_samples={n_samples} exceeds 2**63 - 1, the largest binomial draw")
+    _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     return rng.multinomial(n_samples, dist.probs)
 
@@ -265,10 +267,7 @@ def run_cr_experiment(
         raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
     if not model.in_domain(theta_true):
         raise DomainError(f"theta={theta_true} outside the domain {model.domain} of {model.name!r}")
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
-    if n_samples > _MAX_SAMPLES:
-        raise DomainError(f"n_samples={n_samples} exceeds 2**63 - 1, the largest binomial draw")
+    _check_samples(n_samples)
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     p = model.p_first(theta_true)

@@ -37,15 +37,14 @@ the sum of the vanishing eigenvalues' second derivatives by second-order
 perturbation theory; the trace sums a degenerate kernel without splitting
 it.  Then 4g = sum_j m_j (Q_j + 2 a_j): 4g = Q wherever the rank is full,
 and 4g - Q is the QFI's jump at a rank change.  Where a block's kernel
-moves at first order (``_kernel_motion``) g is infinite.  No step is
-taken.  ``discontinuity.classify`` reads the same terms
-(``_block_motion``) at a rank change for v = sum_j m_j v_j and
-a = sum_j m_j a_j, and holds 4g against the fidelity expanded over each
-block's support: the two agree up to the support cut and
-sum_j m_j tr A_j'' = 0, which that check guards.  The kernel analysis
-runs only on a read that has a kernel: where every block at every point
-has full rank (``BlockStack.full_rank``) the metric is Q itself, and
-``classify`` raises that there is no discontinuity, before any of it.
+moves at first order g is infinite.  No step is taken.  The kernel is
+decided once per read (``BlockStack.support``) and ``_block_motion``
+gives these terms; ``discontinuity.classify`` reads them at a rank change
+and holds 4g against the fidelity expanded over each block's support: the
+two agree up to the support cut and sum_j m_j tr A_j'' = 0, which that
+check guards.  On a read where every block at every point has full rank
+(``BlockStack.full_rank``) the metric is Q itself, and ``classify``
+raises that there is no discontinuity, before any kernel analysis.
 
 Model-level routines read all their sample points in one stacked call
 (``_model_blocks``): the blocks at every point form one
@@ -79,7 +78,7 @@ from .numdiff import richardson_limit
 SUPPORT_TOL = 1e-12
 # A block's kernel moves at first order where |v| exceeds SPEED_TOL, and
 # else at second order where |a| exceeds ACCEL_TOL, each times the size of
-# the block's own derivatives (``_kernel_motion``).
+# the block's own derivatives (``_block_motion``).
 SPEED_TOL = 1e-6
 ACCEL_TOL = 1e-6
 # The one-sided QFI limit samples theta_bar +/- LIMIT_H0 * 2**-k for
@@ -151,16 +150,15 @@ def _decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lam[..., ::-1], 0.0), vecs[..., ::-1]
 
 
-def _support_rank(lam: np.ndarray) -> np.ndarray:
-    """Counts of eigenvalues above SUPPORT_TOL times the largest, along the
-    last axis of descending spectra."""
-    return (lam > SUPPORT_TOL * lam[..., :1]).sum(axis=-1)
+def _on_support(lam: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of descending spectra exceed SUPPORT_TOL times the first."""
+    return lam > SUPPORT_TOL * lam[..., :1]
 
 
 def spectral_decompose(rho: np.ndarray) -> SpectralData:
     """Eigendecompose a density matrix, descending order, clamped spectrum."""
     lam, vecs = _decompose(validate_density_matrix(rho))
-    return SpectralData(lam, vecs, int(_support_rank(lam)))
+    return SpectralData(lam, vecs, int(_on_support(lam).sum()))
 
 
 def _dagger(op: np.ndarray) -> np.ndarray:
@@ -220,9 +218,10 @@ class BlockStack(NamedTuple):
     Arrays carry the point on their first axis and the block on the second:
     ``blocks`` and their first and second derivatives ``dblocks`` and
     ``d2blocks`` are (P, B, d, d), ``eigenvalues`` (P, B, d), descending and
-    clamped to >= 0, and ``eigenvectors`` (P, B, d, d) with matching
-    columns.  ``multiplicities`` (B,) holds at every point.  Derivatives a
-    read did not ask for are None.
+    clamped to >= 0, ``eigenvectors`` (P, B, d, d) with matching columns,
+    and ``support`` (P, B, d) is True for the eigenvalues on the support
+    (``_on_support``).  ``multiplicities`` (B,), int64, hold at every
+    point.  Derivatives a read did not ask for are None.
     """
 
     multiplicities: np.ndarray
@@ -231,20 +230,18 @@ class BlockStack(NamedTuple):
     d2blocks: np.ndarray | None
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    support: np.ndarray
 
     @property
     def ranks(self) -> np.ndarray:
-        """(P, B) effective ranks: eigenvalues above the support cut per block."""
-        return _support_rank(self.eigenvalues)
+        """(P, B) effective ranks: eigenvalues on the support per block."""
+        return self.support.sum(axis=-1)
 
     @property
     def full_rank(self) -> bool:
-        """Whether every block at every point has full rank: no kernel, so
-        nothing for the kernel analysis (``_block_motion``) to read.  The
-        eigenvalues descend, so a block has full rank iff its last is on
-        the support."""
-        lam = self.eigenvalues
-        return bool((lam[..., -1] > SUPPORT_TOL * lam[..., 0]).all())
+        """Whether every block at every point has its last eigenvalue on the
+        support: full rank, no kernel for ``_block_motion`` to read."""
+        return bool(self.support[..., -1].all())
 
 
 def _point_sums(terms: np.ndarray) -> np.ndarray:
@@ -275,11 +272,13 @@ def _stack_points(reads: list, order: int) -> list:
     if len(reads) > 1 and (mults != mults[0]).any():
         raise InvalidInputError("block multiplicities differ between points")
     mults = mults[0]
-    if not mults.size or mults.dtype.kind not in "iu" or (mults < 1).any():
-        raise InvalidInputError(f"multiplicities {mults.tolist()} are not positive integers")
+    # Ranks are weighted in int64, since int64 times uint64 is float64; a
+    # uint64 past 2**63 - 1 wraps below 1 there.
+    if not mults.size or mults.dtype.kind not in "iu" or (mults.astype(np.int64) < 1).any():
+        raise InvalidInputError(f"multiplicities {mults.tolist()} are not integers in [1, 2**63)")
     if any(a.shape != blocks.shape for a in arrays):
         raise InvalidInputError("state and derivative dimensions differ")
-    return [mults, *arrays, *[None] * (2 - order)]
+    return [mults.astype(np.int64, copy=False), *arrays, *[None] * (2 - order)]
 
 
 def _checked_blocks(reads: list, order: int) -> BlockStack:
@@ -305,7 +304,8 @@ def _checked_blocks(reads: list, order: int) -> BlockStack:
             raise InvalidInputError(
                 f"density matrix trace {total} differs from 1 beyond {_TRACE_TOL:g}"
             )
-    return BlockStack(mults, blocks, *derivatives, *_decompose(blocks))
+    lam, vecs = _decompose(blocks)
+    return BlockStack(mults, blocks, *derivatives, lam, vecs, _on_support(lam))
 
 
 def _model_blocks(model, thetas, order: int = 1) -> BlockStack:
@@ -316,8 +316,8 @@ def _model_blocks(model, thetas, order: int = 1) -> BlockStack:
 
 
 def _weighted_ranks(st: BlockStack) -> np.ndarray:
-    """(P,) effective ranks of the whole state, weighted by multiplicity."""
-    return (st.ranks * st.multiplicities).sum(axis=-1)
+    """(P,) int64 effective ranks of the whole state, weighted by multiplicity."""
+    return st.ranks @ st.multiplicities
 
 
 def _block_qfis(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
@@ -330,8 +330,8 @@ def _block_qfis(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
     # sums above 2 SUPPORT_TOL times the block's largest eigenvalue.
     denom = lam[..., :, None] + lam[..., None, :]
     mask = denom > 2.0 * SUPPORT_TOL * lam[..., :1, None]
-    # The eigenvalues descend: a block has a pair on the support iff its first is.
-    if not mask[..., 0, 0].any(axis=-1).all():
+    # A block has a pair on the support iff its first eigenvalue is on it.
+    if not st.support[..., 0].any(axis=-1).all():
         raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
     terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
     return d_eig, 2.0 * terms.reshape(*denom.shape[:-2], -1).sum(axis=-1)
@@ -350,32 +350,6 @@ def _speed_bound(st: BlockStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return SPEED_TOL * (d1 + np.sqrt(st.eigenvalues[..., 0] * d2)), d1, d2
 
 
-def _kernel_motion(st: BlockStack, d_eig: np.ndarray, d2_eig: np.ndarray) -> tuple:
-    """Per point and block, from the derivatives in the eigenbasis: the
-    kernel's speed v and curvature a, the (2, P, B) bounds they must exceed
-    and whether they do (a move at first, at second order), and the count
-    of kernel directions that move: the eigenvalues above the bounds of
-    P A' P, else of P (A'' - 2 A' A^+ A') P (P the kernel's projector, A^+
-    the inverse on the support), whose traces are v and a.  With |.| the
-    largest absolute entry, the bounds ``_speed_bound`` and ACCEL_TOL
-    (|A''| + |A'|^2 / lambda_min) scale as v and a with theta, are 0 for a
-    block constant in theta, and by the speed bound's sqrt term keep a
-    rounded A' = 0 (trig at pi/2) from reading as motion."""
-    lam = st.eigenvalues
-    support = lam > SUPPORT_TOL * lam[..., :1]  # the first _support_rank(lam)
-    inverse = np.divide(1.0, lam, out=np.zeros(lam.shape), where=support)
-    curvature = d2_eig - 2.0 * d_eig @ (inverse[..., :, None] * d_eig)
-    on_kernel = ~(support[..., :, None] | support[..., None, :])
-    parts = np.where(on_kernel, [d_eig, curvature], 0.0)
-    motion = parts.trace(axis1=-2, axis2=-1).real
-    speed_bound, d1, d2 = _speed_bound(st)
-    # 1 / lambda_min is the largest entry of A^+, and 0 with no support.
-    coupling = d1**2 * inverse.max(axis=-1)
-    bounds = np.array([speed_bound, ACCEL_TOL * (d2 + coupling)])
-    firsts, seconds = (np.abs(np.linalg.eigvalsh(parts)) > bounds[..., None]).sum(axis=-1)
-    return *motion, bounds, np.abs(motion) > bounds, np.where(firsts, firsts, seconds)
-
-
 def _kind(first, second) -> str:
     """The Fisher information's behaviour where a vanishing eigenvalue or
     probability moves at first order, else at second, else not at all."""
@@ -383,12 +357,39 @@ def _kind(first, second) -> str:
 
 
 def _block_motion(st: BlockStack) -> tuple:
-    """For an order-2 read: the blocks' first and second derivatives in
-    their eigenbases, their QFIs, and their kernels' motion
-    (``_kernel_motion``), each per point and block."""
+    """Per point and block of an order-2 read: A' and A'' in the eigenbasis,
+    the QFIs, the kernel parts P A' P and P (A'' - 2 A' A^+ A') P (P the
+    kernel's projector, A^+ the inverse on the support), their traces v and
+    a, the (2, P, B) bounds those must exceed and whether they do (a move
+    at first, at second order).  With |.| the largest absolute entry, the
+    bounds ``_speed_bound`` and ACCEL_TOL (|A''| + |A'|^2 / lambda_min)
+    scale as v and a with theta, are 0 for a block constant in theta, and
+    by the speed bound's sqrt term keep a rounded A' = 0 (trig at pi/2)
+    from reading as motion."""
     d_eig, q = _block_qfis(st)
     d2_eig = _dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
-    return d_eig, d2_eig, q, *_kernel_motion(st, d_eig, d2_eig)
+    lam, support = st.eigenvalues, st.support
+    inverse = np.divide(1.0, lam, out=np.zeros(lam.shape), where=support)
+    curvature = d2_eig - 2.0 * d_eig @ (inverse[..., :, None] * d_eig)
+    on_kernel = ~(support[..., :, None] | support[..., None, :])
+    parts = np.where(on_kernel, [d_eig, curvature], 0.0)
+    motion = parts.trace(axis1=-2, axis2=-1).real
+    speed_bound, d1, d2 = _speed_bound(st)
+    # 1 / lambda_min is the largest entry of A^+, and 0 with no support.
+    bounds = np.array([speed_bound, ACCEL_TOL * (d2 + d1**2 * inverse.max(axis=-1))])
+    return d_eig, d2_eig, q, parts, *motion, bounds, np.abs(motion) > bounds
+
+
+def _moving_count(parts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(P, B) counts of the kernel directions that move, by degenerate
+    perturbation theory on ``_block_motion``'s parts and bounds: P A' P's
+    eigenvalues above the speed bound, plus the curvature part's above the
+    curvature bound on the directions P A' P leaves still (the support too)."""
+    speed_bound, curvature_bound = bounds[..., None]
+    w, u = np.linalg.eigh(parts[0])
+    still = u * (np.abs(w) <= speed_bound)[..., None, :]
+    r = np.linalg.eigvalsh(_dagger(still) @ parts[1] @ still)
+    return (np.abs(w) > speed_bound).sum(axis=-1) + (np.abs(r) > curvature_bound).sum(axis=-1)
 
 
 def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
@@ -400,11 +401,9 @@ def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
     if st.full_rank:
         q = _direct_sum_qfi(st)
         return q, q
-    _, _, q, _, curvature, _, moves, _ = _block_motion(st)
-    mults = st.multiplicities
-    moving = moves[0].any(axis=-1)
-    four_g = _point_sums(mults * (q + 2.0 * curvature))
-    return _point_sums(mults * q), np.where(moving, np.inf, four_g)
+    _, _, q, _, _, curvature, _, moves = _block_motion(st)
+    four_g = _point_sums(st.multiplicities * (q + 2.0 * curvature))
+    return _point_sums(st.multiplicities * q), np.where(moves[0].any(axis=-1), np.inf, four_g)
 
 
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:

@@ -383,31 +383,51 @@ class TestClassify:
         with pytest.raises(NumericalError, match="the kernel gives a jump"):
             discontinuity.classify(model, 0.0)
 
-    def test_only_the_moving_kernel_directions_count_beside(self):
-        # diag(sin^2, cos^2, 0) at 0: a two-dimensional kernel of which one
-        # direction moves, so the rank rises from 1 to 2, not 3.
-        def state(theta):
-            q = math.sin(theta) ** 2
-            return np.diag([q, 1.0 - q, 0.0]).astype(complex)
-
-        def derivative(theta):
-            return math.sin(2.0 * theta) * np.diag([1.0, -1.0, 0.0]).astype(complex)
-
-        def second(theta):
-            return 2.0 * math.cos(2.0 * theta) * np.diag([1.0, -1.0, 0.0]).astype(complex)
-
+    @pytest.mark.parametrize(
+        "diagonals, kind, rank_beside",
+        [
+            (  # diag(sin^2, cos^2, 0): of the two-dimensional kernel one
+                # direction moves, at second order, so the rank rises to 2, not 3.
+                (
+                    lambda th: [math.sin(th) ** 2, math.cos(th) ** 2, 0.0],
+                    lambda th: [math.sin(2.0 * th), -math.sin(2.0 * th), 0.0],
+                    lambda th: [2.0 * math.cos(2.0 * th), -2.0 * math.cos(2.0 * th), 0.0],
+                ),
+                "jump",
+                2,
+            ),
+            (  # diag(th, th^2, 1 - th - th^2): one kernel direction moves at
+                # first order and the other at second, so the rank rises to 3.
+                (
+                    lambda th: [th, th**2, 1.0 - th - th**2],
+                    lambda th: [1.0, 2.0 * th, -1.0 - 2.0 * th],
+                    lambda th: [0.0, 2.0, -2.0],
+                ),
+                "second-kind",
+                3,
+            ),
+        ],
+        ids=["one-of-two", "first-and-second-order"],
+    )
+    def test_only_the_moving_kernel_directions_count_beside(self, diagonals, kind, rank_beside):
+        matrices = [lambda th, f=f: np.diag(f(th)).astype(complex) for f in diagonals]
         model = ParametricModel(
             name="qutrit-with-kernel",
-            state_fn=state,
-            blocks_fn=models.one_block(state, derivative, second),
+            state_fn=matrices[0],
+            blocks_fn=models.one_block(*matrices),
+            domain=(0.0, 0.5),
         )
         report = discontinuity.classify(model, 0.0)
-        assert (report.kind, report.acceleration) == ("jump", 2.0)
-        assert (report.rank_at_bar, report.rank_beside) == (1, 2)
+        assert (report.kind, report.acceleration) == (kind, 2.0)
+        assert (report.rank_at_bar, report.rank_beside) == (1, rank_beside)
+        beside = quantum._model_blocks(model, [1e-3], order=0)
+        assert int(quantum._weighted_ranks(beside)[0]) == rank_beside
 
-    def test_ranks_past_2_53_are_summed_in_integers(self):
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_ranks_past_2_53_are_summed_in_integers(self, dtype):
         # One block diag(theta^2, 1 - theta^2) / m of multiplicity
-        # m = 2^53 + 1: a float64 sum reads the ranks 2^53 and 2^54.
+        # m = 2^53 + 1: a float64 sum reads the ranks 2^53 and 2^54, as
+        # int64 ranks times uint64 multiplicities would.
         m = 2**53 + 1
         sign = np.diag([1.0, -1.0]).astype(complex)
 
@@ -417,7 +437,8 @@ class TestClassify:
                 2.0 * theta * sign / m,
                 2.0 * sign / m,
             )
-            return (np.array([m]), *(a[None] if k <= order else None for k, a in enumerate(arrays)))
+            mults = np.array([m], dtype=dtype)
+            return (mults, *(a[None] if k <= order else None for k, a in enumerate(arrays)))
 
         model = ParametricModel(name="heavy-block", state_fn=None, blocks_fn=blocks)
         report = discontinuity.classify(model, 0.0)
@@ -493,15 +514,13 @@ def bits(*values):
 def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build, theta_bar):
     # One read of theta_bar alone: Q and 4g bit for bit as model_qfi and
     # bures_metric_fd give them, v and a as the multiplicity-weighted sums
-    # of _kernel_motion's per-block terms, in block order.
+    # of _block_motion's per-block terms, in block order.
     model = build()
     qfi_at_bar = quantum.model_qfi(model, theta_bar)
     limit = 4.0 * quantum.bures_metric_fd(model, theta_bar)
     speed = accel = 0.0
     st = quantum._model_blocks(model, [theta_bar], order=2)
-    d_eig = quantum._dagger(st.eigenvectors) @ st.dblocks @ st.eigenvectors
-    d2_eig = quantum._dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
-    v, a, *_ = quantum._kernel_motion(st, d_eig, d2_eig)
+    v, a = quantum._block_motion(st)[4:6]
     for mult, v_j, a_j in zip(st.multiplicities.tolist(), v[0].tolist(), a[0].tolist()):
         speed += mult * v_j
         accel += mult * a_j

@@ -463,7 +463,7 @@ class TestRunCrExperiment:
         model = models.make_model(name)
         args = dict(n_samples=200, n_replicates=50, seed=4)
         expected = estimation.run_cr_experiment(model, theta, **args).to_json()
-        monkeypatch.setattr(quantum, "_kernel_motion", refused)
+        monkeypatch.setattr(quantum, "_block_motion", refused)
         report = estimation.run_cr_experiment(model, theta, **args)
         assert report.to_json() == expected
         assert report.notes == "" and math.isfinite(report.cr_bound)

@@ -466,16 +466,23 @@ class TestDirectSum:
             (np.array([-1, 2]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR)),
             (np.array([0, 1]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR)),
             (np.array([0.5, 0.5]), HALF_PAIR, np.zeros_like(HALF_PAIR), np.zeros_like(HALF_PAIR)),
+            (
+                np.array([2**63], dtype=np.uint64),
+                HALF[None] / 2**63,
+                np.zeros_like(HALF[None]),
+                np.zeros_like(HALF[None]),
+            ),
         ],
         ids=[
             "empty", "two-tuple", "three-tuple", "list-of-groups", "no-blocks", "negative",
-            "zero", "fractional",
+            "zero", "fractional", "past-int64",
         ],
     )
     def test_malformed_direct_sum_rejected(self, direct_sum):
         # A list holding one valid 4-tuple is the retired "one group per
-        # block size" form.  The weighted traces of the last three sum to
-        # 1: only the multiplicities are wrong.
+        # block size" form.  The weighted traces of the last four sum to
+        # 1: only the multiplicities are wrong; the last, 2**63, does not
+        # fit the int64 in which ranks are summed.
         model = models.ParametricModel(
             name="malformed", state_fn=None, blocks_fn=lambda theta, order: direct_sum
         )
@@ -484,6 +491,8 @@ class TestDirectSum:
                 routine(model, 0.0)
             if isinstance(direct_sum, list):
                 assert "4-tuple" in str(err.value)
+            elif direct_sum and direct_sum[0].dtype == np.uint64:
+                assert "are not integers in [1, 2**63)" in str(err.value)
 
     @pytest.mark.parametrize("second", [None, HALF_PAIR], ids=["missing", "wrong-shape"])
     def test_metric_needs_the_second_derivatives(self, second):
@@ -621,19 +630,33 @@ class TestQfiAndMetric:
         kappa, t = 1.0, 1.0
         model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=4)
         calls = []
-        kernel_motion = quantum._kernel_motion
+        block_motion = quantum._block_motion
 
-        def counted(st, *args):
+        def counted(st):
             calls.append(st.blocks.shape[0])
-            return kernel_motion(st, *args)
+            return block_motion(st)
 
-        monkeypatch.setattr(quantum, "_kernel_motion", counted)
+        monkeypatch.setattr(quantum, "_block_motion", counted)
         rows = quantum.qfi_and_metric(model, list(np.linspace(-0.2, 0.2, 5)))
         assert calls == [5]
         four_gs = [4.0 * g for _, g in rows]
         assert four_gs[2] == pytest.approx(models.ghz_qfi_continuous(4, kappa, t), rel=1e-12)
         assert four_gs[2] > rows[2][0]
         assert [four_gs[i] for i in (0, 1, 3, 4)] == [rows[i][0] for i in (0, 1, 3, 4)]
+
+    def test_the_metric_calls_no_eigvalsh(self, monkeypatch):
+        # The count of moving kernel directions is classify's alone: the
+        # metric of a grid through the rank change reads the eigenvalues of
+        # its one eigh, and gives the same rows without any other solve.
+        model = models.make_model("ghz", n_qubits=4)
+        thetas = list(np.linspace(-0.2, 0.2, 5))
+        expected = hex_pairs(quantum.qfi_and_metric(model, thetas))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigvalsh called by the metric")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        assert hex_pairs(quantum.qfi_and_metric(model, thetas)) == expected
 
     def test_structure_must_match_between_points(self):
         # One block of multiplicity 2 at theta = 0, one of multiplicity 1
@@ -659,7 +682,7 @@ class TestFullRankReads:
         def refused(*args):
             raise AssertionError("kernel analysis run on a read of full rank")
 
-        monkeypatch.setattr(quantum, "_kernel_motion", refused)
+        monkeypatch.setattr(quantum, "_block_motion", refused)
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_ghz_grid_off_zero_has_4g_equal_to_q(self, n):
