@@ -4,12 +4,12 @@
 blocks of the model's direct sum, and takes no step.  By perturbation
 theory (``quantum._block_motion``) the vanishing eigenvalues of each block,
 its kernel at theta_bar, move with speed v_j and acceleration a_j.  Where
-a block's kernel moves at first order the QFI has a discontinuity of the
+a kernel direction moves at first order the QFI has a discontinuity of the
 second kind (divergent limit); else, where one moves at second order, a
 jump of size 2a, with a = sum_j m_j a_j; else theta_bar is no
-discontinuity.  ``quantum._block_motion`` holds each block's v_j and a_j
-against the size of its own derivatives, so the verdict does not depend on
-the scale of theta.  Jumps of eigenvalues that vanish together add.
+discontinuity.  ``quantum._block_motion`` holds each direction against the
+size of its block's own derivatives, so the verdict does not depend on the
+scale of theta.  Jumps of eigenvalues that vanish together add.
 
 The predicted jump 2a is checked against a jump measured another way at
 the same point: the fidelity F(rho, rho + e rho' + e^2 rho''/2) expanded
@@ -179,13 +179,13 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
 
     The kernel side (``quantum._block_motion``): Q, 4g, the speed
     v = sum_j m_j v_j and the acceleration a = sum_j m_j a_j of the
-    vanishing eigenvalues, by perturbation theory.  The kind is its
-    verdict: of the second kind where a block's kernel moves at first
-    order, and else a jump where one moves at second order.  The predicted
-    jump is 2a, and the QFI limit is 4g.  Q and 4g equal what
+    vanishing eigenvalues, by perturbation theory, and the counts of the
+    kernel directions that move.  The kind reads the counts: of the second
+    kind where one moves at first order, and else a jump where one moves at
+    second order, so 4g is inf exactly at the second kind.  The predicted
+    jump is 2a, and the QFI limit is 4g; Q and 4g equal what
     ``quantum.model_qfi`` and ``quantum.bures_metric_fd`` give alone.
-    ``rank_beside`` adds to the rank at theta_bar the kernel directions
-    that move at either order (``quantum._moving_count``).
+    ``rank_beside`` adds the counted directions to the rank at theta_bar.
 
     The measured side: the fidelity's expansion over each block's support
     (``_fidelity_terms``), summed as F1 and F2 with multiplicities, gives
@@ -204,11 +204,10 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
     rank_at_bar = int(quantum._weighted_ranks(st)[0])
     if st.full_rank:
         raise _standing_still(theta_bar, rank_at_bar)
-    d_eig, d2_eig, q, parts, speed, accel, bounds, moves = quantum._block_motion(st)
-    kind = quantum._kind(*moves.any(axis=(-2, -1)))
+    d_eig, d2_eig, q, speed, accel, bounds, counts = quantum._block_motion(st)
+    kind = quantum._kind(*counts.any(axis=(-2, -1)))
     if kind == "continuous":
         raise _standing_still(theta_bar, rank_at_bar)
-    moved = int(quantum._moving_count(parts, bounds)[0] @ st.multiplicities)
     f1, f2 = _fidelity_terms(st.eigenvalues, st.support, d_eig, d2_eig)
     terms = [q, q + 2.0 * accel, speed, accel, f1, f2, *bounds]
     # Each term summed over the blocks in block order at theta_bar, as
@@ -244,7 +243,7 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
         qfi_at_bar=qfi_at_bar,
         qfi_limit=qfi_lim,
         rank_at_bar=rank_at_bar,
-        rank_beside=rank_at_bar + moved,
+        rank_beside=rank_at_bar + int(counts.sum(axis=0)[0] @ st.multiplicities),
     )
 
 

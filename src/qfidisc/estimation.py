@@ -43,12 +43,23 @@ if TYPE_CHECKING:
     from .classical import Distribution
 
 
-def _check_samples(n_samples: int) -> None:
-    """A sample count numpy can draw as a C long: 1 to 2**63 - 1."""
+def _integer(value, name: str) -> int:
+    """``value`` as an int (``operator.index``), or an ``InvalidInputError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name}={value!r} is not an integer") from None
+
+
+def _check_samples(n_samples) -> int:
+    """``n_samples`` as a count numpy can draw as a C long: an integer from
+    1 to 2**63 - 1."""
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
     if n_samples > 2**63 - 1:
         raise DomainError(f"n_samples={n_samples} exceeds 2**63 - 1, the largest binomial draw")
+    return n_samples
 
 
 def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
@@ -60,7 +71,7 @@ def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
     ``run_cr_experiment`` draws the first of the counts it returns for
     seed=(seed, r).
     """
-    _check_samples(n_samples)
+    n_samples = _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     return rng.multinomial(n_samples, dist.probs)
 
@@ -144,15 +155,18 @@ def mle(model: ParametricModel, counts) -> float:
 
     A two-outcome likelihood depends on the counts only through the
     frequency k/M of the first outcome, which ``model.estimate`` maps to
-    the estimate.
+    the estimate.  ``counts`` must be two non-negative integers with a
+    positive total.
     """
     counts = np.asarray(counts)
-    total = int(counts.sum())
-    if total < 1:
-        raise InvalidInputError("counts are empty")
+    if counts.shape != (2,) or counts.dtype.kind not in "iu":
+        raise InvalidInputError(f"counts {counts.tolist()} are not two integers")
+    first, second = counts.tolist()
+    if min(first, second) < 0 or first + second < 1:
+        raise InvalidInputError(f"counts {[first, second]} are negative or empty")
     if model.estimate is None:
         raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
-    return float(model.estimate(counts[0] / total))
+    return float(model.estimate(first / (first + second)))
 
 
 @dataclass
@@ -245,10 +259,13 @@ def run_cr_experiment(
     from one array pass (``_replicate_states``), and the first outcome's
     count is one binomial draw from a generator set to each in turn.  The
     estimate is solved once per distinct count, since it depends on
-    nothing else.  ``seed`` must be a non-negative int, and ``n_samples``
-    at most 2**63 - 1 at every theta_true.  Where the first probability is
-    exactly 0 or 1 the law is a point mass: every replicate gets the
-    estimate of the one count vector it allows, and no stream is drawn.
+    nothing else.  ``n_samples``, ``n_replicates`` and ``seed`` must be
+    integers, ``seed`` non-negative, ``n_samples`` at most 2**63 - 1 at
+    every theta_true, and ``n_replicates`` at most 2**32, since replicate r
+    seeds its stream with r as one 32-bit word.  Where the first
+    probability is exactly 0 or 1 the law is a point mass: every replicate
+    gets the estimate of the one count vector it allows, and no stream is
+    drawn.
     Neither step calls ``state_fn``.  The QFI and the rank-change note
     come from one read of the model's blocks and their first two
     derivatives at theta_true alone; ``discontinuity._classify`` analyses
@@ -261,13 +278,20 @@ def run_cr_experiment(
     three standard errors of the variance below the bound, with
     Var(s^2) ~ 2 s^4 / (R - 1).
     """
+    n_replicates = _integer(n_replicates, "n_replicates")
+    seed = _integer(seed, "seed")
     if n_replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {n_replicates}")
+    if n_replicates > 2**32:
+        raise DomainError(
+            f"n_replicates={n_replicates} exceeds 2**32: replicate r seeds its stream "
+            "with r as one 32-bit word"
+        )
     if model.p_first is None or model.estimate is None:
         raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
     if not model.in_domain(theta_true):
         raise DomainError(f"theta={theta_true} outside the domain {model.domain} of {model.name!r}")
-    _check_samples(n_samples)
+    n_samples = _check_samples(n_samples)
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     p = model.p_first(theta_true)

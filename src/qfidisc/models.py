@@ -496,8 +496,10 @@ def lindblad_integrate(
     matches the gather form rho[ix_(flip_j, flip_j)] bit for bit.
 
     The state is re-Hermitized and trace-renormalized after every step;
-    drift beyond 1e-8 before renormalization aborts with a step-size error.
-    Global error is O(dt^4).  A call that needs more than RK4_MAX_STEPS
+    drift beyond 1e-8 before renormalization aborts with a step-size error,
+    as does a returned state with an entry of modulus above 1 or NaN.  The
+    default dt is 1e-4 min(1, 1 / max(kappa, |theta|)).  Global error is
+    O(dt^4).  A call that needs more than RK4_MAX_STEPS
     steps (t_final / dt, after rounding up) is a ``DomainError``, raised
     before the first step.
     """
@@ -506,7 +508,7 @@ def lindblad_integrate(
         raise DomainError(f"theta={theta} must be finite")
     _check_ghz_rates(kappa, t_final)
     if dt is None:
-        dt = 1e-4 * min(1.0, 1.0 / kappa)
+        dt = 1e-4 * min(1.0, 1.0 / max(kappa, abs(theta)))
     if not dt > 0:
         raise DomainError(f"dt={dt} must be positive")
     if not t_final / dt - 1e-12 <= RK4_MAX_STEPS:
@@ -555,6 +557,13 @@ def lindblad_integrate(
                 f"trace drifted to {trace} (|drift| > 1e-8); reduce dt below {step:g}"
             )
         rho = rho / trace
+    # The drift check sees only the diagonal; a state whose coherences grew
+    # past |rho_ij| <= 1 (or to NaN) went unstable off it.
+    largest = float(np.abs(rho).max())
+    if not largest <= 1.0:
+        raise StepSizeError(
+            f"the state has an entry of modulus {largest:.3g} (> 1); reduce dt below {step:g}"
+        )
     return rho
 
 

@@ -36,15 +36,21 @@ projector P_j, moves with speed v_j = tr(P_j A_j') and curvature
 the sum of the vanishing eigenvalues' second derivatives by second-order
 perturbation theory; the trace sums a degenerate kernel without splitting
 it.  Then 4g = sum_j m_j (Q_j + 2 a_j): 4g = Q wherever the rank is full,
-and 4g - Q is the QFI's jump at a rank change.  Where a block's kernel
-moves at first order g is infinite.  No step is taken.  The kernel is
-decided once per read (``BlockStack.support``) and ``_block_motion``
-gives these terms; ``discontinuity.classify`` reads them at a rank change
-and holds 4g against the fidelity expanded over each block's support: the
-two agree up to the support cut and sum_j m_j tr A_j'' = 0, which that
-check guards.  On a read where every block at every point has full rank
-(``BlockStack.full_rank``) the metric is Q itself, and ``classify``
-raises that there is no discontinuity, before any kernel analysis.
+and 4g - Q is the QFI's jump at a rank change.  A kernel moves direction
+by direction (degenerate perturbation theory): the eigenvectors of
+P_j A_j' P_j whose eigenvalues exceed the block's speed bound move at
+first order, and of the rest, those of the curvature part (the operator in
+a_j's trace, restricted to them) whose eigenvalues exceed the curvature
+bound move at second order.  ``_block_motion`` counts them; g is infinite
+where one moves at first order, and ``discontinuity.classify`` takes its
+kind and its rank beside theta_bar from the same counts.  No step is
+taken.  The kernel is decided once per read (``BlockStack.support``);
+``classify`` holds 4g against the fidelity expanded over each block's
+support: the two agree up to the support cut and sum_j m_j tr A_j'' = 0,
+which that check guards.  On a read where every block at every point has
+full rank (``BlockStack.full_rank``) the metric is Q itself, and
+``classify`` raises that there is no discontinuity, before any kernel
+analysis.
 
 Model-level routines read all their sample points in one stacked call
 (``_model_blocks``): the blocks at every point form one
@@ -76,9 +82,9 @@ from .numdiff import richardson_limit
 # An eigenvalue at or below SUPPORT_TOL times the largest of its block (or
 # density matrix) lies in the kernel.
 SUPPORT_TOL = 1e-12
-# A block's kernel moves at first order where |v| exceeds SPEED_TOL, and
-# else at second order where |a| exceeds ACCEL_TOL, each times the size of
-# the block's own derivatives (``_block_motion``).
+# A kernel direction moves at first order where its eigenvalue of P A' P
+# exceeds SPEED_TOL, else at second order where its curvature eigenvalue
+# exceeds ACCEL_TOL, each times its block's derivatives' size (``_block_motion``).
 SPEED_TOL = 1e-6
 ACCEL_TOL = 1e-6
 # The one-sided QFI limit samples theta_bar +/- LIMIT_H0 * 2**-k for
@@ -358,14 +364,14 @@ def _kind(first, second) -> str:
 
 def _block_motion(st: BlockStack) -> tuple:
     """Per point and block of an order-2 read: A' and A'' in the eigenbasis,
-    the QFIs, the kernel parts P A' P and P (A'' - 2 A' A^+ A') P (P the
-    kernel's projector, A^+ the inverse on the support), their traces v and
-    a, the (2, P, B) bounds those must exceed and whether they do (a move
-    at first, at second order).  With |.| the largest absolute entry, the
-    bounds ``_speed_bound`` and ACCEL_TOL (|A''| + |A'|^2 / lambda_min)
-    scale as v and a with theta, are 0 for a block constant in theta, and
-    by the speed bound's sqrt term keep a rounded A' = 0 (trig at pi/2)
-    from reading as motion."""
+    the QFIs, v and a (the traces of P A' P and of the curvature part
+    P (A'' - 2 A' A^+ A') P, A^+ the inverse on the support), the (2, P, B)
+    bounds, and the (2, P, B) counts of the kernel directions that move at
+    first and at second order (see the module docstring).  With |.| the
+    largest absolute entry, the bounds ``_speed_bound`` and ACCEL_TOL
+    (|A''| + |A'|^2 / lambda_min) scale with theta as what they bound, are
+    0 for a block constant in theta, and by the speed bound's sqrt term keep
+    a rounded A' = 0 (trig at pi/2) from reading as motion."""
     d_eig, q = _block_qfis(st)
     d2_eig = _dagger(st.eigenvectors) @ st.d2blocks @ st.eigenvectors
     lam, support = st.eigenvalues, st.support
@@ -373,37 +379,29 @@ def _block_motion(st: BlockStack) -> tuple:
     curvature = d2_eig - 2.0 * d_eig @ (inverse[..., :, None] * d_eig)
     on_kernel = ~(support[..., :, None] | support[..., None, :])
     parts = np.where(on_kernel, [d_eig, curvature], 0.0)
-    motion = parts.trace(axis1=-2, axis2=-1).real
     speed_bound, d1, d2 = _speed_bound(st)
     # 1 / lambda_min is the largest entry of A^+, and 0 with no support.
     bounds = np.array([speed_bound, ACCEL_TOL * (d2 + d1**2 * inverse.max(axis=-1))])
-    return d_eig, d2_eig, q, parts, *motion, bounds, np.abs(motion) > bounds
-
-
-def _moving_count(parts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """(P, B) counts of the kernel directions that move, by degenerate
-    perturbation theory on ``_block_motion``'s parts and bounds: P A' P's
-    eigenvalues above the speed bound, plus the curvature part's above the
-    curvature bound on the directions P A' P leaves still (the support too)."""
-    speed_bound, curvature_bound = bounds[..., None]
     w, u = np.linalg.eigh(parts[0])
-    still = u * (np.abs(w) <= speed_bound)[..., None, :]
+    first = np.abs(w) > speed_bound[..., None]
+    still = u * ~first[..., None, :]
     r = np.linalg.eigvalsh(_dagger(still) @ parts[1] @ still)
-    return (np.abs(w) > speed_bound).sum(axis=-1) + (np.abs(r) > curvature_bound).sum(axis=-1)
+    counts = np.array([first.sum(axis=-1), (np.abs(r) > bounds[1][..., None]).sum(axis=-1)])
+    return d_eig, d2_eig, q, *parts.trace(axis1=-2, axis2=-1).real, bounds, counts
 
 
 def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
     """Q and 4g = sum_j m_j (Q_j + 2 a_j) at every point of an order-2 read;
-    4g is inf where a block's kernel moves at first order.
+    4g is inf where a kernel direction moves at first order.
 
     The kernel analysis (``_block_motion``) runs only on a read that has a
     kernel: at full rank every a_j is 0, so 4g is Q, bit for bit."""
     if st.full_rank:
         q = _direct_sum_qfi(st)
         return q, q
-    _, _, q, _, _, curvature, _, moves = _block_motion(st)
+    _, _, q, _, curvature, _, counts = _block_motion(st)
     four_g = _point_sums(st.multiplicities * (q + 2.0 * curvature))
-    return _point_sums(st.multiplicities * q), np.where(moves[0].any(axis=-1), np.inf, four_g)
+    return _point_sums(st.multiplicities * q), np.where(counts[0].any(axis=-1), np.inf, four_g)
 
 
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:

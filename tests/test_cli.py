@@ -534,6 +534,19 @@ class TestMcCommand:
         assert err.startswith("domain error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("theta", ["0", "0.3"])  # a point mass and a sampled law
+    def test_replicate_count_past_2_32_is_a_domain_error(self, capsys, theta):
+        # 5e9 replicates would allocate 40 GB of estimates before the
+        # streams' 32-bit replicate word overflowed.
+        code, out, err = run_cli(
+            ["mc", "--model", "classical-bit", "--theta-bar", theta,
+             "--replicates", "5000000000"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: n_replicates=5000000000 exceeds 2**32")
+        assert "Traceback" not in err
+
     def test_replicate_count_below_two_is_a_usage_error(self, capsys):
         code, out, err = run_cli(
             ["mc", "--model", "classical-bit", "--theta-bar", "0.3", "--replicates", "1"], capsys

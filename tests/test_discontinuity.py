@@ -520,7 +520,7 @@ def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build
     limit = 4.0 * quantum.bures_metric_fd(model, theta_bar)
     speed = accel = 0.0
     st = quantum._model_blocks(model, [theta_bar], order=2)
-    v, a = quantum._block_motion(st)[4:6]
+    v, a = quantum._block_motion(st)[3:5]
     for mult, v_j, a_j in zip(st.multiplicities.tolist(), v[0].tolist(), a[0].tolist()):
         speed += mult * v_j
         accel += mult * a_j

@@ -88,6 +88,13 @@ class TestSampleOutcomes:
         with pytest.raises(InvalidInputError):
             estimation.sample_outcomes(dist, 0, seed=1)
 
+    @pytest.mark.parametrize("n_samples", [10.5, 10.0, "5"])
+    def test_non_integer_sample_count_is_invalid(self, n_samples):
+        # 10.5 drew counts that sum to 10.
+        dist = classical.Distribution(("0", "1"), np.array([0.3, 0.7]))
+        with pytest.raises(InvalidInputError, match="n_samples=.* is not an integer"):
+            estimation.sample_outcomes(dist, n_samples, seed=1)
+
     def test_sample_count_past_a_c_long_is_a_domain_error(self):
         # run_cr_experiment's message; numpy's multinomial would raise an
         # OverflowError here.  The largest count still draws.
@@ -191,6 +198,24 @@ class TestMle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundarySolutionWarning)  # theta on a bracket edge
             assert model.estimate(model.p_first(theta)) == pytest.approx(theta, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[-5, 10], [3, 1, 1], [math.nan, 1], [[30, 70], [50, 50]], [0, 0], [30.0, 70.0],
+         [True, False], [2**64, 1], []],
+        ids=["negative", "three", "nan", "2-d", "empty", "float", "bool", "past-uint64", "none"],
+    )
+    def test_malformed_counts_are_invalid(self, counts):
+        # The classical bit's estimate is k / M: [-5, 10] read -1.0 and
+        # [3, 1, 1] read 0.6.
+        model = models.make_model("classical-bit")
+        with pytest.raises(InvalidInputError, match="counts"):
+            estimation.mle(model, counts)
+
+    def test_integer_counts_of_any_integer_type(self):
+        model = models.make_model("classical-bit")
+        for counts in ([30, 70], np.array([30, 70], dtype=np.uint8), (np.int64(30), 70)):
+            assert estimation.mle(model, counts) == 0.3
 
     def test_model_without_measurement_is_unsupported(self):
         model = diagonal_branch_model(lambda theta: theta, lambda theta: 1.0, lambda theta: 0.0)
@@ -351,6 +376,39 @@ class TestRunCrExperiment:
         )
         assert np.isfinite(report.estimates).all()
         assert report.n_samples == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_samples", 10.5), ("n_samples", 10.0), ("n_replicates", 5.0), ("seed", 1.5),
+         ("seed", "3")],
+    )
+    def test_non_integer_counts_and_seed_are_invalid(self, name, value):
+        model = models.make_model("classical-bit")
+        args = {"n_samples": 10, "n_replicates": 5, "seed": 0, name: value}
+        with pytest.raises(InvalidInputError, match=f"{name}=.* is not an integer"):
+            estimation.run_cr_experiment(model, 0.3, **args)
+
+    def test_integer_types_are_reported_as_ints(self):
+        model = models.make_model("classical-bit")
+        report = estimation.run_cr_experiment(
+            model, 0.3, n_samples=np.int64(10), n_replicates=np.uint32(5), seed=np.int8(2)
+        )
+        fields = report.to_json()
+        assert [type(fields[key]) for key in ("n_samples", "n_replicates", "seed")] == [int] * 3
+        expected = estimation.run_cr_experiment(model, 0.3, n_samples=10, n_replicates=5, seed=2)
+        assert fields == expected.to_json()
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])  # a point mass and a sampled law
+    def test_replicates_past_2_32_are_refused_before_any_allocation(self, monkeypatch, theta):
+        def refused(*args, **kwargs):
+            raise AssertionError("allocated or seeded past the replicate cap")
+
+        monkeypatch.setattr(estimation, "_replicate_states", refused)
+        monkeypatch.setattr(np, "full", refused)
+        monkeypatch.setattr(np, "empty", refused)
+        model = models.make_model("classical-bit")
+        with pytest.raises(DomainError, match=r"exceeds 2\*\*32"):
+            estimation.run_cr_experiment(model, theta, n_samples=10, n_replicates=2**32 + 1, seed=0)
 
     def test_insufficient_replicates(self):
         model = models.make_model("classical-bit")

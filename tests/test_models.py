@@ -395,6 +395,26 @@ class TestLindbladIntegrator:
         with np.errstate(all="ignore"), pytest.raises(StepSizeError):
             models.lindblad_integrate(2, 0.0, 1e150, 1.0, dt=1.0)
 
+    @pytest.mark.parametrize("theta", [3e4, -1e5, 1e300])
+    def test_default_step_follows_a_large_theta_to_the_cap(self, monkeypatch, theta):
+        # The phase rotates at up to |theta| N: at the kappa-only default
+        # dt = 1e-4, |theta| = 3e4, 1e5 and 1e300 returned entries of
+        # modulus 2.9e17, 7.4e259 and NaN.  At dt = 1e-4 / |theta|,
+        # t = 0.01 needs more than RK4_MAX_STEPS steps.
+        monkeypatch.setattr(np, "trace", None)  # a step would call it
+        with pytest.raises(DomainError, match="RK4 steps"):
+            models.lindblad_integrate(1, theta, 1.0, 0.01)
+
+    def test_an_unstable_explicit_step_is_a_step_size_error(self):
+        # theta dt = 3 lies outside RK4's stability interval on the
+        # imaginary axis, and the trace stays 1: only the coherences grow.
+        with pytest.raises(StepSizeError, match="modulus 2.86e\\+17"):
+            models.lindblad_integrate(1, 3e4, 1.0, 0.01, dt=1e-4)
+
+    def test_default_step_is_unchanged_where_kappa_dominates(self):
+        rho = models.lindblad_integrate(2, 0.4, 0.5, 0.003)
+        assert np.array_equal(rho, models.lindblad_integrate(2, 0.4, 0.5, 0.003, dt=1e-4))
+
     @pytest.mark.parametrize(
         "kappa, t, dt",
         [

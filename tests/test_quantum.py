@@ -644,19 +644,40 @@ class TestQfiAndMetric:
         assert four_gs[2] > rows[2][0]
         assert [four_gs[i] for i in (0, 1, 3, 4)] == [rows[i][0] for i in (0, 1, 3, 4)]
 
-    def test_the_metric_calls_no_eigvalsh(self, monkeypatch):
-        # The count of moving kernel directions is classify's alone: the
-        # metric of a grid through the rank change reads the eigenvalues of
-        # its one eigh, and gives the same rows without any other solve.
-        model = models.make_model("ghz", n_qubits=4)
-        thetas = list(np.linspace(-0.2, 0.2, 5))
-        expected = hex_pairs(quantum.qfi_and_metric(model, thetas))
-
-        def refused(*args, **kwargs):
-            raise AssertionError("eigvalsh called by the metric")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-        assert hex_pairs(quantum.qfi_and_metric(model, thetas)) == expected
+    @pytest.mark.parametrize(
+        "eps, moves",
+        [(0.3e-6, False), (0.6e-6, False), (0.7e-6, False), (0.9e-6, False),
+         (1.1e-6, True), (1e-3, True)],
+    )
+    def test_the_metric_classify_and_the_ranks_agree_on_motion(self, eps, moves):
+        # diag(eps th, eps th, 1/2 + th, 1/2 - th - 2 eps th) at 0: a kernel
+        # of two directions, each moving at speed eps, against a speed bound
+        # of 1e-6 (1 + 2 eps).  Under it neither direction moves, though
+        # their sum 2 eps may exceed the bound: 4g stays finite, classify
+        # finds no discontinuity and the rank stays 2.  Over it 4g is inf,
+        # the kind is second and the rank rises to 4.
+        speeds = [eps, eps, 1.0, -1.0 - 2.0 * eps]
+        model = models.ParametricModel(
+            name="two-slow-directions",
+            state_fn=None,
+            blocks_fn=models.one_block(
+                lambda th: np.diag([eps * th, eps * th, 0.5 + th, 0.5 - th - 2.0 * eps * th])
+                .astype(complex),
+                lambda th: np.diag(speeds).astype(complex),
+                lambda th: np.zeros((4, 4), dtype=complex),
+            ),
+            domain=(0.0, 0.25),
+        )
+        infinite = math.isinf(quantum.bures_metric_fd(model, 0.0))
+        try:
+            report = discontinuity.classify(model, 0.0)
+        except NotADiscontinuityError:
+            second_kind = rises = False
+        else:
+            second_kind = report.kind == "second-kind"
+            rises = report.rank_beside > report.rank_at_bar
+            assert (report.rank_at_bar, report.rank_beside) == (2, 4)
+        assert infinite == second_kind == rises == moves
 
     def test_structure_must_match_between_points(self):
         # One block of multiplicity 2 at theta = 0, one of multiplicity 1
