@@ -82,7 +82,8 @@ def _json_cell(x):
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:points[:log]' into a grid of at least 2 points."""
+    """Parse 'start:stop:points[:log]' into a grid of at least 2 points that
+    starts at start and ends at stop exactly."""
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise _UsageError(f"bad grid {text!r}; expected start:stop:points[:log]")
@@ -97,7 +98,10 @@ def parse_grid(text: str) -> np.ndarray:
     if len(parts) == 4:
         if start <= 0 or stop <= 0:
             raise _UsageError("log grid requires positive endpoints")
-        return np.logspace(math.log10(start), math.log10(stop), points)
+        grid = np.logspace(math.log10(start), math.log10(stop), points)
+        # 10 ** log10(x) need not round back to x.
+        grid[[0, -1]] = start, stop
+        return grid
     return np.linspace(start, stop, points)
 
 
@@ -140,44 +144,26 @@ def _build_model(args) -> models.ParametricModel:
     )
 
 
-# The errors that mark one qfi-scan row and leave the others to run: a
-# theta outside the model's domain, and a failed eigensolve.
-_ROW_ERRORS = (DomainError, NumericalError)
-
-
-def _read_row(model, theta: float):
-    """One qfi-scan row read alone: its (Q, g), or the error that marks it."""
-    try:
-        return quantum.qfi_and_metric(model, [theta])[0]
-    except _ROW_ERRORS as err:
-        return err
-
-
 def cmd_qfi_scan(args) -> int:
     grid = [float(theta) for theta in parse_grid(args.grid)]
     model = _build_model(args)
     columns = ["theta", "qfi", "bures_metric", "four_g_minus_qfi"]
-    try:
-        results = quantum.qfi_and_metric(model, grid)
-    except Exception:
-        # Some point failed the stacked read.  Read alone, each failing row
-        # gets its own marker, and an error that marks no row is raised again.
-        results = [_read_row(model, theta) for theta in grid]
+    # Rows outside the domain are marked; the others are read in one call,
+    # and any error there ends the command.
+    inside = [theta for theta in grid if model.in_domain(theta)]
+    results = iter(quantum.qfi_and_metric(model, inside) if inside else [])
     rows = []
-    code = EXIT_OK
-    for theta, result in zip(grid, results):
-        if isinstance(result, Exception):
-            # A numerical failure outranks a domain one: EXIT_NUMERICAL > EXIT_DOMAIN.
-            code = max(code, _failure(result)[0])
-            q = g = four_g_minus_q = f"error({type(result).__name__})"
-        else:
-            q, g = result
+    for theta in grid:
+        if model.in_domain(theta):
+            q, g = next(results)
             four_g_minus_q = 4.0 * g - q
+        else:
+            q = g = four_g_minus_q = "error(DomainError)"
         rows.append(
             {"theta": theta, "qfi": q, "bures_metric": g, "four_g_minus_qfi": four_g_minus_q}
         )
     _emit_table(rows, columns, args.format, args.output)
-    return code
+    return EXIT_OK if len(inside) == len(grid) else EXIT_DOMAIN
 
 
 def cmd_discontinuity(args) -> int:

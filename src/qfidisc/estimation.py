@@ -268,8 +268,10 @@ def run_cr_experiment(
     drawn.
     Neither step calls ``state_fn``.  The QFI and the rank-change note
     come from one read of the model's blocks and their first two
-    derivatives at theta_true alone; ``discontinuity._classify`` analyses
-    that same read, and its report gives the ranks and the limit.  The
+    derivatives at theta_true alone, made before any sampling, so a
+    theta_true outside the model's domain is that read's ``DomainError``;
+    ``discontinuity._classify`` analyses the same read, and its report
+    gives the ranks and the limit.  The
     bound is not applicable (reported as inf) where Q is at or below the
     size of the QFI that the kernel-motion speed bound leaves unresolved
     (``_qfi_and_rank_note``), a cut in Q's own units, so a regular point
@@ -289,8 +291,7 @@ def run_cr_experiment(
         )
     if model.p_first is None or model.estimate is None:
         raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
-    if not model.in_domain(theta_true):
-        raise DomainError(f"theta={theta_true} outside the domain {model.domain} of {model.name!r}")
+    q, q_floor, rank_note = _qfi_and_rank_note(model, theta_true)
     n_samples = _check_samples(n_samples)
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
@@ -324,7 +325,6 @@ def run_cr_experiment(
     # Shifted two-pass variance: identical replicate estimates must give
     # exactly zero, which the unshifted mean subtraction misses by rounding.
     sample_variance = float(np.var(estimates - estimates[0], ddof=1))
-    q, q_floor, rank_note = _qfi_and_rank_note(model, theta_true)
     notes = []
     if q <= q_floor:
         cr_bound = math.inf

@@ -86,7 +86,9 @@ class ParametricModel:
     size and multiplicities are the same at every theta; blocks of
     different sizes are given as one dense block (``one_block``).  The
     QFI, the Bures metric and the discontinuity analysis read only the
-    blocks.  ``state_fn`` returns the dense state;
+    blocks, and ask for them only at a theta that ``in_domain`` accepts:
+    the domain, closed or open as ``open_domain`` says, is the one domain
+    rule of every library read.  ``state_fn`` returns the dense state;
     no library routine reads it.
 
     ``p_first`` is the probability of the first outcome of the
@@ -117,9 +119,8 @@ class ParametricModel:
 
 def classical_bit_state(p: float) -> np.ndarray:
     """rho_p = p |0><0| + (1-p) |1><1|."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
+    if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
     return np.diag([p, 1.0 - p]).astype(complex)
 
 
@@ -135,7 +136,7 @@ def classical_bit_second_derivative(p: float) -> np.ndarray:
 
 def trig_model_state(theta: float) -> np.ndarray:
     """rho = sin^2(theta) |0><0| + cos^2(theta) |1><1| on [0, pi/2]."""
-    if not -1e-12 <= theta <= math.pi / 2 + 1e-12:
+    if not 0.0 <= theta <= math.pi / 2:
         raise DomainError(f"theta={theta} outside [0, pi/2]")
     s2 = math.sin(theta) ** 2
     return np.diag([s2, 1.0 - s2]).astype(complex)
@@ -452,13 +453,25 @@ def ghz_qfi_continuous(n_qubits: int, kappa: float, t: float) -> float:
     """Limit of the GHZ QFI as theta -> 0 (equals four times the metric).
 
     Closed form of the block sum of L'Hopital limits:
-    [N^2 (1-e)^2 + N (2 kappa t + 1 - (2-e)^2)] / kappa^2, e = exp(-kappa t).
+    [N^2 (1-e)^2 + N (2x + 1 - (2-e)^2)] / kappa^2, x = kappa t, e = exp(-x).
+    With u = 1 - e = -expm1(-x) it is the sum of two nonnegative terms,
+    [(N^2 - N) u^2 + 2N (x - u)] / kappa^2, and x - u = x + expm1(-x) is
+    summed as its Taylor series sum_{k>=2} (-x)^k / k! below x = 1/2,
+    where the difference would cancel, so no digit is lost at small x.
     """
     _check_qubits(n_qubits)
     _check_ghz_domain(0.0, kappa, t)
-    n = n_qubits
-    e = math.exp(-kappa * t)
-    return (n**2 * (1.0 - e) ** 2 + n * (2.0 * kappa * t + 1.0 - (2.0 - e) ** 2)) / kappa**2
+    n, x = n_qubits, kappa * t
+    u = -math.expm1(-x)
+    if x >= 0.5:
+        x_minus_u = x - u
+    else:
+        x_minus_u, term, k = 0.0, x * x / 2.0, 2
+        while x_minus_u + term != x_minus_u:
+            x_minus_u += term
+            k += 1
+            term *= -x / k
+    return ((n * n - n) * u * u + 2.0 * n * x_minus_u) / kappa**2
 
 
 # ---------------------------------------------------------------------------

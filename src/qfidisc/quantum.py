@@ -59,8 +59,9 @@ block's result equals the one it gets when read alone, bit for bit.  The
 QFI, the metric and the vanishing weight are then array expressions over
 that stack, summed over the blocks of a point in block order.
 ``qfi_and_metric``, which ``qfi-scan`` calls once per grid, reads the
-whole grid in one such call.  Where it fails, ``qfi-scan`` reads each row
-alone, so that each failing row keeps its own error.
+whole grid in one such call.  Every read checks its points against
+``model.in_domain`` first, so ``blocks_fn`` never sees a theta outside
+the domain; ``qfi-scan`` marks those rows and reads only the others.
 """
 
 from __future__ import annotations
@@ -317,7 +318,12 @@ def _checked_blocks(reads: list, order: int) -> BlockStack:
 def _model_blocks(model, thetas, order: int = 1) -> BlockStack:
     """The state at each of ``thetas`` as a checked direct sum
     (``_checked_blocks``), from ``model.blocks_fn`` asked for the
-    derivatives up to ``order`` (0, 1 or 2)."""
+    derivatives up to ``order`` (0, 1 or 2).  The one domain check of
+    every model-level read: the first theta outside ``model.in_domain`` is
+    a ``DomainError``, raised before ``blocks_fn`` is called."""
+    for theta in thetas:
+        if not model.in_domain(theta):
+            raise DomainError(f"theta={theta} outside the domain of {model.name}")
     return _checked_blocks([model.blocks_fn(theta, order) for theta in thetas], order)
 
 
@@ -439,8 +445,8 @@ def qfi_and_metric(model, thetas) -> list[tuple[float, float]]:
     runs only where the read has a kernel somewhere on the grid; a grid of
     full rank gives 4g = Q from the QFI sum alone.
 
-    An error at any point fails the whole call; a caller that wants each
-    row's own outcome calls it again on ``[theta]``.
+    An error at any point fails the whole call: a theta outside the
+    model's domain is a ``DomainError`` before any block is built.
     """
     qfis, four_gs = _direct_sum_metric(_model_blocks(model, thetas, order=2))
     return [(q, four_g / 4.0) for q, four_g in zip(qfis.tolist(), four_gs.tolist())]
@@ -475,9 +481,6 @@ def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate
         raise InvalidInputError(f"side must be 'above' or 'below', got {side!r}")
     sign = 1.0 if side == "above" else -1.0
     thetas = theta_bar + sign * LIMIT_H0 * 2.0 ** -np.arange(LIMIT_STEPS)
-    for th in thetas:
-        if not model.in_domain(th):
-            raise DomainError(f"theta={th} outside the domain of {model.name} (side={side})")
     st = _model_blocks(model, thetas)
     ranks = _weighted_ranks(st)
     if (ranks != ranks[0]).any():

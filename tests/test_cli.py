@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import count_reads
 from qfidisc import cli, estimation, models, quantum
@@ -42,6 +43,21 @@ class TestGridParsing:
     def test_log(self):
         grid = cli.parse_grid("0.1:10:3:log")
         assert np.allclose(grid, [0.1, 1.0, 10.0])
+
+    @given(
+        start=st.floats(1e-300, 1e300),
+        stop=st.floats(1e-300, 1e300),
+        points=st.integers(2, 7),
+    )
+    def test_log_grid_ends_at_its_endpoints(self, start, stop, points):
+        grid = cli.parse_grid(f"{start!r}:{stop!r}:{points}:log").tolist()
+        assert (len(grid), grid[0], grid[-1]) == (points, start, stop)
+
+    def test_ghz_scan_prints_the_log_grid_endpoints(self, capsys):
+        # numpy's 10 ** log10(0.3) is 0.29999999999999993.
+        code, stdout, _ = run_cli(["ghz-scan", "--qubits", "2", "--grid", "0.3:2.3:2:log"], capsys)
+        assert code == 0
+        assert [float(row.split(",")[1]) for row in stdout.splitlines()[1:]] == [0.3, 2.3]
 
     def test_too_few_points(self):
         with pytest.raises(cli._UsageError):
@@ -860,15 +876,15 @@ class TestMcText:
 
 def per_row_scan(model, grid) -> tuple[str, str, int]:
     """qfi-scan's CSV stdout, stderr and exit code with each row read alone
-    by ``model_qfi`` and ``bures_metric_fd``; a domain or numerical error
-    marks its row."""
+    by ``model_qfi`` and ``bures_metric_fd``; a domain error marks its row,
+    and any other error ends the command."""
     lines, code = ["theta,qfi,bures_metric,four_g_minus_qfi"], 0
     for theta in grid:
         try:
             q = quantum.model_qfi(model, theta)
             g = quantum.bures_metric_fd(model, theta)
-        except (DomainError, NumericalError) as err:
-            code = max(code, cli._failure(err)[0])
+        except DomainError as err:
+            code = cli._failure(err)[0]
             lines.append(cli._fmt(theta) + f",error({type(err).__name__})" * 3)
         except (ValueError, RuntimeError) as err:  # ends the command
             code, label = cli._failure(err)
@@ -897,7 +913,9 @@ def failing_at(model, point, error):
 
 
 class TestScanFallback:
-    """Where the stacked read fails, qfi-scan prints what the rows read alone print."""
+    """qfi-scan marks the rows outside the domain and reads the others in
+    one call; it prints what the rows read alone print, and a failure
+    inside the domain ends the command."""
 
     GRID = cli.parse_grid("-0.2:0.2:5").tolist()
 
@@ -907,11 +925,20 @@ class TestScanFallback:
         "error", ["hermitian", NumericalError, DomainError, StepSizeError, DegenerateModelError]
     )
     def test_one_failing_point(self, monkeypatch, capsys, point, error):
+        # Blocks that fail at a point inside the domain fail the one read of
+        # the grid, and the command ends with that read's error: no table
+        # is printed and no row is read again.
         model = failing_at(models.make_model("ghz", n_qubits=3), point, error)
         monkeypatch.setattr(cli, "_build_model", lambda args: model)
+        with pytest.raises((ValueError, RuntimeError)) as failed:
+            quantum.qfi_and_metric(model, self.GRID)
+        assert type(failed.value) is (InvalidInputError if error == "hermitian" else error)
+        reads = count_reads(monkeypatch)
         code, stdout, err = run_cli(["qfi-scan", "--model", "ghz", "--grid=-0.2:0.2:5"], capsys)
-        assert (stdout, err, code) == per_row_scan(model, self.GRID)
+        expected_code, label = cli._failure(failed.value)
+        assert (stdout, err, code) == ("", f"{label}: {failed.value}\n", expected_code)
         assert code != 0
+        assert reads == [len(self.GRID)]
 
     @pytest.mark.parametrize(
         "options, grid",
@@ -929,6 +956,84 @@ class TestScanFallback:
         model = cli._build_model(cli._parser().parse_args(argv))
         assert (stdout, err, code) == per_row_scan(model, cli.parse_grid(grid).tolist())
         assert code != 0
+
+
+# Every built-in domain edge: the edge itself where the domain is closed,
+# else the last float inside it, and the direction that leaves the domain.
+EDGES = [
+    (["--model", "classical-bit"], 0.0, -1.0),
+    (["--model", "classical-bit"], 1.0, 1.0),
+    (["--model", "trig"], 0.0, -1.0),
+    (["--model", "trig"], math.pi / 2, 1.0),
+    (["--model", "transverse-qubit"], math.nextafter(-0.5, 0.0), -1.0),
+    (["--model", "transverse-qubit"], math.nextafter(0.5, 0.0), 1.0),
+    (["--model", "ghz", "--qubits", "3", "--kappa", "0.2"], math.nextafter(-0.1, 0.0), -1.0),
+    (["--model", "ghz", "--qubits", "3", "--kappa", "0.2"], math.nextafter(0.1, 0.0), 1.0),
+]
+
+
+class TestDomainEdges:
+    """qfi-scan, discontinuity and mc agree on which points lie in the domain."""
+
+    @pytest.mark.parametrize(
+        "options, edge, outward",
+        EDGES,
+        ids=["bit-0", "bit-1", "trig-0", "trig-pi/2", "tq-lo", "tq-hi", "ghz-lo", "ghz-hi"],
+    )
+    def test_one_step_past_an_edge_is_a_domain_error(self, monkeypatch, capsys, options, edge, outward):
+        past = math.nextafter(edge, outward * math.inf)
+        reads = count_reads(monkeypatch)
+        code, stdout, _ = run_cli(["qfi-scan", *options, f"--grid={edge!r}:{past!r}:2"], capsys)
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert [float(r["theta"]) for r in rows] == [edge, past]
+        assert not rows[0]["qfi"].startswith("error(")
+        assert [rows[1][c] for c in ("qfi", "bures_metric", "four_g_minus_qfi")] == [
+            "error(DomainError)"
+        ] * 3
+        assert code == 2
+        assert reads == [1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundarySolutionWarning)
+            for command in (["discontinuity"], ["mc", "--replicates", "20"]):
+                # At the edge a command may find no discontinuity, but not
+                # a point outside the domain; one step past, every one does.
+                _, _, err = run_cli([*command, *options, f"--theta-bar={edge!r}"], capsys)
+                assert not err.startswith("domain error")
+                code, stdout, err = run_cli([*command, *options, f"--theta-bar={past!r}"], capsys)
+                assert (code, stdout) == (2, "")
+                assert err.startswith("domain error: ")
+
+    def test_discontinuity_just_past_one_is_refused(self, capsys):
+        argv = ["discontinuity", "--model", "classical-bit", "--theta-bar", "1.0000000000001"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("domain error: ")
+
+    def test_qfi_scan_marks_a_row_just_past_one(self, capsys):
+        argv = ["qfi-scan", "--model", "classical-bit", "--grid", "0.5:1.0000000000001:2"]
+        code, stdout, _ = run_cli(argv, capsys)
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert [r["qfi"] for r in rows] == ["4", "error(DomainError)"]
+        assert code == 2
+
+    def test_qfi_scan_reads_the_rows_inside_in_one_call(self, monkeypatch, capsys):
+        reads = count_reads(monkeypatch)
+        argv = ["qfi-scan", "--model", "ghz", "--qubits", "3", "--grid=-0.6:0.6:5"]
+        code, stdout, _ = run_cli(argv, capsys)
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert [r["qfi"].startswith("error(") for r in rows] == [True, False, False, False, True]
+        assert rows[0]["qfi"] == rows[-1]["qfi"] == "error(DomainError)"
+        assert code == 2
+        assert reads == [3]
+
+    def test_a_grid_wholly_outside_the_domain_is_not_read(self, monkeypatch, capsys):
+        reads = count_reads(monkeypatch)
+        code, stdout, err = run_cli(["qfi-scan", "--model", "trig", "--grid=1.6:2:3"], capsys)
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert len(rows) == 3
+        assert all(r[c] == "error(DomainError)" for r in rows for c in list(r)[1:])
+        assert (code, err) == (2, "")
+        assert reads == []
 
 
 # One call of each command, plus a usage error and a domain error; ghz-scan

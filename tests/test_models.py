@@ -520,6 +520,29 @@ class TestGhzClosedFormQfis:
             brute = brute_force_qfi_continuous(n, 1.0, t)
             assert closed == pytest.approx(brute, rel=1e-6)
 
+    def test_continuous_meets_mpmath_at_every_kappa_t(self):
+        # The closed form evaluated in 80-digit arithmetic, where its
+        # cancellation at small kappa t costs nothing.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20)
+        with mpmath.workdps(80):
+            for _ in range(2000):
+                n = int(rng.integers(1, 1001))
+                kappa = 10.0 ** rng.uniform(-3.0, 1.0)
+                t = 10.0 ** rng.uniform(-12.0, math.log10(50.0)) / kappa
+                x = mpmath.mpf(kappa) * mpmath.mpf(t)
+                e = mpmath.exp(-x)
+                exact = (n**2 * (1 - e) ** 2 + n * (2 * x + 1 - (2 - e) ** 2)) / mpmath.mpf(kappa) ** 2
+                closed = models.ghz_qfi_continuous(n, kappa, t)
+                assert abs(closed - exact) <= 1e-14 * exact, (n, kappa, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_continuous_is_above_the_discontinuous_value_at_small_times(self, n):
+        # The limit exceeds the value at theta = 0 by the jump 2a >= 0; with
+        # its digits lost to cancellation it once fell below it near t = 1e-6.
+        for t in np.logspace(-8.0, -4.0, 41).tolist():
+            assert models.ghz_qfi_continuous(n, 1.0, t) >= models.ghz_qfi_discontinuous(n, 1.0, t)
+
 
 class TestRegistry:
     @given(
