@@ -291,7 +291,7 @@ class TestGhzBlocks:
 
 def gather_form_integrate(n, theta, kappa, t_final, dt=None):
     """The integrator with sx_j rho sx_j written as the fancy-index gather
-    rho[ix_(flip_j, flip_j)]: the reference the flipped-view form must match
+    rho[ix_(flip_j, flip_j)]: the reference lindblad_integrate must match
     bit for bit."""
     dt = 1e-4 * min(1.0, 1.0 / kappa) if dt is None else dt
     idx = np.arange(2**n)
@@ -323,11 +323,15 @@ def gather_form_integrate(n, theta, kappa, t_final, dt=None):
 class TestLindbladIntegrator:
     def test_flipped_views_match_gather_form_bit_for_bit(self):
         rng = np.random.default_rng(20261017)
-        for n in range(1, 7):
+        for n in range(1, 9):
             for dt in (None, 1e-3):
                 kappa = float(rng.uniform(0.3, 2.0))
                 theta = float(rng.uniform(-0.49, 0.49) * kappa)
-                t = float(rng.uniform(5e-4, 0.004 if dt is None else 0.02))
+                if n <= 6:
+                    t = float(rng.uniform(5e-4, 0.004 if dt is None else 0.02))
+                else:  # 2-3 steps; the flat flip index spans 2N bits
+                    step = 1e-4 * min(1.0, 1.0 / kappa) if dt is None else dt
+                    t = float(rng.uniform(1.5, 3.0)) * step
                 got = models.lindblad_integrate(n, theta, kappa, t, dt=dt)
                 assert np.array_equal(got, gather_form_integrate(n, theta, kappa, t, dt)), (n, dt)
 
