@@ -150,11 +150,12 @@ def cmd_qfi_scan(args) -> int:
     columns = ["theta", "qfi", "bures_metric", "four_g_minus_qfi"]
     # Rows outside the domain are marked; the others are read in one call,
     # and any error there ends the command.
-    inside = [theta for theta in grid if model.in_domain(theta)]
-    results = iter(quantum.qfi_and_metric(model, inside) if inside else [])
+    inside = [model.in_domain(theta) for theta in grid]
+    points = [theta for theta, ok in zip(grid, inside) if ok]
+    results = iter(quantum.qfi_and_metric(model, points) if points else [])
     rows = []
-    for theta in grid:
-        if model.in_domain(theta):
+    for theta, ok in zip(grid, inside):
+        if ok:
             q, g = next(results)
             four_g_minus_q = 4.0 * g - q
         else:
@@ -163,7 +164,7 @@ def cmd_qfi_scan(args) -> int:
             {"theta": theta, "qfi": q, "bures_metric": g, "four_g_minus_qfi": four_g_minus_q}
         )
     _emit_table(rows, columns, args.format, args.output)
-    return EXIT_OK if len(inside) == len(grid) else EXIT_DOMAIN
+    return EXIT_OK if all(inside) else EXIT_DOMAIN
 
 
 def cmd_discontinuity(args) -> int:

@@ -78,8 +78,8 @@ class BranchSamples:
 
 def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     """Sample the vanishing weight at theta_bar + {0, +/-1/4, +/-1/2, +/-1} h,
-    h = ``numdiff.base_step(theta_bar)``, read in one stack without
-    derivatives and sorted by offset.
+    h = ``numdiff.base_step(theta_bar)``, read in one stack and sorted by
+    offset; the weight reads the eigenvalues alone, not the derivatives.
 
     Only sides whose full step lies in the domain are sampled (a
     ``DomainError`` where neither does), and the rank must rise on each.
@@ -94,7 +94,7 @@ def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     if not sides:
         raise DomainError(f"no room around theta_bar={theta_bar} in the domain of {model.name}")
     offsets = [0.0] + [frac * s for s in sides for frac in (1.0, 0.5, 0.25)]
-    st = quantum._model_blocks(model, [theta_bar + o * h for o in offsets], order=0)
+    st = quantum._model_blocks(model, [theta_bar + o * h for o in offsets])
     r0, r_beside = _ranks(theta_bar, offsets, st)
     rows = np.argsort(offsets, kind="stable")
     offsets = [offsets[i] for i in rows]
@@ -171,11 +171,11 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
     ``quantum._model_blocks`` read of theta_bar alone with the first two
     derivatives of its blocks, which ``_classify`` analyses.  ``mc``'s
     rank-change note hands its own read of that point to ``_classify``."""
-    return _classify(theta_bar, quantum._model_blocks(model, [theta_bar], order=2))
+    return _classify(theta_bar, quantum._model_blocks(model, [theta_bar]))
 
 
 def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
-    """``classify`` on ``st``, an order-2 read of theta_bar alone.
+    """``classify`` on ``st``, a read of theta_bar alone.
 
     The kernel side (``quantum._block_motion``): Q, 4g, the speed
     v = sum_j m_j v_j and the acceleration a = sum_j m_j a_j of the

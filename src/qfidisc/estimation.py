@@ -221,7 +221,7 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, flo
     limit are its report's, and where it cannot resolve the point, the note
     withholds them and quotes why.
     """
-    st = quantum._model_blocks(model, [theta], order=2)
+    st = quantum._model_blocks(model, [theta])
     q = float(quantum._direct_sum_qfi(st)[0])
     speed_bound = quantum._speed_bound(st)[0]
     top = st.eigenvalues[..., 0]

@@ -19,11 +19,11 @@ The central objects:
 Model-level helpers work on direct sums.  Every model supplies its state
 as unnormalized blocks A_j, each repeated m_j times
 (``ParametricModel.blocks_fn``), as one group of arrays of equal-size
-blocks: multiplicities (B,), blocks (B, d, d) and, up to the order asked
-for, their analytic first and second derivatives (B, d, d); a state with
-no structure is one block of multiplicity 1.  The QFI splits over such a
-direct sum, Q(rho) = sum_j m_j Q(A_j, A_j'), and the eigenvalues of the
-blocks are those of the full matrix.  The support cut is relative to each
+blocks: multiplicities (B,), blocks (B, d, d) and their analytic first
+and second derivatives (B, d, d); a state with no structure is one block
+of multiplicity 1.  The QFI splits over such a direct sum,
+Q(rho) = sum_j m_j Q(A_j, A_j'), and the eigenvalues of the blocks are
+those of the full matrix.  The support cut is relative to each
 block: an eigenvalue counts when it exceeds SUPPORT_TOL times the largest
 of its block, so no rank depends on a block's weight.
 
@@ -214,8 +214,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Model-level helpers.  A "model" is any object exposing
-# blocks_fn(theta, order) and in_domain(theta); see models.py.  These
-# read its blocks alone and never differentiate a state.
+# blocks_fn(theta) and in_domain(theta); see models.py.  These read its
+# blocks and their two derivatives alone and never differentiate a state.
 # ---------------------------------------------------------------------------
 
 
@@ -228,13 +228,13 @@ class BlockStack(NamedTuple):
     clamped to >= 0, ``eigenvectors`` (P, B, d, d) with matching columns,
     and ``support`` (P, B, d) is True for the eigenvalues on the support
     (``_on_support``).  ``multiplicities`` (B,), int64, hold at every
-    point.  Derivatives a read did not ask for are None.
+    point.
     """
 
     multiplicities: np.ndarray
     blocks: np.ndarray
-    dblocks: np.ndarray | None
-    d2blocks: np.ndarray | None
+    dblocks: np.ndarray
+    d2blocks: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     support: np.ndarray
@@ -257,20 +257,18 @@ def _point_sums(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _stack_points(reads: list, order: int) -> list:
+def _stack_points(reads: list) -> list:
     """Every point's direct sum, stacked on a point axis: the multiplicities,
-    the blocks and their derivatives up to ``order``, and None past it."""
+    the blocks and their first and second derivatives."""
     if not all(isinstance(read, tuple) and len(read) == 4 for read in reads):
         raise InvalidInputError(
             "a direct sum must be the 4-tuple (multiplicities, blocks, first, second)"
         )
-    if any(read[j] is None for read in reads for j in range(1, order + 2)):
-        raise InvalidInputError(f"a direct sum lacks the derivatives of order <= {order}")
+    if any(array is None for read in reads for array in read[1:]):
+        raise InvalidInputError("a direct sum lacks its blocks or their first or second derivative")
     try:
         mults = np.array([read[0] for read in reads])
-        arrays = [
-            np.array([read[j] for read in reads], dtype=complex) for j in range(1, order + 2)
-        ]
+        arrays = [np.array([read[j] for read in reads], dtype=complex) for j in (1, 2, 3)]
     except ValueError:  # ragged: the point reads differ in shape
         raise InvalidInputError("block structure differs between points") from None
     blocks = arrays[0]
@@ -285,27 +283,24 @@ def _stack_points(reads: list, order: int) -> list:
         raise InvalidInputError(f"multiplicities {mults.tolist()} are not integers in [1, 2**63)")
     if any(a.shape != blocks.shape for a in arrays):
         raise InvalidInputError("state and derivative dimensions differ")
-    return [mults.astype(np.int64, copy=False), *arrays, *[None] * (2 - order)]
+    return [mults.astype(np.int64, copy=False), *arrays]
 
 
-def _checked_blocks(reads: list, order: int) -> BlockStack:
+def _checked_blocks(reads: list) -> BlockStack:
     """Per-point direct sums (each the 4-tuple ``blocks_fn`` returns) as one
     checked ``BlockStack``, with the points on its first axis in the order
     of ``reads``.
 
     The stack is read at once: one check that every read is a 4-tuple with
     the same positive integer multiplicities at every point, one
-    Hermiticity check of the blocks (within 1e-12), one of each derivative
-    up to ``order`` (within 1e-10), one trace per block, and one
+    Hermiticity check of the blocks (within 1e-12), one of each of their
+    two derivatives (within 1e-10), one trace per block, and one
     eigendecomposition.  At every point the weighted traces must sum to 1
     within 1e-10, summed in block order.
     """
-    mults, blocks, *derivatives = _stack_points(reads, order)
+    mults, blocks, *derivatives = _stack_points(reads)
     blocks = validate_hermitian(blocks, _HERMITIAN_TOL, "density block")
-    derivatives = [
-        None if d is None else validate_hermitian(d, 1e-10, "state derivative")
-        for d in derivatives
-    ]
+    derivatives = [validate_hermitian(d, 1e-10, "state derivative") for d in derivatives]
     for total in _point_sums(mults * blocks.trace(axis1=-2, axis2=-1).real).tolist():
         if abs(total - 1.0) > _TRACE_TOL:
             raise InvalidInputError(
@@ -315,16 +310,16 @@ def _checked_blocks(reads: list, order: int) -> BlockStack:
     return BlockStack(mults, blocks, *derivatives, lam, vecs, _on_support(lam))
 
 
-def _model_blocks(model, thetas, order: int = 1) -> BlockStack:
+def _model_blocks(model, thetas) -> BlockStack:
     """The state at each of ``thetas`` as a checked direct sum
-    (``_checked_blocks``), from ``model.blocks_fn`` asked for the
-    derivatives up to ``order`` (0, 1 or 2).  The one domain check of
-    every model-level read: the first theta outside ``model.in_domain`` is
-    a ``DomainError``, raised before ``blocks_fn`` is called."""
+    (``_checked_blocks``) of ``model.blocks_fn(theta)``, the blocks with
+    their first and second derivatives.  The one domain check of every
+    model-level read: the first theta outside ``model.in_domain`` is a
+    ``DomainError``, raised before ``blocks_fn`` is called."""
     for theta in thetas:
         if not model.in_domain(theta):
             raise DomainError(f"theta={theta} outside the domain of {model.name}")
-    return _checked_blocks([model.blocks_fn(theta, order) for theta in thetas], order)
+    return _checked_blocks([model.blocks_fn(theta) for theta in thetas])
 
 
 def _weighted_ranks(st: BlockStack) -> np.ndarray:
@@ -355,7 +350,7 @@ def _direct_sum_qfi(st: BlockStack) -> np.ndarray:
 
 
 def _speed_bound(st: BlockStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per point and block of an order-2 read: SPEED_TOL (|A'| +
+    """Per point and block of a read: SPEED_TOL (|A'| +
     sqrt(lambda_max |A''|)), the speed a kernel must exceed to move at
     first order, with |A'| and |A''|, |.| the largest absolute entry."""
     d1, d2 = np.abs([st.dblocks, st.d2blocks]).max(axis=(-2, -1))
@@ -369,7 +364,7 @@ def _kind(first, second) -> str:
 
 
 def _block_motion(st: BlockStack) -> tuple:
-    """Per point and block of an order-2 read: A' and A'' in the eigenbasis,
+    """Per point and block of a read: A' and A'' in the eigenbasis,
     the QFIs, v and a (the traces of P A' P and of the curvature part
     P (A'' - 2 A' A^+ A') P, A^+ the inverse on the support), the (2, P, B)
     bounds, and the (2, P, B) counts of the kernel directions that move at
@@ -397,7 +392,7 @@ def _block_motion(st: BlockStack) -> tuple:
 
 
 def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
-    """Q and 4g = sum_j m_j (Q_j + 2 a_j) at every point of an order-2 read;
+    """Q and 4g = sum_j m_j (Q_j + 2 a_j) at every point of a read;
     4g is inf where a kernel direction moves at first order.
 
     The kernel analysis (``_block_motion``) runs only on a read that has a
@@ -412,14 +407,15 @@ def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
 
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """Quantum Fisher information of a state and its derivative: the direct
-    sum of one block of multiplicity 1, read as ``model_qfi`` reads it."""
+    sum of one block of multiplicity 1, read as ``model_qfi`` reads it,
+    with a zero second derivative, which the QFI does not read."""
     rho, drho = np.asarray(rho), np.asarray(drho)
     if rho.ndim != 2 or drho.ndim != 2:
         raise InvalidInputError(
             f"state and derivative must be matrices, got shapes {rho.shape} and {drho.shape}"
         )
-    one = (np.ones(1, dtype=int), rho[None], drho[None], None)
-    return float(_direct_sum_qfi(_checked_blocks([one], order=1))[0])
+    one = (np.ones(1, dtype=int), rho[None], drho[None], np.zeros_like(drho[None]))
+    return float(_direct_sum_qfi(_checked_blocks([one]))[0])
 
 
 def model_qfi(model, theta: float) -> float:
@@ -436,19 +432,19 @@ def bures_metric_fd(model, theta: float) -> float:
     docstring): Q / 4 where the rank is full, the continuous limit of Q / 4
     at a rank change whose kernel stands still, and inf where it moves.
     """
-    return float(_direct_sum_metric(_model_blocks(model, [theta], order=2))[1][0]) / 4.0
+    return float(_direct_sum_metric(_model_blocks(model, [theta]))[1][0]) / 4.0
 
 
 def qfi_and_metric(model, thetas) -> list[tuple[float, float]]:
     """(Q, g) at each of ``thetas``: ``model_qfi`` and ``bures_metric_fd``,
-    bit for bit, from one order-2 read of every theta.  The kernel analysis
+    bit for bit, from one read of every theta.  The kernel analysis
     runs only where the read has a kernel somewhere on the grid; a grid of
     full rank gives 4g = Q from the QFI sum alone.
 
     An error at any point fails the whole call: a theta outside the
     model's domain is a ``DomainError`` before any block is built.
     """
-    qfis, four_gs = _direct_sum_metric(_model_blocks(model, thetas, order=2))
+    qfis, four_gs = _direct_sum_metric(_model_blocks(model, thetas))
     return [(q, four_g / 4.0) for q, four_g in zip(qfis.tolist(), four_gs.tolist())]
 
 

@@ -71,9 +71,9 @@ def reparametrized(model, scale):
     """``model`` read at theta = scale * phi, as a family in phi, with its
     measurement and estimator where it has them."""
 
-    def blocks(phi, order):
-        mults, *arrays = model.blocks_fn(scale * phi, order)
-        return (mults, *(None if a is None else scale**k * a for k, a in enumerate(arrays)))
+    def blocks(phi):
+        mults, *arrays = model.blocks_fn(scale * phi)
+        return (mults, *(scale**k * a for k, a in enumerate(arrays)))
 
     def p_first(phi):
         return model.p_first(scale * phi)

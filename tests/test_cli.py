@@ -898,8 +898,8 @@ def failing_at(model, point, error):
     """``model`` whose blocks at ``point`` fail: ``error`` is raised there, or
     with "hermitian" the first block gets an upper-triangle entry."""
 
-    def blocks(theta, order):
-        direct_sum = model.blocks_fn(theta, order)
+    def blocks(theta):
+        direct_sum = model.blocks_fn(theta)
         if theta != point:
             return direct_sum
         if error != "hermitian":

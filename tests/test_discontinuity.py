@@ -26,7 +26,7 @@ def ghz_dense_twin(n, kappa, t):
             lambda th: models.ghz_state(n, th, kappa, t),
             lambda th: models.ghz_state_derivative(n, th, kappa, t),
             lambda th: models._assemble_blocks(
-                n, models.ghz_block_arrays(n, th, kappa, t, order=2)[3]
+                n, models.ghz_block_arrays(n, th, kappa, t)[3]
             ),
         ),
         domain=(-kappa / 2.0, kappa / 2.0),
@@ -78,10 +78,10 @@ class TestVanishingEigenvalueBranch:
         # read alone, bit for bit.
         model = models.make_model(name, kappa=kappa, t=t, n_qubits=n)
         branch = discontinuity.vanishing_eigenvalue_branch(model, theta_bar)
-        at_bar = quantum._model_blocks(model, [theta_bar], order=0)
+        at_bar = quantum._model_blocks(model, [theta_bar])
         for offset, value in zip(branch.offsets, branch.values):
             theta = theta_bar + offset * branch.h
-            alone = quantum._model_blocks(model, [theta], order=0)
+            alone = quantum._model_blocks(model, [theta])
             w = 0.0
             for mult, rank, lam in zip(at_bar.multiplicities, at_bar.ranks[0], alone.eigenvalues[0]):
                 w += mult * float(np.sum(lam[rank:]))
@@ -319,7 +319,7 @@ class TestClassify:
         model = models.make_model("ghz", kappa=kappa, t=kappa_t / kappa, n_qubits=n)
         branch = discontinuity.vanishing_eigenvalue_branch(model, 0.0)
         assert (branch.rank_at_bar, branch.rank_beside) == (8, 15)
-        beside = quantum._model_blocks(model, [2.0 * branch.h], order=0)
+        beside = quantum._model_blocks(model, [2.0 * branch.h])
         assert int(quantum._weighted_ranks(beside)[0]) == 16
         report = discontinuity.classify(model, 0.0)
         assert (report.rank_at_bar, report.rank_beside) == (8, 16)
@@ -420,7 +420,7 @@ class TestClassify:
         report = discontinuity.classify(model, 0.0)
         assert (report.kind, report.acceleration) == (kind, 2.0)
         assert (report.rank_at_bar, report.rank_beside) == (1, rank_beside)
-        beside = quantum._model_blocks(model, [1e-3], order=0)
+        beside = quantum._model_blocks(model, [1e-3])
         assert int(quantum._weighted_ranks(beside)[0]) == rank_beside
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
@@ -431,14 +431,14 @@ class TestClassify:
         m = 2**53 + 1
         sign = np.diag([1.0, -1.0]).astype(complex)
 
-        def blocks(theta, order):
+        def blocks(theta):
             arrays = (
                 np.diag([theta**2, 1.0 - theta**2]).astype(complex) / m,
                 2.0 * theta * sign / m,
                 2.0 * sign / m,
             )
             mults = np.array([m], dtype=dtype)
-            return (mults, *(a[None] if k <= order else None for k, a in enumerate(arrays)))
+            return (mults, *(a[None] for a in arrays))
 
         model = ParametricModel(name="heavy-block", state_fn=None, blocks_fn=blocks)
         report = discontinuity.classify(model, 0.0)
@@ -519,7 +519,7 @@ def test_classify_reads_once_and_equals_the_separate_routines(monkeypatch, build
     qfi_at_bar = quantum.model_qfi(model, theta_bar)
     limit = 4.0 * quantum.bures_metric_fd(model, theta_bar)
     speed = accel = 0.0
-    st = quantum._model_blocks(model, [theta_bar], order=2)
+    st = quantum._model_blocks(model, [theta_bar])
     v, a = quantum._block_motion(st)[3:5]
     for mult, v_j, a_j in zip(st.multiplicities.tolist(), v[0].tolist(), a[0].tolist()):
         speed += mult * v_j
@@ -555,7 +555,7 @@ def test_classify_is_its_analysis_of_one_read(build, theta_bar):
     # classify is _classify on its own read; mc's note hands _classify a
     # read it took itself.
     model = build()
-    stack = quantum._model_blocks(model, [theta_bar], order=2)
+    stack = quantum._model_blocks(model, [theta_bar])
     assert discontinuity.classify(model, theta_bar) == discontinuity._classify(theta_bar, stack)
 
 

@@ -495,15 +495,15 @@ class TestRunCrExperiment:
         model = models.make_model(name)
         calls = []
 
-        def counted(th, order):
-            calls.append((th, order))
-            return model.blocks_fn(th, order)
+        def counted(th):
+            calls.append(th)
+            return model.blocks_fn(th)
 
         args = dict(n_samples=50, n_replicates=20, seed=1)
         report = estimation.run_cr_experiment(
             dataclasses.replace(model, blocks_fn=counted), theta, **args
         )
-        assert calls == [(theta, 2)]
+        assert calls == [theta]
         assert report.to_json() == estimation.run_cr_experiment(model, theta, **args).to_json()
 
     @pytest.mark.parametrize("name, theta", [("classical-bit", 0.3), ("ghz", 0.1), ("ghz", 0.0)])

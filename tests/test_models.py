@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfidisc import models, quantum
+from qfidisc import discontinuity, estimation, models, quantum
 from qfidisc.exceptions import DomainError, InvalidInputError, StepSizeError
 
 
@@ -12,7 +12,7 @@ def fd_cross_derivative(m, n, kappa, t, h=1e-5, order=1):
     """Finite-difference theta-derivatives of the cross matrix element at 0."""
 
     def elem(theta):
-        [[cross]] = models._cross_series(n, [m], models._ghz_series(theta, kappa, t)[4])
+        [[cross, _, _]] = models._cross_series(n, [m], models._ghz_series(theta, kappa, t, 2)[4])
         return cross
 
     if order == 1:
@@ -75,7 +75,7 @@ def reference_ghz_state_derivative(n, theta, kappa, t):
 
 def elementwise_ghz_state_derivative(n, theta, kappa, t):
     """Each cross entry differentiated on its own, m = 0..N, not read from the blocks."""
-    bfc = models._ghz_series(theta, kappa, t, 1)[4]
+    bfc = models._ghz_series(theta, kappa, t, 2)[4]
     return reference_cross_diagonal(
         n, lambda m: 0.0, lambda m: models._cross_series(n, [m], bfc)[0][1]
     )
@@ -162,6 +162,16 @@ class TestGhzCoefficients:
         assert (db, df, dc, d2c) == (0.0, 0.0, 2.0 * f / 1e-3, 0.0)
         assert math.isfinite(d2b) and d2f == -2.0 * 1e-3 * w
 
+    def test_every_read_is_finite_where_theta_t_squared_overflows(self):
+        # kappa^2 and t^2 are finite floats, (theta t)^2 is not, and every
+        # read takes the second derivatives, whose (theta t)^2 S term is
+        # finite there.  The state has fully decayed and stands still.
+        n, theta, kappa, t = 3, 4e149, 1e150, 1e150
+        _, _, first, second = models.ghz_block_arrays(n, theta, kappa, t)
+        assert not first.any() and not second.any()
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+        assert quantum.model_qfi(model, theta) == quantum.bures_metric_fd(model, theta) == 0.0
+
     @given(
         theta=st.floats(-0.4, 0.4),
         kappa=st.floats(0.5, 2.0),
@@ -187,7 +197,7 @@ class TestGhzCoefficients:
         # relative to the size of the block's derivatives.
         for theta, kappa, t in ((0.0, 1.0, 1.0), (0.13, 0.7, 0.4), (-0.2, 1.5, 2.0), (0.01, 2.0, 0.05)):
             h = 1e-5 * kappa
-            _, _, first, second = models.ghz_block_arrays(n, theta, kappa, t, order=2)
+            _, _, first, second = models.ghz_block_arrays(n, theta, kappa, t)
             below = models.ghz_block_arrays(n, theta - h, kappa, t)[2]
             above = models.ghz_block_arrays(n, theta + h, kappa, t)[2]
             fd = (above - below) / (2.0 * h)
@@ -284,7 +294,7 @@ class TestGhzBlocks:
 
     def test_integral_counts_build(self):
         for n in [*range(1, 25), np.int64(3)]:
-            mults = models.make_model("ghz", n_qubits=n).blocks_fn(0.1, 0)[0]
+            mults = models.make_model("ghz", n_qubits=n).blocks_fn(0.1)[0]
             assert mults.sum() == 2 ** (n - 1)
             assert models.ghz_qfi_discontinuous(n, 1.0, 1.0) > 0.0
 
@@ -540,6 +550,29 @@ class TestGhzClosedFormQfis:
                 closed = models.ghz_qfi_continuous(n, kappa, t)
                 assert abs(closed - exact) <= 1e-14 * exact, (n, kappa, t)
 
+    def test_discontinuous_meets_mpmath_to_1e_13(self):
+        # The same block sum in 40-digit arithmetic, P_m by the recurrence
+        # P_(m+1) = P_m (d/a) (N-m)/(m+1).  The float sum forms each P_m as
+        # the exp of a log of size ~N, which amplifies its rounding: the
+        # worst seen over 13500 such points is 5.2e-14.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(73)
+        with mpmath.workdps(40):
+            for _ in range(150):
+                n = int(rng.integers(1, 201))
+                kappa = 10.0 ** rng.uniform(-3.0, 1.0)
+                t = 10.0 ** rng.uniform(-12.0, math.log10(50.0)) / kappa
+                e = mpmath.exp(-mpmath.mpf(kappa) * mpmath.mpf(t))
+                a, d = (1 + e) / 2, (1 - e) / 2
+                total, p = mpmath.mpf(0), a**n
+                for m in range((n + 1) // 2):
+                    rho = (d / a) ** (n - 2 * m)
+                    total += p * (n - m - m * rho) ** 2 / (1 + rho)
+                    p *= (d / a) * (n - m) / (m + 1)
+                exact = (2 * d / (mpmath.mpf(kappa) * a)) ** 2 * total
+                closed = models.ghz_qfi_discontinuous(n, kappa, t)
+                assert abs(closed - exact) <= 1e-13 * exact, (n, kappa, t)
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_continuous_is_above_the_discontinuous_value_at_small_times(self, n):
         # The limit exceeds the value at theta = 0 by the jump 2a >= 0; with
@@ -563,7 +596,7 @@ class TestRegistry:
         h = 1e-5
         if not (model.in_domain(theta - h) and model.in_domain(theta + h)):
             return
-        below, at, above = (model.blocks_fn(theta + k * h, 2) for k in (-1, 0, 1))
+        below, at, above = (model.blocks_fn(theta + k * h) for k in (-1, 0, 1))
         assert np.max(np.abs(at[2] - (above[1] - below[1]) / (2.0 * h))) < 1e-6
         assert np.max(np.abs(at[3] - (above[2] - below[2]) / (2.0 * h))) < 1e-6
 
@@ -572,21 +605,65 @@ class TestRegistry:
         [(name, 1) for name in models.MODEL_NAMES if name != "ghz"]
         + [("ghz", 1), ("ghz", 3), ("ghz", 24)],
     )
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_blocks_fn_returns_one_block_group(self, name, n, order):
-        direct_sum = models.make_model(name, n_qubits=n).blocks_fn(0.1, order)
+    # theta = 0 is each family's rank change; 0.1 and 0.4 are regular points.
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.4])
+    def test_blocks_fn_returns_one_block_group(self, name, n, theta):
+        direct_sum = models.make_model(name, n_qubits=n).blocks_fn(theta)
         assert isinstance(direct_sum, tuple) and len(direct_sum) == 4
         mults, blocks, *derivatives = direct_sum
         assert mults.ndim == 1 and mults.dtype.kind in "iu" and (mults >= 1).all()
         assert blocks.dtype == complex and blocks.ndim == 3
         assert blocks.shape[0] == len(mults) and blocks.shape[1] == blocks.shape[2]
-        for k, derivative in enumerate(derivatives, start=1):
-            if k <= order:
-                assert derivative.dtype == complex and derivative.shape == blocks.shape
-            else:
-                assert derivative is None
+        for derivative in derivatives:
+            assert derivative.dtype == complex and derivative.shape == blocks.shape
         traces = blocks.trace(axis1=-2, axis2=-1).real
         assert abs(float(mults @ traces) - 1.0) <= 1e-10
+
+    def test_a_one_argument_user_blocks_fn_reads_as_the_registry_model(self):
+        # The trig family written from its formulas as a plain blocks_fn of
+        # theta alone, with both derivatives: every read gives what the
+        # registered family gives, bit for bit, at a regular point and at
+        # the rank change theta = 0.
+        sign = np.diag([1.0, -1.0]).astype(complex)
+
+        def blocks(theta):
+            s2 = math.sin(theta) ** 2
+            return (
+                np.array([1]),
+                np.diag([s2, 1.0 - s2]).astype(complex)[None],
+                (math.sin(2.0 * theta) * sign)[None],
+                (2.0 * math.cos(2.0 * theta) * sign)[None],
+            )
+
+        trig = models.make_model("trig")
+        user = models.ParametricModel(
+            name="user-trig",
+            state_fn=None,
+            blocks_fn=blocks,
+            domain=trig.domain,
+            p_first=trig.p_first,
+            estimate=trig.estimate,
+        )
+
+        def reads(model):
+            limit = quantum.qfi_limit(model, 0.0)
+            experiments = [
+                estimation.run_cr_experiment(model, theta, 50, 20, seed=3).to_json()
+                for theta in (0.0, 0.4)
+            ]
+            for report in experiments:
+                del report["model"]
+            return [
+                quantum.model_qfi(model, 0.4),
+                quantum.bures_metric_fd(model, 0.0),
+                quantum.qfi_and_metric(model, [0.0, 0.4]),
+                (limit.value, limit.error, limit.thetas.tolist(), limit.qfi_values.tolist()),
+                discontinuity.classify(model, 0.0),
+                discontinuity.vanishing_eigenvalue_branch(model, 0.0),
+                experiments,
+            ]
+
+        assert reads(user) == reads(trig)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -351,17 +351,17 @@ def block_model(parts, name="block-model"):
     state and derivatives are block-diagonal with every block repeated.
     """
 
-    def part_blocks(theta, order):
+    def part_blocks(theta):
         for mult, w, fam in parts:
-            _, *arrays = fam.blocks_fn(theta, order)
-            yield mult, *(None if a is None else w * a[0] for a in arrays)
+            _, *arrays = fam.blocks_fn(theta)
+            yield mult, *(w * a[0] for a in arrays)
 
-    def blocks(theta, order):
-        mults, *arrays = zip(*part_blocks(theta, order))
-        return (np.array(mults), *(None if a[0] is None else np.array(a) for a in arrays))
+    def blocks(theta):
+        mults, *arrays = zip(*part_blocks(theta))
+        return (np.array(mults), *map(np.array, arrays))
 
     def dense(theta, k):
-        parts_at = list(part_blocks(theta, k))
+        parts_at = list(part_blocks(theta))
         return block_diag(*[part[k + 1] for part in parts_at for _ in range(part[0])])
 
     return (
@@ -484,7 +484,7 @@ class TestDirectSum:
         # 1: only the multiplicities are wrong; the last, 2**63, does not
         # fit the int64 in which ranks are summed.
         model = models.ParametricModel(
-            name="malformed", state_fn=None, blocks_fn=lambda theta, order: direct_sum
+            name="malformed", state_fn=None, blocks_fn=lambda theta: direct_sum
         )
         for routine in (quantum.model_qfi, quantum.bures_metric_fd):
             with pytest.raises(InvalidInputError) as err:
@@ -496,14 +496,16 @@ class TestDirectSum:
 
     @pytest.mark.parametrize("second", [None, HALF_PAIR], ids=["missing", "wrong-shape"])
     def test_metric_needs_the_second_derivatives(self, second):
-        # The QFI reads no second derivative; the metric rejects a bad one.
+        # Every read takes the blocks with both derivatives: the QFI, which
+        # uses no second derivative, rejects a missing or bad one as the
+        # metric does.
         direct_sum = (np.ones(1, dtype=int), HALF[None], np.zeros_like(HALF[None]), second)
         model = models.ParametricModel(
-            name="no-second", state_fn=None, blocks_fn=lambda theta, order: direct_sum
+            name="no-second", state_fn=None, blocks_fn=lambda theta: direct_sum
         )
-        assert quantum.model_qfi(model, 0.0) == 0.0
-        with pytest.raises(InvalidInputError):
-            quantum.bures_metric_fd(model, 0.0)
+        for routine in (quantum.model_qfi, quantum.bures_metric_fd):
+            with pytest.raises(InvalidInputError):
+                routine(model, 0.0)
 
 
 # (model, a point to read around): every registry model, GHZ at three N,
@@ -548,9 +550,9 @@ class TestStackedReads:
         model = build()
         sign = 1.0 if model.in_domain(theta_bar + 1e-2) else -1.0
         thetas = [theta_bar + sign * 1e-2 * 2.0**-k for k in range(5)]
-        stacked = quantum._model_blocks(model, thetas, order=2)
+        stacked = quantum._model_blocks(model, thetas)
         for i, theta in enumerate(thetas):
-            alone = quantum._model_blocks(model, [theta], order=2)
+            alone = quantum._model_blocks(model, [theta])
             assert np.array_equal(stacked.multiplicities, alone.multiplicities)
             fields = ("blocks", "dblocks", "d2blocks", "eigenvalues", "eigenvectors", "ranks")
             for field in fields:
@@ -682,7 +684,7 @@ class TestQfiAndMetric:
     def test_structure_must_match_between_points(self):
         # One block of multiplicity 2 at theta = 0, one of multiplicity 1
         # elsewhere: each point is a valid direct sum, the pair is not.
-        def blocks(theta, order):
+        def blocks(theta):
             mult, block = (2, HALF / 2) if theta == 0.0 else (1, HALF)
             zero = np.zeros((1, 2, 2), dtype=complex)
             return (np.array([mult]), block[None], zero, zero)
@@ -743,8 +745,8 @@ def poisoned(model, call, kind):
     """
     calls = iter(range(10**6))
 
-    def blocks(theta, order):
-        direct_sum = model.blocks_fn(theta, order)
+    def blocks(theta):
+        direct_sum = model.blocks_fn(theta)
         if next(calls) != call:
             return direct_sum
         mults, mats, *derivatives = direct_sum
@@ -825,10 +827,11 @@ def test_built_in_models_are_read_through_their_blocks_alone(build, rank_change,
 
 
 @pytest.mark.parametrize("name, n", [("transverse-qubit", 1), ("ghz", 3), ("ghz", 8)])
-def test_each_read_differentiates_the_coefficients_as_far_as_it_needs(monkeypatch, name, n):
-    # The vanishing weight and the dense state read no derivative, the QFI
-    # the first, the metric and classify the second; the coefficients are
-    # computed once per point, for every order at once.
+def test_block_reads_take_order_2_and_the_parity_paths_orders_0_and_1(monkeypatch, name, n):
+    # Every read of the blocks, the dense state's included, computes the
+    # coefficients with both their derivatives once per point.  The scalar
+    # parity probability reads no derivative and its turning-point search
+    # the first.
     model = models.make_model(name, n_qubits=n)
     orders = []
     series = models._ghz_series
@@ -839,13 +842,17 @@ def test_each_read_differentiates_the_coefficients_as_far_as_it_needs(monkeypatc
 
     monkeypatch.setattr(models, "_ghz_series", counted)
     for read, expected in [
-        (lambda: discontinuity.vanishing_eigenvalue_branch(model, 0.0), [0] * 7),
-        (lambda: models.ghz_state(n, 0.1, 1.0, 1.0), [0]),
-        (lambda: quantum.model_qfi(model, 0.1), [1]),
+        (lambda: discontinuity.vanishing_eigenvalue_branch(model, 0.0), [2] * 7),
+        (lambda: models.ghz_state(n, 0.1, 1.0, 1.0), [2]),
+        (lambda: quantum.model_qfi(model, 0.1), [2]),
         (lambda: quantum.bures_metric_fd(model, 0.0), [2]),
         (lambda: quantum.qfi_and_metric(model, [0.1, 0.2]), [2, 2]),
         (lambda: discontinuity.classify(model, 0.0), [2]),
+        (lambda: models.ghz_parity_probability(n, 0.1, 1.0, 1.0), [0]),
     ]:
         orders.clear()
         read()
         assert orders == expected
+    orders.clear()
+    models._parity_turning_point(n, 1.0, 1.0)
+    assert orders and set(orders) == {1}
