@@ -478,6 +478,7 @@ def ghz_qfi_continuous(n_qubits: int, kappa: float, t: float) -> float:
 
 def ghz_state_vector(n_qubits: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2); equals |+> for a single qubit."""
+    _check_qubits(n_qubits)
     dim = 2**n_qubits
     psi = np.zeros(dim, dtype=complex)
     psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
@@ -485,9 +486,9 @@ def ghz_state_vector(n_qubits: int) -> np.ndarray:
 
 
 # The most RK4 steps one call takes: ten times the 1e4 of t = 1 at the
-# default dt (about 3 s at N = 1 and 40 s at N = 6: 32 and 380 us a step,
-# best of three timings of 1e4 steps on a 2-vCPU Xeon, numpy 2.4.6, one
-# BLAS thread).
+# default dt (about 3 s at N = 1 and 5 s at N = 6: 25-30 and 44-49 us a
+# step, best of three timings of 1e4 steps on a 2-vCPU Xeon, numpy 2.4.6,
+# one BLAS thread).
 RK4_MAX_STEPS = 10**5
 
 
@@ -501,18 +502,29 @@ def lindblad_integrate(
     """Fixed-step RK4 integration of the N-qubit transverse-noise master
     equation from the GHZ initial state.
 
+    The integration runs on the only entries the GHZ orbit reaches: the
+    set {(s, s), (s, sbar)}, sbar = s ^ (2^N - 1), is closed under the
+    master equation.  sx_j rho sx_j flips bit j of the row and the column,
+    (s, sbar) -> (s ^ 2^j, sbar ^ 2^j), again a pair of complements, and
+    the commutator with sum_j sz_j is a phase on each entry.  The state is
+    one vector of 2 2^N entries, the (s, s) and then the (s, sbar), in
+    which the flip of bit j moves position p to p ^ 2^j.
+
     The right-hand side is the phase mask of -i(theta/2)[sum_j sz_j, rho],
     the decay -(kappa/2) N rho, and N gathers of (kappa/2) rho, added in
-    the order j = 0..N-1: sx_j rho sx_j flips bit j of the row and the
-    column index, which in the flattened matrix is the flat index
-    f ^ (2^j (2^N + 1)).  The N index arrays are built once per call and
-    hold N 4^N 8 bytes: 196 KB at N = 6, 4 MB at N = 8, 80 MB at N = 10.
-    The stage sums and the RK4 update run in place in per-call buffers,
-    in the operation order of rho + (step/6)(k1 + 2 k2 + 2 k3 + k4).
+    the order j = 0..N-1.  The N index arrays hold N 2^(N+1) 8 bytes:
+    160 KB at N = 10.  The stage sums and the RK4 update run in place in
+    per-call buffers, in the operation order of
+    rho + (step/6)(k1 + 2 k2 + 2 k3 + k4).  Every operation is elementwise,
+    so each entry is computed as in the dense 2^N x 2^N integration, bit
+    for bit; ``gather_form_integrate`` in tests/test_models.py is that
+    dense form, kept as the reference.  The 2^N x 2^N matrix is assembled
+    once, after the last step.
 
-    The state is re-Hermitized and trace-renormalized after every step;
-    drift beyond 1e-8 before renormalization aborts with a step-size error,
-    as does a returned state with an entry of modulus above 1 or NaN.  The
+    The state is re-Hermitized and trace-renormalized after every step
+    (the mirror of (s, sbar) is (sbar, s), the cross half reversed); drift
+    beyond 1e-8 before renormalization aborts with a step-size error, as
+    does a returned state with an entry of modulus above 1 or NaN.  The
     default dt is 1e-4 min(1, 1 / max(kappa, |theta|)).  Global error is
     O(dt^4).  A call that needs more than RK4_MAX_STEPS
     steps (t_final / dt, after rounding up) is a ``DomainError``, raised
@@ -533,31 +545,35 @@ def lindblad_integrate(
 
     dim = 2**n_qubits
     psi = ghz_state_vector(n_qubits)
-    rho = np.outer(psi, psi.conj())
+    initial = np.outer(psi, psi.conj())
     if t_final == 0.0:
-        return rho
+        return initial
 
     idx = np.arange(dim)
+    rows = np.concatenate([idx, idx])
+    cols = np.concatenate([idx, idx ^ (dim - 1)])
     popcounts = np.array([bin(s).count("1") for s in idx])
     z_sum = n_qubits - 2 * popcounts  # eigenvalue of sum_j sz_j on |s>
     # [sum_j sz_j, rho]_{ij} = (z_i - z_j) rho_{ij}: a fixed phase mask.
-    phase = -1j * (theta / 2.0) * (z_sum[:, None] - z_sum[None, :])
+    phase = -1j * (theta / 2.0) * (z_sum[rows] - z_sum[cols])
     decay = (kappa / 2.0) * n_qubits
-    flat = np.arange(dim * dim)
-    flips = [flat ^ ((1 << j) * (dim + 1)) for j in range(n_qubits)]
+    pos = np.arange(2 * dim)
+    flips = [pos ^ (1 << j) for j in range(n_qubits)]
+    rho = initial[rows, cols]
     jump = np.empty_like(rho)
-    jump_flat = jump.reshape(-1)
 
     def rhs(r: np.ndarray, out: np.ndarray) -> None:
         np.multiply(phase, r, out=out)
         np.multiply(decay, r, out=jump)
         out -= jump
         np.multiply(kappa / 2.0, r, out=jump)
-        out_flat = out.reshape(-1)
         for flip in flips:
-            out_flat += jump_flat[flip]
+            out += jump[flip]
 
     k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
+    # A 2^N x 2^N view whose diagonal is the state's (s, s) entries: the
+    # one numpy.trace of a step, which bench/tracing.py counts as the step.
+    diagonal = np.broadcast_to(rho[:dim].reshape(dim, 1), (dim, dim))
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
     step = t_final / n_steps
     for _ in range(n_steps):
@@ -578,13 +594,16 @@ def lindblad_integrate(
         k1 += k4
         k1 *= step / 6.0
         k1 += rho  # rho + (step/6)(k1 + 2 k2 + 2 k3 + k4)
-        rho = (k1 + k1.conj().T) / 2.0
-        trace = float(np.real(np.trace(rho)))
+        np.conjugate(k1[:dim], out=stage[:dim])
+        np.conjugate(k1[: dim - 1 : -1], out=stage[dim:])  # (sbar, s)
+        np.add(k1, stage, out=rho)
+        rho /= 2.0
+        trace = float(np.real(np.trace(diagonal)))
         if not abs(trace - 1.0) <= 1e-8:
             raise StepSizeError(
                 f"trace drifted to {trace} (|drift| > 1e-8); reduce dt below {step:g}"
             )
-        rho = rho / trace
+        rho /= trace
     # The drift check sees only the diagonal; a state whose coherences grew
     # past |rho_ij| <= 1 (or to NaN) went unstable off it.
     largest = float(np.abs(rho).max())
@@ -592,7 +611,9 @@ def lindblad_integrate(
         raise StepSizeError(
             f"the state has an entry of modulus {largest:.3g} (> 1); reduce dt below {step:g}"
         )
-    return rho
+    full = np.zeros((dim, dim), dtype=complex)
+    full[rows, cols] = rho
+    return full
 
 
 # ---------------------------------------------------------------------------

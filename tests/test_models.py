@@ -215,6 +215,13 @@ class TestGhzBlocks:
         assert blk.matrix[0, 0] == pytest.approx(0.5)
         assert blk.matrix[0, 1] == pytest.approx((b + f) / 2.0)
 
+    def test_state_vector_checks_its_qubit_count(self):
+        # N = 0 has no GHZ state: the bare construction gives [0.7071], of norm 0.707.
+        with pytest.raises(DomainError, match="n_qubits=0"):
+            models.ghz_state_vector(0)
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            models.ghz_state_vector(2.5)
+
     def test_initial_state_is_pure_ghz(self):
         full = models.ghz_state(2, 0.1, 1.0, 0.0)
         psi = models.ghz_state_vector(2)
@@ -333,19 +340,19 @@ def gather_form_integrate(n, theta, kappa, t_final, dt=None):
 class TestLindbladIntegrator:
     def test_flipped_views_match_gather_form_bit_for_bit(self):
         rng = np.random.default_rng(20261017)
-        for n in range(1, 9):
+        for n in range(1, 10):
             for dt in (None, 1e-3):
                 kappa = float(rng.uniform(0.3, 2.0))
                 theta = float(rng.uniform(-0.49, 0.49) * kappa)
                 if n <= 6:
                     t = float(rng.uniform(5e-4, 0.004 if dt is None else 0.02))
-                else:  # 2-3 steps; the flat flip index spans 2N bits
+                else:  # 2-3 steps; the dense reference updates 4^N entries a step
                     step = 1e-4 * min(1.0, 1.0 / kappa) if dt is None else dt
                     t = float(rng.uniform(1.5, 3.0)) * step
                 got = models.lindblad_integrate(n, theta, kappa, t, dt=dt)
                 assert np.array_equal(got, gather_form_integrate(n, theta, kappa, t, dt)), (n, dt)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("t", [0.002, 0.006])
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -359,8 +366,10 @@ class TestLindbladIntegrator:
         calls = []
         trace = np.trace
         monkeypatch.setattr(np, "trace", lambda a: calls.append(1) or trace(a))
-        models.lindblad_integrate(3, 0.1, 0.75, 0.004)
-        assert len(calls) == 40
+        for n in (3, 6, 10):
+            calls.clear()
+            models.lindblad_integrate(n, 0.1, 0.75, 0.004)
+            assert len(calls) == 40, n
         calls.clear()
         models.lindblad_integrate(3, 0.1, 0.75, 0.0)
         assert calls == []
