@@ -4,8 +4,10 @@ scans, and Monte Carlo experiments, emitted as CSV or JSON.
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 numerical
 failure, 4 expectation-flag mismatch.  CSV output uses a header row,
 comma separators, LF line endings, UTF-8, and 17-significant-digit
-numbers (round-trip-exact doubles).  Commands are deterministic given
-their full flag set; no environment variables are read.
+numbers (round-trip-exact doubles); an --output file holds the text
+stdout would get, encoded as UTF-8.  Commands are deterministic given
+their full flag set; no environment variables are read.  Each argv is
+parsed once, by the parser of the command it names.
 """
 
 from __future__ import annotations
@@ -131,11 +133,14 @@ def _emit_table(rows: list[dict], columns: list[str], fmt: str, output: str | No
 
 
 def _write(text: str, output: str | None) -> None:
+    """``text`` to stdout, or to the file ``output`` as UTF-8 bytes: a binary
+    write of the encoded text is the text-mode write with ``newline="\n"``,
+    which translates nothing, without the text layer."""
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(output, "wb") as fh:
+            fh.write(text.encode("utf-8"))
 
 
 def _build_model(args) -> models.ParametricModel:
@@ -212,11 +217,15 @@ def cmd_ghz_scan(args) -> int:
 
 def _mc_json(report: estimation.EstimationReport) -> str:
     """``json.dumps(report.to_json(), indent=2) + "\n"``, byte for byte.
-    The estimates, the last field, are encoded by json's C encoder, which
-    ``indent`` turns off, and laid out one per line by hand: no float's
-    repr contains ", "."""
+    The estimates, the last field, take one value per count, so each
+    distinct one, told apart by its bits (0.0 == -0.0 as a float), is
+    encoded once by json's C encoder, which ``indent`` turns off, and they
+    are laid out one per line by hand."""
     fields = report.to_json()
-    estimates = json.dumps(fields.pop("estimates"))[1:-1].replace(", ", ",\n    ")
+    bits = report.estimates.view(np.int64).tolist()
+    distinct = dict(zip(bits, fields.pop("estimates")))
+    text = {b: json.dumps(x) for b, x in distinct.items()}
+    estimates = ",\n    ".join(map(text.__getitem__, bits))
     head = json.dumps(fields, indent=2)[:-2]  # without its closing "\n}"
     return f'{head},\n  "estimates": [\n    {estimates}\n  ]\n}}\n'
 
@@ -278,11 +287,14 @@ def build_parser() -> _Parser:
     mc.add_argument("--expect-violation", action="store_true")
     mc.set_defaults(run=cmd_mc)
 
+    # Each command's own parser, by name, for ``main`` to parse with alone.
+    parser.commands = subs.choices
     return parser
 
 
-# parse_args leaves the parser as it was and returns a new namespace, so
-# one parser, built on the first call, serves every later call.
+# parse_args leaves a parser as it was and returns a new namespace, so
+# one parser and its command parsers, built on the first call, serve every
+# later call.
 _parser = functools.cache(build_parser)
 
 
@@ -303,12 +315,19 @@ def _attach_grid_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     """Run one command (``argv``, default ``sys.argv[1:]``); returns its exit code.
 
-    ``main`` may be called repeatedly in one process: the parser is built
+    Where argv[0] names a command, that command's parser reads the rest of
+    argv in one pass; the top-level parser would only hand the same rest to
+    it, with the same options and errors.  The top-level parser reads an
+    argv that names no command: an empty one, an unknown command or ``-h``.
+    ``main`` may be called repeatedly in one process: the parsers are built
     on the first call and reused, and each call depends only on its argv.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(_attach_grid_values(argv))
+        parser = _parser()
+        if argv and argv[0] in parser.commands:
+            parser, argv = parser.commands[argv[0]], argv[1:]
+        args = parser.parse_args(_attach_grid_values(argv))
         return args.run(args)
     except tuple(_FAILURES) as err:
         code, label = _failure(err)

@@ -1083,12 +1083,117 @@ def test_repeated_calls_share_one_parser_and_no_state(tmp_path, capsys, monkeypa
     first = run_all(tmp_path / "first", capsys)
     second = run_all(tmp_path / "second", capsys)
     assert cli._parser() is cli._parser()
+    assert cli._parser().commands is cli._parser().commands
+    # The fresh side builds the parser and its command parsers on every call.
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cli._parser().commands["mc"] is not cli._parser().commands["mc"]
     fresh = run_all(tmp_path / "fresh", capsys)
     assert [r[1] for r in first] == [0, 0, 0, 0, 0, 1, 2]
     assert all(r[4] for r in first[:5])
     assert second == first
     assert fresh == first
+
+
+# argvs for the dispatch test; "OUT" stands for an output file.
+DISPATCH_ARGVS = {
+    "qfi-scan": ["qfi-scan", "--model", "trig", "--grid", "0.2:0.6:3", "--output", "OUT"],
+    "qfi-scan-json": ["qfi-scan", "--model", "trig", "--grid=0.2:0.6:3", "--format", "json"],
+    "separate-negative-grid": ["qfi-scan", "--model", "transverse-qubit", "--grid", "-0.4:0.4:2"],
+    "discontinuity": ["discontinuity", "--model", "transverse-qubit", "--theta-bar=0"],
+    "discontinuity-output": ["discontinuity", "--model", "trig", "--theta-bar=0",
+                             "--output", "OUT"],
+    "ghz-scan": ["ghz-scan", "--qubits", "1,2", "--grid", "0.5:2:3", "--output", "OUT"],
+    "ghz-scan-domain": ["ghz-scan", "--qubits", "1", "--grid", "-1:1:3", "--format", "json"],
+    "mc": ["mc", "--model", "classical-bit", "--theta-bar=0.3", "--replicates", "20"],
+    "mc-expectation": ["mc", "--model", "classical-bit", "--theta-bar", "0.3", "--replicates",
+                       "20", "--expect-violation", "--output", "OUT"],
+    "abbreviated-options": ["mc", "--model", "trig", "--theta", "0.4", "--rep", "10"],
+    "unknown-option": ["qfi-scan", "--model", "trig", "--grid", "0:1:2", "--bogus", "1"],
+    "missing-required": ["discontinuity", "--model", "trig"],
+    "invalid-model": ["mc", "--model", "nope", "--theta-bar", "0"],
+    "invalid-int": ["mc", "--model", "trig", "--theta-bar", "0", "--samples", "0"],
+    "bad-grid": ["qfi-scan", "--model", "trig", "--grid", "0:1"],
+    "empty": [],
+    "unknown-command": ["scan", "--model", "trig"],
+    "option-first": ["--model", "trig", "qfi-scan"],
+    "help": ["-h"],
+    "command-help": ["ghz-scan", "--help"],
+}
+
+
+def cli_outcome(argv, out, capsys):
+    """Exit code, stdout, stderr and output file bytes of ``cli.main(argv)``,
+    "OUT" in argv standing for ``out``; ``-h`` exits through SystemExit."""
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    return code, captured.out, captured.err, written
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS.values(), ids=DISPATCH_ARGVS.keys())
+def test_dispatch_to_the_command_parser_matches_the_top_level_parse(
+    argv, tmp_path, capsys, monkeypatch
+):
+    # Each parse_known_args call, by the prog of its parser: a command's
+    # argv is parsed once, by that command's parser alone.
+    parsed = []
+    parse_known_args = cli._Parser.parse_known_args
+
+    def spied(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", spied)
+    dispatched = cli_outcome(argv, tmp_path / "dispatched", capsys)
+    dispatched_parses = parsed[:]
+    top_level = cli.build_parser()
+    top_level.commands = {}  # no command is dispatched: the top-level parser reads all
+    monkeypatch.setattr(cli, "_parser", lambda: top_level)
+    assert cli_outcome(argv, tmp_path / "top-level", capsys) == dispatched
+    if argv and argv[0] in cli.build_parser().commands:
+        assert dispatched_parses == [f"qfidisc {argv[0]}"]
+        assert parsed[len(dispatched_parses):] == ["qfidisc", f"qfidisc {argv[0]}"]
+    else:
+        assert dispatched_parses == ["qfidisc"]
+
+
+# One command of each kind and format, each as its --output file and on stdout.
+OUTPUT_ARGVS = {
+    "qfi-scan-csv": ["qfi-scan", "--model", "trig", "--grid", "0.2:0.6:3"],
+    "qfi-scan-json": ["qfi-scan", "--model", "ghz", "--qubits", "3", "--grid=-0.2:0.2:3",
+                      "--format", "json"],
+    "ghz-scan-csv": ["ghz-scan", "--qubits", "1,4", "--grid", "0:2:4"],
+    "ghz-scan-json": ["ghz-scan", "--qubits", "2", "--grid", "0.1:1:3:log", "--format", "json"],
+    "discontinuity-json": ["discontinuity", "--model", "transverse-qubit", "--theta-bar=0"],
+    "mc-json": ["mc", "--model", "trig", "--theta-bar=0", "--replicates", "20"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS.values(), ids=OUTPUT_ARGVS.keys())
+def test_output_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert run_cli([*argv, "--output", str(out)], capsys) == (0, "", "")
+    written = out.read_bytes()
+    assert written == stdout.encode("utf-8")
+    assert b"\r" not in written and written.endswith(b"\n")
+    if argv[0] == "mc":
+        # json escapes the é of the notes' "Cramér-Rao" as \u00e9.
+        assert b"Cram\\u00e9r-Rao" in written
+
+
+def test_write_encodes_utf8_and_keeps_lf(tmp_path):
+    out = tmp_path / "out"
+    text = "Cramér-Rao\nbound\n"
+    cli._write(text, str(out))
+    assert out.read_bytes() == b"Cram\xc3\xa9r-Rao\nbound\n"
+    cli._write("", str(out))  # an existing file is replaced
+    assert out.read_bytes() == b""
 
 
 def test_build_parser_returns_a_new_parser_each_call():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,71 @@ class TestDirectSum:
                 routine(model, 0.0)
 
 
+def one_block_qfi(block=0.0, first=0.0, second=0.0) -> float:
+    """``model_qfi`` of a one-block model: diag(0.6, 0.4) with derivatives
+    diag(1, -1) and 0, each with its argument added to its upper right
+    entry alone, which makes it that far from Hermitian, or, where the
+    argument is not finite, to both off-diagonal entries, so that only
+    finiteness fails."""
+
+    def upper(diagonal, x):
+        matrix = np.diag(diagonal).astype(complex)
+        matrix[0, 1] += x
+        if not math.isfinite(x):
+            matrix[1, 0] += x
+        return matrix
+
+    rho, d1, d2 = upper([0.6, 0.4], block), upper([1.0, -1.0], first), upper([0.0, 0.0], second)
+    model = models.ParametricModel(
+        name="one-block",
+        state_fn=None,
+        blocks_fn=models.one_block(lambda th: rho, lambda th: d1, lambda th: d2),
+    )
+    return quantum.model_qfi(model, 0.0)
+
+
+class TestBlockChecks:
+    """A model read holds its blocks within 1e-12 of Hermitian and their two
+    derivatives within 1e-10, all finite; the failure it reports is the
+    first in the order blocks, first derivative, second derivative, each
+    checked for finiteness before Hermiticity."""
+
+    @pytest.mark.parametrize(
+        "asymmetry", [{"block": 5e-13}, {"first": 5e-11}, {"second": 5e-11}],
+        ids=["block", "first", "second"],
+    )
+    def test_within_tolerance_reads(self, asymmetry):
+        assert one_block_qfi(**asymmetry) == pytest.approx(one_block_qfi(), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "asymmetry, message",
+        [
+            ({"block": 2e-12}, "density block is not Hermitian within 1e-12"),
+            ({"first": 2e-10}, "state derivative is not Hermitian within 1e-10"),
+            ({"second": 2e-10}, "state derivative is not Hermitian within 1e-10"),
+            ({"second": math.nan}, "state derivative has a non-finite entry"),
+            ({"second": math.inf}, "state derivative has a non-finite entry"),
+            ({"block": math.nan}, "density block has a non-finite entry"),
+            # The first failure in check order, not the first in the stack.
+            ({"block": 2e-12, "second": math.nan}, "density block is not Hermitian within 1e-12"),
+            (
+                {"first": 2e-10, "second": math.inf},
+                "state derivative is not Hermitian within 1e-10",
+            ),
+        ],
+        ids=[
+            "block", "first", "second", "second-nan", "second-inf", "block-nan",
+            "block-before-second", "first-before-second",
+        ],
+    )
+    def test_outside_tolerance_fails(self, asymmetry, message):
+        # With no warning on the way: an inf entry is caught before any gap.
+        with warnings.catch_warnings(), pytest.raises(InvalidInputError) as err:
+            warnings.simplefilter("error")
+            one_block_qfi(**asymmetry)
+        assert str(err.value) == message
+
+
 # (model, a point to read around): every registry model, GHZ at three N,
 # rotation models in 3 and 4 dimensions, and a weighted sum of 3x3 blocks.
 STACKED_CASES = [
@@ -554,9 +620,12 @@ class TestStackedReads:
         for i, theta in enumerate(thetas):
             alone = quantum._model_blocks(model, [theta])
             assert np.array_equal(stacked.multiplicities, alone.multiplicities)
-            fields = ("blocks", "dblocks", "d2blocks", "eigenvalues", "eigenvectors", "ranks")
+            fields = ("blocks", "derivatives", "eigenvalues", "eigenvectors", "ranks")
             for field in fields:
-                got, want = getattr(stacked, field)[i], getattr(alone, field)[0]
+                # The derivatives carry their order on the first axis.
+                point = (slice(None),) if field == "derivatives" else ()
+                got = getattr(stacked, field)[(*point, i)]
+                want = getattr(alone, field)[(*point, 0)]
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
     def test_spectra_equal_one_matrix_eigensolves(self):
