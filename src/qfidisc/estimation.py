@@ -10,13 +10,12 @@ parameter values the bound is deliberately still reported so its
 violation is visible.  The QFI and the note on a rank change share one
 read of the model's blocks at the true value alone.
 
-Randomness: replicate r draws from its own NumPy PCG64 stream, seeded
-through SeedSequence with the pair (seed, r); no stream is drawn where the
-first outcome has probability exactly 0 or 1, as every stream draws alike.
-The R starting states are computed in one array pass that repeats
-SeedSequence's hashing and PCG64's seeding bit for bit, and every count is
-one binomial draw from a single reused generator set to its replicate's
-state; ``sample_outcomes`` is the one-replicate reference for that path.
+Randomness: one experiment draws from one NumPy stream,
+``np.random.default_rng(seed)``, which gives the R first-outcome counts in
+one binomial call; replicate r takes the r-th count, so the first R' of an
+R-replicate run are the R'-replicate run with the same seed.  No stream is
+drawn where the first outcome has probability exactly 0 or 1, as every
+draw would give the same counts.
 """
 
 from __future__ import annotations
@@ -65,89 +64,13 @@ def _check_samples(n_samples) -> int:
 def sample_outcomes(dist: Distribution, n_samples: int, seed) -> np.ndarray:
     """Multinomial outcome counts, deterministic in the seed.
 
-    ``seed`` feeds numpy's SeedSequence (an int, or a sequence such as
-    (experiment_seed, replicate_index)); draws use the PCG64 generator.
-    This is the one-replicate reference: replicate r of
-    ``run_cr_experiment`` draws the first of the counts it returns for
-    seed=(seed, r).
+    The counts are ``np.random.default_rng(seed).multinomial(n_samples,
+    dist.probs)``: the first draw of the seed's stream.  ``seed`` is
+    anything numpy's SeedSequence takes (an int, or a sequence of ints).
     """
     n_samples = _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     return rng.multinomial(n_samples, dist.probs)
-
-
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _replicate_states(seed: int, n: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that ``np.random.default_rng((seed, r))``
-    starts from, for r = 0..n-1, in one pass over arrays of replicates.
-
-    ``seed`` is a non-negative int.  SeedSequence's entropy is seed's
-    little-endian 32-bit words followed by r's one word (n <= 2**32).  Its
-    pool mixing and ``generate_state(4, np.uint64)`` run over uint32
-    arrays indexed by r, whose arithmetic wraps as the C code's does; the
-    running hash constant is the same for every replicate and stays a
-    Python int masked to 32 bits.  PCG64's two seeding LCG steps then run
-    in Python ints.
-    """
-    seed = operator.index(seed)
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = (const * _MULT_A) & _MASK32
-        value = value * const
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    zeros = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    const = _INIT_B
-    out = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = (const * _MULT_B) & _MASK32
-        value = value * const
-        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    # generate_state's uint64 words, read little-endian from uint32 pairs.
-    s_hi, s_lo, q_hi, q_lo = (
-        (out[i] | (out[i + 1] << np.uint64(32))).tolist() for i in range(0, len(out), 2)
-    )
-    states = []
-    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
-        initstate, inc = (a << 64) | b, ((((c << 64) | d) << 1) | 1) & _MASK128
-        states.append((((initstate + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
 
 
 def mle(model: ParametricModel, counts) -> float:
@@ -255,14 +178,15 @@ def run_cr_experiment(
 
     Each replicate samples the model's two outcomes, with probabilities
     p_first(theta_true) and 1 - p_first(theta_true) clamped to [0, 1] and
-    renormalized, from its own stream: the streams' starting states come
-    from one array pass (``_replicate_states``), and the first outcome's
-    count is one binomial draw from a generator set to each in turn.  The
-    estimate is solved once per distinct count, since it depends on
-    nothing else.  ``n_samples``, ``n_replicates`` and ``seed`` must be
-    integers, ``seed`` non-negative, ``n_samples`` at most 2**63 - 1 at
-    every theta_true, and ``n_replicates`` at most 2**32, since replicate r
-    seeds its stream with r as one 32-bit word.  Where the first
+    renormalized.  All R counts of the first outcome come from one
+    binomial call on one stream, ``np.random.default_rng(seed)``, so the
+    first R' replicates of an R-replicate run equal the R'-replicate run
+    with the same seed.  The estimate is solved once per distinct count,
+    in order of first appearance, since it depends on nothing else.
+    ``n_samples``, ``n_replicates`` and ``seed`` must be integers,
+    ``seed`` non-negative, ``n_samples`` at most 2**63 - 1 at every
+    theta_true, and ``n_replicates`` at most 2**32: the run holds its R
+    estimates as float64, 32 GiB at R = 2**32.  Where the first
     probability is exactly 0 or 1 the law is a point mass: every replicate
     gets the estimate of the one count vector it allows, and no stream is
     drawn.
@@ -286,8 +210,8 @@ def run_cr_experiment(
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {n_replicates}")
     if n_replicates > 2**32:
         raise DomainError(
-            f"n_replicates={n_replicates} exceeds 2**32: replicate r seeds its stream "
-            "with r as one 32-bit word"
+            f"n_replicates={n_replicates} exceeds 2**32: 2**32 float64 estimates "
+            "already fill 32 GiB"
         )
     if model.p_first is None or model.estimate is None:
         raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
@@ -300,27 +224,14 @@ def run_cr_experiment(
     probs = probs / probs.sum()
 
     if probs[0] in (0.0, 1.0):
-        # A point mass: every stream would draw these counts.
+        # A point mass: every draw would give these counts.
         counts = [n_samples, 0] if probs[0] == 1.0 else [0, n_samples]
         estimates = np.full(n_replicates, mle(model, counts))
     else:
-        # The stream's own seeding is overwritten before every draw.
-        bit_generator = np.random.PCG64(0)
-        rng = np.random.Generator(bit_generator)
-        estimates = np.empty(n_replicates)
-        solved: dict[int, float] = {}
-        for r, (state, inc) in enumerate(_replicate_states(seed, n_replicates)):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            # numpy's two-outcome multinomial draws exactly binomial(M, p0).
-            k = int(rng.binomial(n_samples, probs[0]))
-            if k not in solved:
-                solved[k] = mle(model, [k, n_samples - k])
-            estimates[r] = solved[k]
+        # numpy's two-outcome multinomial draws exactly binomial(M, p0).
+        ks = np.random.default_rng(seed).binomial(n_samples, probs[0], size=n_replicates).tolist()
+        solved = {k: mle(model, [k, n_samples - k]) for k in dict.fromkeys(ks)}
+        estimates = np.array([solved[k] for k in ks])
 
     # Shifted two-pass variance: identical replicate estimates must give
     # exactly zero, which the unshifted mean subtraction misses by rounding.

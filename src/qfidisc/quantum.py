@@ -121,6 +121,8 @@ def validate_hermitian(op: np.ndarray, tol: float = 1e-10, what: str = "operator
     op = np.asarray(op, dtype=complex)
     if op.ndim < 2 or op.shape[-2] != op.shape[-1]:
         raise InvalidInputError(f"{what} must be a square matrix, got shape {op.shape}")
+    if not op.size:
+        raise InvalidInputError(f"{what} has no entries, got shape {op.shape}")
     # Apart from the gap: a NaN gap passes `> tol`, and inf - inf would warn.
     if not np.isfinite(op).all():
         raise InvalidInputError(f"{what} has a non-finite entry")
@@ -306,8 +308,10 @@ def _check_hermitian(stack: np.ndarray) -> None:
     per kind over the whole stack.  Only where that fails are the kinds
     checked one by one, to raise the first failure with its message."""
     tols = [tol for _, tol in _KINDS]
-    if stack.ndim == 5 and stack.shape[-2] == stack.shape[-1] and np.isfinite(stack).all():
-        # Finite first: the gap of an inf entry would be inf - inf.
+    square = stack.ndim == 5 and stack.shape[-2] == stack.shape[-1]
+    if square and stack.size and np.isfinite(stack).all():
+        # Finite first: the gap of an inf entry would be inf - inf; an empty
+        # stack has no gap, and validate_hermitian says so.
         if (np.abs(stack - _dagger(stack)).max(axis=(1, 2, 3, 4)) <= tols).all():
             return
     for kind, (what, tol) in zip(stack, _KINDS):

@@ -552,8 +552,7 @@ class TestMcCommand:
 
     @pytest.mark.parametrize("theta", ["0", "0.3"])  # a point mass and a sampled law
     def test_replicate_count_past_2_32_is_a_domain_error(self, capsys, theta):
-        # 5e9 replicates would allocate 40 GB of estimates before the
-        # streams' 32-bit replicate word overflowed.
+        # 5e9 replicates would allocate 40 GB of estimates; refused first.
         code, out, err = run_cli(
             ["mc", "--model", "classical-bit", "--theta-bar", theta,
              "--replicates", "5000000000"],

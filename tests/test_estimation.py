@@ -104,48 +104,16 @@ class TestSampleOutcomes:
                 estimation.sample_outcomes(dist, n_samples, seed=1)
         assert estimation.sample_outcomes(dist, 2**63 - 1, seed=1).sum() == 2**63 - 1
 
-
-# Seeds at the edges of SeedSequence's 32-bit word splitting.
-EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1]
-
-
-def numpy_state(seed, r):
-    state = np.random.default_rng((seed, r)).bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
-def pcg64_at(state, inc):
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bit_generator
-
-
-class TestReplicateStates:
-    @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_edge_seeds_match_default_rng(self, seed):
-        states = estimation._replicate_states(seed, 1000)
-        assert states == [numpy_state(seed, r) for r in range(1000)]
-
-    @given(seed=st.integers(0, 2**160 - 1), n=st.integers(1, 300))
-    @settings(max_examples=40, deadline=None)
-    def test_any_seed_matches_default_rng(self, seed, n):
-        assert estimation._replicate_states(seed, n) == [numpy_state(seed, r) for r in range(n)]
-
     @pytest.mark.parametrize("p", [1e-300, 1e-12, 0.3, 0.5, 1 - 1e-12, 1 - 2**-53])
     @pytest.mark.parametrize("m_total", [1, 100, 10**4, 10**6])
     def test_binomial_is_the_first_multinomial_count(self, p, m_total):
-        for state, inc in estimation._replicate_states(5, 20):
-            binomial_bits, multinomial_bits = pcg64_at(state, inc), pcg64_at(state, inc)
-            k = np.random.Generator(binomial_bits).binomial(m_total, p)
-            counts = np.random.Generator(multinomial_bits).multinomial(m_total, [p, 1.0 - p])
-            assert k == counts[0]
-            # Both consumed the same words of the stream.
-            assert binomial_bits.state == multinomial_bits.state
+        # run_cr_experiment draws binomial counts; this reads multinomial ones.
+        binomial_rng, multinomial_rng = np.random.default_rng(5), np.random.default_rng(5)
+        ks = binomial_rng.binomial(m_total, p, size=20)
+        counts = multinomial_rng.multinomial(m_total, [p, 1.0 - p], size=20)
+        assert np.array_equal(ks, counts[:, 0])
+        # Both consumed the same words of the stream.
+        assert binomial_rng.bit_generator.state == multinomial_rng.bit_generator.state
 
 
 class TestMle:
@@ -280,15 +248,17 @@ class TestRunCrExperiment:
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
     def test_estimates_are_the_per_replicate_mle(self, name, n, theta):
         model = models.make_model(name, kappa=1.3, t=1.0, n_qubits=n)
-        seed, m_total = 17, 60
+        seed, m_total, n_replicates = 17, 60, 200
         report = estimation.run_cr_experiment(
-            model, theta, n_samples=m_total, n_replicates=200, seed=seed
+            model, theta, n_samples=m_total, n_replicates=n_replicates, seed=seed
         )
+        # The same stream read through multinomial, not the library's binomial.
         p = model.p_first(theta)
-        dist = classical.Distribution(("first", "second"), np.array([p, 1.0 - p]))
-        for r, estimate in enumerate(report.estimates):
-            counts = estimation.sample_outcomes(dist, m_total, seed=(seed, r))
-            assert estimate == estimation.mle(model, counts)
+        rng = np.random.default_rng(seed)
+        ks = rng.multinomial(m_total, [p, 1.0 - p], size=n_replicates)[:, 0].tolist()
+        assert len(report.estimates) == n_replicates
+        for estimate, k in zip(report.estimates, ks):
+            assert estimate == estimation.mle(model, [k, m_total - k])
 
     @pytest.mark.parametrize("name, n", [("transverse-qubit", 1), ("ghz", 3), ("ghz", 24)])
     @pytest.mark.parametrize("theta", [0.0, 0.1])
@@ -324,11 +294,11 @@ class TestRunCrExperiment:
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
     def test_point_mass_draws_no_stream(self, monkeypatch, name, n, theta):
         def no_draw(*args, **kwargs):
-            raise AssertionError("replicate streams seeded on a point mass")
+            raise AssertionError("a stream seeded on a point mass")
 
         model = models.make_model(name, n_qubits=n)
         assert model.p_first(theta) in (0.0, 1.0)
-        monkeypatch.setattr(estimation, "_replicate_states", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         report = estimation.run_cr_experiment(model, theta, n_samples=40, n_replicates=30, seed=2)
         assert len(report.estimates) == 30
         assert np.all(report.estimates == report.estimates[0])
@@ -338,25 +308,33 @@ class TestRunCrExperiment:
         with pytest.raises(InvalidInputError, match="n_samples must be >= 1"):
             estimation.run_cr_experiment(model, theta, n_samples=0, n_replicates=30, seed=2)
 
-    def test_regular_point_seeds_every_replicate_in_one_call(self, monkeypatch):
-        calls = []
-        seed_all = estimation._replicate_states
-
-        def counted(seed, n):
-            calls.append((seed, n))
-            return seed_all(seed, n)
-
-        monkeypatch.setattr(estimation, "_replicate_states", counted)
-        model = models.make_model("classical-bit")
-        estimation.run_cr_experiment(model, 0.3, n_samples=40, n_replicates=30, seed=2)
-        assert calls == [(2, 30)]
+    @given(
+        seed=st.integers(0, 2**128),
+        n_replicates=st.integers(2, 300),
+        fraction=st.floats(0.0, 1.0),
+        case=st.sampled_from(
+            [("classical-bit", 1, 0.3), ("trig", 1, 0.7), ("transverse-qubit", 1, 0.2),
+             ("ghz", 3, 0.1)]
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
+    def test_first_replicates_are_the_shorter_run(self, seed, n_replicates, fraction, case):
+        name, n, theta = case
+        model = models.make_model(name, n_qubits=n)
+        shorter = 2 + int(fraction * (n_replicates - 2))
+        args = dict(n_samples=40, seed=seed)
+        full = estimation.run_cr_experiment(model, theta, n_replicates=n_replicates, **args)
+        prefix = estimation.run_cr_experiment(model, theta, n_replicates=shorter, **args)
+        assert len(full.estimates) == n_replicates
+        assert np.array_equal(full.estimates[:shorter], prefix.estimates)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3])  # a point mass and a sampled law
     def test_negative_seed_is_invalid_before_any_draw(self, monkeypatch, theta):
         def no_draw(*args, **kwargs):
-            raise AssertionError("replicate streams seeded for a negative seed")
+            raise AssertionError("a stream seeded for a negative seed")
 
-        monkeypatch.setattr(estimation, "_replicate_states", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         model = models.make_model("classical-bit")
         with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
             estimation.run_cr_experiment(model, theta, n_samples=40, n_replicates=30, seed=-1)
@@ -403,7 +381,7 @@ class TestRunCrExperiment:
         def refused(*args, **kwargs):
             raise AssertionError("allocated or seeded past the replicate cap")
 
-        monkeypatch.setattr(estimation, "_replicate_states", refused)
+        monkeypatch.setattr(np.random, "default_rng", refused)
         monkeypatch.setattr(np, "full", refused)
         monkeypatch.setattr(np, "empty", refused)
         model = models.make_model("classical-bit")

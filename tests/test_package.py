@@ -45,3 +45,21 @@ def test_the_quantum_side_imports_nothing_from_classical(name):
     [path] = [path for path in SOURCES if path.name == name]
     modules = imported_modules(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     assert [m for m in modules if m == ".classical"] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_sets_or_names_a_bit_generator_state(path):
+    # Streams come from numpy's public seeding (``default_rng``) alone: a
+    # bit generator's ``state`` assigned by hand, or PCG64 named, would tie
+    # the draws to how one numpy release seeds it.
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "PCG64")
+        or (isinstance(node, ast.Attribute) and node.attr == "state"
+            and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Name) and node.id == "PCG64")
+        or (isinstance(node, ast.alias) and node.name.split(".")[-1] == "PCG64")
+    ]
+    assert found == []

@@ -573,6 +573,27 @@ class TestBlockChecks:
             one_block_qfi(**asymmetry)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda model: quantum.model_qfi(model, 0.1),
+            lambda model: quantum.qfi_and_metric(model, [0.1, 0.2]),
+            lambda model: discontinuity.classify(model, 0.1),
+        ],
+        ids=["model_qfi", "qfi_and_metric", "classify"],
+    )
+    def test_a_0x0_block_is_invalid_input(self, read):
+        # numpy's max of the empty Hermiticity gap raised a bare ValueError.
+        empty = np.zeros((0, 0), dtype=complex)
+        model = models.ParametricModel(
+            name="empty",
+            state_fn=None,
+            blocks_fn=models.one_block(*[lambda th: empty] * 3),
+        )
+        with pytest.raises(InvalidInputError) as err:
+            read(model)
+        assert str(err.value).startswith("density block has no entries, got shape (")
+
 
 # (model, a point to read around): every registry model, GHZ at three N,
 # rotation models in 3 and 4 dimensions, and a weighted sum of 3x3 blocks.
