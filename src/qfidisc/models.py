@@ -218,11 +218,13 @@ def _ghz_series(theta: float, kappa: float, t: float, order: int = 0) -> tuple:
     theta = 0, e_+ = 1 and xi = kappa, so b and f equal a and d bit for bit.
     Each term is computed the same way whatever the order.  The blocks
     always take order 2; the order stays an argument for the scalar parity
-    paths, which call this hundreds of times in each GHZ Monte Carlo
-    experiment: ``ghz_parity_probability`` at order 0 and the turning-point
-    search at order 1.  Per call (best of five timeit runs on a 2-vCPU
-    Xeon, Python 3.11) order 0 takes 0.95 us, order 1 1.23 us and order 2
-    1.55 us.
+    paths, which a GHZ Monte Carlo experiment calls once per Newton step
+    of each distinct count: ``ghz_parity_probability`` (and so the
+    estimator's edge checks) reads order 0, each step of the estimate
+    order 1 (p(+) and its slope), and the turning-point search order 1 on
+    its grid and order 2 in its Newton polish.  Per call (best of seven
+    timeit runs on a 2-vCPU Xeon, Python 3.11) order 0 takes 0.95 us,
+    order 1 1.22 us and order 2 1.57 us.
     """
     _check_ghz_domain(theta, kappa, t)
     xi = math.sqrt(kappa**2 - 4.0 * theta**2)
@@ -632,40 +634,79 @@ def ghz_parity_probability(n_qubits: int, theta: float, kappa: float, t: float) 
     e^(-(kappa - xi) t/2) + (kappa - xi) f / kappa, two nonnegative terms
     that are exactly 1 and 0 at theta = 0, so p(+) is exactly 1 there.
     """
-    _, _, gap, e_plus, [(_, f, c)] = _ghz_series(theta, kappa, t)
+    return _parity_plus(n_qubits, kappa, _ghz_series(theta, kappa, t))
+
+
+def _parity_plus(n_qubits: int, kappa: float, series: tuple) -> float:
+    """p(+) from one ``_ghz_series`` result, of any order."""
+    _, _, gap, e_plus, [(_, f, c), *_] = series
     b_plus_f = e_plus + gap * f / kappa
     return min(0.5 * (1.0 + (complex(b_plus_f, c) ** n_qubits).real), 1.0)
 
 
-def _bisect(go_right: Callable[[float], bool], lo: float, hi: float) -> float:
-    """Halve [lo, hi] until its midpoint equals an endpoint, and return that.
+def _parity_slopes(n_qubits: int, bfc: list) -> list[float]:
+    """The theta-derivatives of p(+) that ``bfc`` allows, each over N/2:
+    Re z^(N-1) z' and, given z'', Re [(N-1) z^(N-2) z'^2 + z^(N-1) z''],
+    with z = b + f + i c."""
+    z, dz, *d2z = (complex(b + f, c) for b, f, c in bfc)
+    head = z ** (n_qubits - 1)
+    slopes = [(head * dz).real]
+    if d2z:
+        slopes.append(((n_qubits - 1) * z ** max(n_qubits - 2, 0) * dz * dz + head * d2z[0]).real)
+    return slopes
 
-    ``go_right(mid)`` moves lo up to mid; otherwise hi moves down to mid.
+
+def _newton_root(
+    value_and_slope: Callable[[float], tuple[float, float]], target: float, lo: float, hi: float
+) -> float:
+    """theta in [lo, hi] where a falling value crosses ``target``.
+
+    Bracketed Newton: from the midpoint, each evaluated theta moves lo up
+    to it when the value exceeds ``target`` and hi down to it otherwise.
+    The next theta is the Newton step when that lands strictly inside
+    (lo, hi), and the midpoint when it does not.  The search stops once
+    the value is within 1 ulp of ``target``, the step is within 4 ulps of
+    theta or the bracket is 2 ulps wide, and returns the last evaluated
+    theta.  The first test ends the search where the value cannot come
+    closer: one ulp of p(+) near 1 can be 5 ulps of theta.
     """
+    theta = 0.5 * (lo + hi)
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if go_right(mid):
-            lo = mid
+        value, slope = value_and_slope(theta)
+        if value > target:
+            lo = theta
         else:
-            hi = mid
+            hi = theta
+        miss = value - target
+        step = miss / slope if slope else math.inf
+        if (
+            abs(miss) <= math.ulp(target)
+            or abs(step) <= 4.0 * math.ulp(theta)
+            or hi - lo <= 2.0 * math.ulp(hi)
+        ):
+            return theta
+        theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
 
 
 def _parity_turning_point(n_qubits: int, kappa: float, t: float) -> float:
     """First zero of dp(+)/dtheta on (0, 0.49 kappa], or 0.49 kappa without one.
 
-    The first sign change on a grid of 256 steps is bisected.
+    The sign of dp(+)/dtheta is read on a grid of 256 steps; the first
+    cell where it stops falling is polished by ``_newton_root`` on
+    -dp(+)/dtheta, with -d2p(+)/dtheta2 as its slope.
     """
 
     def falling(theta: float) -> bool:  # dp(+)/dtheta < 0
-        (b, f, c), (db, df, dc) = _ghz_series(theta, kappa, t, 1)[4]
-        return (complex(b + f, c) ** (n_qubits - 1) * complex(db + df, dc)).real < 0.0
+        return _parity_slopes(n_qubits, _ghz_series(theta, kappa, t, 1)[4])[0] < 0.0
+
+    def rise_and_slope(theta: float) -> tuple[float, float]:
+        slope, curve = _parity_slopes(n_qubits, _ghz_series(theta, kappa, t, 2)[4])
+        return -slope, -curve
 
     grid = [0.49 * kappa * k / 256 for k in range(257)]
     for lo, hi in zip(grid, grid[1:]):
         if not falling(hi):
-            return _bisect(falling, lo, hi)
+            return _newton_root(rise_and_slope, 0.0, lo, hi)
     return grid[-1]
 
 
@@ -673,30 +714,41 @@ def _ghz_estimator(n_qubits: int, kappa: float, t: float) -> Callable[[float], f
     """theta in [0, theta*] with p(+) = the observed frequency.
 
     p(+) is 1 at theta = 0 and falls in |theta| up to its first stationary
-    point theta* (0.49 kappa for N = 1, searched for on the first estimate
-    for N >= 2), so on that branch the likelihood peaks where p(+) equals
-    the frequency.  A frequency outside p(+)'s range on the bracket gives
-    the nearer edge and a ``BoundarySolutionWarning``.
+    point theta* (0.49 kappa for N = 1, searched for the first time a
+    frequency below 1 is estimated for N >= 2), so on that branch the
+    likelihood peaks where p(+) equals the frequency.  ``_newton_root``
+    solves for it with p(+) and its derivative from one order-1
+    ``_ghz_series`` call a step; p(+) is ``ghz_parity_probability``'s
+    arithmetic, so the estimate is the root to within the rounding of p(+).
+    A frequency outside p(+)'s range on the bracket gives the nearer edge
+    and a ``BoundarySolutionWarning``; the low edge, theta = 0, is checked
+    first and needs no theta*.
     """
 
-    def p_plus(theta: float) -> float:
-        return ghz_parity_probability(n_qubits, theta, kappa, t)
+    def p_and_slope(theta: float) -> tuple[float, float]:
+        series = _ghz_series(theta, kappa, t, 1)
+        slope = 0.5 * n_qubits * _parity_slopes(n_qubits, series[4])[0]
+        return _parity_plus(n_qubits, kappa, series), slope
 
     @functools.cache
     def upper() -> float:
         return 0.49 * kappa if n_qubits == 1 else _parity_turning_point(n_qubits, kappa, t)
 
+    def edge(theta: float, where: str) -> float:
+        warnings.warn(
+            f"likelihood maximizer {theta:.6g} sits on the {where}",
+            BoundarySolutionWarning,
+            stacklevel=3,
+        )
+        return theta
+
     def estimate(freq: float) -> float:
-        lo, hi = 0.0, upper()
-        if freq >= p_plus(lo) or freq <= p_plus(hi):
-            edge = lo if freq >= p_plus(lo) else hi
-            warnings.warn(
-                f"likelihood maximizer {edge:.6g} sits on the bracket edge [{lo:g}, {hi:g}]",
-                BoundarySolutionWarning,
-                stacklevel=2,
-            )
-            return edge
-        return _bisect(lambda theta: p_plus(theta) > freq, lo, hi)
+        if freq >= ghz_parity_probability(n_qubits, 0.0, kappa, t):
+            return edge(0.0, "bracket's low edge theta = 0")
+        hi = upper()
+        if freq <= ghz_parity_probability(n_qubits, hi, kappa, t):
+            return edge(hi, f"bracket edge [0, {hi:g}]")
+        return _newton_root(p_and_slope, freq, 0.0, hi)
 
     return estimate
 

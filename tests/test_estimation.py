@@ -194,7 +194,145 @@ class TestMle:
             estimation.run_cr_experiment(model, 0.1, n_samples=10, n_replicates=5, seed=0)
 
 
+EPS = 2.0**-52
+
+
+def bisect(go_right, lo, hi):
+    """Halve [lo, hi] until its midpoint equals an endpoint, and return
+    that; ``go_right(mid)`` moves lo up to mid, otherwise hi comes down.
+    The parity MLE and its turning point were once solved this way."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if go_right(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def reference_turning_point(n, kappa, t):
+    """The first sign change of dp(+)/dtheta on 256 grid steps, bisected."""
+
+    def falling(theta):
+        (b, f, c), (db, df, dc) = models._ghz_series(theta, kappa, t, 1)[4]
+        return (complex(b + f, c) ** (n - 1) * complex(db + df, dc)).real < 0.0
+
+    grid = [0.49 * kappa * k / 256 for k in range(257)]
+    for lo, hi in zip(grid, grid[1:]):
+        if not falling(hi):
+            return bisect(falling, lo, hi)
+    return grid[-1]
+
+
+def parity_slopes(n, theta, kappa, t):
+    """dp(+)/dtheta, d2p(+)/dtheta2 and N/2 |z|^(N-1) |z'|, the size of the
+    first's terms, with z = b + f + i c."""
+    z, dz, d2z = (complex(b + f, c) for b, f, c in models._ghz_series(theta, kappa, t, 2)[4])
+    curve = (n - 1) * z ** max(n - 2, 0) * dz * dz + z ** (n - 1) * d2z
+    return 0.5 * n * (z ** (n - 1) * dz).real, 0.5 * n * curve.real, 0.5 * n * abs(z) ** (n - 1) * abs(dz)
+
+
+class TestParityRoots:
+    """The GHZ parity MLE and its turning point theta* against bisection.
+
+    Where p(+) is flat, near theta = 0, a relative bound in theta fails, so
+    an interior estimate is held to the bisected root in p units,
+    |delta theta| |p'|, and theta* in p' units, |delta theta| |p''| over the
+    size of p'.  Over 37000 interior estimates and 7000 turning-point
+    searches drawn as below, the worst seen were 9.4 and 29 eps; the
+    bounds keep a 10x margin.  Each test stays under 1 s (0.5 s and 0.15 s on a 2-vCPU
+    Xeon).
+    """
+
+    @given(
+        n=st.integers(1, 24),
+        log_kappa=st.floats(-2.0, 1.0),
+        kt=st.floats(0.1, 5.0),
+        m_total=st.sampled_from([10, 100, 10**4, 10**6]),
+        near=st.sampled_from(["0", "M", "inside"]),
+        offset=st.integers(0, 2),
+        fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_estimate_is_the_bisected_root_in_p_units(
+        self, n, log_kappa, kt, m_total, near, offset, fraction
+    ):
+        kappa = 10.0**log_kappa
+        t = kt / kappa
+        k = {"0": offset, "M": m_total - offset, "inside": round(fraction * m_total)}[near]
+        freq = k / m_total
+        model = models.make_model("ghz", kappa=kappa, t=t, n_qubits=n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = model.estimate(freq)
+        # The bracket is the package's theta*, held to its own reference below.
+        hi = 0.49 * kappa if n == 1 else models._parity_turning_point(n, kappa, t)
+        if freq >= model.p_first(0.0) or freq <= model.p_first(hi):
+            assert got == (0.0 if freq >= model.p_first(0.0) else hi)
+            assert [w.category for w in caught] == [BoundarySolutionWarning]
+        else:
+            want = bisect(lambda theta: model.p_first(theta) > freq, 0.0, hi)
+            assert not caught
+            assert abs(got - want) * abs(parity_slopes(n, got, kappa, t)[0]) <= 100 * EPS
+
+    @given(n=st.integers(2, 24), log_kappa=st.floats(-2.0, 1.0), kt=st.floats(0.1, 5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_turning_point_is_the_bisected_root_in_slope_units(self, n, log_kappa, kt):
+        kappa = 10.0**log_kappa
+        t = kt / kappa
+        got = models._parity_turning_point(n, kappa, t)
+        want = reference_turning_point(n, kappa, t)
+        if want == 0.49 * kappa:  # no sign change on the grid
+            assert got == want
+        else:
+            _, curve, size = parity_slopes(n, got, kappa, t)
+            assert abs(got - want) * abs(curve) <= 300 * EPS * size
+
+    def test_interior_estimates_take_at_most_12_series_calls_in_the_mc_cr_box(self, monkeypatch):
+        # The mc-cr benchmark's regular point: transverse-qubit at
+        # theta = 0.2 kappa, kappa in [0.5, 2], kappa t in [1, 2.5], M = 100.
+        # Every interior count is solved, drawn or not; bisection took
+        # 54-57 calls a count, the edge checks included.
+        calls = []
+        series = models._ghz_series
+        monkeypatch.setattr(models, "_ghz_series", lambda *args: calls.append(args) or series(*args))
+        rng = np.random.default_rng(32)
+        solved = 0
+        for _ in range(40):
+            kappa = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            model = models.make_model("transverse-qubit", kappa=kappa, t=rng.uniform(1.0, 2.5) / kappa)
+            bottom = model.p_first(0.49 * kappa)
+            for k in range(1, 100):
+                if bottom < k / 100:
+                    calls.clear()
+                    model.estimate(k / 100)
+                    assert len(calls) <= 12, (kappa, model, k)
+                    solved += 1
+        assert solved > 400
+
+
 class TestRunCrExperiment:
+    def test_ghz_low_edge_reads_no_slope(self, monkeypatch):
+        # At theta_true = 0 every count is M, and p(+)(0) = 1 alone makes
+        # the estimate the low edge theta = 0: no Newton step and no
+        # search for theta*, the only parity paths that read a slope.
+        orders = []
+        series = models._ghz_series
+
+        def counted(theta, kappa, t, order=0):
+            orders.append(order)
+            return series(theta, kappa, t, order)
+
+        monkeypatch.setattr(models, "_ghz_series", counted)
+        model = models.make_model("ghz", n_qubits=3)
+        with pytest.warns(BoundarySolutionWarning, match="low edge theta = 0"):
+            report = estimation.run_cr_experiment(
+                model, 0.0, n_samples=100, n_replicates=1000, seed=3
+            )
+        assert np.all(report.estimates == 0.0)
+        assert orders and 1 not in orders
+
     def test_zero_variance_at_boundary(self):
         model = models.make_model("classical-bit")
         report = estimation.run_cr_experiment(model, 0.0, n_samples=100, n_replicates=1000, seed=7)
