@@ -144,9 +144,10 @@ def classical_discontinuity(
 
     ``family`` maps theta to a Distribution; the probability of
     ``vanishing_outcome`` must go to zero as theta -> theta_bar.  Speed and
-    acceleration come from Richardson-extrapolated finite differences of
-    that probability (one-sided at a domain edge) at the base step
-    h = ``numdiff.base_step(theta_bar)``.
+    acceleration are the derivatives at theta_bar of the polynomial through
+    that probability's samples at theta_bar and theta_bar +/- {h/4, h/2, h}
+    (one side only at a domain edge), h = ``numdiff.base_step(theta_bar)``
+    (``numdiff.speed_and_acceleration``).
     """
     h = base_step(theta_bar)
 

@@ -166,6 +166,7 @@ class DiscontinuityReport:
         }
 
 
+@quantum._overflow_is_numerical
 def classify(model, theta_bar: float) -> DiscontinuityReport:
     """Full discontinuity analysis of a model at theta_bar, from one
     ``quantum._model_blocks`` read of theta_bar alone with the first two

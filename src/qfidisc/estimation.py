@@ -127,6 +127,7 @@ class EstimationReport:
         }
 
 
+@quantum._overflow_is_numerical
 def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, float, str]:
     """Q(theta), the floor at or below which Q reads as zero, and the note
     on a rank change there ("" where there is none), from one read of the

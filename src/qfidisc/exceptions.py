@@ -14,7 +14,8 @@ class NumericalError(RuntimeError):
 
 
 class StepSizeError(ValueError):
-    """A finite-difference step is too small (or too large) to be usable."""
+    """An integration time step is too large to be usable: the state it
+    reaches has drifted in trace or grown past modulus 1."""
 
 
 class DivergenceError(RuntimeError):

@@ -60,13 +60,17 @@ when read alone, bit for bit.  The QFI, the metric and the vanishing
 weight are then array expressions over that stack, summed over the
 blocks of a point in block order.
 ``qfi_and_metric``, which ``qfi-scan`` calls once per grid, reads the
-whole grid in one such call.  Every read checks its points against
+whole grid in one such call.  A read refuses a block with an eigenvalue
+below -SUPPORT_TOL times its largest (``_decompose``) and raises
+``NumericalError`` where its arithmetic overflows
+(``_overflow_is_numerical``).  Every read checks its points against
 ``model.in_domain`` first, so ``blocks_fn`` never sees a theta outside
 the domain; ``qfi-scan`` marks those rows and reads only the others.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -152,11 +156,21 @@ def _decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or blocks) in one call: the eigenvalues descending and clamped to >= 0,
     and the eigenvectors as columns.  LAPACK solves each matrix of the
     stack as it would alone, so every result equals that of its matrix by
-    itself."""
+    itself.  An eigenvalue below -SUPPORT_TOL times the largest of its
+    matrix is an ``InvalidInputError``: only rounding is clamped."""
     try:
         lam, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+    # Ascending: each matrix's least eigenvalue first, its largest last.  A
+    # negative one below the cut needs a negative least: test that first.
+    least = lam[..., 0]
+    if least.min() < 0.0 and (negative := least < -SUPPORT_TOL * lam[..., -1]).any():
+        low, high = lam[negative][0, [0, -1]]
+        raise InvalidInputError(
+            f"a block has eigenvalue {low:.3e}, below -{SUPPORT_TOL:g} times its largest "
+            f"{high:.3e}: not positive semidefinite"
+        )
     return np.maximum(lam[..., ::-1], 0.0), vecs[..., ::-1]
 
 
@@ -166,7 +180,11 @@ def _on_support(lam: np.ndarray) -> np.ndarray:
 
 
 def spectral_decompose(rho: np.ndarray) -> SpectralData:
-    """Eigendecompose a density matrix, descending order, clamped spectrum."""
+    """Eigendecompose a density matrix, descending order, clamped spectrum.
+
+    A negative eigenvalue is refused (``InvalidInputError``) unless it lies
+    within SUPPORT_TOL times the largest, where it is clamped to 0.
+    """
     lam, vecs = _decompose(validate_density_matrix(rho))
     return SpectralData(lam, vecs, int(_on_support(lam).sum()))
 
@@ -193,6 +211,9 @@ def _block_fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     2x2 matrices use the closed form sqrt(tr ab + 2 sqrt(det a det b)),
     exact for PSD a and b; larger ones explicit eigendecompositions with
     eigenvalue clamping, which stays well behaved for rank-deficient inputs.
+    The closed form stays because the eigen path is less accurate near
+    F = 1: through it, the fidelity quotient that the tests hold the GHZ
+    metric against misses their 1e-5 relative tolerance.
     """
     if a.shape[-2:] == (2, 2):
         # tr ab = sum_ij a_ij conj(b_ij) for Hermitian b: the dot product
@@ -278,7 +299,11 @@ def _stack_points(reads: list) -> tuple[np.ndarray, np.ndarray]:
             stack = [np.array(kind, dtype=complex) for kind in kinds]
     except ValueError:  # ragged: the point reads differ in shape
         raise InvalidInputError("block structure differs between points") from None
+    except TypeError:  # an object entry that complex() does not take
+        raise InvalidInputError("a block or derivative has an entry that is not a number") from None
     blocks = stack[0]
+    if blocks.ndim != 4:
+        raise InvalidInputError(f"blocks must be a (B, d, d) array, got shape {blocks.shape[1:]}")
     if mults.ndim != 2 or blocks.shape[:2] != mults.shape:
         raise InvalidInputError("block and multiplicity counts differ")
     if len(reads) > 1 and (mults != mults[0]).any():
@@ -327,8 +352,9 @@ def _checked_blocks(reads: list) -> BlockStack:
     the same positive integer multiplicities at every point, one
     Hermiticity check of the blocks (within 1e-12) and their two
     derivatives (within 1e-10) stacked together (``_check_hermitian``), one
-    trace per block, and one eigendecomposition.  At every point the
-    weighted traces must sum to 1 within 1e-10, summed in block order.
+    trace per block, and one eigendecomposition, which refuses a negative
+    eigenvalue (``_decompose``).  At every point the weighted traces must
+    sum to 1 within 1e-10, summed in block order.
     """
     mults, stack = _stack_points(reads)
     _check_hermitian(stack)
@@ -352,6 +378,22 @@ def _model_blocks(model, thetas) -> BlockStack:
         if not model.in_domain(theta):
             raise DomainError(f"theta={theta} outside the domain of {model.name}")
     return _checked_blocks([model.blocks_fn(theta) for theta in thetas])
+
+
+def _overflow_is_numerical(fn):
+    """``fn`` with numpy's overflow raised as a ``NumericalError`` that names
+    it: the inf an overflow leaves is no QFI and no metric.  Wraps each
+    model-level read whole, so the read's own arithmetic is covered."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise NumericalError(f"{fn.__name__}: {exc}") from None
+
+    return checked
 
 
 def _weighted_ranks(st: BlockStack) -> np.ndarray:
@@ -441,6 +483,7 @@ def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
     return _point_sums(st.multiplicities * q), np.where(counts[0].any(axis=-1), np.inf, four_g)
 
 
+@_overflow_is_numerical
 def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """Quantum Fisher information of a state and its derivative: the direct
     sum of one block of multiplicity 1, read as ``model_qfi`` reads it,
@@ -454,11 +497,13 @@ def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     return float(_direct_sum_qfi(_checked_blocks([one]))[0])
 
 
+@_overflow_is_numerical
 def model_qfi(model, theta: float) -> float:
     """QFI of a parametric model at a point: sum_j m_j Q(B_j, dB_j) over its blocks."""
     return float(_direct_sum_qfi(_model_blocks(model, [theta]))[0])
 
 
+@_overflow_is_numerical
 def bures_metric_fd(model, theta: float) -> float:
     """Bures metric coefficient g of 2 [1 - F] at theta, with no step.
 
@@ -471,6 +516,7 @@ def bures_metric_fd(model, theta: float) -> float:
     return float(_direct_sum_metric(_model_blocks(model, [theta]))[1][0]) / 4.0
 
 
+@_overflow_is_numerical
 def qfi_and_metric(model, thetas) -> list[tuple[float, float]]:
     """(Q, g) at each of ``thetas``: ``model_qfi`` and ``bures_metric_fd``,
     bit for bit, from one read of every theta.  The kernel analysis
@@ -501,6 +547,7 @@ class LimitEstimate:
     qfi_values: np.ndarray
 
 
+@_overflow_is_numerical
 def qfi_limit(model, theta_bar: float, side: str | None = None) -> LimitEstimate:
     """Limit of the QFI as theta -> theta_bar from one side.
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, solve_sylvester, sqrtm
 
 from helpers import count_reads, random_density, random_hermitian, reparametrized, rotation_model
-from qfidisc import discontinuity, models, quantum
+from qfidisc import cli, discontinuity, models, quantum
 from qfidisc.exceptions import (
     BoundarySolutionWarning,
     DivergenceError,
@@ -510,6 +511,20 @@ class TestDirectSum:
                 routine(model, 0.0)
 
 
+def direct_sum_model(mults, blocks, first, second) -> models.ParametricModel:
+    """A model whose ``blocks_fn`` returns the same 4-tuple at every theta."""
+    read = (mults, blocks, first, second)
+    return models.ParametricModel(name="direct-sum", state_fn=None, blocks_fn=lambda th: read)
+
+
+BLOCK_READS = [
+    lambda model: quantum.model_qfi(model, 0.0),
+    lambda model: quantum.bures_metric_fd(model, 0.0),
+    lambda model: discontinuity.classify(model, 0.0),
+]
+BLOCK_READ_IDS = ["model_qfi", "bures_metric_fd", "classify"]
+
+
 def one_block_qfi(block=0.0, first=0.0, second=0.0) -> float:
     """``model_qfi`` of a one-block model: diag(0.6, 0.4) with derivatives
     diag(1, -1) and 0, each with its argument added to its upper right
@@ -594,6 +609,129 @@ class TestBlockChecks:
         with pytest.raises(InvalidInputError) as err:
             read(model)
         assert str(err.value).startswith("density block has no entries, got shape (")
+
+    @pytest.mark.parametrize("read", BLOCK_READS, ids=BLOCK_READ_IDS)
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (np.ones(2, dtype=int), np.array([0.5, 0.5])),
+            (np.ones(2, dtype=int), np.eye(2) / 2.0),
+            (np.ones(1, dtype=int), np.eye(2)[None, None] / 2.0),
+        ],
+        ids=["(B,)", "one (d, d) block with d multiplicities", "(1, 1, d, d)"],
+    )
+    def test_blocks_of_the_wrong_rank_are_invalid_input(self, read, shape):
+        # Each raised a bare TypeError past the Hermiticity check.
+        mults, blocks = shape
+        model = direct_sum_model(mults, blocks, np.zeros_like(blocks), np.zeros_like(blocks))
+        with pytest.raises(InvalidInputError, match=r"blocks must be a \(B, d, d\) array"):
+            read(model)
+
+    @pytest.mark.parametrize("read", BLOCK_READS, ids=BLOCK_READ_IDS)
+    def test_a_block_entry_that_is_not_a_number_is_invalid_input(self, read):
+        # An object array of them raised a bare TypeError.
+        blocks = np.array([[[{}, 0.0], [0.0, 0.5]]], dtype=object)
+        zeros = np.zeros((1, 2, 2))
+        model = direct_sum_model(np.ones(1, dtype=int), blocks, zeros, zeros)
+        with pytest.raises(InvalidInputError, match="not a number"):
+            read(model)
+
+    @pytest.mark.parametrize("read", BLOCK_READS, ids=BLOCK_READ_IDS)
+    def test_a_negative_block_eigenvalue_is_invalid_input(self, read):
+        # Clamped without a word, diag(1.5, -0.5) read as Q = 0.667, 4g = inf
+        # and a second kind.
+        flip = np.diag([1.0, -1.0])[None]
+        model = direct_sum_model(np.ones(1, dtype=int), np.diag([1.5, -0.5])[None], flip, 0 * flip)
+        with pytest.raises(InvalidInputError, match="not positive semidefinite"):
+            read(model)
+
+    def test_a_negative_eigenvalue_within_the_support_cut_is_clamped(self):
+        lam = 1e-13
+        spect = quantum.spectral_decompose(np.diag([1.0 + lam, -lam]))
+        assert spect.eigenvalues.tolist() == [1.0 + lam, 0.0]
+        with pytest.raises(InvalidInputError, match="not positive semidefinite"):
+            quantum.spectral_decompose(np.diag([1.0 + 100 * lam, -100 * lam]))
+
+    @pytest.mark.parametrize(
+        "read", [quantum.model_qfi, quantum.bures_metric_fd], ids=["model_qfi", "bures_metric_fd"]
+    )
+    def test_an_overflowing_read_is_a_numerical_error(self, read):
+        # It warned "overflow encountered in square" and returned inf.
+        model = direct_sum_model(
+            np.ones(1, dtype=int), np.eye(2)[None] / 2.0, np.diag([1e300, -1e300])[None],
+            np.zeros((1, 2, 2)),
+        )
+        with pytest.raises(NumericalError, match="overflow"):
+            read(model, 0.0)
+
+
+@st.composite
+def blocks_fn_returns(draw):
+    """A ``blocks_fn`` return: B, d in 0..3 blocks whose eigenvalues take
+    either sign or 0 at magnitudes up to 1e300, normalized to weighted trace
+    1 where that total is finite and nonzero, in a random eigenbasis, with
+    random traceless derivatives up to 1e300 in size; as (B, d, d) arrays,
+    or in one of three shapes of the wrong rank."""
+    n_blocks, dim = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mults = rng.integers(1, 4, size=n_blocks)
+    magnitudes = st.integers(-300, 300).map(lambda e: 10.0**e)
+    signs = st.sampled_from([1.0, 1.0, -1.0, 0.0])
+    lam = np.array([[draw(signs) * draw(magnitudes) for _ in range(dim)] for _ in range(n_blocks)])
+    total = mults @ lam.sum(axis=-1) if lam.size else 0.0
+    u = np.linalg.qr(random_hermitian(dim, rng) + 1j * np.eye(dim))[0] if dim else np.eye(0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is a draw too
+        if math.isfinite(total) and total:
+            lam = lam / total
+        blocks = (u * lam[:, None, :]) @ u.conj().T if n_blocks else np.zeros((0, dim, dim))
+
+    def derivative():
+        a = np.array([random_hermitian(dim, rng) for _ in range(n_blocks)]).reshape(blocks.shape)
+        a -= np.eye(dim) * np.trace(a, axis1=-2, axis2=-1)[:, None, None] / max(dim, 1)
+        return a * draw(magnitudes)
+
+    parts = [blocks, derivative(), derivative()]
+    shape = draw(st.sampled_from(["(B, d, d)"] * 3 + ["(B,)", "(d, d)", "(1, B, d, d)"]))
+    if shape == "(B,)":
+        parts = [part.trace(axis1=-2, axis2=-1) for part in parts]
+    elif shape == "(d, d)" and n_blocks:
+        mults, parts = np.ones(dim, dtype=int), [part[0] for part in parts]
+    elif shape == "(1, B, d, d)":
+        parts = [part[None] for part in parts]
+    return (mults, *parts)
+
+
+@settings(max_examples=150)
+@given(read=blocks_fn_returns())
+def test_a_malformed_blocks_fn_return_reads_or_fails_with_a_mapped_class(read):
+    """Every read of a drawn direct sum returns, with inf only where a kernel
+    direction moves at first order, or raises a class the CLI maps to an
+    exit code, with no numpy warning on the way (warnings are errors)."""
+    model = direct_sum_model(*read)
+    results = {}
+    for name, call in [
+        ("q", lambda: quantum.model_qfi(model, 0.0)),
+        ("g", lambda: quantum.bures_metric_fd(model, 0.0)),
+        ("both", lambda: quantum.qfi_and_metric(model, [0.0])[0]),
+        ("report", lambda: discontinuity.classify(model, 0.0)),
+    ]:
+        with contextlib.suppress(*cli._FAILURES):
+            results[name] = call()
+    if "q" in results:
+        assert math.isfinite(results["q"]) and results["q"] >= 0.0
+    if "g" in results:
+        g = results["g"]
+        assert math.isfinite(g) or g == math.inf
+        if g == math.inf:
+            *_, counts = quantum._block_motion(quantum._model_blocks(model, [0.0]))
+            assert counts[0].any()
+    if "both" in results:
+        assert results["both"] == (results["q"], results["g"])
+    if "report" in results:
+        report = results["report"]
+        assert report.kind in ("second-kind", "jump")
+        assert math.isfinite(report.delta_q_predicted) == (report.kind == "jump")
+        assert math.isfinite(report.qfi_at_bar)
 
 
 # (model, a point to read around): every registry model, GHZ at three N,
