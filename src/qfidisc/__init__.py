@@ -5,8 +5,6 @@ from .classical import (
     ClassicalDiscontinuityReport,
     Distribution,
     classical_discontinuity,
-    fisher_information,
-    kl_divergence,
 )
 from .discontinuity import (
     BranchSamples,
@@ -65,13 +63,11 @@ __all__ = [
     "classical_discontinuity",
     "classify",
     "fidelity",
-    "fisher_information",
     "ghz_blocks",
     "ghz_coefficients",
     "ghz_qfi_continuous",
     "ghz_qfi_discontinuous",
     "ghz_state",
-    "kl_divergence",
     "lindblad_integrate",
     "make_model",
     "mle",

@@ -1,6 +1,10 @@
-"""Discrete probability families: Fisher information on the support,
-KL divergence, and classification of Fisher-information discontinuities
-at parameter values where an outcome probability vanishes.
+"""Discrete probability families: classification of Fisher-information
+discontinuities at parameter values where an outcome probability vanishes.
+
+The Fisher information of a family p(theta) is the QFI of the diagonal
+state diag(p(theta)), so ``quantum.qfi`` (or ``quantum.model_qfi`` on the
+``classical-bit`` and ``trig`` models) computes it, with the package's one
+support cut.
 
 The classification rule: with q(theta) the probability of the vanishing
 outcome, speed v = q'(theta_bar) and acceleration a = q''(theta_bar),
@@ -13,24 +17,18 @@ outcome, speed v = q'(theta_bar) and acceleration a = q''(theta_bar),
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .exceptions import (
-    DomainError,
-    InvalidInputError,
-    MisidentifiedOutcomeError,
-    SingularModelWarning,
-)
+from .exceptions import DomainError, InvalidInputError, MisidentifiedOutcomeError
 from .numdiff import base_step, speed_and_acceleration
 
 # |v| at or above SPEED_TOL is a second kind, and else |a| at or above
 # ACCEL_TOL a jump: on this finite-difference path, absolute numbers in
 # units of theta, whose noise at the default step h = 1e-3 sits around 1e-8.
-from .quantum import ACCEL_TOL, SPEED_TOL, SUPPORT_TOL, _kind
+from .quantum import ACCEL_TOL, SPEED_TOL, _kind
 
 
 @dataclass
@@ -38,8 +36,7 @@ class Distribution:
     """Finite distribution over labelled outcomes.
 
     Probabilities are clamped at zero from below (floor -1e-12) and must
-    sum to one within 1e-10; the support is the set of outcomes with
-    probability above ``SUPPORT_TOL``.
+    sum to one within 1e-10; a NaN probability fails that test.
     """
 
     outcomes: tuple
@@ -53,55 +50,16 @@ class Distribution:
         if probs.min(initial=0.0) < -1e-12:
             raise InvalidInputError(f"negative probability {probs.min():.3e}")
         probs = np.maximum(probs, 0.0)
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise InvalidInputError(f"probabilities sum to {probs.sum()!r}, not 1")
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= 1e-10:
+            raise InvalidInputError(f"probabilities sum to {total!r}, not 1")
         self.probs = probs
-
-    def support(self) -> np.ndarray:
-        return self.probs > SUPPORT_TOL
 
     def prob_of(self, outcome) -> float:
         try:
             return float(self.probs[self.outcomes.index(outcome)])
         except ValueError:
             raise InvalidInputError(f"unknown outcome {outcome!r}") from None
-
-
-def fisher_information(dist: Distribution, dp: Sequence[float]) -> float:
-    """Fisher information sum_y (dp_y)^2 / p_y restricted to the support.
-
-    ``dp`` must be the derivative of a normalized family (sums to zero).
-    Derivative weight on an outcome outside the support is the signature
-    of a second-kind discontinuity and raises ``SingularModelWarning``.
-    """
-    dp = np.asarray(dp, dtype=float)
-    if dp.shape != dist.probs.shape:
-        raise InvalidInputError("dp length does not match the distribution")
-    if abs(dp.sum()) > 1e-8:
-        raise InvalidInputError(f"dp sums to {dp.sum():.3e}; not a derivative of a normalized family")
-    on = dist.support()
-    off_weight = np.abs(dp[~on])
-    if off_weight.size and off_weight.max() > 1e-6:
-        warnings.warn(
-            "derivative weight on an outcome with vanishing probability; "
-            "the Fisher information on the support misses a singular term",
-            SingularModelWarning,
-            stacklevel=2,
-        )
-    return float(np.sum(dp[on] ** 2 / dist.probs[on]))
-
-
-def kl_divergence(p: Distribution, q: Distribution) -> float:
-    """Kullback-Leibler divergence sum_x p_x log(p_x / q_x).
-
-    Infinite when the support of p is not contained in that of q.
-    """
-    if p.outcomes != q.outcomes:
-        raise InvalidInputError("outcome sets differ")
-    on = p.support()
-    if np.any(q.probs[on] <= SUPPORT_TOL):
-        return math.inf
-    return float(np.sum(p.probs[on] * np.log(p.probs[on] / q.probs[on])))
 
 
 @dataclass

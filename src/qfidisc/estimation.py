@@ -78,8 +78,8 @@ def mle(model: ParametricModel, counts) -> float:
 
     A two-outcome likelihood depends on the counts only through the
     frequency k/M of the first outcome, which ``model.estimate`` maps to
-    the estimate.  ``counts`` must be two non-negative integers with a
-    positive total.
+    the estimate; a non-finite estimate is refused.  ``counts`` must be
+    two non-negative integers with a positive total.
     """
     counts = np.asarray(counts)
     if counts.shape != (2,) or counts.dtype.kind not in "iu":
@@ -89,7 +89,10 @@ def mle(model: ParametricModel, counts) -> float:
         raise InvalidInputError(f"counts {[first, second]} are negative or empty")
     if model.estimate is None:
         raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
-    return float(model.estimate(first / (first + second)))
+    estimate = float(model.estimate(first / (first + second)))
+    if not math.isfinite(estimate):
+        raise InvalidInputError(f"estimate {estimate!r} at counts {[first, second]} is not finite")
+    return estimate
 
 
 @dataclass
@@ -178,11 +181,11 @@ def run_cr_experiment(
     """R replicates of M-sample estimation, compared against 1/(M Q).
 
     Each replicate samples the model's two outcomes, with probabilities
-    p_first(theta_true) and 1 - p_first(theta_true) clamped to [0, 1] and
-    renormalized.  All R counts of the first outcome come from one
-    binomial call on one stream, ``np.random.default_rng(seed)``, so the
-    first R' replicates of an R-replicate run equal the R'-replicate run
-    with the same seed.  The estimate is solved once per distinct count,
+    p_first(theta_true), which must be finite, and 1 - p_first(theta_true)
+    clamped to [0, 1] and renormalized.  All R counts of the first outcome
+    come from one binomial call on one stream,
+    ``np.random.default_rng(seed)``, so the first R' replicates of an
+    R-replicate run equal the R'-replicate run with the same seed.  The estimate is solved once per distinct count,
     in order of first appearance, since it depends on nothing else.
     ``n_samples``, ``n_replicates`` and ``seed`` must be integers,
     ``seed`` non-negative, ``n_samples`` at most 2**63 - 1 at every
@@ -221,6 +224,8 @@ def run_cr_experiment(
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     p = model.p_first(theta_true)
+    if not math.isfinite(p):
+        raise InvalidInputError(f"p_first({theta_true}) = {p!r} is not finite")
     probs = np.clip([p, 1.0 - p], 0.0, 1.0)
     probs = probs / probs.sum()
 

@@ -51,9 +51,5 @@ class InsufficientReplicatesError(ValueError):
     """Fewer than two replicates; a sample variance cannot be formed."""
 
 
-class SingularModelWarning(UserWarning):
-    """Derivative mass sits on an outcome outside the support."""
-
-
 class BoundarySolutionWarning(UserWarning):
     """A likelihood maximizer landed on the edge of its search bracket."""

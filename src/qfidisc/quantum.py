@@ -77,7 +77,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import (
-    DegenerateModelError,
     DivergenceError,
     DomainError,
     InvalidInputError,
@@ -408,16 +407,12 @@ def _in_eigenbasis(st: BlockStack, ops: np.ndarray) -> np.ndarray:
 
 def _block_qfis(st: BlockStack, d_eig: np.ndarray) -> np.ndarray:
     """The blocks' QFIs (P, B) from their first derivatives in their
-    eigenbases ``d_eig``; a ``DegenerateModelError`` where a point has no
-    eigenvalue pair on the support."""
+    eigenbases ``d_eig``."""
     lam = st.eigenvalues
     # Q = 2 sum |d_eig|^2 / (lk + ll) over the pairs on the support:
     # sums above 2 SUPPORT_TOL times the block's largest eigenvalue.
     denom = lam[..., :, None] + lam[..., None, :]
     mask = denom > 2.0 * SUPPORT_TOL * lam[..., :1, None]
-    # A block has a pair on the support iff its first eigenvalue is on it.
-    if not st.support[..., 0].any(axis=-1).all():
-        raise DegenerateModelError("no eigenvalue pair above tolerance; state has no weight")
     terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
     return 2.0 * terms.reshape(*denom.shape[:-2], -1).sum(axis=-1)
 

@@ -514,6 +514,18 @@ class TestRunCrExperiment:
         expected = estimation.run_cr_experiment(model, 0.3, n_samples=10, n_replicates=5, seed=2)
         assert fields == expected.to_json()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field, message", [("p_first", r"p_first\(0\.7\) = .* is not finite"),
+                           ("estimate", r"estimate .* at counts .* is not finite")],
+        ids=["p_first", "estimate"],
+    )
+    def test_non_finite_probability_or_estimate_is_invalid(self, field, message, value):
+        # Neither numpy's bare ValueError nor a report of nan estimates.
+        model = dataclasses.replace(models.make_model("trig"), **{field: lambda x: value})
+        with pytest.raises(InvalidInputError, match=message):
+            estimation.run_cr_experiment(model, 0.7, n_samples=10, n_replicates=5, seed=0)
+
     @pytest.mark.parametrize("theta", [0.0, 0.3])  # a point mass and a sampled law
     def test_replicates_past_2_32_are_refused_before_any_allocation(self, monkeypatch, theta):
         def refused(*args, **kwargs):
@@ -689,12 +701,11 @@ class TestRunCrExperiment:
 
     def test_canonical_trig_measurement_is_optimal(self):
         # Sampling the trig family in its canonical basis gives the
-        # Bernoulli(sin^2 theta) family whose information equals the QFI.
+        # Bernoulli(sin^2 theta) family, whose information p'^2 / (p (1 - p))
+        # with p' = sin 2 theta equals the QFI.
         model = models.make_model("trig")
         theta = 0.7
         p = model.p_first(theta)
         assert p == pytest.approx(math.sin(theta) ** 2, abs=1e-14)
-        dist = classical.Distribution(("first", "second"), np.array([p, 1.0 - p]))
-        dp = math.sin(2 * theta) * np.array([1.0, -1.0])
-        fisher = classical.fisher_information(dist, dp)
+        fisher = math.sin(2 * theta) ** 2 / (p * (1.0 - p))
         assert fisher == pytest.approx(quantum.model_qfi(model, theta), rel=1e-10)

@@ -47,6 +47,23 @@ def test_the_quantum_side_imports_nothing_from_classical(name):
     assert [m for m in modules if m == ".classical"] == []
 
 
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "quantum.py"], ids=lambda path: path.name
+)
+def test_only_quantum_reads_the_support_cut(path):
+    # One support cut, relative to each block's largest eigenvalue: the
+    # classical Fisher information is the QFI of a diagonal state.
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "SUPPORT_TOL")
+        or (isinstance(node, ast.Attribute) and node.attr == "SUPPORT_TOL")
+        or (isinstance(node, ast.alias) and node.name == "SUPPORT_TOL")
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_sets_or_names_a_bit_generator_state(path):
     # Streams come from numpy's public seeding (``default_rng``) alone: a

@@ -193,9 +193,21 @@ class TestQfi:
             quantum.qfi(rho, drho)
 
     def test_zero_matrix_is_not_a_state(self):
-        # A zero matrix fails the trace check before any spectral sum.
+        # A zero matrix fails the trace check before any spectral sum, read
+        # alone or as a model's one block.
+        zero, dz = np.zeros((2, 2), dtype=complex), np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(InvalidInputError, match="trace"):
-            quantum.qfi(np.zeros((2, 2), dtype=complex), np.diag([1.0, -1.0]).astype(complex))
+            quantum.qfi(zero, dz)
+        model = models.ParametricModel(
+            name="zero-block",
+            state_fn=lambda th: zero,
+            blocks_fn=models.one_block(lambda th: zero, lambda th: dz, lambda th: 0 * dz),
+        )
+        reads = [quantum.model_qfi, lambda m, th: quantum.qfi_and_metric(m, [th]),
+                 discontinuity.classify]
+        for read in reads:
+            with pytest.raises(InvalidInputError, match="trace"):
+                read(model, 0.0)
 
     @given(
         seed=st.integers(0, 5_000),
