@@ -35,8 +35,9 @@ from .quantum import ACCEL_TOL, SPEED_TOL, _kind
 class Distribution:
     """Finite distribution over labelled outcomes.
 
-    Probabilities are clamped at zero from below (floor -1e-12) and must
-    sum to one within 1e-10; a NaN probability fails that test.
+    ``probs`` is one-dimensional, one per outcome.  Probabilities are
+    clamped at zero from below (floor -1e-12) and must sum to one within
+    1e-10; a NaN probability fails that test.
     """
 
     outcomes: tuple
@@ -45,6 +46,8 @@ class Distribution:
     def __post_init__(self):
         self.outcomes = tuple(self.outcomes)
         probs = np.asarray(self.probs, dtype=float)
+        if probs.ndim != 1:
+            raise InvalidInputError(f"probs must be one-dimensional, got shape {probs.shape}")
         if len(self.outcomes) != len(probs):
             raise InvalidInputError("outcomes and probs have different lengths")
         if probs.min(initial=0.0) < -1e-12:

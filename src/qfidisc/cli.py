@@ -77,6 +77,18 @@ def _fmt(x) -> str:
     return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
+# For a non-empty flat dict of JSON scalars, this encoder's output between
+# its braces, wrapped in "{\n  " and "\n}", is json.dumps(..., indent=2),
+# byte for byte: one field a line, from json's C encoder, which indent
+# turns off.
+_FIELDS = json.JSONEncoder(separators=(",\n  ", ": "))
+
+
+def _flat_json(fields: dict) -> str:
+    """``json.dumps(fields, indent=2)`` for a non-empty flat dict of scalars."""
+    return "{\n  " + _FIELDS.encode(fields)[1:-1] + "\n}"
+
+
 def _json_cell(x):
     if isinstance(x, float) and not math.isfinite(x):
         return _fmt(x)
@@ -84,8 +96,9 @@ def _json_cell(x):
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:points[:log]' into a grid of at least 2 points that
-    starts at start and ends at stop exactly."""
+    """Parse 'start:stop:points[:log]' into a grid of 2 to 2**32 points that
+    starts at start and ends at stop exactly; more points are refused
+    before the grid is allocated (32 GiB of float64 at 2**32)."""
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise _UsageError(f"bad grid {text!r}; expected start:stop:points[:log]")
@@ -97,6 +110,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise _UsageError(f"bad grid {text!r}: endpoints must be finite")
     if points < 2:
         raise _UsageError("grid needs at least 2 points")
+    if points > 2**32:
+        raise _UsageError(f"grid of {points} points exceeds 2**32")
     if len(parts) == 4:
         if start <= 0 or stop <= 0:
             raise _UsageError("log grid requires positive endpoints")
@@ -175,7 +190,7 @@ def cmd_qfi_scan(args) -> int:
 def cmd_discontinuity(args) -> int:
     model = _build_model(args)
     report = discontinuity.classify(model, args.theta_bar)
-    _write(json.dumps(report.to_json(), indent=2) + "\n", args.output)
+    _write(_flat_json(report.to_json()) + "\n", args.output)
     return EXIT_OK
 
 
@@ -216,17 +231,18 @@ def cmd_ghz_scan(args) -> int:
 
 
 def _mc_json(report: estimation.EstimationReport) -> str:
-    """``json.dumps(report.to_json(), indent=2) + "\n"``, byte for byte.
-    The estimates, the last field, take one value per count, so each
-    distinct one, told apart by its bits (0.0 == -0.0 as a float), is
-    encoded once by json's C encoder, which ``indent`` turns off, and they
-    are laid out one per line by hand."""
+    """``json.dumps(report.to_json(), indent=2) + "\n"``, byte for byte,
+    all of it from json's C encoder, which ``indent`` turns off.  The
+    fields before the estimates are laid out by ``_flat_json``.  The
+    estimates, the last field, take one value per count, so each distinct
+    one, told apart by its bits (0.0 == -0.0 as a float), is encoded once,
+    and they are laid out one per line by hand."""
     fields = report.to_json()
     bits = report.estimates.view(np.int64).tolist()
     distinct = dict(zip(bits, fields.pop("estimates")))
     text = {b: json.dumps(x) for b, x in distinct.items()}
     estimates = ",\n    ".join(map(text.__getitem__, bits))
-    head = json.dumps(fields, indent=2)[:-2]  # without its closing "\n}"
+    head = _flat_json(fields)[:-2]  # without its closing "\n}"
     return f'{head},\n  "estimates": [\n    {estimates}\n  ]\n}}\n'
 
 

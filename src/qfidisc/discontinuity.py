@@ -115,18 +115,22 @@ def vanishing_eigenvalue_branch(model, theta_bar: float) -> BranchSamples:
     return BranchSamples(theta_bar, h, tuple(offsets), tuple(values), r0, r_beside)
 
 
-def _fidelity_terms(lam, support, d_eig: np.ndarray, d2_eig: np.ndarray) -> tuple:
+def _fidelity_terms(support, d_eig: np.ndarray, d2_eig: np.ndarray, quotients) -> tuple:
     """The (P, B) coefficients F1 and F2 of F(A, A + e A' + e^2 A''/2) =
-    tr A + e F1 + e^2 F2 + O(e^3) for each block A, from its eigenvalues
-    ``lam`` and its derivatives in their eigenbasis, summed over its
-    support S (the fidelity sees A only there):
+    tr A + e F1 + e^2 F2 + O(e^3) for each block A, from its derivatives in
+    its eigenbasis and the QFI's pair quotients |A'_kl|^2 / (lambda_k +
+    lambda_l) (``quantum._block_motion``), summed over its support S (the
+    fidelity sees A only there):
 
         F1 = 1/2 sum_S A'_kk,
         F2 = 1/4 sum_S A''_kk - 1/4 sum_{k, l in S} |A'_kl|^2 / (lambda_k + lambda_l).
+
+    Every pair in S lies inside the QFI's mask, since lambda_k and lambda_l
+    above SUPPORT_TOL lambda_max sum above twice that, so the quotients
+    masked to S are the ones F2 sums, divided once for both.
     """
     pairs = support[..., :, None] & support[..., None, :]
-    denom = lam[..., :, None] + lam[..., None, :]
-    terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=pairs)
+    terms = np.where(pairs, quotients, 0.0)
     first = np.where(support, d_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
     second = np.where(support, d2_eig.diagonal(axis1=-2, axis2=-1).real, 0.0).sum(axis=-1)
     return 0.5 * first, 0.25 * second - 0.25 * terms.sum(axis=(-2, -1))
@@ -171,14 +175,16 @@ def classify(model, theta_bar: float) -> DiscontinuityReport:
     """Full discontinuity analysis of a model at theta_bar, from one
     ``quantum._model_blocks`` read of theta_bar alone with the first two
     derivatives of its blocks, which ``_classify`` analyses.  ``mc``'s
-    rank-change note hands its own read of that point to ``_classify``."""
+    rank-change note hands its own read of that point to ``_classify``,
+    with the kernel analysis it has already made of it."""
     return _classify(theta_bar, quantum._model_blocks(model, [theta_bar]))
 
 
-def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
-    """``classify`` on ``st``, a read of theta_bar alone.
+def _classify(theta_bar: float, st: quantum.BlockStack, motion=None) -> DiscontinuityReport:
+    """``classify`` on ``st``, a read of theta_bar alone, with ``motion``
+    its ``quantum._block_motion``, made here where the caller passes none.
 
-    The kernel side (``quantum._block_motion``): Q, 4g, the speed
+    The kernel side (``motion``): Q, 4g, the speed
     v = sum_j m_j v_j and the acceleration a = sum_j m_j a_j of the
     vanishing eigenvalues, by perturbation theory, and the counts of the
     kernel directions that move.  The kind reads the counts: of the second
@@ -189,11 +195,13 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
     ``rank_beside`` adds the counted directions to the rank at theta_bar.
 
     The measured side: the fidelity's expansion over each block's support
-    (``_fidelity_terms``), summed as F1 and F2 with multiplicities, gives
-    the speed -2 F1 and 4g = -8 F2, so the measured jump is -8 F2 - Q,
-    infinite where the kind is second; its kind holds -2 F1 and half the
-    jump against the kernel's bounds, summed with multiplicities.  The two
-    sides differ only by the support cut and sum_j m_j tr A''_j = 0.
+    (``_fidelity_terms``, from the kernel side's pair quotients), summed as
+    F1 and F2 with multiplicities, gives the speed -2 F1 and 4g = -8 F2, so
+    the measured jump is -8 F2 - Q, infinite where the kind is second; its
+    kind holds -2 F1 and half the jump against the kernel's bounds, summed
+    with multiplicities, as Python floats.  The two sides differ only by
+    the support cut and sum_j m_j tr A''_j = 0.  The eight per-block terms
+    of both sides are summed in one array.
 
     The ranks are summed in int64, exact past 2**53.  Raises
     ``NotADiscontinuityError`` where no kernel direction moves: at full
@@ -205,20 +213,22 @@ def _classify(theta_bar: float, st: quantum.BlockStack) -> DiscontinuityReport:
     rank_at_bar = int(quantum._weighted_ranks(st)[0])
     if st.full_rank:
         raise _standing_still(theta_bar, rank_at_bar)
-    d_eig, d2_eig, q, speed, accel, bounds, counts = quantum._block_motion(st)
+    if motion is None:
+        motion = quantum._block_motion(st)
+    d_eig, d2_eig, q, speed, accel, quotients, bounds, counts = motion
     kind = quantum._kind(*counts.any(axis=(-2, -1)))
     if kind == "continuous":
         raise _standing_still(theta_bar, rank_at_bar)
-    f1, f2 = _fidelity_terms(st.eigenvalues, st.support, d_eig, d2_eig)
+    f1, f2 = _fidelity_terms(st.support, d_eig, d2_eig, quotients)
     terms = [q, q + 2.0 * accel, speed, accel, f1, f2, *bounds]
     # Each term summed over the blocks in block order at theta_bar, as
     # quantum._direct_sum_metric sums Q and 4g.
-    sums = quantum._point_sums(st.multiplicities * np.stack(terms))[:, 0].tolist()
+    sums = quantum._point_sums(st.multiplicities * np.array(terms))[:, 0].tolist()
     qfi_at_bar, four_g, speed, accel, f1, f2, *bounds = sums
 
     qfi_lim = math.inf if kind == "second-kind" else four_g
     measured = -8.0 * f2 - qfi_at_bar
-    measured_kind = quantum._kind(*(np.abs([2.0 * f1, measured / 2.0]) > bounds))
+    measured_kind = quantum._kind(abs(2.0 * f1) > bounds[0], abs(measured / 2.0) > bounds[1])
     if measured_kind != kind:
         raise NumericalError(
             f"at theta_bar={theta_bar} the kernel gives a {kind} (v = {speed:.3e}, "

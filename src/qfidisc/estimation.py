@@ -8,7 +8,8 @@ matrix, so the sampling costs the same for every GHZ N.  The replicate
 variance is compared with the fixed-rank bound 1/(M Q); at rank-changing
 parameter values the bound is deliberately still reported so its
 violation is visible.  The QFI and the note on a rank change share one
-read of the model's blocks at the true value alone.
+read of the model's blocks at the true value alone, and at a rank change
+one kernel analysis of it.
 
 Randomness: one experiment draws from one NumPy stream,
 ``np.random.default_rng(seed)``, which gives the R first-outcome counts in
@@ -21,6 +22,7 @@ draw would give the same counts.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -48,6 +50,15 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name}={value!r} is not an integer") from None
+
+
+def _real(value, what: str):
+    """``value`` where it is a real number (``numbers.Real``: a Python or
+    numpy int or float), else an ``InvalidInputError``: what a model's
+    ``p_first`` or ``estimate`` returns."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{what} returned {value!r}, not a real number")
+    return value
 
 
 def _check_samples(n_samples) -> int:
@@ -78,8 +89,8 @@ def mle(model: ParametricModel, counts) -> float:
 
     A two-outcome likelihood depends on the counts only through the
     frequency k/M of the first outcome, which ``model.estimate`` maps to
-    the estimate; a non-finite estimate is refused.  ``counts`` must be
-    two non-negative integers with a positive total.
+    the estimate; an estimate that is not a finite real number is refused.
+    ``counts`` must be two non-negative integers with a positive total.
     """
     counts = np.asarray(counts)
     if counts.shape != (2,) or counts.dtype.kind not in "iu":
@@ -89,7 +100,8 @@ def mle(model: ParametricModel, counts) -> float:
         raise InvalidInputError(f"counts {[first, second]} are negative or empty")
     if model.estimate is None:
         raise UnsupportedModelError(f"no two-outcome measurement or estimator for {model.name!r}")
-    estimate = float(model.estimate(first / (first + second)))
+    freq = first / (first + second)
+    estimate = float(_real(model.estimate(freq), f"estimate({freq!r})"))
     if not math.isfinite(estimate):
         raise InvalidInputError(f"estimate {estimate!r} at counts {[first, second]} is not finite")
     return estimate
@@ -138,24 +150,27 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, flo
 
     Q is ``quantum.model_qfi``'s, bit for bit: the same blocks and first
     derivatives, summed the same way.  Q reads as zero at or below
-    sum_j m_j b_j^2 / lambda_max,j, with b_j the speed a kernel must exceed
-    to move (``quantum._speed_bound``): the QFI of a block whose
-    derivative is of that size, in Q's units, so the cut does not depend on
-    the scale of theta.  A block with no weight adds nothing.  The same
-    read goes to ``discontinuity._classify``, which is
-    ``discontinuity.classify`` without its read: where it finds no
-    discontinuity, as at full rank, no note is made; else the ranks and the
+    sum_j m_j b_j^2 / lambda_max,j, summed in block order, with b_j the
+    speed a kernel must exceed to move (``quantum._speed_bound``): the QFI
+    of a block whose derivative is of that size, in Q's units, so the cut
+    does not depend on the scale of theta.  A block with no weight adds
+    nothing.  At full rank there is no kernel and no note: Q and b_j come
+    from the QFI sum and the speed bound alone.  Elsewhere one kernel
+    analysis (``quantum._block_motion``) gives Q, b_j and
+    ``discontinuity._classify``'s numbers, and goes to it with the read:
+    where it finds no discontinuity no note is made; else the ranks and the
     limit are its report's, and where it cannot resolve the point, the note
     withholds them and quotes why.
     """
     st = quantum._model_blocks(model, [theta])
-    q = float(quantum._direct_sum_qfi(st)[0])
-    speed_bound = quantum._speed_bound(st)[0]
-    top = st.eigenvalues[..., 0]
-    floors = np.divide(speed_bound**2, top, out=np.zeros(top.shape), where=top > 0.0)
-    floor = float(floors[0] @ st.multiplicities)
+    if st.full_rank:
+        return float(quantum._direct_sum_qfi(st)[0]), _floor(st, quantum._speed_bound(st)[0]), ""
+    motion = quantum._block_motion(st)
+    _, _, block_qfis, _, _, _, bounds, _ = motion
+    q = float(quantum._point_sums(st.multiplicities * block_qfis)[0])
+    floor = _floor(st, bounds[0])
     try:
-        report = discontinuity._classify(theta, st)
+        report = discontinuity._classify(theta, st, motion)
     except NotADiscontinuityError:
         return q, floor, ""
     except NumericalError as err:
@@ -171,6 +186,14 @@ def _qfi_and_rank_note(model: ParametricModel, theta: float) -> tuple[float, flo
     return q, floor, f"rank changes at theta_true={theta}{ranks}; {not_valid}; {limit}"
 
 
+def _floor(st: quantum.BlockStack, speed_bound: np.ndarray) -> float:
+    """sum_j m_j b_j^2 / lambda_max,j of a one-point read, in block order,
+    from its (P, B) speed bounds b_j; 0 for a block with no weight."""
+    top = st.eigenvalues[..., 0]
+    floors = np.divide(speed_bound**2, top, out=np.zeros(top.shape), where=top > 0.0)
+    return float(quantum._point_sums(st.multiplicities * floors)[0])
+
+
 def run_cr_experiment(
     model: ParametricModel,
     theta_true: float,
@@ -181,12 +204,14 @@ def run_cr_experiment(
     """R replicates of M-sample estimation, compared against 1/(M Q).
 
     Each replicate samples the model's two outcomes, with probabilities
-    p_first(theta_true), which must be finite, and 1 - p_first(theta_true)
-    clamped to [0, 1] and renormalized.  All R counts of the first outcome
-    come from one binomial call on one stream,
+    p_first(theta_true), which must be a finite real number, and
+    1 - p_first(theta_true) clamped to [0, 1] and renormalized.  All R
+    counts of the first outcome come from one binomial call on one stream,
     ``np.random.default_rng(seed)``, so the first R' replicates of an
-    R-replicate run equal the R'-replicate run with the same seed.  The estimate is solved once per distinct count,
-    in order of first appearance, since it depends on nothing else.
+    R-replicate run equal the R'-replicate run with the same seed.  The
+    estimate is solved once per distinct count, in order of first
+    appearance, since it depends on nothing else, and must be a finite
+    real number.
     ``n_samples``, ``n_replicates`` and ``seed`` must be integers,
     ``seed`` non-negative, ``n_samples`` at most 2**63 - 1 at every
     theta_true, and ``n_replicates`` at most 2**32: the run holds its R
@@ -198,8 +223,9 @@ def run_cr_experiment(
     come from one read of the model's blocks and their first two
     derivatives at theta_true alone, made before any sampling, so a
     theta_true outside the model's domain is that read's ``DomainError``;
-    ``discontinuity._classify`` analyses the same read, and its report
-    gives the ranks and the limit.  The
+    at a rank change ``discontinuity._classify`` takes the same read and
+    the one kernel analysis that gave Q, and its report gives the ranks
+    and the limit.  The
     bound is not applicable (reported as inf) where Q is at or below the
     size of the QFI that the kernel-motion speed bound leaves unresolved
     (``_qfi_and_rank_note``), a cut in Q's own units, so a regular point
@@ -223,7 +249,7 @@ def run_cr_experiment(
     n_samples = _check_samples(n_samples)
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    p = model.p_first(theta_true)
+    p = _real(model.p_first(theta_true), f"p_first({theta_true})")
     if not math.isfinite(p):
         raise InvalidInputError(f"p_first({theta_true}) = {p!r} is not finite")
     probs = np.clip([p, 1.0 - p], 0.0, 1.0)

@@ -120,12 +120,12 @@ def classical_bit_state(p: float) -> np.ndarray:
     """rho_p = p |0><0| + (1-p) |1><1|."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
-    return np.diag([p, 1.0 - p]).astype(complex)
+    return np.array([[p, 0.0], [0.0, 1.0 - p]], dtype=complex)
 
 
 def classical_bit_derivative(p: float) -> np.ndarray:
     del p  # constant in the parameter
-    return np.diag([1.0, -1.0]).astype(complex)
+    return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def classical_bit_second_derivative(p: float) -> np.ndarray:
@@ -138,7 +138,7 @@ def trig_model_state(theta: float) -> np.ndarray:
     if not 0.0 <= theta <= math.pi / 2:
         raise DomainError(f"theta={theta} outside [0, pi/2]")
     s2 = math.sin(theta) ** 2
-    return np.diag([s2, 1.0 - s2]).astype(complex)
+    return np.array([[s2, 0.0], [0.0, 1.0 - s2]], dtype=complex)
 
 
 def trig_model_derivative(theta: float) -> np.ndarray:
@@ -220,11 +220,11 @@ def _ghz_series(theta: float, kappa: float, t: float, order: int = 0) -> tuple:
     always take order 2; the order stays an argument for the scalar parity
     paths, which a GHZ Monte Carlo experiment calls once per Newton step
     of each distinct count: ``ghz_parity_probability`` (and so the
-    estimator's edge checks) reads order 0, each step of the estimate
-    order 1 (p(+) and its slope), and the turning-point search order 1 on
-    its grid and order 2 in its Newton polish.  Per call (best of seven
-    timeit runs on a 2-vCPU Xeon, Python 3.11) order 0 takes 0.95 us,
-    order 1 1.22 us and order 2 1.57 us.
+    estimator's p(+) at its two bracket edges, once per estimator) reads
+    order 0, each step of the estimate order 1 (p(+) and its slope), and
+    the turning-point search order 1 on its grid and order 2 in its Newton
+    polish.  Per call (best of seven timeit runs on a 2-vCPU Xeon, Python
+    3.11) order 0 takes 0.95 us, order 1 1.22 us and order 2 1.57 us.
     """
     _check_ghz_domain(theta, kappa, t)
     xi = math.sqrt(kappa**2 - 4.0 * theta**2)
@@ -722,7 +722,9 @@ def _ghz_estimator(n_qubits: int, kappa: float, t: float) -> Callable[[float], f
     arithmetic, so the estimate is the root to within the rounding of p(+).
     A frequency outside p(+)'s range on the bracket gives the nearer edge
     and a ``BoundarySolutionWarning``; the low edge, theta = 0, is checked
-    first and needs no theta*.
+    first and needs no theta*.  p(+) at each edge is evaluated once per
+    estimator, when an estimate first checks that edge, as theta* is found
+    once.
     """
 
     def p_and_slope(theta: float) -> tuple[float, float]:
@@ -731,8 +733,13 @@ def _ghz_estimator(n_qubits: int, kappa: float, t: float) -> Callable[[float], f
         return _parity_plus(n_qubits, kappa, series), slope
 
     @functools.cache
-    def upper() -> float:
-        return 0.49 * kappa if n_qubits == 1 else _parity_turning_point(n_qubits, kappa, t)
+    def low() -> float:
+        return ghz_parity_probability(n_qubits, 0.0, kappa, t)
+
+    @functools.cache
+    def upper() -> tuple[float, float]:
+        hi = 0.49 * kappa if n_qubits == 1 else _parity_turning_point(n_qubits, kappa, t)
+        return hi, ghz_parity_probability(n_qubits, hi, kappa, t)
 
     def edge(theta: float, where: str) -> float:
         warnings.warn(
@@ -743,10 +750,10 @@ def _ghz_estimator(n_qubits: int, kappa: float, t: float) -> Callable[[float], f
         return theta
 
     def estimate(freq: float) -> float:
-        if freq >= ghz_parity_probability(n_qubits, 0.0, kappa, t):
+        if freq >= low():
             return edge(0.0, "bracket's low edge theta = 0")
-        hi = upper()
-        if freq <= ghz_parity_probability(n_qubits, hi, kappa, t):
+        hi, p_hi = upper()
+        if freq <= p_hi:
             return edge(hi, f"bracket edge [0, {hi:g}]")
         return _newton_root(p_and_slope, freq, 0.0, hi)
 

@@ -405,21 +405,27 @@ def _in_eigenbasis(st: BlockStack, ops: np.ndarray) -> np.ndarray:
     return _dagger(st.eigenvectors) @ ops @ st.eigenvectors
 
 
-def _block_qfis(st: BlockStack, d_eig: np.ndarray) -> np.ndarray:
-    """The blocks' QFIs (P, B) from their first derivatives in their
-    eigenbases ``d_eig``."""
+def _pair_quotients(st: BlockStack, d_eig: np.ndarray) -> np.ndarray:
+    """|A'_kl|^2 / (lambda_k + lambda_l) per point and block (P, B, d, d),
+    from the first derivatives in the eigenbases ``d_eig``, over the pairs
+    on the support: sums above 2 SUPPORT_TOL times the block's largest
+    eigenvalue; 0 elsewhere."""
     lam = st.eigenvalues
-    # Q = 2 sum |d_eig|^2 / (lk + ll) over the pairs on the support:
-    # sums above 2 SUPPORT_TOL times the block's largest eigenvalue.
     denom = lam[..., :, None] + lam[..., None, :]
     mask = denom > 2.0 * SUPPORT_TOL * lam[..., :1, None]
-    terms = np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
-    return 2.0 * terms.reshape(*denom.shape[:-2], -1).sum(axis=-1)
+    return np.divide(np.abs(d_eig) ** 2, denom, out=np.zeros(denom.shape), where=mask)
+
+
+def _block_qfis(quotients: np.ndarray) -> np.ndarray:
+    """The blocks' QFIs (P, B), Q = 2 sum |A'_kl|^2 / (lambda_k + lambda_l),
+    from their ``_pair_quotients``."""
+    return 2.0 * quotients.reshape(*quotients.shape[:-2], -1).sum(axis=-1)
 
 
 def _direct_sum_qfi(st: BlockStack) -> np.ndarray:
     """sum_j m_j Q(B_j, dB_j) at every point of a ``_model_blocks`` read."""
-    return _point_sums(st.multiplicities * _block_qfis(st, _in_eigenbasis(st, st.derivatives[0])))
+    d_eig = _in_eigenbasis(st, st.derivatives[0])
+    return _point_sums(st.multiplicities * _block_qfis(_pair_quotients(st, d_eig)))
 
 
 def _speed_bound(st: BlockStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -439,15 +445,18 @@ def _kind(first, second) -> str:
 def _block_motion(st: BlockStack) -> tuple:
     """Per point and block of a read: A' and A'' in the eigenbasis,
     the QFIs, v and a (the traces of P A' P and of the curvature part
-    P (A'' - 2 A' A^+ A') P, A^+ the inverse on the support), the (2, P, B)
-    bounds, and the (2, P, B) counts of the kernel directions that move at
-    first and at second order (see the module docstring).  With |.| the
-    largest absolute entry, the bounds ``_speed_bound`` and ACCEL_TOL
-    (|A''| + |A'|^2 / lambda_min) scale with theta as what they bound, are
-    0 for a block constant in theta, and by the speed bound's sqrt term keep
-    a rounded A' = 0 (trig at pi/2) from reading as motion."""
+    P (A'' - 2 A' A^+ A') P, A^+ the inverse on the support), the QFIs'
+    ``_pair_quotients``, the (2, P, B) bounds, and the (2, P, B) counts of
+    the kernel directions that move at first and at second order (see the
+    module docstring).  With |.| the largest absolute entry, the bounds
+    ``_speed_bound`` and ACCEL_TOL (|A''| + |A'|^2 / lambda_min) scale with
+    theta as what they bound, are 0 for a block constant in theta, and by
+    the speed bound's sqrt term keep a rounded A' = 0 (trig at pi/2) from
+    reading as motion.  Each is formed once: a one-point read of a rank
+    change takes Q, the speed bound and the fidelity's quotients from here
+    alone."""
     d_eig, d2_eig = _in_eigenbasis(st, st.derivatives)
-    q = _block_qfis(st, d_eig)
+    quotients = _pair_quotients(st, d_eig)
     lam, support = st.eigenvalues, st.support
     inverse = np.divide(1.0, lam, out=np.zeros(lam.shape), where=support)
     curvature = d2_eig - 2.0 * d_eig @ (inverse[..., :, None] * d_eig)
@@ -461,7 +470,8 @@ def _block_motion(st: BlockStack) -> tuple:
     still = u * ~first[..., None, :]
     r = np.linalg.eigvalsh(_dagger(still) @ parts[1] @ still)
     counts = np.array([first.sum(axis=-1), (np.abs(r) > bounds[1][..., None]).sum(axis=-1)])
-    return d_eig, d2_eig, q, *parts.trace(axis1=-2, axis2=-1).real, bounds, counts
+    v, a = parts.trace(axis1=-2, axis2=-1).real
+    return d_eig, d2_eig, _block_qfis(quotients), v, a, quotients, bounds, counts
 
 
 def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
@@ -473,7 +483,7 @@ def _direct_sum_metric(st: BlockStack) -> tuple[np.ndarray, np.ndarray]:
     if st.full_rank:
         q = _direct_sum_qfi(st)
         return q, q
-    _, _, q, _, curvature, _, counts = _block_motion(st)
+    _, _, q, _, curvature, _, _, counts = _block_motion(st)
     four_g = _point_sums(st.multiplicities * (q + 2.0 * curvature))
     return _point_sums(st.multiplicities * q), np.where(counts[0].any(axis=-1), np.inf, four_g)
 

@@ -32,6 +32,17 @@ class TestDistribution:
         with pytest.raises(InvalidInputError, match=r"sum to 1\.2, not 1$"):
             Distribution(("a", "b"), np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize(
+        "outcomes, probs, shape",
+        [(("a", "b"), [[0.5], [0.5]], r"\(2, 1\)"), (("a",), 1.0, r"\(\)")],
+        ids=["two-dimensional", "zero-dimensional"],
+    )
+    def test_rejects_probs_that_are_not_one_dimensional(self, outcomes, probs, shape):
+        # A (2, 1) array once passed the length check, and a 0-d one raised
+        # a bare TypeError from len().
+        with pytest.raises(InvalidInputError, match=rf"one-dimensional, got shape {shape}$"):
+            Distribution(outcomes, probs)
+
 
 class TestFisherInformation:
     @given(p=st.floats(0.05, 0.95))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import count_reads
-from qfidisc import cli, estimation, models, quantum
+from qfidisc import cli, discontinuity, estimation, models, quantum
 from qfidisc.exceptions import (
     BoundarySolutionWarning,
     DegenerateModelError,
@@ -66,6 +66,24 @@ class TestGridParsing:
     def test_malformed(self):
         with pytest.raises(cli._UsageError):
             cli.parse_grid("0:1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ghz-scan", "--qubits", "1"], ["qfi-scan", "--model", "transverse-qubit"]],
+        ids=["ghz-scan", "qfi-scan"],
+    )
+    @pytest.mark.parametrize("points", [2**32 + 1, 100_000_000_000])
+    def test_more_than_2_32_points_are_a_usage_error_before_any_allocation(
+        self, monkeypatch, capsys, argv, points
+    ):
+        # 10^11 points once ended in numpy's _ArrayMemoryError for 745 GiB.
+        def refused(*args, **kwargs):
+            raise AssertionError("allocated a grid past the cap")
+
+        monkeypatch.setattr(np, "linspace", refused)
+        code, stdout, err = run_cli([*argv, "--grid", f"0.1:0.2:{points}"], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"usage error: grid of {points} points exceeds 2**32\n"
 
     def test_negative_start_as_separate_argument(self, capsys):
         code, stdout, _ = run_cli(
@@ -280,6 +298,28 @@ class TestDiscontinuityCommand:
             "theta_bar", "speed", "acceleration", "kind", "delta_q_predicted",
             "delta_q_measured", "qfi_at_bar", "qfi_limit", "rank_at_bar", "rank_beside",
         ]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--model", "classical-bit", "--theta-bar", "0"],
+            ["--model", "classical-bit", "--theta-bar", "1"],
+            ["--model", "trig", "--theta-bar", "0"],
+            ["--model", "trig", f"--theta-bar={math.pi / 2!r}"],
+            ["--model", "transverse-qubit", "--theta-bar", "0"],
+            ["--model", "transverse-qubit", "--kappa", "1e-3", "--theta-bar", "0"],
+        ] + [["--model", "ghz", "--qubits", str(n), "--theta-bar", "0"] for n in (2, 3, 4, 8)],
+        ids=["classical-bit-0", "classical-bit-1", "trig-0", "trig-pi-half", "transverse-qubit-0",
+             "transverse-qubit-kappa-1e-3", "ghz-2", "ghz-3", "ghz-4", "ghz-8"],
+    )
+    def test_is_the_indented_json_of_the_report(self, capsys, options):
+        # Every built-in rank-change point, second-kind "inf" fields included.
+        args = ["discontinuity", *options]
+        code, stdout, _ = run_cli(args, capsys)
+        parsed = cli._parser().parse_args(args)
+        report = discontinuity.classify(cli._build_model(parsed), parsed.theta_bar)
+        assert code == 0
+        assert stdout == json.dumps(report.to_json(), indent=2) + "\n"
 
     def test_regular_point_distinct_exit(self, capsys):
         code, _, err = run_cli(
@@ -871,6 +911,24 @@ class TestMcText:
             )
         assert code == 0
         assert stdout == json.dumps(report.to_json(), indent=2) + "\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(['", "', '"quoted"', "\x00\x1f\x7f\n\t\\", "é ü ß 中 \U0001f600"]),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1e308, -1e308]),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64]),
+    st.booleans(),
+    st.none(),
+)
+
+
+@given(st.dictionaries(st.text(), JSON_SCALARS, min_size=1))
+def test_the_report_encoder_is_the_indented_dump(fields):
+    # discontinuity's report and mc's head go through json's C encoder.
+    assert cli._flat_json(fields) == json.dumps(fields, indent=2)
 
 
 def per_row_scan(model, grid) -> tuple[str, str, int]:

@@ -30,6 +30,10 @@ def dense_parity_probability(rho: np.ndarray, n_qubits: int) -> float:
     return 0.5 * (1.0 + float(np.trace(parity @ rho).real))
 
 
+def bits(*values):
+    return [float(v).hex() for v in values]
+
+
 def raising_state(theta):
     raise AssertionError(f"state_fn called at theta={theta}")
 
@@ -526,6 +530,40 @@ class TestRunCrExperiment:
         with pytest.raises(InvalidInputError, match=message):
             estimation.run_cr_experiment(model, 0.7, n_samples=10, n_replicates=5, seed=0)
 
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5 + 0.1j], ids=["str", "None", "complex"])
+    def test_a_probability_that_is_not_a_real_number_is_refused_before_any_draw(
+        self, monkeypatch, value
+    ):
+        # Each was a bare TypeError, which no exit code maps.
+        def refused(*args, **kwargs):
+            raise AssertionError("drew a stream")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        model = dataclasses.replace(models.make_model("trig"), p_first=lambda theta: value)
+        with pytest.raises(
+            InvalidInputError, match=r"^p_first\(0\.7\) returned .*, not a real number$"
+        ):
+            estimation.run_cr_experiment(model, 0.7, n_samples=10, n_replicates=5, seed=0)
+
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5 + 0.1j], ids=["str", "None", "complex"])
+    def test_an_estimate_that_is_not_a_real_number_is_refused(self, value):
+        model = dataclasses.replace(models.make_model("trig"), estimate=lambda freq: value)
+        with pytest.raises(InvalidInputError, match=r"^estimate\(0\.3\) returned .*, not a real"):
+            estimation.mle(model, [3, 7])
+        with pytest.raises(InvalidInputError, match=r"^estimate\(.*\) returned .*, not a real"):
+            estimation.run_cr_experiment(model, 0.7, n_samples=10, n_replicates=5, seed=0)
+
+    def test_numpy_float_returns_are_accepted(self):
+        model = models.make_model("trig")
+        numpy_floats = dataclasses.replace(
+            model,
+            p_first=lambda theta: np.float64(model.p_first(theta)),
+            estimate=lambda freq: np.float64(model.estimate(freq)),
+        )
+        args = dict(n_samples=10, n_replicates=5, seed=0)
+        report = estimation.run_cr_experiment(numpy_floats, 0.7, **args)
+        assert report.to_json() == estimation.run_cr_experiment(model, 0.7, **args).to_json()
+
     @pytest.mark.parametrize("theta", [0.0, 0.3])  # a point mass and a sampled law
     def test_replicates_past_2_32_are_refused_before_any_allocation(self, monkeypatch, theta):
         def refused(*args, **kwargs):
@@ -597,7 +635,7 @@ class TestRunCrExperiment:
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
     def test_unresolved_rank_change_withholds_ranks_and_limit(self, monkeypatch):
         # Where classify cannot reconcile its numbers, the note quotes why.
-        def unresolved(theta, stack):
+        def unresolved(theta, stack, motion):
             raise NumericalError("predicted and measured jumps differ")
 
         monkeypatch.setattr(discontinuity, "_classify", unresolved)
@@ -691,13 +729,78 @@ class TestRunCrExperiment:
         # The ranks in the note are the report's, not a second rank test.
         classify = discontinuity._classify
 
-        def relabelled(theta, stack):
-            return dataclasses.replace(classify(theta, stack), rank_at_bar=7, rank_beside=9)
+        def relabelled(theta, stack, motion):
+            report = classify(theta, stack, motion)
+            return dataclasses.replace(report, rank_at_bar=7, rank_beside=9)
 
         monkeypatch.setattr(discontinuity, "_classify", relabelled)
         model = models.make_model("classical-bit")
         report = estimation.run_cr_experiment(model, 0.0, n_samples=50, n_replicates=20, seed=1)
         assert "(effective rank 7 vs 9 nearby)" in report.notes
+
+    @pytest.mark.parametrize(
+        "name, options, theta",
+        [
+            ("classical-bit", {}, 0.0),
+            ("classical-bit", {}, 1.0),
+            ("trig", {}, 0.0),
+            ("trig", {}, math.pi / 2),
+            ("transverse-qubit", {}, 0.0),
+            ("transverse-qubit", {"kappa": 1e-3}, 0.0),
+        ] + [("ghz", {"n_qubits": n}, 0.0) for n in range(2, 9)],
+        ids=["classical-bit-0", "classical-bit-1", "trig-0", "trig-pi-half", "transverse-qubit-0",
+             "transverse-qubit-kappa-1e-3"] + [f"ghz-{n}" for n in range(2, 9)],
+    )
+    def test_a_rank_change_note_runs_one_kernel_analysis(self, monkeypatch, name, options, theta):
+        # Q, the floor's speed bounds and classify's numbers all come from
+        # one _block_motion call: the note runs neither the QFI sum nor the
+        # speed bound outside it.
+        model = models.make_model(name, **options)
+        qfi = quantum.model_qfi(model, theta)
+        st = quantum._model_blocks(model, [theta])
+        floor = 0.0
+        blocks = zip(st.multiplicities.tolist(), st.eigenvalues[0, :, 0].tolist(),
+                     *np.abs(st.derivatives[:, 0]).max(axis=(-2, -1)).tolist())
+        for mult, top, d1, d2 in blocks:
+            b = quantum.SPEED_TOL * (d1 + math.sqrt(top * d2))
+            floor += mult * (b * b / top) if top > 0.0 else 0.0
+        report = discontinuity.classify(model, theta)
+        limit = (
+            "continuous-limit qfi diverges" if math.isinf(report.qfi_limit)
+            else f"continuous-limit qfi = {report.qfi_limit:.6g} "
+            "(reported, not asserted attainable)"
+        )
+        note = (
+            f"rank changes at theta_true={theta} (effective rank {report.rank_at_bar} vs "
+            f"{report.rank_beside} nearby); the fixed-rank Cramér-Rao bound is not valid here; "
+            f"{limit}"
+        )
+
+        calls, inside = [], []
+        block_motion = quantum._block_motion
+
+        def counted(st):
+            calls.append("_block_motion")
+            inside.append(True)
+            try:
+                return block_motion(st)
+            finally:
+                inside.pop()
+
+        def outside_only(fn):
+            def call(*args):
+                if not inside:
+                    calls.append(fn.__name__)
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(quantum, "_block_motion", counted)
+        for fn in (quantum._direct_sum_qfi, quantum._speed_bound):
+            monkeypatch.setattr(quantum, fn.__name__, outside_only(fn))
+        got = estimation._qfi_and_rank_note(model, theta)
+        assert calls == ["_block_motion"]
+        assert (bits(*got[:2]), got[2]) == (bits(qfi, floor), note)
 
     def test_canonical_trig_measurement_is_optimal(self):
         # Sampling the trig family in its canonical basis gives the

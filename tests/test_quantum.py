@@ -1071,10 +1071,10 @@ def test_built_in_models_are_read_through_their_blocks_alone(build, rank_change,
 def test_block_reads_take_order_2_and_the_parity_paths_orders_0_and_1(monkeypatch, name, n):
     # Every read of the blocks, the dense state's included, computes the
     # coefficients with both their derivatives once per point.  The scalar
-    # parity probability reads no derivative, and so do the estimate's
-    # edge checks; each Newton step of the estimate reads the first, and
-    # the turning-point search the first on its grid and the second in
-    # its polish.
+    # parity probability reads no derivative, and so does the estimator's
+    # p(+) at each bracket edge, once per estimator; each Newton step of
+    # the estimate reads the first, and the turning-point search the first
+    # on its grid and the second in its polish.
     model = models.make_model(name, n_qubits=n)
     orders = []
     series = models._ghz_series
@@ -1100,11 +1100,11 @@ def test_block_reads_take_order_2_and_the_parity_paths_orders_0_and_1(monkeypatc
     with pytest.warns(BoundarySolutionWarning):
         model.estimate(1.0)  # the low edge: p(+) at theta = 0 alone
     assert orders == [0]
-    model.estimate(model.p_first(0.2))  # searches theta* once for N >= 2
+    model.estimate(model.p_first(0.2))  # searches theta* and reads p(theta*) once
     freq = model.p_first(0.1)
     orders.clear()
-    model.estimate(freq)
-    assert orders[:2] == [0, 0] and len(orders) > 2 and set(orders[2:]) == {1}
+    model.estimate(freq)  # both edges known: Newton steps alone
+    assert orders and set(orders) == {1}
     orders.clear()
     models._parity_turning_point(n, 1.0, 1.0)  # no turning point below 0.49 kappa
     assert len(orders) == 256 and set(orders) == {1}
