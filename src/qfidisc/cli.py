@@ -89,6 +89,21 @@ def _flat_json(fields: dict) -> str:
     return "{\n  " + _FIELDS.encode(fields)[1:-1] + "\n}"
 
 
+# For a non-empty list of non-empty flat dicts of JSON scalars, this
+# encoder's output with its brackets, and each row's braces, set on lines
+# of their own is json.dumps(..., indent=2), byte for byte, all from the C
+# encoder: json escapes every newline inside a string, so "},\n    {" is
+# only ever the boundary between two rows.
+_ROWS = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def _table_json(rows: list[dict]) -> str:
+    """``json.dumps(rows, indent=2)`` for a non-empty list of non-empty flat
+    dicts of scalars."""
+    inner = _ROWS.encode(rows)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return "[\n  {\n    " + inner + "\n  }\n]"
+
+
 def _json_cell(x):
     if isinstance(x, float) and not math.isfinite(x):
         return _fmt(x)
@@ -143,7 +158,7 @@ def _emit_table(rows: list[dict], columns: list[str], fmt: str, output: str | No
         lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps([{c: _json_cell(r[c]) for c in columns} for r in rows], indent=2) + "\n"
+        text = _table_json([{c: _json_cell(r[c]) for c in columns} for r in rows]) + "\n"
     _write(text, output)
 
 
@@ -196,11 +211,9 @@ def cmd_discontinuity(args) -> int:
 
 def cmd_ghz_scan(args) -> int:
     try:
-        qubit_list = [int(x) for x in args.qubits.split(",") if x]
-    except ValueError:
+        qubit_list = [int(x) for x in args.qubits.split(",")]
+    except ValueError:  # an empty entry too: int("") raises
         raise _UsageError(f"bad --qubits list {args.qubits!r}") from None
-    if not qubit_list:
-        raise _UsageError("empty --qubits list")
     grid = parse_grid(args.grid)
     columns = [
         "N",
@@ -232,15 +245,16 @@ def cmd_ghz_scan(args) -> int:
 
 def _mc_json(report: estimation.EstimationReport) -> str:
     """``json.dumps(report.to_json(), indent=2) + "\n"``, byte for byte,
-    all of it from json's C encoder, which ``indent`` turns off.  The
+    without json's pure-Python encoder, which ``indent`` selects.  The
     fields before the estimates are laid out by ``_flat_json``.  The
     estimates, the last field, take one value per count, so each distinct
-    one, told apart by its bits (0.0 == -0.0 as a float), is encoded once,
-    and they are laid out one per line by hand."""
+    one, told apart by its bits (0.0 == -0.0 as a float), is written once
+    as its ``float.__repr__``: json's text for a finite float, and every
+    estimate is finite.  They are laid out one per line by hand."""
     fields = report.to_json()
     bits = report.estimates.view(np.int64).tolist()
     distinct = dict(zip(bits, fields.pop("estimates")))
-    text = {b: json.dumps(x) for b, x in distinct.items()}
+    text = {b: float.__repr__(x) for b, x in distinct.items()}
     estimates = ",\n    ".join(map(text.__getitem__, bits))
     head = _flat_json(fields)[:-2]  # without its closing "\n}"
     return f'{head},\n  "estimates": [\n    {estimates}\n  ]\n}}\n'

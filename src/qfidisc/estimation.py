@@ -204,8 +204,8 @@ def run_cr_experiment(
     """R replicates of M-sample estimation, compared against 1/(M Q).
 
     Each replicate samples the model's two outcomes, with probabilities
-    p_first(theta_true), which must be a finite real number, and
-    1 - p_first(theta_true) clamped to [0, 1] and renormalized.  All R
+    p0 and 1 - p0, where p0 is p_first(theta_true), which must be a finite
+    real number, clamped to [0, 1] as a Python float.  All R
     counts of the first outcome come from one binomial call on one stream,
     ``np.random.default_rng(seed)``, so the first R' replicates of an
     R-replicate run equal the R'-replicate run with the same seed.  The
@@ -252,16 +252,19 @@ def run_cr_experiment(
     p = _real(model.p_first(theta_true), f"p_first({theta_true})")
     if not math.isfinite(p):
         raise InvalidInputError(f"p_first({theta_true}) = {p!r} is not finite")
-    probs = np.clip([p, 1.0 - p], 0.0, 1.0)
-    probs = probs / probs.sum()
+    # The law (p, 1 - p), each clamped to [0, 1] and divided by their sum,
+    # is (p0, 1 - p0) with p0 = p clamped: for a float p in [0, 1],
+    # p + (1 - p) rounds to exactly 1, and outside it the clamped pair is
+    # (0, 1) or (1, 0).  max(-0.0, 0.0) keeps -0.0, as np.clip does.
+    p0 = min(max(float(p), 0.0), 1.0)
 
-    if probs[0] in (0.0, 1.0):
+    if p0 in (0.0, 1.0):
         # A point mass: every draw would give these counts.
-        counts = [n_samples, 0] if probs[0] == 1.0 else [0, n_samples]
+        counts = [n_samples, 0] if p0 == 1.0 else [0, n_samples]
         estimates = np.full(n_replicates, mle(model, counts))
     else:
         # numpy's two-outcome multinomial draws exactly binomial(M, p0).
-        ks = np.random.default_rng(seed).binomial(n_samples, probs[0], size=n_replicates).tolist()
+        ks = np.random.default_rng(seed).binomial(n_samples, p0, size=n_replicates).tolist()
         solved = {k: mle(model, [k, n_samples - k]) for k in dict.fromkeys(ks)}
         estimates = np.array([solved[k] for k in ks])
 

@@ -374,9 +374,11 @@ class TestGhzScan:
         assert disc[-1] - disc[-2] < 1e-3
         assert rows[-1]["qfi_discontinuous_per_t"] < rows[0]["qfi_discontinuous_per_t"]
 
-    def test_bad_qubit_list(self, capsys):
-        code, _, err = run_cli(["ghz-scan", "--qubits", "1,x", "--grid", "0:1:3"], capsys)
-        assert code == 1
+    @pytest.mark.parametrize("qubits", ["1,x", "1,,2", "2,", ",3"])
+    def test_bad_qubit_list(self, capsys, qubits):
+        # An empty entry was once dropped, and the scan ran on the rest.
+        code, out, err = run_cli(["ghz-scan", "--qubits", qubits, "--grid", "0:1:3"], capsys)
+        assert (code, out, err) == (1, "", f"usage error: bad --qubits list {qubits!r}\n")
 
     def test_qubit_counts_whose_binomials_overflow_a_float(self, capsys):
         # binomial(1100, m) leaves the floats from m ~ 480; the block sum
@@ -929,6 +931,65 @@ JSON_SCALARS = st.one_of(
 def test_the_report_encoder_is_the_indented_dump(fields):
     # discontinuity's report and mc's head go through json's C encoder.
     assert cli._flat_json(fields) == json.dumps(fields, indent=2)
+
+
+# Finite floats at the edges of their text: the zeros of both signs, the
+# smallest subnormal and normal, exponent notation from 1e16 up and below
+# 1e-4, a 17-digit third, and the largest finite float of each sign.
+ESTIMATE_EDGES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1 / 3,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(ESTIMATE_EDGES))
+    ),
+    st.randoms(use_true_random=False),
+    st.floats(),
+    st.floats(min_value=0.0),
+    st.booleans(),
+    st.text(),
+)
+def test_mc_text_is_the_indented_dump_of_any_report(
+    extra, rng, variance, cr_bound, violated, notes
+):
+    # TestMcText reads real reports; these estimates come from no model.
+    estimates = ESTIMATE_EDGES + extra
+    rng.shuffle(estimates)
+    report = estimation.EstimationReport(
+        model="synthetic", theta_true=0.25, n_samples=100, n_replicates=len(estimates), seed=5,
+        estimates=np.array(estimates), sample_variance=variance, cr_bound=cr_bound,
+        violated=violated, notes=notes,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the mean of ±1.8e308
+        assert cli._mc_json(report) == json.dumps(report.to_json(), indent=2) + "\n"
+
+
+@given(st.lists(st.dictionaries(st.text(), JSON_SCALARS, min_size=1), min_size=1, max_size=4))
+def test_the_table_encoder_is_the_indented_dump(rows):
+    # qfi-scan and ghz-scan --format json go through json's C encoder.
+    assert cli._table_json(rows) == json.dumps(rows, indent=2)
+
+
+@pytest.mark.parametrize(
+    "args, code, cells",
+    [
+        (["qfi-scan", "--model", "classical-bit", "--grid=-0.5:1:4"], 2,
+         ['"qfi": "error(DomainError)"', '"bures_metric": "inf"']),
+        (["ghz-scan", "--qubits", "1,3", "--grid", "0:2:3"], 0,
+         ['"t": 0.0', '"qfi_continuous_per_t": 0.0']),
+    ],
+    ids=["qfi-scan", "ghz-scan"],
+)
+def test_a_json_table_is_the_indented_dump_of_its_rows(capsys, monkeypatch, args, code, cells):
+    # The same command with the pure-Python indented dump is the reference.
+    args = [*args, "--format", "json"]
+    fast = run_cli(args, capsys)
+    monkeypatch.setattr(cli, "_table_json", lambda rows: json.dumps(rows, indent=2))
+    assert run_cli(args, capsys) == fast
+    assert fast[0] == code and all(cell in fast[1] for cell in cells)
 
 
 def per_row_scan(model, grid) -> tuple[str, str, int]:

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfidisc import classical, discontinuity, estimation, models, quantum
 from qfidisc.exceptions import (
@@ -563,6 +564,42 @@ class TestRunCrExperiment:
         args = dict(n_samples=10, n_replicates=5, seed=0)
         report = estimation.run_cr_experiment(numpy_floats, 0.7, **args)
         assert report.to_json() == estimation.run_cr_experiment(model, 0.7, **args).to_json()
+
+    @given(st.floats(-0.5, 1.5))
+    @example(np.float64(0.3))
+    @example(0)
+    @example(1)
+    @example(-0.0)
+    @example(1.0000000000000002)
+    @example(5e-324)
+    @settings(max_examples=50)
+    def test_the_law_is_the_clipped_and_normalized_pair(self, value):
+        # The law is p_first clamped; the reference clips the pair with
+        # numpy and divides it by its sum, as the law was once formed.
+        model = dataclasses.replace(models.make_model("classical-bit"), p_first=lambda p: value)
+        n_samples, n_replicates, seed = 50, 40, 11
+        probs = np.clip([value, 1.0 - value], 0.0, 1.0)
+        p0 = (probs / probs.sum())[0]
+        if p0 in (0.0, 1.0):
+            draws, ks = [], [n_samples if p0 == 1.0 else 0] * n_replicates
+        else:
+            draws, ks = [p0], np.random.default_rng(seed).binomial(n_samples, p0, n_replicates)
+        expected = [estimation.mle(model, [k, n_samples - k]) for k in ks]
+
+        drawn, default_rng = [], np.random.default_rng
+
+        class Recorded:  # the seed's stream, recording each law it draws from
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def binomial(self, n, p, size):
+                drawn.append(p)
+                return self.rng.binomial(n, p, size=size)
+
+        with mock.patch.object(np.random, "default_rng", Recorded):
+            report = estimation.run_cr_experiment(model, 0.3, n_samples, n_replicates, seed)
+        assert bits(*drawn) == bits(*draws)
+        assert bits(*report.estimates) == bits(*expected)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3])  # a point mass and a sampled law
     def test_replicates_past_2_32_are_refused_before_any_allocation(self, monkeypatch, theta):
