@@ -22,15 +22,11 @@ import numpy as np
 
 from . import discontinuity, estimation, models, quantum
 from .exceptions import (
-    DegenerateModelError,
-    DivergenceError,
     DomainError,
     InsufficientReplicatesError,
     InvalidInputError,
-    MultiBranchError,
     NotADiscontinuityError,
     NumericalError,
-    StepSizeError,
     UnsupportedModelError,
 )
 
@@ -55,10 +51,6 @@ _FAILURES = {
     DomainError: (EXIT_DOMAIN, "domain error"),
     InvalidInputError: (EXIT_DOMAIN, "domain error"),
     NumericalError: (EXIT_NUMERICAL, "numerical failure"),
-    StepSizeError: (EXIT_NUMERICAL, "numerical failure"),
-    DivergenceError: (EXIT_NUMERICAL, "numerical failure"),
-    MultiBranchError: (EXIT_NUMERICAL, "numerical failure"),
-    DegenerateModelError: (EXIT_NUMERICAL, "numerical failure"),
 }
 
 
@@ -104,12 +96,6 @@ def _table_json(rows: list[dict]) -> str:
     return "[\n  {\n    " + inner + "\n  }\n]"
 
 
-def _json_cell(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return _fmt(x)
-    return x
-
-
 def parse_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:points[:log]' into a grid of 2 to 2**32 points that
     starts at start and ends at stop exactly; more points are refused
@@ -152,13 +138,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _emit_table(rows: list[dict], columns: list[str], fmt: str, output: str | None) -> None:
+def _emit_table(rows: list[dict], fmt: str, output: str | None) -> None:
+    """A non-empty table, its columns the keys of its rows in order: CSV
+    under a header of them, or JSON, each row an object whose non-finite
+    floats are text (``discontinuity._json_value``)."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        lines = [",".join(rows[0])]
+        lines += [",".join(map(_fmt, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = _table_json([{c: _json_cell(r[c]) for c in columns} for r in rows]) + "\n"
+        value = discontinuity._json_value
+        text = _table_json([{k: value(x) for k, x in row.items()} for row in rows]) + "\n"
     _write(text, output)
 
 
@@ -182,7 +172,6 @@ def _build_model(args) -> models.ParametricModel:
 def cmd_qfi_scan(args) -> int:
     grid = [float(theta) for theta in parse_grid(args.grid)]
     model = _build_model(args)
-    columns = ["theta", "qfi", "bures_metric", "four_g_minus_qfi"]
     # Rows outside the domain are marked; the others are read in one call,
     # and any error there ends the command.
     inside = [model.in_domain(theta) for theta in grid]
@@ -198,7 +187,7 @@ def cmd_qfi_scan(args) -> int:
         rows.append(
             {"theta": theta, "qfi": q, "bures_metric": g, "four_g_minus_qfi": four_g_minus_q}
         )
-    _emit_table(rows, columns, args.format, args.output)
+    _emit_table(rows, args.format, args.output)
     return EXIT_OK if all(inside) else EXIT_DOMAIN
 
 
@@ -215,14 +204,6 @@ def cmd_ghz_scan(args) -> int:
     except ValueError:  # an empty entry too: int("") raises
         raise _UsageError(f"bad --qubits list {args.qubits!r}") from None
     grid = parse_grid(args.grid)
-    columns = [
-        "N",
-        "t",
-        "qfi_continuous",
-        "qfi_discontinuous",
-        "qfi_continuous_per_t",
-        "qfi_discontinuous_per_t",
-    ]
     rows = []
     for n in qubit_list:
         for t in grid:
@@ -239,7 +220,7 @@ def cmd_ghz_scan(args) -> int:
                     "qfi_discontinuous_per_t": qd / t if t > 0 else 0.0,
                 }
             )
-    _emit_table(rows, columns, args.format, args.output)
+    _emit_table(rows, args.format, args.output)
     return EXIT_OK
 
 

@@ -153,21 +153,21 @@ class DiscontinuityReport:
     rank_beside: int
 
     def to_json(self) -> dict:
-        def enc(x):
-            return ("inf" if x > 0 else "-inf") if math.isinf(x) else x
+        """The fields by name, in declaration order (``_json_fields``)."""
+        return _json_fields(self)
 
-        return {
-            "theta_bar": self.theta_bar,
-            "speed": self.speed,
-            "acceleration": self.acceleration,
-            "kind": self.kind,
-            "delta_q_predicted": enc(self.delta_q_predicted),
-            "delta_q_measured": enc(self.delta_q_measured),
-            "qfi_at_bar": self.qfi_at_bar,
-            "qfi_limit": enc(self.qfi_limit),
-            "rank_at_bar": self.rank_at_bar,
-            "rank_beside": self.rank_beside,
-        }
+
+def _json_value(x):
+    """``x`` as a JSON output writes it: a float that is not finite as its
+    text, "inf", "-inf" or "nan", so the JSON stays strict; else ``x``."""
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _json_fields(report) -> dict:
+    """A dataclass report's fields by name, each as ``_json_value`` writes
+    it, in the order they are declared: that of its class's
+    ``__dataclass_fields__``, made once per class."""
+    return {name: _json_value(getattr(report, name)) for name in report.__dataclass_fields__}
 
 
 @quantum._overflow_is_numerical

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -107,7 +107,7 @@ def mle(model: ParametricModel, counts) -> float:
     return estimate
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EstimationReport:
     """Replicated Monte Carlo estimation summary."""
 
@@ -116,30 +116,22 @@ class EstimationReport:
     n_samples: int  # per replicate
     n_replicates: int
     seed: int
-    estimates: np.ndarray
     sample_variance: float
+    replicate_mean: float = field(init=False)  # the mean of the estimates
     cr_bound: float  # inf when the bound is not applicable (a QFI that reads as zero)
     violated: bool
     notes: str = ""
+    estimates: np.ndarray
 
-    @property
-    def replicate_mean(self) -> float:
-        return float(np.mean(self.estimates))
+    def __post_init__(self):
+        self.replicate_mean = float(np.mean(self.estimates))
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "theta_true": self.theta_true,
-            "n_samples": self.n_samples,
-            "n_replicates": self.n_replicates,
-            "seed": self.seed,
-            "sample_variance": self.sample_variance,
-            "replicate_mean": self.replicate_mean,
-            "cr_bound": "inf" if math.isinf(self.cr_bound) else self.cr_bound,
-            "violated": self.violated,
-            "notes": self.notes,
-            "estimates": self.estimates.tolist(),
-        }
+        """The fields by name, in declaration order
+        (``discontinuity._json_fields``), with the estimates as a list."""
+        fields = discontinuity._json_fields(self)
+        fields["estimates"] = self.estimates.tolist()
+        return fields
 
 
 @quantum._overflow_is_numerical
@@ -194,6 +186,23 @@ def _floor(st: quantum.BlockStack, speed_bound: np.ndarray) -> float:
     return float(quantum._point_sums(st.multiplicities * floors)[0])
 
 
+def _sample_variance(estimates: np.ndarray) -> float:
+    """The sample variance (ddof 1) of the deviations from the first
+    estimate, so identical estimates give exactly zero, scaled by the power
+    of two that brings the largest below 1, so no square over- or
+    underflows.  The scaling is exact: wherever none does, this is
+    ``np.var``'s.  One past the largest float is a ``NumericalError``."""
+    try:
+        with np.errstate(over="raise"):
+            deviations = estimates - estimates[0]
+        _, exp = math.frexp(float(np.abs(deviations).max()))
+        return math.ldexp(float(np.var(np.ldexp(deviations, -exp), ddof=1)), 2 * exp)
+    except (FloatingPointError, OverflowError):
+        raise NumericalError(
+            "the sample variance of the estimates exceeds the largest float"
+        ) from None
+
+
 def run_cr_experiment(
     model: ParametricModel,
     theta_true: float,
@@ -230,6 +239,8 @@ def run_cr_experiment(
     size of the QFI that the kernel-motion speed bound leaves unresolved
     (``_qfi_and_rank_note``), a cut in Q's own units, so a regular point
     stays regular at any scale of theta.
+    The replicate variance is ``_sample_variance``'s, the same at any scale
+    of theta, and a ``NumericalError`` where it passes the largest float.
     The violation flag is set when the replicate variance falls more than
     three standard errors of the variance below the bound, with
     Var(s^2) ~ 2 s^4 / (R - 1).
@@ -268,9 +279,7 @@ def run_cr_experiment(
         solved = {k: mle(model, [k, n_samples - k]) for k in dict.fromkeys(ks)}
         estimates = np.array([solved[k] for k in ks])
 
-    # Shifted two-pass variance: identical replicate estimates must give
-    # exactly zero, which the unshifted mean subtraction misses by rounding.
-    sample_variance = float(np.var(estimates - estimates[0], ddof=1))
+    sample_variance = _sample_variance(estimates)
     notes = []
     if q <= q_floor:
         cr_bound = math.inf

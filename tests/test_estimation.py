@@ -747,6 +747,26 @@ class TestRunCrExperiment:
             assert (report.violated, report.notes) == (base.violated, base.notes), scale
             assert report.cr_bound * scale**2 == pytest.approx(base.cr_bound, rel=1e-12)
 
+    def test_variance_scales_with_theta_to_the_edge_of_the_floats(self):
+        # theta = s phi: the estimates scale by 1/s and the variance by
+        # 1/s^2.  Their squared deviations once left the floats: at
+        # s = 1e-155 the variance read inf where it is about 2.1e307.
+        model = models.make_model("classical-bit")
+        args = dict(n_samples=100, n_replicates=200, seed=1)
+        base = estimation.run_cr_experiment(model, 0.3, **args).sample_variance
+        for scale in (1e-155, 1e-150, 1.0, 1e150):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                report = estimation.run_cr_experiment(
+                    reparametrized(model, scale), 0.3 / scale, **args
+                )
+            assert report.sample_variance * scale * scale == pytest.approx(base, rel=1e-14), scale
+
+    def test_a_variance_past_the_largest_float_is_a_numerical_error(self):
+        model = reparametrized(models.make_model("classical-bit"), 1e-156)
+        with pytest.raises(NumericalError, match="exceeds the largest float"):
+            estimation.run_cr_experiment(model, 0.3 / 1e-156, n_samples=100, n_replicates=200, seed=1)
+
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
     @pytest.mark.filterwarnings("ignore::qfidisc.exceptions.BoundarySolutionWarning")
     def test_trig_bound_is_not_applicable_at_every_scale_of_theta(self, theta):

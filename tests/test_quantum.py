@@ -314,6 +314,49 @@ def test_reparametrization_scales_qfi_and_metric_by_the_square(
         assert g_phi == pytest.approx(scale**2 * g, rel=1e-10)
 
 
+@pytest.mark.parametrize("log_scale", range(-8, 9))
+def test_a_rotation_family_reads_at_every_scale(log_scale):
+    # Its derivatives are Hermitian only up to rounding, which grows with
+    # them as s and s^2 under theta = s phi: an absolute gap of 1e-10
+    # refused them from s = 1e3 on.  Its QFI is the same at every theta.
+    model, scale = rotation_model(4, 3), 10.0**log_scale
+    q = quantum.model_qfi(reparametrized(model, scale), 0.3 / scale)
+    assert q == pytest.approx(scale**2 * quantum.model_qfi(model, 0.3), rel=1e-12)
+
+
+def skewed(model, kind: int, size):
+    """``model`` with one upper entry of its derivative ``kind`` (1 or 2)
+    moved by ``size(a)``, ``a`` that derivative: so far from Hermitian."""
+
+    def blocks(theta):
+        mults, *arrays = model.blocks_fn(theta)
+        a = arrays[kind].copy()
+        a[0, 0, 1] += size(a)
+        arrays[kind] = a
+        return (mults, *arrays)
+
+    return dataclasses.replace(model, blocks_fn=blocks)
+
+
+@pytest.mark.parametrize("kind", [1, 2], ids=["first", "second"])
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_a_derivative_a_millionth_from_hermitian_is_refused_at_any_scale(kind, scale):
+    model = skewed(reparametrized(rotation_model(4, 3), scale), kind, lambda a: 1e-6 * abs(a).max())
+    with pytest.raises(InvalidInputError, match="state derivative is not Hermitian within"):
+        quantum.model_qfi(model, 0.3 / scale)
+
+
+@pytest.mark.parametrize("entry", [5e-11, 1e-300])
+def test_a_derivative_that_is_one_entry_is_refused_however_small(entry):
+    # Its largest entry is its gap: no size of it is Hermitian up to rounding.
+    flat = models.one_block(
+        models.classical_bit_state, models.classical_bit_derivative, lambda p: np.zeros((2, 2))
+    )
+    model = models.ParametricModel(name="flat", state_fn=None, blocks_fn=flat)
+    with pytest.raises(InvalidInputError, match="state derivative is not Hermitian within"):
+        quantum.model_qfi(skewed(model, 2, lambda a: entry), 0.3)
+
+
 class TestQfiLimit:
     def test_trig_at_upper_endpoint(self):
         model = models.make_model("trig")
@@ -538,8 +581,8 @@ BLOCK_READ_IDS = ["model_qfi", "bures_metric_fd", "classify"]
 
 
 def one_block_qfi(block=0.0, first=0.0, second=0.0) -> float:
-    """``model_qfi`` of a one-block model: diag(0.6, 0.4) with derivatives
-    diag(1, -1) and 0, each with its argument added to its upper right
+    """``model_qfi`` of a one-block model: diag(0.6, 0.4) with both
+    derivatives diag(1, -1), each with its argument added to its upper right
     entry alone, which makes it that far from Hermitian, or, where the
     argument is not finite, to both off-diagonal entries, so that only
     finiteness fails."""
@@ -551,7 +594,7 @@ def one_block_qfi(block=0.0, first=0.0, second=0.0) -> float:
             matrix[1, 0] += x
         return matrix
 
-    rho, d1, d2 = upper([0.6, 0.4], block), upper([1.0, -1.0], first), upper([0.0, 0.0], second)
+    rho, d1, d2 = upper([0.6, 0.4], block), upper([1.0, -1.0], first), upper([1.0, -1.0], second)
     model = models.ParametricModel(
         name="one-block",
         state_fn=None,
@@ -561,13 +604,14 @@ def one_block_qfi(block=0.0, first=0.0, second=0.0) -> float:
 
 
 class TestBlockChecks:
-    """A model read holds its blocks within 1e-12 of Hermitian and their two
-    derivatives within 1e-10, all finite; the failure it reports is the
+    """A model read holds its blocks within 1e-12 of Hermitian and each of
+    their two derivatives within 12 eps d (5.33e-15 at d = 2) times its
+    largest entry, all finite; the failure it reports is the
     first in the order blocks, first derivative, second derivative, each
     checked for finiteness before Hermiticity."""
 
     @pytest.mark.parametrize(
-        "asymmetry", [{"block": 5e-13}, {"first": 5e-11}, {"second": 5e-11}],
+        "asymmetry", [{"block": 5e-13}, {"first": 2e-15}, {"second": 2e-15}],
         ids=["block", "first", "second"],
     )
     def test_within_tolerance_reads(self, asymmetry):
@@ -577,16 +621,16 @@ class TestBlockChecks:
         "asymmetry, message",
         [
             ({"block": 2e-12}, "density block is not Hermitian within 1e-12"),
-            ({"first": 2e-10}, "state derivative is not Hermitian within 1e-10"),
-            ({"second": 2e-10}, "state derivative is not Hermitian within 1e-10"),
+            ({"first": 1e-14}, "state derivative is not Hermitian within 5.32907e-15"),
+            ({"second": 1e-14}, "state derivative is not Hermitian within 5.32907e-15"),
             ({"second": math.nan}, "state derivative has a non-finite entry"),
             ({"second": math.inf}, "state derivative has a non-finite entry"),
             ({"block": math.nan}, "density block has a non-finite entry"),
             # The first failure in check order, not the first in the stack.
             ({"block": 2e-12, "second": math.nan}, "density block is not Hermitian within 1e-12"),
             (
-                {"first": 2e-10, "second": math.inf},
-                "state derivative is not Hermitian within 1e-10",
+                {"first": 1e-14, "second": math.inf},
+                "state derivative is not Hermitian within 5.32907e-15",
             ),
         ],
         ids=[
